@@ -166,20 +166,23 @@ def main(argv=None) -> int:
     parser.add_argument("--no-replay-cache", action="store_true",
                         help="disable the session-replay cache "
                              "(repro.sim.replay), which memoizes "
-                             "repeated query timelines; equivalent to "
-                             "REPRO_REPLAY_CACHE=0.  The cache changes "
-                             "no results, only wall-clock time (see "
-                             "docs/PERFORMANCE.md)")
+                             "repeated query timelines and serves "
+                             "packet-tier sessions under every --tier; "
+                             "equivalent to REPRO_REPLAY_CACHE=0.  The "
+                             "cache changes no results, only wall-clock "
+                             "time (see docs/PERFORMANCE.md)")
     parser.add_argument("--tier", default=None,
                         choices=("analytic", "packet", "auto"),
                         help="campaign execution tier (repro.sim."
-                             "analytic): 'packet' simulates every "
-                             "session (default), 'auto' serves "
+                             "analytic): 'packet' puts every session on "
+                             "the packet tier (default), 'auto' serves "
                              "admitted sessions from the closed-form "
                              "model with seeded packet-level validation "
                              "and divergence gating, 'analytic' trusts "
-                             "the model outright; equivalent to "
-                             "REPRO_TIER (see docs/PERFORMANCE.md)")
+                             "the model outright; on every tier the "
+                             "replay cache serves packet-tier sessions "
+                             "it can; equivalent to REPRO_TIER (see "
+                             "docs/PERFORMANCE.md)")
     parser.add_argument("--trace", metavar="PATH",
                         help="enable observability (repro.obs) and "
                              "write the JSONL span/metric export here; "

@@ -26,9 +26,10 @@ Seven rule packs guard the invariants the paper's numbers rest on:
 * :mod:`repro.lint.shard_safety` (SHARD001-SHARD003) — no module-level
   state written in shard-reachable code, no set-order-dependent
   merges, no unpaired ``fork_mark()``.
-* :mod:`repro.lint.replay_safety` (RPLY001-RPLY002) — session-path
-  side effects stay in lock-step with the replay cache's
-  replicated-effects allowlist, in both directions.
+* :mod:`repro.lint.effects_pack` (EFF001-EFF003) — every session-path
+  side effect is replicated by the fast paths' one injection method,
+  :meth:`repro.sim.executor.SessionExecutor.materialize`, and nothing
+  more (interprocedural effect inference, :mod:`repro.lint.effectflow`).
 
 Run it with ``python -m repro.lint src/repro`` (or ``python -m repro
 lint ...`` / the ``repro-lint`` console script), configure it under

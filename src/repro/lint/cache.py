@@ -53,7 +53,9 @@ __all__ = ["CacheStore", "RULEPACK_VERSION"]
 #: Bump when any rule's behavior changes without its id changing, so
 #: warm caches cannot serve findings computed by older logic.
 #: v3: effect-parity (EFF/RPLY) and RNG-lineage packs on simflow.
-RULEPACK_VERSION = 3
+#: v4: RPLY001/RPLY002/EFF004 retired; parity rooted at
+#: SessionExecutor.materialize.
+RULEPACK_VERSION = 4
 
 #: Shape of the cache file itself.
 #: v2: store-wide inferred-signature section ("signatures").

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Whole-project determinism / unit-safety / "
-                    "event-safety / shard-safety / replay-safety "
+                    "event-safety / shard-safety / effect-parity "
                     "checks for the simulation universe.")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         metavar="PATH",
@@ -74,10 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--write-baseline", metavar="FILE",
                         help="record the run's blocking findings to FILE "
                              "and exit 0")
-    parser.add_argument("--emit-effects", action="store_true",
-                        help="regenerate the REPLICATED_EFFECTS artifact "
-                             "(sim/replay/effects.py) from the derived "
-                             "effect closures and exit 0")
     parser.add_argument("--cache", metavar="FILE",
                         help="incremental cache file: unchanged files "
                              "are restored instead of re-analyzed")
@@ -210,40 +206,6 @@ def _list_rules(out) -> None:
                  rule.description), file=out)
 
 
-def _emit_effects(runner: LintRunner) -> int:
-    """Regenerate the REPLICATED_EFFECTS artifact from the derived
-    effect closures (the ``--emit-effects`` flow)."""
-    from repro.lint.effectflow import replication_roots, shared_effects
-    from repro.lint.effects_pack import (
-        _find_allowlist,
-        allowlist_site_index,
-        derive_allowlist,
-        render_effects_module,
-    )
-    from repro.lint.project import ProjectContext
-    project = ProjectContext(list(runner._facts_by_path.values()))
-    allowlist = _find_allowlist(project)
-    if allowlist is None:
-        print("simlint: --emit-effects found no module defining "
-              "REPLICATED_EFFECTS under a replay path in the linted "
-              "file set", file=sys.stderr)
-        return 2
-    if not replication_roots(project):
-        print("simlint: --emit-effects found no replication root "
-              "(_replay/_materialize under a replay/analytic path) in "
-              "the linted file set", file=sys.stderr)
-        return 2
-    analysis = shared_effects(project)
-    derived = derive_allowlist(project, analysis)
-    path = allowlist[0]
-    text = render_effects_module(derived, allowlist_site_index(analysis))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    print("simlint: wrote %d replicated-effect signature(s) to %s"
-          % (len(derived), path), file=sys.stderr)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -255,8 +217,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         runner = LintRunner(config)
         runner.collect_stats = args.stats
         findings = runner.run_paths(args.paths)
-        if args.emit_effects:
-            return _emit_effects(runner)
         if args.write_baseline:
             from repro.lint.baseline import write_baseline
             entries = write_baseline(args.write_baseline, findings)

@@ -3,11 +3,12 @@
 The replay cache (:mod:`repro.sim.replay`) and the analytic tier
 (:mod:`repro.sim.analytic`) skip the packet-level simulation of a
 session but must leave the *identical* server-side footprint — the
-ground-truth logs, the obs counters, the burned ephemeral port.  The
-RPLY rules originally policed that contract with a hand-curated
-allowlist compared against syntactic effect shapes, which is exactly
-one helper-function hop away from being blind: an effect buried inside
-``record_replayed_fetch`` is invisible to any per-site comparison.
+ground-truth logs, the obs counters, the burned ephemeral port.  Both
+inject sessions through one method,
+:meth:`~repro.sim.executor.SessionExecutor.materialize`, and a
+per-site comparison of effect shapes is exactly one helper-function
+hop away from being blind: an effect buried inside
+``record_replayed_fetch`` is invisible to it.
 
 This module closes the gap the same way :mod:`repro.lint.simtype`
 closed the unit gap: a bottom-up fixpoint over the project call graph
@@ -48,8 +49,8 @@ passing ``self._server_effects`` uncalled) also contribute edges, so
 deferred replication work is part of a manager's closure.
 
 Rule packs consuming the summaries: :mod:`repro.lint.effects_pack`
-(RPLY001/RPLY002 rebuilt, EFF001–EFF004 effect parity) and
-:mod:`repro.lint.rng_lineage` (RNG001–RNG003 draw lineage).  Everything
+(EFF001–EFF003 effect parity) and :mod:`repro.lint.rng_lineage`
+(RNG001–RNG003 draw lineage).  Everything
 here is pure computation over cached facts — no ASTs are re-walked.
 """
 
@@ -84,8 +85,8 @@ Effect = Tuple[str, str, str]
 #: Path segments that mark a module as packet-session-path code.
 SESSION_SEGMENTS = ("tcp", "services", "measure")
 
-#: Effect kinds compared by the replay/analytic parity rules (metric
-#: scopes get their own rule, cache/rng effects their own packs).
+#: Effect kinds compared by the fast-path parity rules (metric scopes
+#: get their own rule, cache/rng effects their own packs).
 PARITY_KINDS = ("log", "call", "port")
 
 #: Method-name shapes treated as session side effects.
@@ -96,10 +97,8 @@ EFFECT_METHODS = ("inject",)
 SHARED_DRAWS = ("get", "uniform", "lognormal", "bernoulli",
                 "expovariate", "choice")
 
-#: Function names that mark a fast-path replication root when defined
-#: in a module under a ``replay``/``analytic`` path.
-ROOT_NAMES = ("_replay", "_materialize")
-ROOT_SEGMENTS = ("replay", "analytic")
+#: The fast-path replication root: ``(class, method)``.
+ROOT = ("SessionExecutor", "materialize")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,24 +137,14 @@ def is_session_module(facts: ModuleFacts) -> bool:
 def replication_roots(project: ProjectContext) -> List[str]:
     """Qualnames of the fast-path replication entry points.
 
-    A root is a function named ``_replay`` or ``_materialize`` defined
-    in a module whose path crosses a ``replay`` or ``analytic``
-    directory — :meth:`SessionReplayManager._replay
-    <repro.sim.replay.manager.SessionReplayManager>` and
-    :meth:`TieredSessionManager._materialize
-    <repro.sim.analytic.manager.TieredSessionManager>` on the real
-    tree.  Everything such a root can reach (its effect closure) is
-    what the fast path replicates.
+    A root is a ``materialize`` method of a ``SessionExecutor`` class —
+    :meth:`repro.sim.executor.SessionExecutor.materialize` on the real
+    tree, the one method through which the replay cache and the
+    analytic tier inject sessions.  Everything a root can reach (its
+    effect closure) is what the fast paths replicate.
     """
-    roots: List[str] = []
-    for full in sorted(project.functions):
-        facts, fn = project.functions[full]
-        if fn.name not in ROOT_NAMES:
-            continue
-        parts = _path_parts(facts)
-        if any(segment in parts for segment in ROOT_SEGMENTS):
-            roots.append(full)
-    return roots
+    return [full for full, (_facts, fn) in sorted(project.functions.items())
+            if (fn.cls, fn.name) == ROOT]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +366,7 @@ class EffectAnalysis:
 def shared_effects(project: ProjectContext) -> EffectAnalysis:
     """The one :class:`EffectAnalysis` shared by every consuming rule.
 
-    Memoized on the project context, so the EFF, RPLY and RNG packs —
+    Memoized on the project context, so the EFF and RNG packs —
     and the ``--stats`` ``simflow-engine`` row — all account the same
     single fixpoint run.
     """

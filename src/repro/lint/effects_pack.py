@@ -1,55 +1,37 @@
-"""Effect-parity rule pack (RPLY001-RPLY002 rebuilt, EFF001-EFF004).
+"""Effect-parity rule pack (EFF001-EFF003).
 
 A session-replay cache hit (:mod:`repro.sim.replay`) or an analytic
 injection (:mod:`repro.sim.analytic`) never drives the TCP stack, so
 every side effect a simulated session leaves on the session path —
-``tcp/``, ``services/``, ``measure/`` — must be replicated explicitly
-by the fast-path managers.  The contract is recorded in
-``sim/replay/effects.py`` as the ``REPLICATED_EFFECTS`` allowlist,
-which is now a **generated artifact**: ``python -m repro.lint src
---emit-effects`` rewrites it from the derived effect closures, and CI
-fails if the checked-in copy is stale.
-
-The first two rules keep code and contract in sync syntactically, as
-before, but their effect sites now come from the shared
-:mod:`repro.lint.effectflow` extraction (so ``port.allocate()`` on a
-port-pool receiver and ``reserve_port()`` compare equal):
-
-* RPLY001 — a session-path effect site whose signature is not
-  allowlisted (a new ground-truth log or registry write that a fast
-  path would silently drop);
-* RPLY002 — an allowlist entry matching no session-path site (a stale
-  contract that would mask a future RPLY001).
-
-The EFF rules close the interprocedural gap the syntactic pair cannot
-see — an effect hidden one helper call away from the manager:
+``tcp/``, ``services/``, ``measure/`` — must be replicated by the one
+method both fast paths inject through,
+:meth:`~repro.sim.executor.SessionExecutor.materialize` (the
+*replication root*).  The rules compare the root's derived effect
+closure (:mod:`repro.lint.effectflow`) with the session path's effect
+sites, so an effect hidden one helper call away from the root still
+counts:
 
 * EFF001 — a session-path effect signature missing from the effect
-  *closure* of at least one replication root
-  (``SessionReplayManager._replay`` /
-  ``TieredSessionManager._materialize``): the fast path genuinely does
-  not reproduce it, wherever the replication would have been buried;
-* EFF002 — an effect performed by a replication root's module that is
-  neither part of the derived session contract nor delegated to
+  closure of the replication root: the fast path genuinely does not
+  reproduce it, wherever the replication would have been buried;
+* EFF002 — an effect performed by the replication root's module that
+  is neither part of the derived session contract nor delegated to
   session-path code: over-replication that fabricates ground truth the
   packet path never wrote;
 * EFF003 — one obs metric name written with conflicting ``sim``/
   ``host`` scopes across the session path and the replication
-  closures, which silently splits one counter into two;
-* EFF004 — the checked-in ``REPLICATED_EFFECTS`` differs from the
-  derived allowlist: regenerate with ``--emit-effects``.
+  closure, which silently splits one counter into two.
 
 Constructor bodies (``__init__``) are exempt from *site* collection —
 effects there are topology setup that happens before any session
-exists — but still contribute to closures.  All rules stand down when
-the linted file set has no allowlist module, and the EFF rules
-additionally stand down when it has no replication roots or no
-session-path modules (linting ``tests/`` alone must not light up).
+exists — but still contribute to closures.  The rules stand down when
+the linted file set has no replication root or no session-path modules
+(linting ``tests/`` alone must not light up).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.lint.effectflow import (
     EffectAnalysis,
@@ -66,24 +48,6 @@ from repro.lint.project import (
     ProjectContext,
     ProjectRule,
 )
-
-#: Module-level constant the fast paths declare their contract in.
-ALLOWLIST_NAME = "REPLICATED_EFFECTS"
-
-#: Command that regenerates the allowlist artifact.
-EMIT_COMMAND = "python -m repro.lint src --emit-effects"
-
-
-def _find_allowlist(project: ProjectContext
-                    ) -> Optional[Tuple[str, int, List[str]]]:
-    for module in sorted(project.modules):
-        facts = project.modules[module]
-        if "replay" not in str(facts.path).replace("\\", "/"):
-            continue
-        if ALLOWLIST_NAME in facts.module_constants:
-            line, strings = facts.module_constants[ALLOWLIST_NAME]
-            return str(facts.path), line, list(strings)
-    return None
 
 
 def _parity_sites(analysis: EffectAnalysis, qualname: str
@@ -112,141 +76,20 @@ def _session_sites(analysis: EffectAnalysis
     return out
 
 
-def derive_allowlist(project: ProjectContext,
-                     analysis: Optional[EffectAnalysis] = None
-                     ) -> List[str]:
-    """The allowlist the checked-in artifact must equal.
+def _contract(analysis: EffectAnalysis, roots: List[str]) -> Set[str]:
+    """The replicated-effect contract, derived from the code.
 
     A signature belongs iff (a) every replication root's effect closure
-    contains it — both fast paths replicate it — and (b) at least one
+    contains it — the fast path replicates it — and (b) at least one
     session-path site performs it — it is real packet-path ground
     truth, not replication machinery.
     """
-    if analysis is None:
-        analysis = shared_effects(project)
-    roots = replication_roots(project)
-    if not roots:
-        return []
-    common: Optional[Set[str]] = None
+    contract = {site.effect[1]
+                for _facts, _fn, site in _session_sites(analysis)}
     for root in roots:
-        sigs = {effect[1] for effect in analysis.closure(root)
-                if effect[0] in PARITY_KINDS}
-        common = sigs if common is None else (common & sigs)
-    session = {site.effect[1]
-               for _facts, _fn, site in _session_sites(analysis)}
-    return sorted((common or set()) & session)
-
-
-def allowlist_site_index(analysis: EffectAnalysis
-                         ) -> Dict[str, List[str]]:
-    """signature -> sorted session-path module paths performing it."""
-    index: Dict[str, Set[str]] = {}
-    for facts, _fn, site in _session_sites(analysis):
-        index.setdefault(site.effect[1], set()).add(str(facts.path))
-    return {sig: sorted(paths) for sig, paths in index.items()}
-
-
-def render_effects_module(derived: Iterable[str],
-                          site_index: Dict[str, List[str]]) -> str:
-    """Source text of the generated ``sim/replay/effects.py``."""
-    lines = [
-        '"""Replicated-effects contract for the session fast paths.',
-        "",
-        "GENERATED FILE - do not edit by hand.  Regenerate with::",
-        "",
-        "    %s" % EMIT_COMMAND,
-        "",
-        "A replay hit (:mod:`repro.sim.replay`) or analytic injection",
-        "(:mod:`repro.sim.analytic`) never drives :mod:`repro.tcp`",
-        "packet-by-packet, so every side effect a simulated session",
-        "leaves behind must be replicated explicitly by the fast-path",
-        "managers.  The signatures below are derived by",
-        ":mod:`repro.lint.effectflow` as the intersection of both",
-        "replication roots' effect closures, restricted to signatures",
-        "with at least one session-path site; the EFF004 simlint rule",
-        "fails when this file no longer matches the derivation, and",
-        "EFF001 names any session-path effect the closures miss.",
-        "",
-        'Signature syntax: a bare name means "a call to a method of',
-        'that name" (``register_keywords``); a trailing ``[]`` means "a',
-        'subscript store into an attribute of that name"',
-        "(``fetch_log[]``).",
-        '"""',
-        "",
-        "from __future__ import annotations",
-        "",
-        "#: Session-path effect signatures replicated on a fast-path",
-        "#: hit, with the module(s) performing each one.",
-        "REPLICATED_EFFECTS = (",
-    ]
-    for signature in derived:
-        for path in site_index.get(signature, []):
-            lines.append("    # %s" % path)
-        lines.append('    "%s",' % signature)
-    lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-@register
-class UnreplicatedEffectRule(ProjectRule):
-    id = "RPLY001"
-    name = "unreplicated-effect"
-    severity = "error"
-    description = ("Session-path side effect not in the replicated-"
-                   "effects allowlist; a replay hit would silently "
-                   "drop it.")
-    scope = "project"
-
-    def check(self, project: ProjectContext) -> None:
-        allowlist = _find_allowlist(project)
-        if allowlist is None:
-            return
-        _path, _line, allowed = allowlist
-        analysis = shared_effects(project)
-        for facts, _fn, site in _session_sites(analysis):
-            signature = site.effect[1]
-            if signature in allowed:
-                continue
-            self.report(
-                facts.path, site.line,
-                "session-path side effect %r is not in "
-                "REPLICATED_EFFECTS; a replay hit will not "
-                "reproduce it — replicate it in the replay manager "
-                "and regenerate sim/replay/effects.py (%s)"
-                % (signature, EMIT_COMMAND))
-
-
-@register
-class StaleAllowlistRule(ProjectRule):
-    id = "RPLY002"
-    name = "stale-allowlist"
-    severity = "error"
-    description = ("REPLICATED_EFFECTS entry matches no session-path "
-                   "code; stale entries mask future unreplicated "
-                   "effects.")
-    scope = "project"
-
-    def check(self, project: ProjectContext) -> None:
-        allowlist = _find_allowlist(project)
-        if allowlist is None:
-            return
-        path, line, allowed = allowlist
-        analysis = shared_effects(project)
-        session_modules = sum(
-            1 for facts in project.modules.values()
-            if is_session_module(facts))
-        if session_modules == 0:
-            return  # partial lint: nothing to compare against
-        observed = {site.effect[1]
-                    for _facts, _fn, site in _session_sites(analysis)}
-        for entry in allowed:
-            if entry not in observed:
-                self.report(
-                    path, line,
-                    "REPLICATED_EFFECTS entry %r matches no effect "
-                    "site in the linted session-path modules; "
-                    "regenerate the artifact (%s) or restore the "
-                    "effect it documented" % (entry, EMIT_COMMAND))
+        contract &= {effect[1] for effect in analysis.closure(root)
+                     if effect[0] in PARITY_KINDS}
+    return contract
 
 
 class _EffRule(ProjectRule):
@@ -296,11 +139,9 @@ class MissingReplicationRule(_EffRule):
                 facts.path, site.line,
                 "session-path effect %r is missing from the derived "
                 "effect closure of %s; a fast-path hit would not "
-                "reproduce it — replicate it there and regenerate "
-                "sim/replay/effects.py (%s)"
+                "reproduce it — replicate it there"
                 % (signature,
-                   " and ".join(_short(root) for root in missing),
-                   EMIT_COMMAND))
+                   " and ".join(_short(root) for root in missing)))
 
 
 @register
@@ -316,7 +157,7 @@ class OverReplicationRule(_EffRule):
     def check_effects(self, project: ProjectContext,
                       analysis: EffectAnalysis,
                       roots: List[str]) -> None:
-        derived = set(derive_allowlist(project, analysis))
+        derived = _contract(analysis, roots)
         root_modules = {analysis.project.functions[root][0].module
                         for root in roots}
         for qualname in sorted(analysis.sites):
@@ -396,39 +237,6 @@ class MetricScopeMismatchRule(_EffRule):
                 % (name, ", ".join("%s at %s:%d" % (s, p, l)
                                    for s, (p, l)
                                    in sorted(scopes.items()))))
-
-
-@register
-class StaleDerivedAllowlistRule(_EffRule):
-    id = "EFF004"
-    name = "stale-derived-allowlist"
-    severity = "error"
-    description = ("Checked-in REPLICATED_EFFECTS differs from the "
-                   "derived allowlist; the generated artifact is "
-                   "stale.")
-
-    def check_effects(self, project: ProjectContext,
-                      analysis: EffectAnalysis,
-                      roots: List[str]) -> None:
-        allowlist = _find_allowlist(project)
-        if allowlist is None:
-            return
-        path, line, checked_in = allowlist
-        derived = derive_allowlist(project, analysis)
-        if sorted(checked_in) == derived:
-            return
-        missing = sorted(set(derived) - set(checked_in))
-        extra = sorted(set(checked_in) - set(derived))
-        detail = "; ".join(part for part in (
-            ("missing %s" % ", ".join(repr(s) for s in missing))
-            if missing else "",
-            ("stale %s" % ", ".join(repr(s) for s in extra))
-            if extra else "") if part)
-        self.report(
-            path, line,
-            "REPLICATED_EFFECTS is stale against the derived "
-            "session-path contract (%s); regenerate with `%s`"
-            % (detail, EMIT_COMMAND))
 
 
 def _short(qualname: str) -> str:

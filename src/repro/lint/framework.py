@@ -715,8 +715,8 @@ class LintRunner:
                 self._unit_signature_seed or {})
 
     def _build_effect_engine(self, project) -> None:
-        """Run simflow effect inference once; the EFF/RPLY/RNG rules
-        all consume the memoized analysis."""
+        """Run simflow effect inference once; the EFF/RNG rules all
+        consume the memoized analysis."""
         try:
             from repro.lint.effectflow import shared_effects
             shared_effects(project)
@@ -737,7 +737,7 @@ class LintRunner:
             # pack timings compare rule cost rather than who ran first.
             self._run_timed("simtype-engine", self._build_unit_engine,
                             project)
-        if any(cls.id.startswith(("EFF", "RPLY", "RNG"))
+        if any(cls.id.startswith(("EFF", "RNG"))
                for cls in self.project_rule_classes):
             self._run_timed("simflow-engine", self._build_effect_engine,
                             project)

@@ -53,7 +53,9 @@ __all__ = [
 #: (``FunctionFacts.self_refs``) and counter increments
 #: (``FunctionFacts.counter_incs``), feeding
 #: :mod:`repro.lint.effectflow` and :mod:`repro.lint.rng_lineage`.
-FACTS_VERSION = 3
+#: v4: module-level string-collection constants dropped (their only
+#: consumer, the generated replicated-effects allowlist, is gone).
+FACTS_VERSION = 4
 
 SCHEDULE_ATTRS = ("schedule", "call_at")
 
@@ -226,9 +228,6 @@ class ModuleFacts:
     #: module-level names bound to mutable containers -> line
     module_mutables: Dict[str, int] = dataclasses.field(
         default_factory=dict)
-    #: module-level string-collection constants -> (line, strings)
-    module_constants: Dict[str, list] = dataclasses.field(
-        default_factory=dict)
     #: line -> unit token from ``# simlint: unit[...]`` annotations
     unit_annotations: Dict[int, str] = dataclasses.field(
         default_factory=dict)
@@ -243,7 +242,6 @@ class ModuleFacts:
             "functions": {q: f.to_json()
                           for q, f in self.functions.items()},
             "mutables": self.module_mutables,
-            "constants": self.module_constants,
             "units": {str(line): token
                       for line, token in self.unit_annotations.items()},
             "bad_units": self.bad_unit_annotations,
@@ -257,8 +255,6 @@ class ModuleFacts:
             functions={q: FunctionFacts.from_json(f)
                        for q, f in data["functions"].items()},
             module_mutables=dict(data["mutables"]),
-            module_constants={k: list(v)
-                              for k, v in data["constants"].items()},
             unit_annotations={int(line): token
                               for line, token in data["units"].items()},
             bad_unit_annotations=[list(b) for b in data["bad_units"]])
@@ -368,10 +364,6 @@ class _FactsExtractor:
         if _is_mutable_ctor(value):
             for name in names:
                 self.facts.module_mutables[name] = stmt.lineno
-        strings = _string_collection(value)
-        if strings is not None:
-            for name in names:
-                self.facts.module_constants[name] = [stmt.lineno, strings]
 
     # -- scope walk ----------------------------------------------------
     def _walk_body(self, body: Sequence[ast.stmt], prefix: str,
@@ -824,22 +816,6 @@ def _is_mutable_ctor(node: ast.expr) -> bool:
     return False
 
 
-def _string_collection(node: ast.expr) -> Optional[List[str]]:
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id in ("frozenset", "set", "tuple", "list") \
-            and len(node.args) == 1:
-        node = node.args[0]
-    if not isinstance(node, (ast.Set, ast.Tuple, ast.List)):
-        return None
-    strings: List[str] = []
-    for element in node.elts:
-        if not (isinstance(element, ast.Constant)
-                and isinstance(element.value, str)):
-            return None
-        strings.append(element.value)
-    return strings
-
-
 def _is_set_expr(node: ast.expr, set_names: Set[str]) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -1114,20 +1090,6 @@ class ProjectContext:
     def functions_in_module(self, predicate) -> List[str]:
         return sorted(full for full, (facts, fn) in self.functions.items()
                       if predicate(facts, fn))
-
-    def constant_strings(self, name: str
-                         ) -> Optional[Tuple[str, int, List[str]]]:
-        """Find a module-level string-collection constant by bare name.
-
-        Returns ``(path, line, strings)`` for the first module defining
-        it (module-name order), or None.
-        """
-        for mod_name in sorted(self.modules):
-            facts = self.modules[mod_name]
-            if name in facts.module_constants:
-                line, strings = facts.module_constants[name]
-                return facts.path, line, list(strings)
-        return None
 
 
 def _short_name(qualname: str) -> str:

@@ -26,15 +26,10 @@ from repro.content.keywords import Keyword
 from repro.measure.emulator import QueryEmulator
 from repro.measure.session import QuerySession
 from repro.services.frontend import FrontEndServer
+from repro.sim.executor import SessionExecutor
 from repro.sim.process import Sleep, spawn
-from repro.sim.analytic import TieredSessionManager, TierStats, tier_mode
-from repro.sim.replay import (
-    ReplayCache,
-    ReplayStats,
-    SessionReplayManager,
-    SubmissionSchedule,
-    replay_cache_enabled,
-)
+from repro.sim.replay import SubmissionSchedule
+from repro.sim.stats import ReplayStats, TierStats
 from repro.testbed.scenario import Scenario
 from repro.testbed.vantage import VantagePoint
 
@@ -85,58 +80,6 @@ class DatasetB:
         return [s for s in self.sessions if s.vp_name == vp_name]
 
 
-def _replay_manager(scenario: Scenario, schedule: SubmissionSchedule,
-                    replay_cache, store_payload: bool,
-                    run_timeout: Optional[float]
-                    ) -> Optional[SessionReplayManager]:
-    """Resolve a driver's ``replay_cache`` argument into a manager.
-
-    ``None`` follows the ``REPRO_REPLAY_CACHE`` env default, ``False``
-    disables the cache, ``True`` forces a fresh per-campaign cache, and
-    a :class:`ReplayCache` instance is used as-is (letting successive
-    campaigns on the *same scenario* share warmed timelines).
-    """
-    if replay_cache is False:
-        return None
-    cache: Optional[ReplayCache] = None
-    if isinstance(replay_cache, ReplayCache):
-        cache = replay_cache
-    elif replay_cache is None and not replay_cache_enabled():
-        return None
-    return SessionReplayManager(scenario, schedule, cache=cache,
-                                store_payload=store_payload,
-                                run_timeout=run_timeout)
-
-
-def _campaign_manager(scenario: Scenario, schedule: SubmissionSchedule,
-                      tier: Optional[str], replay_cache,
-                      store_payload: bool,
-                      run_timeout: Optional[float]):
-    """Resolve a driver's executor: tiered, replay-cached, or None.
-
-    ``tier`` follows the ``REPRO_TIER`` env default (see
-    :func:`~repro.sim.analytic.manager.tier_mode`); any mode other than
-    ``packet`` selects the tiered executor, which subsumes the replay
-    cache (its analytic tier already skips the packet engine, and its
-    packet tier is the ground-truth referee).
-    """
-    mode = tier_mode(tier)
-    if mode != "packet":
-        return TieredSessionManager(scenario, schedule, mode=mode,
-                                    store_payload=store_payload,
-                                    run_timeout=run_timeout)
-    return _replay_manager(scenario, schedule, replay_cache,
-                           store_payload, run_timeout)
-
-
-def _finalize_manager(dataset, manager) -> None:
-    """Store the executor's accounting on the dataset it produced."""
-    if isinstance(manager, TieredSessionManager):
-        dataset.tier = manager.finalize()
-    elif manager is not None:
-        dataset.replay = manager.finalize()
-
-
 def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
                   repeats: int = 10,
                   interval: float = 10.0,
@@ -153,9 +96,11 @@ def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
     ``interval`` seconds.
 
     ``replay_cache`` controls the session-replay cache (see
-    :mod:`repro.sim.replay` and :func:`_replay_manager`); the default
-    follows the ``REPRO_REPLAY_CACHE`` environment variable.  The cache
-    changes no observable output, only wall-clock time.
+    :mod:`repro.sim.replay` and
+    :class:`~repro.sim.executor.SessionExecutor`); the default follows
+    the ``REPRO_REPLAY_CACHE`` environment variable.  The cache serves
+    packet-tier sessions under every tier and changes no observable
+    output, only wall-clock time.
 
     ``tier`` selects the execution tier (``packet``/``analytic``/
     ``auto``; default from ``REPRO_TIER``).  Modes other than ``packet``
@@ -169,11 +114,12 @@ def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
     dataset = DatasetA()
     emulators = []
     staggers = _fleet_staggers(scenario, vps, interval)
-    manager = _campaign_manager(
+    executor = SessionExecutor(
         scenario,
         _dataset_a_schedule(scenario, vps, services, repeats, interval,
                             staggers),
-        tier, replay_cache, store_payload, run_timeout)
+        tier=tier, replay_cache=replay_cache,
+        store_payload=store_payload, run_timeout=run_timeout)
     obs_mark = obs.campaign_begin(scenario)
 
     for vp in vps:
@@ -187,12 +133,12 @@ def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
                 (frontend.node.name, rtt)
         spawn(scenario.sim,
               _vp_loop(scenario, emulator, frontends, keywords,
-                       repeats, interval, staggers[vp.name], manager))
+                       repeats, interval, staggers[vp.name], executor))
 
     scenario.sim.run(until=run_timeout)
     for emulator in emulators:
         dataset.sessions.extend(emulator.sessions)
-    _finalize_manager(dataset, manager)
+    dataset.replay, dataset.tier = executor.finalize()
     obs.campaign_end(obs_mark, "dataset_a", scenario, dataset)
     return dataset
 
@@ -204,8 +150,8 @@ def _dataset_a_schedule(scenario: Scenario, vps: Sequence[VantagePoint],
     """Planned per-FE submission times of a Dataset-A run.
 
     Replicates :func:`_vp_loop`'s float arithmetic exactly (stagger,
-    then repeated ``t + interval``): the replay manager compares these
-    times for equality against ``sim.now``.
+    then repeated ``t + interval``): the executor compares these times
+    for equality against ``sim.now``.
     """
     schedule = SubmissionSchedule()
     for vp in vps:
@@ -245,21 +191,14 @@ def _vp_loop(scenario: Scenario, emulator: QueryEmulator,
              frontends: Dict[str, FrontEndServer],
              keywords: Sequence[Keyword], repeats: int,
              interval: float, stagger: float,
-             manager=None):
-    """Per-vantage-point query loop (a simulator process).
-
-    ``manager`` is a :class:`SessionReplayManager`, a
-    :class:`TieredSessionManager`, or None (plain submission).
-    """
+             executor: SessionExecutor):
+    """Per-vantage-point query loop (a simulator process)."""
     if stagger > 0:
         yield Sleep(stagger)
     for round_index in range(repeats):
         keyword = keywords[round_index % len(keywords)]
         for service_name, frontend in frontends.items():
-            if manager is not None:
-                manager.submit(emulator, service_name, frontend, keyword)
-            else:
-                emulator.submit(service_name, frontend, keyword)
+            executor.submit(emulator, service_name, frontend, keyword)
         yield Sleep(interval)
 
 
@@ -282,10 +221,11 @@ def run_dataset_b(scenario: Scenario, service_name: str,
     emulators = []
 
     staggers = _fleet_staggers(scenario, vps, interval)
-    manager = _campaign_manager(
+    executor = SessionExecutor(
         scenario,
         _dataset_b_schedule(frontend, vps, repeats, interval, staggers),
-        tier, replay_cache, store_payload, run_timeout)
+        tier=tier, replay_cache=replay_cache,
+        store_payload=store_payload, run_timeout=run_timeout)
     obs_mark = obs.campaign_begin(scenario)
     for vp in vps:
         scenario.link_client_to_frontend(vp, frontend, service)
@@ -294,12 +234,12 @@ def run_dataset_b(scenario: Scenario, service_name: str,
         spawn(scenario.sim,
               _fixed_fe_loop(emulator, service_name, frontend, keyword,
                              repeats, interval, staggers[vp.name],
-                             manager))
+                             executor))
 
     scenario.sim.run(until=run_timeout)
     for emulator in emulators:
         dataset.sessions.extend(emulator.sessions)
-    _finalize_manager(dataset, manager)
+    dataset.replay, dataset.tier = executor.finalize()
     obs.campaign_end(obs_mark, "dataset_b", scenario, dataset)
     return dataset
 
@@ -322,14 +262,11 @@ def _dataset_b_schedule(frontend: FrontEndServer,
 def _fixed_fe_loop(emulator: QueryEmulator, service_name: str,
                    frontend: FrontEndServer, keyword: Keyword,
                    repeats: int, interval: float, stagger: float,
-                   manager=None):
+                   executor: SessionExecutor):
     if stagger > 0:
         yield Sleep(stagger)
     for _ in range(repeats):
-        if manager is not None:
-            manager.submit(emulator, service_name, frontend, keyword)
-        else:
-            emulator.submit(service_name, frontend, keyword)
+        executor.submit(emulator, service_name, frontend, keyword)
         yield Sleep(interval)
 
 

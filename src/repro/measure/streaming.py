@@ -19,10 +19,10 @@ pruned, and the submission schedule is a sliding window
 (:class:`StreamingSchedule`).  Peak memory is set by the number of
 sessions *in flight*, i.e. by the arrival rate — not the duration.
 
-The runner reuses the exact campaign executors of the batch drivers
-(replay cache, tiered manager), so a streaming run's per-session
-behavior is identical to the equivalent batch campaign's; only the
-bookkeeping differs.
+The runner reuses the batch drivers' session executor
+(:class:`~repro.sim.executor.SessionExecutor`), so a streaming run's
+per-session behavior is identical to the equivalent batch campaign's;
+only the bookkeeping differs.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.sketch import QuantileSketch, merge_sketches
 from repro.cache import aggregate_stats
-from repro.measure.driver import _campaign_manager
 from repro.measure.emulator import QueryEmulator
 from repro.obs import runtime as _obs
 from repro.obs.metrics import SCOPE_SIM, MetricsSnapshot
-from repro.sim.analytic import TierStats
-from repro.sim.replay import ReplayStats
-from repro.sim.replay.manager import GUARD_FLOOR, GUARD_RTT_MULTIPLE
+from repro.sim.executor import SessionExecutor, isolation_guard
+from repro.sim.stats import ReplayStats, TierStats, sum_stats
 from repro.testbed.scenario import Scenario
 from repro.testbed.vantage import VantagePoint
 from repro.workload.generator import QueryEvent, WorkloadSpec
@@ -72,15 +70,15 @@ class StreamingSchedule:
     The batch drivers precompute every submission time; a streaming
     campaign cannot (the stream may be unbounded), so the runner feeds
     times in stream order as events are fetched and prunes behind the
-    oldest in-flight session.  Duck-types the two methods the replay
-    and tier managers consult.
+    oldest in-flight session.  Duck-types the two methods the session
+    executor and its replay cache consult.
 
     Contract: ``count_at``/``next_after`` answers are exact for any
     query whose relevant window lies between the prune point and the
     fed horizon.  The runner maintains a fed horizon at least
     ``lookahead`` seconds ahead of the clock and verifies at fold time
     that every session's isolation window (duration + guard) fits
-    inside it, so manager comparisons (`next_after(fe, t) < end`) are
+    inside it, so executor comparisons (`next_after(fe, t) < end`) are
     independent of batch size and sharding.
     """
 
@@ -213,11 +211,8 @@ class StreamingCampaignResult:
             for name in part.sketches:
                 if name not in names:
                     names.append(name)
-        replay = [part.replay for part in parts
-                  if part.replay is not None]
-        merged.replay = sum(replay) if replay else None
-        tier = [part.tier for part in parts if part.tier is not None]
-        merged.tier = sum(tier) if tier else None
+        merged.replay = sum_stats(part.replay for part in parts)
+        merged.tier = sum_stats(part.tier for part in parts)
         for name in sorted(names):
             merged.sketches[name] = merge_sketches(
                 part.sketches[name] for part in parts
@@ -313,8 +308,8 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
     result = StreamingCampaignResult(
         spec=getattr(workload, "spec", None))
     schedule = StreamingSchedule()
-    manager = _campaign_manager(scenario, schedule, tier, replay_cache,
-                                False, None)
+    executor = SessionExecutor(scenario, schedule, tier=tier,
+                               replay_cache=replay_cache)
 
     emulators: Dict[str, QueryEmulator] = {}
     frontends: Dict[Tuple[str, str], object] = {}
@@ -336,18 +331,14 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
     metrics_base = _obs.metrics.snapshot() if _obs.enabled else None
 
     def submit(event: QueryEvent) -> None:
-        emulator = emulators[event.vp_name]
-        frontend = frontends[(event.service, event.vp_name)]
         result.events += 1
-        if manager is not None:
-            manager.submit(emulator, event.service, frontend,
-                           event.keyword)
-        else:
-            emulator.submit(event.service, frontend, event.keyword)
+        executor.submit(emulators[event.vp_name], event.service,
+                        frontends[(event.service, event.vp_name)],
+                        event.keyword)
 
     def observe_session(session) -> None:
         duration = session.completed_at - session.started_at
-        guard = GUARD_FLOOR + GUARD_RTT_MULTIPLE * session.path_rtt
+        guard = isolation_guard(session.path_rtt)
         if duration + guard > lookahead:
             raise RuntimeError(
                 "session isolation window (%.3fs) exceeds the schedule "
@@ -375,11 +366,10 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
                 _obs.metrics.inc("stream.failures", scope=SCOPE_SIM)
 
     def fold(final: bool = False) -> None:
-        # Settle the manager's completed record/validate entries first:
-        # settling consults the schedule and the ground-truth logs this
-        # fold is about to prune.
-        if manager is not None:
-            manager._drain()
+        # Settle the executor's completed sessions first: settling
+        # consults the schedule and the ground-truth logs this fold is
+        # about to prune.
+        executor.settle()
         now = scenario.sim.now
         oldest = None  # earliest start among in-flight sessions
         for emulator in emulators.values():
@@ -420,17 +410,15 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
         horizon = batch[-1].time
         for event in batch:
             # Absolute-time scheduling: the submission instant must
-            # equal the fed schedule time bit-for-bit (the managers
-            # compare them for equality).
+            # equal the fed schedule time bit-for-bit (the executor
+            # compares them for equality).
             sim.call_at(event.time, submit, event)
         sim.run(until=horizon)
         fold()
     sim.run()  # drain in-flight tails
     fold(final=True)
 
-    if manager is not None:
-        from repro.measure.driver import _finalize_manager
-        _finalize_manager(result, manager)
+    result.replay, result.tier = executor.finalize()
     result.content_cache = aggregate_stats(
         fe.static_cache for fe in fe_by_name.values())
     if metrics_base is not None:

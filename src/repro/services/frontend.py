@@ -202,11 +202,11 @@ class FrontEndServer:
         if self.cache_static:
             static_level = self.static_cache.lookup(state.keyword_text)
             if self.static_cache.finite:
-                # Never needs replay replication: finite content caches
-                # are statically bypassed by replay admission
+                # Never needs fast-path replication: finite content
+                # caches are statically bypassed by admission
                 # ("finite-content-cache" in sim/replay/admission.py),
-                # so no replay hit can skip this write.
-                self.static_hit_log[query_id] = static_level  # simlint: ignore[RPLY001,EFF001]
+                # so no materialized session can skip this write.
+                self.static_hit_log[query_id] = static_level  # simlint: ignore[EFF001]
         if self.cache_results and self.cache_static \
                 and static_level != CacheTier.ORIGIN:
             cached = self.result_cache.get(request.query.get("q", ""))

@@ -71,8 +71,11 @@ class FrontEndLoadModel:
         if self.sigma == 0:
             value = self.median_delay
         elif key is not None:
-            value = streams.keyed(stream_name, key).lognormvariate(
-                math.log(self.median_delay), self.sigma)
+            # Unchained, so simlint's RNG001 sees this keyed sibling of
+            # the shared draw below.
+            keyed = streams.keyed(stream_name, key)
+            value = keyed.lognormvariate(math.log(self.median_delay),
+                                         self.sigma)
         else:
             value = streams.lognormal(stream_name,
                                       math.log(self.median_delay),
@@ -123,8 +126,9 @@ class ProcessingModel:
         if self.sigma == 0:
             return max(self.floor, mean)
         if key is not None:
-            noise = streams.keyed(stream_name, key).lognormvariate(
-                0.0, self.sigma)
+            # Unchained for RNG001, as in FrontEndLoadModel.draw.
+            keyed = streams.keyed(stream_name, key)
+            noise = keyed.lognormvariate(0.0, self.sigma)
         else:
             noise = streams.lognormal(stream_name, 0.0, self.sigma)
         return max(self.floor, mean * noise)

@@ -7,6 +7,8 @@ Public surface:
 * :class:`~repro.sim.timeline.Timeline` — timestamped record log.
 * :func:`~repro.sim.process.spawn` and friends — coroutine-style drivers.
 * :mod:`~repro.sim.units` — unit conversions and physical constants.
+* :class:`~repro.sim.executor.SessionExecutor` — per-campaign session
+  execution behind the replay-cache and analytic fast paths.
 """
 
 from repro.sim.engine import EventHandle, SchedulingError, SimulationError, Simulator

@@ -16,8 +16,8 @@ function directly:
 * :mod:`~repro.sim.analytic.gate` — deterministic validation sampling
   and the divergence gate that demotes a stratum back to packet-level
   simulation when predictions drift beyond tolerance;
-* :mod:`~repro.sim.analytic.stats` — ``tier.*`` counters;
-* :mod:`~repro.sim.analytic.manager` — the driver-facing tier executor.
+* :mod:`~repro.sim.analytic.manager` — the tier policy the session
+  executor (:mod:`repro.sim.executor`) asks first.
 """
 
 from repro.sim.analytic.gate import DEFAULT_TOLERANCE, DivergenceGate
@@ -29,7 +29,7 @@ from repro.sim.analytic.model import (
     predict_session,
 )
 from repro.sim.analytic.predictor import AnalyticPredictor
-from repro.sim.analytic.stats import TierStats
+from repro.sim.stats import TierStats
 
 __all__ = [
     "AnalyticPredictor",

@@ -7,9 +7,9 @@ request/response byte counts with the real HTTP encoders, reproduces
 the query's keyed service draws with a shadow stream, runs
 :func:`~repro.sim.analytic.model.predict_session`, and packages the
 result as a :class:`~repro.sim.replay.timeline.RecordedTimeline` — the
-same replayable record the session-replay cache uses, so the tier
-manager can materialize packet events, schedule server-side effects,
-and finalize the session through the proven replay machinery.
+same replayable record the session-replay cache uses, so the session
+executor materializes both through one method
+(:meth:`repro.sim.executor.SessionExecutor.materialize`).
 
 Analytic admission layers on top of the replay path predicates: beyond
 loss/jitter/fault-free dedicated links, the model additionally requires
@@ -76,7 +76,7 @@ def analytic_path_reason(scenario, service_name: str,
 
     Evaluated *in addition to*
     :func:`repro.sim.replay.admission.path_bypass_reason`; both verdicts
-    are constant per triple and cached by the manager.
+    are constant per triple and cached by the session executor.
     """
     profile = scenario.service(service_name).profile
     backend_tcp = profile.backend_tcp

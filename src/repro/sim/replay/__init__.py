@@ -22,18 +22,20 @@ Correctness rests on three pillars (see ``docs/PERFORMANCE.md``):
   first time a key recurs the session is simulated anyway and compared
   bit-for-bit against the shifted recording; only after that match do
   subsequent occurrences replay without simulating.
-* **Side-effect replication**: a replayed session burns the same
-  ephemeral port, writes the same fetch/query ground-truth records, and
-  injects the same capture events the full simulation would have
-  produced.
+* **Side-effect replication**: a replayed session goes through
+  :meth:`repro.sim.executor.SessionExecutor.materialize`, which burns
+  the same ephemeral port, writes the same fetch/query ground-truth
+  records, and injects the same capture events the full simulation
+  would have produced.
 """
 
 from repro.sim.replay.admission import SubmissionSchedule
-from repro.sim.replay.cache import ReplayCache, ReplayStats
+from repro.sim.replay.cache import ReplayCache
 from repro.sim.replay.manager import (
     SessionReplayManager,
     replay_cache_enabled,
 )
+from repro.sim.stats import ReplayStats
 
 __all__ = [
     "ReplayCache",

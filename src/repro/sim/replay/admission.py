@@ -12,11 +12,13 @@ into three layers, evaluated cheapest-first:
   constant across a campaign and therefore cached per triple;
 * **temporal** — properties of one submission instant (cross-traffic on
   the front-end, start-time binade), evaluated per query by the
-  manager against a :class:`SubmissionSchedule`.
+  session executor (:mod:`repro.sim.executor`) against a
+  :class:`SubmissionSchedule`.
 
 Every helper returns ``None`` for "admissible" or a short reason string
 that becomes a bypass-counter key in
-:class:`~repro.sim.replay.cache.ReplayStats`.
+:class:`~repro.sim.stats.ReplayStats` and
+:class:`~repro.sim.stats.TierStats`.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def path_bypass_reason(scenario, service_name: str, frontend,
     """Why a ``(service, FE, VP)`` triple cannot be cached.
 
     The triple's links and TCP configs are fixed for the lifetime of a
-    scenario, so the manager caches this verdict per triple.  The
+    scenario, so the executor caches this verdict per triple.  The
     client->FE link must already exist (drivers link before submitting).
     """
     if frontend.cache_results:

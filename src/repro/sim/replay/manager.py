@@ -1,9 +1,9 @@
-"""The session-replay manager: the driver-facing cache front door.
+"""The recorded timeline source: the replay cache behind the executor.
 
-One :class:`SessionReplayManager` serves one campaign run.  Drivers
-route every query submission through :meth:`SessionReplayManager.submit`
-instead of calling :meth:`~repro.measure.emulator.QueryEmulator.submit`
-directly; the manager decides, per submission, between
+The :class:`~repro.sim.executor.SessionExecutor` asks one
+:class:`SessionReplayManager` per campaign about every packet-tier
+session — on every tier: admission bypasses, demoted strata and gate
+validation samples alike.  The source decides, per submission, between
 
 * **bypass** — an admission rule failed; simulate normally and count
   the reason;
@@ -12,61 +12,58 @@ directly; the manager decides, per submission, between
   (no entry existed) or compare it against the existing unvalidated
   entry (validation on first reuse);
 * **hit** — a validated timeline exists and the isolation window holds;
-  skip the packet-level simulation and replay the timeline time-shifted
-  to now, replicating every observable side effect.
+  the executor materializes the timeline time-shifted to now instead of
+  simulating.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.measure.session import QuerySession
-from repro.sim.replay.admission import (
-    SubmissionSchedule,
-    campaign_bypass_reason,
-    path_bypass_reason,
-)
-from repro.sim.replay.cache import ReplayCache, ReplayStats
+from repro.sim.replay.admission import SubmissionSchedule
+from repro.sim.replay.cache import ReplayCache
 from repro.sim.replay.fingerprint import session_key, window_fits
 from repro.sim.replay.timeline import (
     RecordedTimeline,
-    materialize_events,
     observable_tuple,
     predicted_tuple,
     record_timeline,
 )
+from repro.sim.stats import ReplayStats
 
-#: Quiet time a session needs on its front-end beyond ``completed_at``:
-#: a constant floor plus a few client-FE round trips, covering the FIN
-#: exchange that trails the response (~1.5 RTT).  Also the spacing the
-#: isolation checks demand before the next submission to the same FE.
-GUARD_FLOOR = 0.2
-GUARD_RTT_MULTIPLE = 2.0
+#: ``REPRO_REPLAY_CACHE`` values that turn the cache off / leave it on.
+_CACHE_OFF = ("0", "off", "false", "no")
+_CACHE_ON = ("", "1", "on", "true", "yes")
 
 
 def replay_cache_enabled() -> bool:
     """Default cache policy from the ``REPRO_REPLAY_CACHE`` env var.
 
-    Any value other than ``0``/``off``/``false``/``no`` (or unset)
-    enables the cache; the CLI's ``--no-replay-cache`` flag sets ``0``.
+    Unset, empty, ``1``/``on``/``true``/``yes`` enable the cache;
+    ``0``/``off``/``false``/``no`` disable it (the CLI's
+    ``--no-replay-cache`` flag sets ``0``).  Any other value raises
+    :class:`ValueError`.
     """
-    value = os.environ.get("REPRO_REPLAY_CACHE", "")
-    return value.strip().lower() not in ("0", "off", "false", "no")
+    value = os.environ.get("REPRO_REPLAY_CACHE", "").strip().lower()
+    if value in _CACHE_OFF:
+        return False
+    if value in _CACHE_ON:
+        return True
+    raise ValueError("REPRO_REPLAY_CACHE must be one of %s, got %r"
+                     % ("/".join(_CACHE_ON[1:] + _CACHE_OFF), value))
 
 
 class _Pending:
-    """A simulated session awaiting completion, for record/validate."""
+    """An admissible simulated session awaiting completion: recorded
+    when ``entry`` is None, else compared against it."""
 
-    __slots__ = ("kind", "key", "session", "frontend", "backend",
-                 "guard", "entry", "tcp_host")
+    __slots__ = ("key", "frontend", "backend", "guard", "entry",
+                 "tcp_host")
 
-    def __init__(self, kind: str, key: tuple, session: QuerySession,
-                 frontend, backend, guard: float,
+    def __init__(self, key: tuple, frontend, backend, guard: float,
                  entry: Optional[RecordedTimeline], tcp_host):
-        self.kind = kind  # "record" | "validate"
         self.key = key
-        self.session = session
         self.frontend = frontend
         self.backend = backend
         self.guard = guard
@@ -75,153 +72,56 @@ class _Pending:
 
 
 class SessionReplayManager:
-    """Per-campaign replay-cache orchestration."""
+    """Per-campaign replay-cache source."""
 
     def __init__(self, scenario, schedule: SubmissionSchedule, *,
-                 cache: Optional[ReplayCache] = None,
-                 store_payload: bool = False,
-                 run_timeout: Optional[float] = None):
+                 cache: Optional[ReplayCache] = None):
         self.scenario = scenario
         self.schedule = schedule
         self.cache = cache if cache is not None else ReplayCache()
         self.cache.bind(scenario)
         self.stats = ReplayStats()
-        self._campaign_reason = campaign_bypass_reason(
-            scenario, store_payload, run_timeout)
-        self._path_reasons: Dict[tuple, Optional[str]] = {}
-        self._pending: List[_Pending] = []
-        #: fe name -> [(session, guard)] of sessions submitted to it.
-        self._live: Dict[str, List[Tuple[QuerySession, float]]] = {}
         self._evictions_before = self.cache.evictions
 
     # ------------------------------------------------------------------
-    def submit(self, emulator, service_name: str, frontend,
-               keyword) -> QuerySession:
-        """Submit one query, replaying its timeline when provably safe."""
-        self._drain()
-        reason = self._bypass_reason(emulator, service_name, frontend)
+    def route(self, emulator, service_name: str, frontend, keyword,
+              guard: float, reason: Optional[str]
+              ) -> Tuple[Optional[RecordedTimeline], Optional[_Pending]]:
+        """Route one packet-tier submission.
+
+        ``reason`` is the failed shared admission rule, or None.
+        Returns ``(timeline, None)`` on a hit, else ``(None, pending)``
+        to simulate: ``pending`` is the record/validate work to settle
+        once the session completes, None for a bypass.
+        """
         if reason is not None:
             self.stats.bypass(reason)
-            return self._simulate(emulator, service_name, frontend,
-                                  keyword, pending=None)
-
+            return None, None
         now = self.scenario.sim.now
-        guard = self._guard(emulator, service_name, frontend)
         key = session_key(self.scenario, service_name, frontend,
                           emulator.vp.name, keyword,
                           emulator.peek_query_id(), now)
         entry = self.cache.get(key)
-        if entry is None:
-            self.stats.misses += 1
-            pending = _Pending("record", key, None, frontend,
-                               self._backend(service_name, frontend),
-                               guard, None, emulator.tcp_host)
-            return self._simulate(emulator, service_name, frontend,
-                                  keyword, pending=pending)
-
-        # An entry exists; both validating and replaying additionally
-        # need the full isolation window ahead of us.
-        end = now + entry.duration + entry.guard
-        if not window_fits(now, end) \
-                or self.schedule.next_after(frontend.node.name, now) < end:
-            self.stats.bypass("window")
-            return self._simulate(emulator, service_name, frontend,
-                                  keyword, pending=None)
-        if not entry.validated:
-            self.stats.misses += 1
-            pending = _Pending("validate", key, None, frontend,
-                               self._backend(service_name, frontend),
-                               guard, entry, emulator.tcp_host)
-            return self._simulate(emulator, service_name, frontend,
-                                  keyword, pending=pending)
-
-        self.stats.hits += 1
-        return self._replay(emulator, service_name, frontend, keyword,
-                            entry, now)
-
-    def finalize(self) -> ReplayStats:
-        """Settle outstanding recordings and return the run's stats.
-
-        Call after ``sim.run()`` returns; sessions still incomplete at
-        that point (timeouts, failures) are simply not recorded.
-        """
-        self._drain()
-        self._pending = []
-        self.stats.evictions += self.cache.evictions \
-            - self._evictions_before
-        self._evictions_before = self.cache.evictions
-        return self.stats
-
-    # ------------------------------------------------------------------
-    # admission
-    # ------------------------------------------------------------------
-    def _bypass_reason(self, emulator, service_name: str,
-                       frontend) -> Optional[str]:
-        if self._campaign_reason is not None:
-            return self._campaign_reason
-        triple = (service_name, frontend.node.name, emulator.vp.name)
-        if triple not in self._path_reasons:
-            self._path_reasons[triple] = path_bypass_reason(
-                self.scenario, service_name, frontend, emulator.vp.name)
-        reason = self._path_reasons[triple]
-        if reason is not None:
-            return reason
-        now = self.scenario.sim.now
-        if now <= 0.0:
-            # t=0 sessions overlap scenario warm-up (FE-BE pool
-            # handshakes) and sit outside every positive binade.
-            return "time-origin"
-        if self.schedule.count_at(frontend.node.name, now) != 1:
-            return "concurrent-submit"
-        if self._fe_busy(frontend.node.name, now):
-            return "fe-busy"
-        return None
-
-    def _fe_busy(self, fe_name: str, now: float) -> bool:
-        live = self._live.get(fe_name)
-        if not live:
-            return False
-        still = [(session, guard) for session, guard in live
-                 if session.completed_at is None
-                 or session.completed_at + guard > now]
-        self._live[fe_name] = still
-        return bool(still)
-
-    def _guard(self, emulator, service_name: str, frontend) -> float:
-        rtt = self.scenario.client_fe_rtt(
-            emulator.vp, frontend, self.scenario.service(service_name))
-        return GUARD_FLOOR + GUARD_RTT_MULTIPLE * rtt
-
-    def _backend(self, service_name: str, frontend):
-        return self.scenario.service(service_name) \
+        if entry is not None:
+            # Validating and replaying both need the full isolation
+            # window ahead of us.
+            end = now + entry.duration + entry.guard
+            if not window_fits(now, end) \
+                    or self.schedule.next_after(frontend.node.name,
+                                                now) < end:
+                self.stats.bypass("window")
+                return None, None
+            if entry.validated:
+                self.stats.hits += 1
+                return entry, None
+        self.stats.misses += 1
+        backend = self.scenario.service(service_name) \
             .backend_for_frontend(frontend)
+        return None, _Pending(key, frontend, backend, guard, entry,
+                              emulator.tcp_host)
 
-    # ------------------------------------------------------------------
-    # miss path
-    # ------------------------------------------------------------------
-    def _simulate(self, emulator, service_name: str, frontend, keyword,
-                  pending: Optional[_Pending]) -> QuerySession:
-        session = emulator.submit(service_name, frontend, keyword)
-        guard = pending.guard if pending is not None \
-            else self._guard(emulator, service_name, frontend)
-        self._live.setdefault(frontend.node.name, []) \
-            .append((session, guard))
-        if pending is not None:
-            pending.session = session
-            self._pending.append(pending)
-        return session
-
-    def _drain(self) -> None:
-        still = []
-        for pending in self._pending:
-            if pending.session.completed_at is None:
-                still.append(pending)
-                continue
-            self._settle(pending)
-        self._pending = still
-
-    def _settle(self, pending: _Pending) -> None:
-        session = pending.session
+    def settle(self, session, pending: _Pending) -> None:
+        """Record or validate one completed admissible session."""
         fetch = pending.frontend.fetch_log.get(session.query_id)
         query = pending.backend.query_log.get(session.query_id)
         complete = (session.failed is None
@@ -229,8 +129,8 @@ class SessionReplayManager:
                     and fetch.completed_at is not None
                     and query is not None
                     and query.completed_time is not None)
-        if pending.kind == "validate":
-            self._settle_validation(pending, complete, fetch, query)
+        if pending.entry is not None:
+            self._validate(session, pending, complete, fetch, query)
             return
         if not complete:
             return
@@ -250,9 +150,21 @@ class SessionReplayManager:
         self.cache.put(pending.key, timeline)
         self.stats.recorded += 1
 
-    def _settle_validation(self, pending: _Pending, complete: bool,
-                           fetch, query) -> None:
-        session = pending.session
+    def expire(self, pending: _Pending) -> None:
+        """A session still incomplete at the end of the run (timeout,
+        failure) is simply not recorded."""
+
+    def finalize(self) -> ReplayStats:
+        """The run's stats; the executor calls this once per campaign,
+        after settling and expiring every pending session."""
+        self.stats.evictions += self.cache.evictions \
+            - self._evictions_before
+        self._evictions_before = self.cache.evictions
+        return self.stats
+
+    # ------------------------------------------------------------------
+    def _validate(self, session, pending: _Pending, complete: bool,
+                  fetch, query) -> None:
         if not complete:
             # The reuse failed outright where the recording succeeded;
             # the key clearly doesn't determine the outcome here.
@@ -276,63 +188,3 @@ class SessionReplayManager:
                 and not any(e.retransmit for e in session.events):
             self.cache.put(pending.key, timeline)
             self.stats.recorded += 1
-
-    # ------------------------------------------------------------------
-    # hit path
-    # ------------------------------------------------------------------
-    def _replay(self, emulator, service_name: str, frontend, keyword,
-                entry: RecordedTimeline, start: float) -> QuerySession:
-        # Effect-parity contract: this method is a simflow replication
-        # root — everything it reaches must cover every signature in
-        # sim/replay/effects.py (generated; EFF001/EFF004 enforce the
-        # parity, so deleting any replication below fails the lint).
-        scenario = self.scenario
-        service = scenario.service(service_name)
-        # Replicate submit()'s side effects in its exact order.
-        service.register_keywords([keyword])
-        query_id = emulator.next_query_id()
-        session = QuerySession(
-            query_id=query_id,
-            service=service_name,
-            vp_name=emulator.vp.name,
-            fe_name=frontend.node.name,
-            keyword=keyword,
-            started_at=start,
-            path_rtt=scenario.client_fe_rtt(emulator.vp, frontend,
-                                            service))
-        # Burn the ephemeral port the simulated connection would bind,
-        # keeping the host's allocation order identical.
-        session.local_port = emulator.tcp_host.reserve_port()
-        emulator.sessions.append(session)
-        backend = service.backend_for_frontend(frontend)
-        scenario.sim.schedule_timeline(start, [
-            (entry.forward_offset, self._server_effects,
-             (frontend, backend, entry, query_id, start)),
-            (entry.duration, self._finalize_replay,
-             (emulator, session, entry, start)),
-        ])
-        self._live.setdefault(frontend.node.name, []) \
-            .append((session, entry.guard))
-        return session
-
-    def _server_effects(self, frontend, backend, entry: RecordedTimeline,
-                        query_id: str, start: float) -> None:
-        frontend.record_replayed_fetch(
-            query_id, start + entry.forward_offset,
-            start + entry.fetch_completed_offset, entry.fetch_size)
-        backend.record_replayed_query(
-            query_id, entry.keyword_text,
-            start + entry.be_arrival_offset, entry.tproc,
-            entry.be_response_size, start + entry.be_completed_offset)
-
-    def _finalize_replay(self, emulator, session: QuerySession,
-                         entry: RecordedTimeline, start: float) -> None:
-        # Runs at exactly start + duration, the instant the simulated
-        # completion callback would have fired.
-        session.completed_at = self.scenario.sim.now
-        session.response_size = entry.response_size
-        events = materialize_events(entry, start, session.vp_name,
-                                    session.fe_name, session.local_port,
-                                    emulator.tcp_host)
-        emulator.capture.inject(events)
-        session.events = events

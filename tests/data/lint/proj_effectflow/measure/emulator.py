@@ -5,4 +5,4 @@ def submit(service, stack, keyword, qid, seq, frame, outcome):
     service.register(keyword)
     service.note_query(qid)
     stack.transmit(seq, frame)
-    service.result_log[qid] = outcome  # expect: EFF001,RPLY001
+    service.result_log[qid] = outcome  # expect: EFF001

@@ -9,6 +9,6 @@ class Registry:
         self.entries[keyword] = True
 
     def note_query(self, qid):
-        # Host scope (the runtime default); the manager's replication
+        # Host scope (the runtime default); the executor's replication
         # writes the same counter with sim scope -> EFF003 there.
         metrics.inc("fx.queries")

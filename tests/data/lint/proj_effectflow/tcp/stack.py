@@ -1,4 +1,4 @@
-"""Session-path TCP code whose effect the manager replicates."""
+"""Session-path TCP code whose effect the executor replicates."""
 
 
 class Stack:
@@ -6,10 +6,10 @@ class Stack:
         self.packet_log = {}
 
     def transmit(self, seq, frame):
-        # Allowlisted AND in the replication root's closure via
+        # In the replication root's closure via
         # record_replayed_packet: no finding.
         self.packet_log[seq] = frame
 
     def record_replayed_packet(self, seq, frame):
-        # The replication mechanism the manager delegates to.
+        # The replication mechanism the executor delegates to.
         self.packet_log[seq] = frame

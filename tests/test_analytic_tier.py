@@ -47,11 +47,13 @@ def session_fingerprint(session):
     )
 
 
-def run_a(tier, config=DET_CONFIG, repeats=12, interval=3.0):
+def run_a(tier, config=DET_CONFIG, repeats=12, interval=3.0,
+          replay_cache=None):
     scenario = Scenario(config)
     dataset = run_dataset_a(scenario, [KEYWORD], repeats=repeats,
                             interval=interval,
-                            services=[Scenario.GOOGLE], tier=tier)
+                            services=[Scenario.GOOGLE], tier=tier,
+                            replay_cache=replay_cache)
     return scenario, dataset
 
 
@@ -259,6 +261,39 @@ def test_divergence_demotes_stratum_mid_campaign(monkeypatch):
     assert stats.bypasses.get("gate-demoted", 0) > 0
     assert ([session_fingerprint(s) for s in packet.sessions]
             == [session_fingerprint(s) for s in demoted.sessions])
+
+
+def test_demoted_strata_get_replay_hits(monkeypatch):
+    # Every stratum demotes after its first validation; the replay
+    # cache then serves the demoted sessions on the packet tier, and
+    # the campaign still equals a plain packet run session for session.
+    monkeypatch.setattr(
+        "repro.sim.analytic.manager.landmark_divergences",
+        lambda session, prediction, tcp_host: {"te": 1.0})
+    _, packet = run_a("packet", repeats=20, replay_cache=False)
+    _, demoted = run_a("auto", repeats=20, replay_cache=True)
+
+    tier, replay = demoted.tier, demoted.replay
+    assert tier.demotions >= 1 and tier.analytic == 0
+    assert tier.bypasses.get("gate-demoted", 0) > 0
+    assert replay is not None and replay.hits > 0
+    # The recorded source sees exactly the packet-tier sessions.
+    assert replay.hits + replay.misses + replay.bypassed == tier.simulated
+    assert ([session_fingerprint(s) for s in packet.sessions]
+            == [session_fingerprint(s) for s in demoted.sessions])
+
+
+def test_auto_tier_without_replay_cache_serves_the_same_sessions():
+    _, cached = run_a("auto", repeats=20, replay_cache=True)
+    _, uncached = run_a("auto", repeats=20, replay_cache=False)
+
+    assert uncached.replay is None
+    assert cached.replay is not None and cached.replay.submissions \
+        == cached.tier.simulated
+    # Replay hits never change a tier decision.
+    assert uncached.tier == cached.tier
+    assert ([session_fingerprint(s) for s in cached.sessions]
+            == [session_fingerprint(s) for s in uncached.sessions])
 
 
 # ---------------------------------------------------------------------------

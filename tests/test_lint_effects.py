@@ -2,8 +2,8 @@
 replication-parity acceptance criteria on the real source tree.
 
 The acceptance tests lint a copy of ``src/repro`` so they can delete a
-single replication line from the fast-path manager and watch EFF001
-name the orphaned signature — the contract ISSUE.md specifies.
+single replication line from the session executor's ``materialize`` and
+watch EFF001 name the orphaned signature.
 """
 
 import ast
@@ -21,7 +21,7 @@ from repro.lint.rng_lineage import _patterns_collide
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_TREE = os.path.join(REPO_ROOT, "src", "repro")
-MANAGER_REL = os.path.join("sim", "replay", "manager.py")
+EXECUTOR_REL = os.path.join("sim", "executor.py")
 
 
 # ---------------------------------------------------------------------------
@@ -123,17 +123,17 @@ def test_real_tree_is_parity_clean():
 def test_deleting_a_replication_line_trips_eff001(tmp_path):
     tree = str(tmp_path / "repro")
     shutil.copytree(SRC_TREE, tree)
-    manager = os.path.join(tree, MANAGER_REL)
-    with open(manager) as fh:
+    executor = os.path.join(tree, EXECUTOR_REL)
+    with open(executor) as fh:
         text = fh.read()
+    materialize = text.index("    def materialize(")
     needle = "service.register_keywords([keyword])"
-    assert needle in text
-    with open(manager, "w") as fh:
+    assert text.index(needle, materialize) > materialize
+    with open(executor, "w") as fh:
         fh.write(text.replace(needle, "pass"))
 
     findings = _lint([tree])
     eff001 = [f for f in findings if f.rule == "EFF001"]
     assert eff001, "EFF001 must fire when a replication is deleted"
     assert any("register_keywords" in f.message for f in eff001)
-    # The generated allowlist is now stale relative to the derivation.
-    assert any(f.rule == "EFF004" for f in findings)
+    assert all("SessionExecutor.materialize" in f.message for f in eff001)

@@ -20,7 +20,7 @@ from tests.test_lint_rules import expected_findings
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "data", "lint")
 
-PROJECT_FIXTURES = ("proj_evt", "proj_flow", "proj_shard", "proj_rply",
+PROJECT_FIXTURES = ("proj_evt", "proj_flow", "proj_shard",
                     "proj_unit_flow", "proj_unit_conv",
                     "proj_effectflow", "proj_rng_lineage")
 
@@ -90,15 +90,15 @@ def test_shard_chain_names_the_dispatch_entry():
         assert "_worker" in finding.message
 
 
-def test_replay_rules_stand_down_without_an_allowlist():
-    # Linting only the session-path modules (no replay/ allowlist in
-    # the file set) must not produce RPLY findings: partial lints of
-    # tcp/ alone would otherwise always light up.
-    root = os.path.join(FIXTURES, "proj_rply")
+def test_parity_rules_stand_down_without_a_replication_root():
+    # Linting only the session-path modules (no SessionExecutor in the
+    # file set) must not produce EFF findings: partial lints of tcp/
+    # alone would otherwise always light up.
+    root = os.path.join(FIXTURES, "proj_effectflow")
     runner = LintRunner(LintConfig())
     findings = runner.run_paths([os.path.join(root, "tcp"),
                                  os.path.join(root, "measure")])
-    assert not any(f.rule.startswith("RPLY") for f in findings)
+    assert not any(f.rule.startswith("EFF") for f in findings)
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,13 @@ def test_eviction_pressure_keeps_results_identical():
 def test_replay_cache_enabled_env_values(monkeypatch):
     for value, expected in [("0", False), ("off", False), ("no", False),
                             ("FALSE", False), ("1", True), ("on", True),
-                            ("", True)]:
+                            ("", True), ("flase", ValueError)]:
         monkeypatch.setenv("REPRO_REPLAY_CACHE", value)
+        if expected is ValueError:
+            with pytest.raises(ValueError,
+                               match="REPRO_REPLAY_CACHE.*'flase'"):
+                replay_cache_enabled()
+            continue
         assert replay_cache_enabled() is expected
     monkeypatch.delenv("REPRO_REPLAY_CACHE")
     assert replay_cache_enabled() is True
