@@ -5,9 +5,13 @@
 * **Datasets B** — one *fixed* front-end server per service; every
   vantage point queries it repeatedly with the same keyword.
 
-Both drivers stagger vantage-point start times so queries don't
-synchronise, run the simulation to completion, and return dataset objects
-holding completed :class:`~repro.measure.session.QuerySession` lists.
+Both campaigns are closed-loop event streams
+(:func:`closed_loop_events`): vantage-point start times are staggered
+so queries don't synchronise, then each vantage point submits every
+``interval`` seconds.  The one campaign runner
+(:func:`repro.measure.streaming.run_event_stream`) plays the stream;
+the drivers keep every session and return dataset objects holding
+completed :class:`~repro.measure.session.QuerySession` lists.
 
 A vantage point's stagger offset is derived from its index in the
 scenario's *full* fleet, not its position in the subset handed to the
@@ -18,20 +22,21 @@ would have had in the serial run.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.content.keywords import Keyword
 from repro.measure.emulator import QueryEmulator
 from repro.measure.session import QuerySession
+from repro.measure.streaming import run_event_stream
 from repro.services.frontend import FrontEndServer
-from repro.sim.executor import SessionExecutor
-from repro.sim.process import Sleep, spawn
-from repro.sim.replay import SubmissionSchedule
 from repro.sim.stats import ReplayStats, TierStats
 from repro.testbed.scenario import Scenario
 from repro.testbed.vantage import VantagePoint
+from repro.workload.generator import QueryEvent
 
 
 @dataclass
@@ -85,8 +90,6 @@ def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
                   interval: float = 10.0,
                   services: Optional[Sequence[str]] = None,
                   vantage_points: Optional[Sequence[VantagePoint]] = None,
-                  store_payload: bool = False,
-                  run_timeout: Optional[float] = None,
                   replay_cache=None,
                   tier: Optional[str] = None) -> DatasetA:
     """Run the default-FE campaign and return its sessions.
@@ -110,96 +113,20 @@ def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
     if not keywords:
         raise ValueError("need at least one keyword")
     services = list(services or scenario.services)
-    vps = list(vantage_points or scenario.vantage_points)
     dataset = DatasetA()
-    emulators = []
-    staggers = _fleet_staggers(scenario, vps, interval)
-    executor = SessionExecutor(
-        scenario,
-        _dataset_a_schedule(scenario, vps, services, repeats, interval,
-                            staggers),
-        tier=tier, replay_cache=replay_cache,
-        store_payload=store_payload, run_timeout=run_timeout)
-    obs_mark = obs.campaign_begin(scenario)
-
-    for vp in vps:
-        emulator = QueryEmulator(scenario, vp, store_payload=store_payload)
-        emulators.append(emulator)
-        frontends = {}
+    emulators: Dict[str, QueryEmulator] = {}
+    frontends: Dict[Tuple[str, str], FrontEndServer] = {}
+    for vp in vantage_points or scenario.vantage_points:
+        emulators[vp.name] = QueryEmulator(scenario, vp)
         for service_name in services:
             frontend, rtt = scenario.connect_default(service_name, vp)
-            frontends[service_name] = frontend
+            frontends[(service_name, vp.name)] = frontend
             dataset.default_fe[(vp.name, service_name)] = \
                 (frontend.node.name, rtt)
-        spawn(scenario.sim,
-              _vp_loop(scenario, emulator, frontends, keywords,
-                       repeats, interval, staggers[vp.name], executor))
-
-    scenario.sim.run(until=run_timeout)
-    for emulator in emulators:
-        dataset.sessions.extend(emulator.sessions)
-    dataset.replay, dataset.tier = executor.finalize()
-    obs.campaign_end(obs_mark, "dataset_a", scenario, dataset)
+    _run_closed_loop(scenario, dataset, "dataset_a", emulators, frontends,
+                     services, keywords, repeats, interval,
+                     replay_cache, tier)
     return dataset
-
-
-def _dataset_a_schedule(scenario: Scenario, vps: Sequence[VantagePoint],
-                        services: Sequence[str], repeats: int,
-                        interval: float,
-                        staggers: Dict[str, float]) -> SubmissionSchedule:
-    """Planned per-FE submission times of a Dataset-A run.
-
-    Replicates :func:`_vp_loop`'s float arithmetic exactly (stagger,
-    then repeated ``t + interval``): the executor compares these times
-    for equality against ``sim.now``.
-    """
-    schedule = SubmissionSchedule()
-    for vp in vps:
-        fe_names = [scenario.default_frontend(name, vp).node.name
-                    for name in services]
-        time = staggers[vp.name] if staggers[vp.name] > 0 else 0.0
-        for _ in range(repeats):
-            for fe_name in fe_names:
-                schedule.add(fe_name, time)
-            time = time + interval
-    return schedule.freeze()
-
-
-def _fleet_staggers(scenario: Scenario, vps: Sequence[VantagePoint],
-                    interval: float) -> Dict[str, float]:
-    """Per-VP start offsets, positioned by index in the *full* fleet.
-
-    Vantage points not in the scenario fleet (possible only with
-    hand-built VP lists) are appended after it, preserving the old
-    subset-relative behaviour for them.
-    """
-    fleet_index = {vp.name: index
-                   for index, vp in enumerate(scenario.vantage_points)}
-    fleet_size = max(1, len(scenario.vantage_points))
-    staggers = {}
-    extra = len(fleet_index)
-    for vp in vps:
-        index = fleet_index.get(vp.name)
-        if index is None:
-            index = extra
-            extra += 1
-        staggers[vp.name] = (index / fleet_size) * interval
-    return staggers
-
-
-def _vp_loop(scenario: Scenario, emulator: QueryEmulator,
-             frontends: Dict[str, FrontEndServer],
-             keywords: Sequence[Keyword], repeats: int,
-             interval: float, stagger: float,
-             executor: SessionExecutor):
-    """Per-vantage-point query loop (a simulator process)."""
-    if stagger > 0:
-        yield Sleep(stagger)
-    for round_index in range(repeats):
-        keyword = keywords[round_index % len(keywords)]
-        for service_name, frontend in frontends.items():
-            executor.submit(emulator, service_name, frontend, keyword)
-        yield Sleep(interval)
 
 
 def run_dataset_b(scenario: Scenario, service_name: str,
@@ -207,74 +134,92 @@ def run_dataset_b(scenario: Scenario, service_name: str,
                   repeats: int = 10,
                   interval: float = 10.0,
                   vantage_points: Optional[Sequence[VantagePoint]] = None,
-                  store_payload: bool = False,
-                  run_timeout: Optional[float] = None,
                   replay_cache=None,
                   tier: Optional[str] = None) -> DatasetB:
     """Run the fixed-FE campaign for one service and return its sessions.
 
     ``replay_cache`` and ``tier`` work as in :func:`run_dataset_a`.
     """
-    vps = list(vantage_points or scenario.vantage_points)
     service = scenario.service(service_name)
     dataset = DatasetB(service=service_name, fe_name=frontend.node.name)
-    emulators = []
-
-    staggers = _fleet_staggers(scenario, vps, interval)
-    executor = SessionExecutor(
-        scenario,
-        _dataset_b_schedule(frontend, vps, repeats, interval, staggers),
-        tier=tier, replay_cache=replay_cache,
-        store_payload=store_payload, run_timeout=run_timeout)
-    obs_mark = obs.campaign_begin(scenario)
-    for vp in vps:
+    emulators: Dict[str, QueryEmulator] = {}
+    frontends: Dict[Tuple[str, str], FrontEndServer] = {}
+    for vp in vantage_points or scenario.vantage_points:
         scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = QueryEmulator(scenario, vp, store_payload=store_payload)
-        emulators.append(emulator)
-        spawn(scenario.sim,
-              _fixed_fe_loop(emulator, service_name, frontend, keyword,
-                             repeats, interval, staggers[vp.name],
-                             executor))
-
-    scenario.sim.run(until=run_timeout)
-    for emulator in emulators:
-        dataset.sessions.extend(emulator.sessions)
-    dataset.replay, dataset.tier = executor.finalize()
-    obs.campaign_end(obs_mark, "dataset_b", scenario, dataset)
+        emulators[vp.name] = QueryEmulator(scenario, vp)
+        frontends[(service_name, vp.name)] = frontend
+    _run_closed_loop(scenario, dataset, "dataset_b", emulators, frontends,
+                     [service_name], [keyword], repeats, interval,
+                     replay_cache, tier)
     return dataset
 
 
-def _dataset_b_schedule(frontend: FrontEndServer,
-                        vps: Sequence[VantagePoint], repeats: int,
-                        interval: float,
-                        staggers: Dict[str, float]) -> SubmissionSchedule:
-    """Planned submission times of a Dataset-B run (one shared FE)."""
-    schedule = SubmissionSchedule()
-    fe_name = frontend.node.name
-    for vp in vps:
-        time = staggers[vp.name] if staggers[vp.name] > 0 else 0.0
-        for _ in range(repeats):
-            schedule.add(fe_name, time)
+def _run_closed_loop(scenario: Scenario, dataset, kind: str,
+                     emulators: Dict[str, QueryEmulator],
+                     frontends: Dict[Tuple[str, str], FrontEndServer],
+                     services: Sequence[str], keywords: Sequence[Keyword],
+                     repeats: int, interval: float, replay_cache,
+                     tier: Optional[str]) -> None:
+    """Play a closed-loop campaign from the current clock, keeping its
+    sessions on ``dataset``.  The clock ends where a per-VP "submit,
+    sleep ``interval``" loop would leave it: one ``interval`` past the
+    last submission."""
+    vps = [emulator.vp for emulator in emulators.values()]
+    start = scenario.sim.now
+    obs_mark = obs.campaign_begin(scenario)
+    _, dataset.replay, dataset.tier = run_event_stream(
+        scenario,
+        lambda: closed_loop_events(scenario, vps, services, keywords,
+                                   repeats, interval, start),
+        emulators, frontends, tail=interval, tier=tier,
+        replay_cache=replay_cache)
+    for emulator in emulators.values():
+        dataset.sessions.extend(emulator.sessions)
+    obs.campaign_end(obs_mark, kind, scenario, dataset)
+
+
+def closed_loop_events(scenario: Scenario, vps: Sequence[VantagePoint],
+                       services: Sequence[str],
+                       keywords: Sequence[Keyword], repeats: int,
+                       interval: float, start: float
+                       ) -> Iterator[QueryEvent]:
+    """A closed-loop campaign as one time-ordered event stream.
+
+    Each vantage point starts at its stagger after ``start``: its index
+    in the scenario's full fleet over the fleet size, times
+    ``interval`` (VPs outside the fleet, possible only with hand-built
+    lists, are numbered after it).  It then sends one query per service
+    (in ``services`` order) in each of ``repeats`` rounds, cycling
+    through ``keywords``, with rounds ``t + interval`` apart.  Events
+    carry the VP's position in ``vps`` as their session and user, and
+    the round as their query index.
+    """
+    fleet = {vp.name: index
+             for index, vp in enumerate(scenario.vantage_points)}
+    fleet_size = max(1, len(fleet))
+
+    def vp_events(index: int, vp: VantagePoint) -> Iterator[QueryEvent]:
+        time = start + (fleet[vp.name] / fleet_size) * interval
+        for round_index in range(repeats):
+            keyword = keywords[round_index % len(keywords)]
+            for service_name in services:
+                yield QueryEvent(time=time, session_id=index,
+                                 query_index=round_index, user=index,
+                                 vp_name=vp.name, service=service_name,
+                                 keyword=keyword)
             time = time + interval
-    return schedule.freeze()
 
-
-def _fixed_fe_loop(emulator: QueryEmulator, service_name: str,
-                   frontend: FrontEndServer, keyword: Keyword,
-                   repeats: int, interval: float, stagger: float,
-                   executor: SessionExecutor):
-    if stagger > 0:
-        yield Sleep(stagger)
-    for _ in range(repeats):
-        executor.submit(emulator, service_name, frontend, keyword)
-        yield Sleep(interval)
+    for vp in vps:
+        fleet.setdefault(vp.name, len(fleet))
+    return heapq.merge(*(vp_events(index, vp)
+                         for index, vp in enumerate(vps)),
+                       key=attrgetter("time"))
 
 
 def run_single_queries(scenario: Scenario, service_name: str,
                        frontend: FrontEndServer,
                        assignments: Iterable[Tuple[VantagePoint, Keyword]],
-                       *, spacing: float = 1.0,
-                       store_payload: bool = False) -> List[QuerySession]:
+                       *, spacing: float = 1.0) -> List[QuerySession]:
     """Issue one query per (vantage point, keyword) pair, spaced in time.
 
     Used by the FE-caching experiments: "all measurement nodes submit the
@@ -283,24 +228,32 @@ def run_single_queries(scenario: Scenario, service_name: str,
     query".
     """
     service = scenario.service(service_name)
-    sessions: List[QuerySession] = []
+    assignments = list(assignments)
     # One emulator per distinct vantage point: a VP that appears in
     # several assignments (the cache-lab streams) keeps one query-id
     # counter, so every submission gets a globally unique id and the
     # ground-truth fetch/hit logs stay one record per query.
     emulators: Dict[str, QueryEmulator] = {}
-    order: List[QueryEmulator] = []
-    for index, (vp, keyword) in enumerate(assignments):
+    frontends: Dict[Tuple[str, str], FrontEndServer] = {}
+    for vp, _ in assignments:
         scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = emulators.get(vp.name)
-        if emulator is None:
-            emulator = QueryEmulator(scenario, vp,
-                                     store_payload=store_payload)
-            emulators[vp.name] = emulator
-            order.append(emulator)
-        scenario.sim.schedule(index * spacing, emulator.submit,
-                              service_name, frontend, keyword)
-    scenario.sim.run()
-    for emulator in order:
+        if vp.name not in emulators:
+            emulators[vp.name] = QueryEmulator(scenario, vp)
+            frontends[(service_name, vp.name)] = frontend
+    start = scenario.sim.now
+
+    def events() -> Iterator[QueryEvent]:
+        for index, (vp, keyword) in enumerate(assignments):
+            yield QueryEvent(time=start + index * spacing,
+                             session_id=index, query_index=0, user=index,
+                             vp_name=vp.name, service=service_name,
+                             keyword=keyword)
+
+    # Plain packet simulation: these experiments study the FE caches
+    # the fast paths would bypass.
+    run_event_stream(scenario, events, emulators, frontends,
+                     tier="packet", replay_cache=False)
+    sessions: List[QuerySession] = []
+    for emulator in emulators.values():
         sessions.extend(emulator.sessions)
     return sessions

@@ -1,28 +1,24 @@
-"""Bounded-memory streaming campaign runner.
+"""The one campaign runner, and its bounded-memory streaming fold.
 
-The classic drivers (:mod:`repro.measure.driver`) materialize one
-emulator *and one result record per query* — fine for the paper's
-hundreds of sessions, hopeless for an open-loop workload with millions.
-:func:`run_streaming_campaign` consumes a lazy event stream
-(:mod:`repro.workload`) batch by batch and folds every completed
-session into aggregates the moment it finishes:
+Every campaign is a time-ordered stream of
+:class:`~repro.workload.generator.QueryEvent`: the paper's Datasets A
+and B as closed-loop streams (:mod:`repro.measure.driver`), an
+open-loop workload (:mod:`repro.workload`), or a recorded trace.
+:func:`run_event_stream` is the one loop that plays a stream: it pulls
+events one batch at a time, schedules each at its instant
+(``sim.call_at``) and submits it through the campaign's
+:class:`~repro.sim.executor.SessionExecutor`, whose isolation checks
+consult a :class:`StreamingSchedule` fed from the stream itself.
 
-* online percentile sketches (:class:`~repro.analysis.sketch.QuantileSketch`)
-  per service for session duration and response bytes;
-* counters (events, sessions, failures) plus the usual replay/tier
-  accounting;
-* sim-scope obs metrics when tracing is enabled.
-
-Nothing grows with the event count: folded sessions are dropped, their
-packet-capture slices trimmed, their ground-truth FE/BE log entries
-pruned, and the submission schedule is a sliding window
-(:class:`StreamingSchedule`).  Peak memory is set by the number of
-sessions *in flight*, i.e. by the arrival rate — not the duration.
-
-The runner reuses the batch drivers' session executor
-(:class:`~repro.sim.executor.SessionExecutor`), so a streaming run's
-per-session behavior is identical to the equivalent batch campaign's;
-only the bookkeeping differs.
+The batch drivers keep every session (``DatasetA``/``DatasetB``).
+:func:`run_streaming_campaign` instead folds completed sessions batch
+by batch into per-service quantile sketches
+(:class:`~repro.analysis.sketch.QuantileSketch`) of duration and
+response bytes, counters, replay/tier accounting and, when tracing is
+enabled, sim-scope obs metrics.  It drops folded sessions, trims their
+capture slices, prunes their FE/BE log entries and prunes the schedule
+behind the oldest in-flight session, so peak memory is set by the
+sessions *in flight* (the arrival rate), not by the duration.
 """
 
 from __future__ import annotations
@@ -30,9 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.sketch import QuantileSketch, merge_sketches
 from repro.cache import aggregate_stats
@@ -46,7 +42,7 @@ from repro.testbed.vantage import VantagePoint
 from repro.workload.generator import QueryEvent, WorkloadSpec
 
 __all__ = ["StreamingCampaignResult", "StreamingSchedule",
-           "run_streaming_campaign"]
+           "run_event_stream", "run_streaming_campaign"]
 
 #: Histogram bounds mirrored from repro.obs.record (seconds / bytes).
 DURATION_BOUNDS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0,
@@ -65,21 +61,21 @@ _PRUNE_SLACK = 2048
 
 
 class StreamingSchedule:
-    """A sliding-window :class:`~repro.sim.replay.SubmissionSchedule`.
+    """The per-front-end submission times of a campaign.
 
-    The batch drivers precompute every submission time; a streaming
-    campaign cannot (the stream may be unbounded), so the runner feeds
-    times in stream order as events are fetched and prunes behind the
-    oldest in-flight session.  Duck-types the two methods the session
-    executor and its replay cache consult.
+    :func:`run_event_stream` feeds every event's time in stream order,
+    ahead of play, and a folding runner prunes behind its oldest
+    in-flight session.  The executor and its replay source compare
+    these times, the very floats the runner schedules, for equality
+    against ``sim.now``.
 
-    Contract: ``count_at``/``next_after`` answers are exact for any
-    query whose relevant window lies between the prune point and the
-    fed horizon.  The runner maintains a fed horizon at least
-    ``lookahead`` seconds ahead of the clock and verifies at fold time
-    that every session's isolation window (duration + guard) fits
-    inside it, so executor comparisons (`next_after(fe, t) < end`) are
-    independent of batch size and sharding.
+    Answers are exact for any query whose window lies between the prune
+    point and the fed horizon.  The runner keeps that horizon at least
+    ``lookahead`` seconds ahead of the clock (the whole stream for the
+    batch drivers), and a folding runner checks that every session's
+    isolation window (duration + guard) fits inside it, so executor
+    comparisons (``next_after(fe, t) < end``) are independent of batch
+    size and sharding.
     """
 
     def __init__(self):
@@ -96,14 +92,16 @@ class StreamingSchedule:
             if low > _PRUNE_SLACK:
                 self._times[fe_name] = times[low:]
 
-    # -- the SubmissionSchedule duck-type ------------------------------
     def count_at(self, fe_name: str, time: float) -> int:
+        """How many submissions hit ``fe_name`` at exactly ``time``."""
         times = self._times.get(fe_name)
         if not times:
             return 0
         return bisect_right(times, time) - bisect_left(times, time)
 
     def next_after(self, fe_name: str, time: float) -> float:
+        """First submission to ``fe_name`` strictly after ``time``
+        (``inf`` when none is fed)."""
         times = self._times.get(fe_name)
         if times:
             index = bisect_right(times, time)
@@ -202,15 +200,12 @@ class StreamingCampaignResult:
         """
         merged = cls(spec=parts[0].spec if parts else None)
         merged.shards = len(parts)
-        names: List[str] = []
         for part in parts:
             merged.events += part.events
             merged.sessions += part.sessions
             merged.failures += part.failures
             merged.truncated += part.truncated
-            for name in part.sketches:
-                if name not in names:
-                    names.append(name)
+        names = {name for part in parts for name in part.sketches}
         merged.replay = sum_stats(part.replay for part in parts)
         merged.tier = sum_stats(part.tier for part in parts)
         for name in sorted(names):
@@ -232,45 +227,117 @@ class StreamingCampaignResult:
         return merged
 
 
-class _EventFeed:
-    """Pulls the filtered stream, feeding the schedule ahead of play."""
+def _batches(events: Callable[[], Iterator[QueryEvent]],
+             schedule: StreamingSchedule,
+             frontends: Dict[Tuple[str, str], object], lookahead: float,
+             batch_events: int) -> Iterator[List[QueryEvent]]:
+    """The stream one batch at a time, with the schedule fed ahead.
 
-    def __init__(self, events: Iterator[QueryEvent],
-                 schedule: StreamingSchedule,
-                 fe_names: Dict[Tuple[str, str], str]):
-        self._events = events
-        self._schedule = schedule
-        self._fe_names = fe_names
-        self._buffer: "deque[QueryEvent]" = deque()
-        self.exhausted = False
-        self.fed_until = 0.0  # simlint: unit[s]
+    Two iterators walk the same deterministic stream: ``played`` hands
+    out the batches, ``ahead`` feeds the schedule with every event of
+    the batch and on to ``lookahead`` seconds past it (or to stream
+    end).  No event waits in a buffer, so the stream is never held as
+    events even when the schedule holds every submission time
+    (``lookahead=inf``).  ``ahead`` sees each event first and rejects a
+    stream that goes back in time.
+    """
+    played, ahead = events(), events()
+    pulled = fed = 0
+    fed_until = float("-inf")  # simlint: unit[s]
+    while True:
+        batch = list(islice(played, batch_events))
+        if not batch:
+            return
+        pulled += len(batch)
+        horizon = batch[-1].time + lookahead
+        while fed < pulled or fed_until < horizon:
+            event = next(ahead, None)
+            if event is None:
+                break
+            if event.time < fed_until:
+                raise ValueError(
+                    "event stream is not time-ordered: event %d is at "
+                    "t=%r, after an event at t=%r"
+                    % (fed, event.time, fed_until))
+            schedule.feed(frontends[(event.service, event.vp_name)]
+                          .node.name, event.time)
+            fed_until = event.time
+            fed += 1
+        yield batch
 
-    def _pull(self) -> bool:
-        event = next(self._events, None)
-        if event is None:
-            self.exhausted = True
-            return False
-        self._schedule.feed(
-            self._fe_names[(event.service, event.vp_name)], event.time)
-        self.fed_until = event.time
-        self._buffer.append(event)
-        return True
 
-    def next_batch(self, batch_events: int,
-                   lookahead: float) -> List[QueryEvent]:
-        """The next batch, with the schedule fed ``lookahead`` beyond
-        the batch horizon (or to stream end)."""
-        while len(self._buffer) < batch_events and not self.exhausted:
-            self._pull()
-        if not self._buffer:
-            return []
-        take = min(batch_events, len(self._buffer))
-        batch = [self._buffer.popleft() for _ in range(take)]
-        horizon = batch[-1].time
-        while not self.exhausted \
-                and self.fed_until < horizon + lookahead:
-            self._pull()
-        return batch
+def run_event_stream(scenario: Scenario,
+                     events: Callable[[], Iterator[QueryEvent]],
+                     emulators: Dict[str, QueryEmulator],
+                     frontends: Dict[Tuple[str, str], object], *,
+                     lookahead: float = float("inf"),
+                     batch_events: int = DEFAULT_BATCH_EVENTS,
+                     fold: Optional[Callable[[bool], Optional[float]]]
+                     = None,
+                     tail: float = 0.0,
+                     tier: Optional[str] = None,
+                     replay_cache=None
+                     ) -> Tuple[int, Optional[ReplayStats],
+                                Optional[TierStats]]:
+    """Play one event stream; the loop behind every campaign.
+
+    ``events`` returns a fresh iterator over the time-ordered stream on
+    every call (two walk it, see :func:`_batches`).  ``emulators`` maps
+    each vantage point's name to its emulator and ``frontends`` maps
+    ``(service, vp_name)`` to the front-end its queries go to.  Each
+    batch is scheduled at its events' own instants and run to its last
+    one.
+
+    ``fold(final)`` is the sink: without one, sessions stay on their
+    emulators.  A fold runs after every batch and once more after the
+    drain (``final=True``), with the executor settled, and returns the
+    earliest start among sessions still in flight (None when none is),
+    behind which the schedule is pruned.  After the drain the clock
+    runs on to ``tail`` seconds past the last submission.  ``tier`` and
+    ``replay_cache`` configure the session executor.
+
+    Returns the number of events submitted and the executor's
+    ``(replay, tier)`` stats.
+    """
+    if batch_events < 1:
+        raise ValueError("batch_events must be >= 1")
+    if lookahead <= 0.0:
+        raise ValueError("lookahead must be > 0")
+    schedule = StreamingSchedule()
+    executor = SessionExecutor(scenario, schedule, tier=tier,
+                               replay_cache=replay_cache)
+    sim = scenario.sim
+
+    def submit(event: QueryEvent) -> None:
+        executor.submit(emulators[event.vp_name], event.service,
+                        frontends[(event.service, event.vp_name)],
+                        event.keyword)
+
+    def fold_sessions(final: bool) -> None:
+        if fold is not None:
+            # Settling reads the schedule and the ground-truth logs the
+            # fold is about to prune.
+            executor.settle()
+            oldest = fold(final)
+            schedule.prune(sim.now if oldest is None else oldest)
+
+    submitted, last = 0, None
+    for batch in _batches(events, schedule, frontends, lookahead,
+                          batch_events):
+        for event in batch:
+            # Absolute-time scheduling: the submission instant must
+            # equal the fed schedule time bit-for-bit (the executor
+            # compares them for equality).
+            sim.call_at(event.time, submit, event)
+        submitted, last = submitted + len(batch), batch[-1].time
+        sim.run(until=last)
+        fold_sessions(final=False)
+    sim.run()  # drain in-flight tails
+    if last is not None:
+        sim.run(until=last + tail)
+    fold_sessions(final=True)
+    replay, tier_stats = executor.finalize()
+    return submitted, replay, tier_stats
 
 
 def run_streaming_campaign(scenario: Scenario, workload, *,
@@ -280,10 +347,10 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
                            lookahead: float = DEFAULT_LOOKAHEAD,
                            tier: Optional[str] = None,
                            replay_cache=None) -> StreamingCampaignResult:
-    """Run an open-loop workload through the streaming folder.
+    """Run an open-loop workload through the streaming fold.
 
-    ``workload`` is any object with ``services``, ``events()`` and
-    ``events_for(names)`` — an
+    ``workload`` is any object with ``services`` and
+    ``events_for(names)`` -- an
     :class:`~repro.workload.generator.OpenLoopWorkload`, a
     :class:`~repro.workload.trace.TraceWorkload`, or a stand-in.
     ``vantage_points`` restricts the run to a fleet subset (the shard
@@ -296,10 +363,6 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
     isolation window (duration + guard), which the runner verifies as
     sessions fold.
     """
-    if batch_events < 1:
-        raise ValueError("batch_events must be >= 1")
-    if lookahead <= 0.0:
-        raise ValueError("lookahead must be > 0")
     vps = list(vantage_points or scenario.vantage_points)
     services = list(workload.services)
     if not services:
@@ -307,34 +370,20 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
 
     result = StreamingCampaignResult(
         spec=getattr(workload, "spec", None))
-    schedule = StreamingSchedule()
-    executor = SessionExecutor(scenario, schedule, tier=tier,
-                               replay_cache=replay_cache)
-
     emulators: Dict[str, QueryEmulator] = {}
     frontends: Dict[Tuple[str, str], object] = {}
-    fe_names: Dict[Tuple[str, str], str] = {}
-    fe_by_name: Dict[str, object] = {}
-    backends: Dict[Tuple[str, str], object] = {}
+    #: (service, fe name) -> (front-end, its back-end)
+    servers: Dict[Tuple[str, str], tuple] = {}
     for vp in vps:
         emulators[vp.name] = QueryEmulator(scenario, vp)
         for service_name in services:
             frontend, _ = scenario.connect_default(service_name, vp)
-            key = (service_name, vp.name)
-            frontends[key] = frontend
-            fe_names[key] = frontend.node.name
-            fe_by_name[frontend.node.name] = frontend
-            backends[(service_name, frontend.node.name)] = \
-                scenario.service(service_name) \
-                .backend_for_frontend(frontend)
+            frontends[(service_name, vp.name)] = frontend
+            servers[(service_name, frontend.node.name)] = (
+                frontend, scenario.service(service_name)
+                .backend_for_frontend(frontend))
 
     metrics_base = _obs.metrics.snapshot() if _obs.enabled else None
-
-    def submit(event: QueryEvent) -> None:
-        result.events += 1
-        executor.submit(emulators[event.vp_name], event.service,
-                        frontends[(event.service, event.vp_name)],
-                        event.keyword)
 
     def observe_session(session) -> None:
         duration = session.completed_at - session.started_at
@@ -365,12 +414,7 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
             else:
                 _obs.metrics.inc("stream.failures", scope=SCOPE_SIM)
 
-    def fold(final: bool = False) -> None:
-        # Settle the executor's completed sessions first: settling
-        # consults the schedule and the ground-truth logs this fold is
-        # about to prune.
-        executor.settle()
-        now = scenario.sim.now
+    def fold(final: bool) -> Optional[float]:
         oldest = None  # earliest start among in-flight sessions
         for emulator in emulators.values():
             if not emulator.sessions:
@@ -386,41 +430,24 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
                         oldest = session.started_at
                     continue
                 observe_session(session)
-                frontend = fe_by_name.get(session.fe_name)
-                if frontend is not None:
-                    frontend.fetch_log.pop(session.query_id, None)
-                    frontend.static_hit_log.pop(session.query_id, None)
-                backend = backends.get((session.service,
-                                        session.fe_name))
-                if backend is not None:
-                    backend.query_log.pop(session.query_id, None)
+                frontend, backend = servers[(session.service,
+                                             session.fe_name)]
+                frontend.fetch_log.pop(session.query_id, None)
+                frontend.static_hit_log.pop(session.query_id, None)
+                backend.query_log.pop(session.query_id, None)
             emulator.sessions[:] = in_flight
-            cut = min((s.started_at for s in in_flight), default=now)
+            cut = min((s.started_at for s in in_flight),
+                      default=scenario.sim.now)
             emulator.drop_capture_before(cut)
-        schedule.prune(oldest if oldest is not None else now)
+        return oldest
 
-    feed = _EventFeed(
-        workload.events_for([vp.name for vp in vps]), schedule,
-        fe_names)
-    sim = scenario.sim
-    while True:
-        batch = feed.next_batch(batch_events, lookahead)
-        if not batch:
-            break
-        horizon = batch[-1].time
-        for event in batch:
-            # Absolute-time scheduling: the submission instant must
-            # equal the fed schedule time bit-for-bit (the executor
-            # compares them for equality).
-            sim.call_at(event.time, submit, event)
-        sim.run(until=horizon)
-        fold()
-    sim.run()  # drain in-flight tails
-    fold(final=True)
-
-    result.replay, result.tier = executor.finalize()
+    names = [vp.name for vp in vps]
+    result.events, result.replay, result.tier = run_event_stream(
+        scenario, lambda: workload.events_for(names), emulators,
+        frontends, lookahead=lookahead, batch_events=batch_events,
+        fold=fold, tier=tier, replay_cache=replay_cache)
     result.content_cache = aggregate_stats(
-        fe.static_cache for fe in fe_by_name.values())
+        frontend.static_cache for frontend, _ in servers.values())
     if metrics_base is not None:
         if _obs.enabled:
             _obs.metrics.inc("campaign.streaming")

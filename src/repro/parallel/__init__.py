@@ -7,16 +7,16 @@ loss RNG streams).  This package shards that independent work across a
 :mod:`multiprocessing` pool, one :class:`~repro.sim.engine.Simulator`
 per shard, and merges the results deterministically:
 
-* :func:`run_dataset_a_sharded` / :func:`run_dataset_b_sharded` — the
-  two measurement campaigns, sharded by vantage-point partition.  For
-  Dataset A the partition keeps every group of FE-sharing vantage
-  points in one shard (:func:`fe_sharing_components`), which together
-  with keyed per-query RNG draws (:meth:`RandomStreams.keyed`) makes
-  the sharded run *bit-identical* to the serial one.
-* :func:`run_streaming_sharded` — the open-loop streaming campaign
-  (:mod:`repro.measure.streaming`), sharded with the Dataset-A
-  partition; the merged aggregates (counters and quantile sketches)
-  are bit-identical to the serial streaming run at any shard count.
+* :func:`run_dataset_a_sharded` / :func:`run_streaming_sharded` — the
+  Dataset-A campaign and the open-loop streaming campaign
+  (:mod:`repro.measure.streaming`) through one sharded wrapper.  The
+  partition keeps every group of FE-sharing vantage points in one shard
+  (:func:`fe_sharing_components`), which together with keyed per-query
+  RNG draws (:meth:`RandomStreams.keyed`) makes the merged result
+  *bit-identical* to the serial run at any shard count.  A failing
+  shard raises :class:`ShardError`, naming the shard.  Dataset B aims
+  every vantage point at one front-end, a single component, so it runs
+  serially.
 * :func:`run_over_seeds` — repeat a whole figure experiment across
   seeds, one process per seed.
 
@@ -27,27 +27,23 @@ across simulators would change the phenomenon being measured (see
 """
 
 from repro.parallel.campaigns import (
-    HighFrontEndLoadError,
+    ShardError,
     run_dataset_a_sharded,
-    run_dataset_b_sharded,
     run_streaming_sharded,
 )
 from repro.parallel.partition import (
     fe_sharing_components,
     partition_components,
-    partition_round_robin,
 )
 from repro.parallel.pool import map_shards
 from repro.parallel.seeds import run_over_seeds
 
 __all__ = [
-    "HighFrontEndLoadError",
+    "ShardError",
     "fe_sharing_components",
     "map_shards",
     "partition_components",
-    "partition_round_robin",
     "run_dataset_a_sharded",
-    "run_dataset_b_sharded",
     "run_over_seeds",
     "run_streaming_sharded",
 ]

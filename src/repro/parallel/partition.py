@@ -13,10 +13,8 @@ RNG stream.
 :func:`fe_sharing_components` therefore groups VPs into the connected
 components of the "shares a default FE (of any service)" graph; a shard
 made of whole components reproduces every interaction of the serial
-run exactly.  Campaigns that aim *all* VPs at one fixed FE (Dataset B)
-collapse into a single component — for those
-:func:`partition_round_robin` trades exactness for speed (see
-``docs/PERFORMANCE.md`` for when that is acceptable).
+run exactly.  A campaign that aims *all* VPs at one fixed FE (Dataset
+B) is a single component and runs serially.
 """
 
 from __future__ import annotations
@@ -81,13 +79,3 @@ def partition_components(components: Sequence[List[VantagePoint]],
         shards[target].extend(components[index])
     return [shard for shard in shards if shard]
 
-
-def partition_round_robin(vps: Sequence[VantagePoint],
-                          shard_count: int) -> List[List[VantagePoint]]:
-    """Deal VPs across shards round-robin (Dataset B's partition)."""
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
-    shards: List[List[VantagePoint]] = [[] for _ in range(shard_count)]
-    for index, vp in enumerate(vps):
-        shards[index % shard_count].append(vp)
-    return [shard for shard in shards if shard]

@@ -28,12 +28,11 @@ pending)``, ``expire(pending)`` and ``finalize() -> stats``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.measure.session import QuerySession
 from repro.sim.analytic.manager import TieredSessionManager, tier_mode
 from repro.sim.replay.admission import (
-    SubmissionSchedule,
     campaign_bypass_reason,
     path_bypass_reason,
 )
@@ -41,6 +40,9 @@ from repro.sim.replay.cache import ReplayCache
 from repro.sim.replay.manager import SessionReplayManager, replay_cache_enabled
 from repro.sim.replay.timeline import RecordedTimeline, materialize_events
 from repro.sim.stats import ReplayStats, TierStats
+
+if TYPE_CHECKING:
+    from repro.measure.streaming import StreamingSchedule
 
 #: Quiet time a session needs on its front-end beyond ``completed_at``:
 #: a constant floor plus a few client-FE round trips, covering the FIN
@@ -57,9 +59,11 @@ def isolation_guard(path_rtt: float) -> float:
 
 
 class SessionExecutor:
-    """Per-campaign session execution behind every driver.
+    """Per-campaign session execution behind the campaign runner.
 
-    ``tier`` follows ``REPRO_TIER`` when None (see
+    ``schedule`` holds the campaign's submission times per front-end
+    (see :func:`repro.measure.streaming.run_event_stream`).  ``tier``
+    follows ``REPRO_TIER`` when None (see
     :func:`~repro.sim.analytic.manager.tier_mode`); modes other than
     ``packet`` add the tier policy.  ``replay_cache`` follows
     ``REPRO_REPLAY_CACHE`` when None; ``False`` turns the recorded
@@ -69,10 +73,8 @@ class SessionExecutor:
     timelines).
     """
 
-    def __init__(self, scenario, schedule: SubmissionSchedule, *,
-                 tier: Optional[str] = None, replay_cache=None,
-                 store_payload: bool = False,
-                 run_timeout: Optional[float] = None):
+    def __init__(self, scenario, schedule: StreamingSchedule, *,
+                 tier: Optional[str] = None, replay_cache=None):
         self.scenario = scenario
         self.schedule = schedule
         mode = tier_mode(tier)
@@ -87,8 +89,7 @@ class SessionExecutor:
                 scenario, schedule,
                 cache=(replay_cache if isinstance(replay_cache, ReplayCache)
                        else None))
-        self._campaign_reason = campaign_bypass_reason(
-            scenario, store_payload, run_timeout)
+        self._campaign_reason = campaign_bypass_reason(scenario)
         #: triple -> (tier path reason, shared path reason)
         self._path_reasons: Dict[tuple, Tuple[Optional[str],
                                               Optional[str]]] = {}

@@ -29,7 +29,6 @@ Correctness rests on three pillars (see ``docs/PERFORMANCE.md``):
   would have produced.
 """
 
-from repro.sim.replay.admission import SubmissionSchedule
 from repro.sim.replay.cache import ReplayCache
 from repro.sim.replay.manager import (
     SessionReplayManager,
@@ -41,6 +40,5 @@ __all__ = [
     "ReplayCache",
     "ReplayStats",
     "SessionReplayManager",
-    "SubmissionSchedule",
     "replay_cache_enabled",
 ]

@@ -4,16 +4,16 @@ A session may be recorded or replayed only when its packet timeline
 provably depends on nothing outside the cache key.  The checks split
 into three layers, evaluated cheapest-first:
 
-* **campaign-level** — properties of the whole driver run (draw keying,
-  payload retention, run timeouts) that either hold for every
-  submission or for none;
+* **campaign-level** — properties of the whole campaign (draw keying)
+  that either hold for every submission or for none;
 * **path-level** — properties of one ``(service, FE, VP)`` triple
   (congestion model, link loss/jitter/faults, FE result cache) that are
   constant across a campaign and therefore cached per triple;
 * **temporal** — properties of one submission instant (cross-traffic on
   the front-end, start-time binade), evaluated per query by the
-  session executor (:mod:`repro.sim.executor`) against a
-  :class:`SubmissionSchedule`.
+  session executor (:mod:`repro.sim.executor`) against the campaign's
+  submission schedule
+  (:class:`~repro.measure.streaming.StreamingSchedule`).
 
 Every helper returns ``None`` for "admissible" or a short reason string
 that becomes a bypass-counter key in
@@ -23,76 +23,18 @@ that becomes a bypass-counter key in
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional
+from typing import Optional
 
 
-class SubmissionSchedule:
-    """The a-priori submission times of a campaign, per front-end.
-
-    Campaign drivers know every query's start instant before the
-    simulation runs (stagger plus round arithmetic), which is what makes
-    *forward-looking* isolation checks possible: a session may be
-    replayed only if no other query will touch its front-end until the
-    replayed timeline (plus guard) has fully played out.  The builder
-    must replicate the driver loop's float arithmetic exactly —
-    schedule times are compared for equality against ``sim.now``.
-    """
-
-    def __init__(self):
-        self._times: Dict[str, List[float]] = {}
-        self._frozen = False
-
-    def add(self, fe_name: str, time: float) -> None:
-        """Record one planned submission to ``fe_name`` at ``time``."""
-        if self._frozen:
-            raise RuntimeError("schedule is frozen")
-        self._times.setdefault(fe_name, []).append(time)
-
-    def freeze(self) -> "SubmissionSchedule":
-        """Sort and seal the schedule; returns self for chaining."""
-        for times in self._times.values():
-            times.sort()
-        self._frozen = True
-        return self
-
-    def count_at(self, fe_name: str, time: float) -> int:
-        """How many submissions hit ``fe_name`` at exactly ``time``."""
-        times = self._times.get(fe_name)
-        if not times:
-            return 0
-        return bisect_right(times, time) - bisect_left(times, time)
-
-    def next_after(self, fe_name: str, time: float) -> float:
-        """First submission to ``fe_name`` strictly after ``time``
-        (``inf`` when there is none)."""
-        times = self._times.get(fe_name)
-        if not times:
-            return float("inf")
-        index = bisect_right(times, time)
-        if index >= len(times):
-            return float("inf")
-        return times[index]
-
-
-def campaign_bypass_reason(scenario, store_payload: bool,
-                           run_timeout: Optional[float]) -> Optional[str]:
+def campaign_bypass_reason(scenario) -> Optional[str]:
     """Why an entire campaign run cannot use the replay cache.
 
     * ``unkeyed-draws`` — with shared sequential service streams, a
       query's FE-load/Tproc draws depend on the global arrival order,
       so skipping a simulation would shift every later draw.
-    * ``store-payload`` — recorded timelines drop packet payload bytes;
-      replaying them under ``store_payload=True`` would lose data.
-    * ``run-timeout`` — a truncated run can cut sessions off mid-flight,
-      and a replayed session past the deadline would misreport state.
     """
     if not scenario.config.keyed_service_draws:
         return "unkeyed-draws"
-    if store_payload:
-        return "store-payload"
-    if run_timeout is not None:
-        return "run-timeout"
     return None
 
 

@@ -19,9 +19,8 @@ validation samples alike.  The source decides, per submission, between
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.sim.replay.admission import SubmissionSchedule
 from repro.sim.replay.cache import ReplayCache
 from repro.sim.replay.fingerprint import session_key, window_fits
 from repro.sim.replay.timeline import (
@@ -31,6 +30,9 @@ from repro.sim.replay.timeline import (
     record_timeline,
 )
 from repro.sim.stats import ReplayStats
+
+if TYPE_CHECKING:
+    from repro.measure.streaming import StreamingSchedule
 
 #: ``REPRO_REPLAY_CACHE`` values that turn the cache off / leave it on.
 _CACHE_OFF = ("0", "off", "false", "no")
@@ -74,7 +76,7 @@ class _Pending:
 class SessionReplayManager:
     """Per-campaign replay-cache source."""
 
-    def __init__(self, scenario, schedule: SubmissionSchedule, *,
+    def __init__(self, scenario, schedule: StreamingSchedule, *,
                  cache: Optional[ReplayCache] = None):
         self.scenario = scenario
         self.schedule = schedule

@@ -26,11 +26,7 @@ from repro.core.cache_detect import detect_result_caching
 from repro.experiments import ExperimentScale, run_cache_lab
 from repro.measure.driver import run_dataset_a, run_single_queries
 from repro.measure.streaming import run_streaming_campaign
-from repro.parallel import (
-    run_dataset_a_sharded,
-    run_dataset_b_sharded,
-    run_streaming_sharded,
-)
+from repro.parallel import run_dataset_a_sharded, run_streaming_sharded
 from repro.sim.replay.admission import path_bypass_reason
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.workload import OpenLoopWorkload, WorkloadSpec
@@ -176,18 +172,6 @@ def test_dataset_a_sharded_bit_identical_with_finite_cache():
     assert len(serial.sessions) == len(sharded.sessions) > 0
     for ours, theirs in zip(serial.sessions, sharded.sessions):
         assert session_fingerprint(ours) == session_fingerprint(theirs)
-
-
-def test_dataset_b_sharded_rejects_finite_cache():
-    config = ScenarioConfig(seed=3, vantage_count=4,
-                            keyed_service_draws=True,
-                            fe_cache=FINITE)
-    scenario = Scenario(config)
-    frontend = scenario.service(Scenario.GOOGLE).frontends[0]
-    with pytest.raises(ValueError, match="finite"):
-        run_dataset_b_sharded(scenario, Scenario.GOOGLE,
-                              frontend.node.name, KEYWORD,
-                              repeats=2, interval=8.0, shards=2)
 
 
 def test_sharding_rejects_shared_regional():

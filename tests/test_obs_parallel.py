@@ -14,8 +14,8 @@ import pytest
 
 from repro import obs
 from repro.content.keywords import Keyword
-from repro.measure.driver import run_dataset_a, run_dataset_b
-from repro.parallel import run_dataset_a_sharded, run_dataset_b_sharded
+from repro.measure.driver import run_dataset_a
+from repro.parallel import run_dataset_a_sharded
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
 CONFIG = ScenarioConfig(seed=3, vantage_count=14,
@@ -86,41 +86,6 @@ def test_dataset_a_inline_fallback_does_not_double_count():
     session_spans = [span for span in obs.runtime.tracer.spans
                      if span.name == "session"]
     assert len(session_spans) == len(inline.sessions)
-
-
-def test_dataset_b_sharded_capture_is_structurally_equivalent():
-    # Dataset B is the approximate sharding (every VP shares one FE, so
-    # shards don't see each other's FE-BE load; see
-    # run_dataset_b_sharded's docstring) — tests/test_parallel.py
-    # fingerprints Dataset A only, and so does the exact test above.
-    # Here we assert the obs merge machinery still returns a complete,
-    # consistent capture: one session span per session, identical span
-    # *structure*, and exact session-count metrics.
-    obs.enable()
-    scenario = Scenario(CONFIG)
-    frontend = scenario.default_frontend(Scenario.GOOGLE,
-                                         scenario.vantage_points[0])
-    obs.reset()
-    serial = run_dataset_b(scenario, Scenario.GOOGLE, frontend,
-                           KEYWORDS[0], repeats=2, interval=8.0)
-    obs.reset()
-    sharded = run_dataset_b_sharded(Scenario(CONFIG), Scenario.GOOGLE,
-                                    frontend.node.name, KEYWORDS[0],
-                                    repeats=2, interval=8.0, shards=3,
-                                    processes=3)
-
-    def shape(trace):
-        return sorted((span["attrs"]["query_id"],
-                       tuple(sorted(child["name"]
-                                    for child in span["children"])),
-                       tuple(name for _, name in span["events"]))
-                      for span in trace)
-
-    assert len(sharded.trace) == len(sharded.sessions)
-    assert shape(serial.trace) == shape(sharded.trace)
-    serial_sim = serial.obs_metrics.scoped(obs.SCOPE_SIM)
-    sharded_sim = sharded.obs_metrics.scoped(obs.SCOPE_SIM)
-    assert serial_sim.counters == sharded_sim.counters
 
 
 def test_sharded_with_tracing_disabled_stays_dark():

@@ -12,13 +12,10 @@ import pytest
 from repro.content.keywords import Keyword
 from repro.measure.driver import run_dataset_a
 from repro.parallel import (
-    HighFrontEndLoadError,
     fe_sharing_components,
     map_shards,
     partition_components,
-    partition_round_robin,
     run_dataset_a_sharded,
-    run_dataset_b_sharded,
     run_over_seeds,
 )
 from repro.testbed.scenario import Scenario, ScenarioConfig
@@ -106,16 +103,6 @@ def test_partition_keeps_fe_sharing_vps_together():
                 % (fe, sorted(shard_ids)))
 
 
-def test_partition_round_robin_covers_everyone():
-    scenario = Scenario(CONFIG)
-    shards = partition_round_robin(scenario.vantage_points, 4)
-    names = [vp.name for shard in shards for vp in shard]
-    assert sorted(names) == sorted(
-        vp.name for vp in scenario.vantage_points)
-    sizes = [len(shard) for shard in shards]
-    assert max(sizes) - min(sizes) <= 1
-
-
 # ---------------------------------------------------------------------------
 # pool plumbing
 # ---------------------------------------------------------------------------
@@ -184,47 +171,3 @@ def test_run_over_seeds_rejects_load_sensitivity():
     from repro.experiments.load_sensitivity import run_load_sensitivity
     with pytest.raises(ValueError):
         run_over_seeds(run_load_sensitivity, None, [1, 2])
-
-
-# ---------------------------------------------------------------------------
-# Dataset-B high-FE-load guard
-# ---------------------------------------------------------------------------
-def _dataset_b_args(interval):
-    scenario = Scenario(CONFIG)
-    frontend = scenario.default_frontend("google-like",
-                                         scenario.vantage_points[0])
-    return scenario, frontend.node.name, dict(
-        repeats=1, interval=interval, shards=3, processes=1)
-
-
-def test_dataset_b_sharding_refuses_dense_schedules():
-    # 14 VPs at interval 0.5 submit every ~36ms — far inside one
-    # session's FE busy time, where sharding is not serial-equivalent.
-    scenario, fe_name, kwargs = _dataset_b_args(interval=0.5)
-    with pytest.raises(HighFrontEndLoadError,
-                       match="allow_high_fe_load"):
-        run_dataset_b_sharded(scenario, "google-like", fe_name,
-                              KEYWORDS[0], **kwargs)
-
-
-def test_dataset_b_guard_escape_hatch_warns_and_runs():
-    scenario, fe_name, kwargs = _dataset_b_args(interval=0.5)
-    with pytest.warns(UserWarning, match="serial-equivalent"):
-        dataset = run_dataset_b_sharded(scenario, "google-like",
-                                        fe_name, KEYWORDS[0],
-                                        allow_high_fe_load=True,
-                                        **kwargs)
-    assert len(dataset.sessions) == 14
-
-
-def test_dataset_b_guard_admits_sparse_schedules():
-    # The documented low-load regime (the existing equivalence tests'
-    # configs) must stay untouched: no error, no warning.
-    import warnings
-
-    scenario, fe_name, kwargs = _dataset_b_args(interval=8.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        dataset = run_dataset_b_sharded(scenario, "google-like",
-                                        fe_name, KEYWORDS[0], **kwargs)
-    assert len(dataset.sessions) == 14

@@ -12,7 +12,7 @@ import pytest
 
 from repro.content.keywords import Keyword
 from repro.measure.driver import run_dataset_a, run_dataset_b
-from repro.parallel import run_dataset_a_sharded, run_dataset_b_sharded
+from repro.parallel import run_dataset_a_sharded
 from repro.sim.engine import SchedulingError, Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.replay import ReplayCache, ReplayStats, replay_cache_enabled
@@ -105,6 +105,35 @@ def test_dataset_b_cache_on_equals_cache_off():
             == ground_truth(scenario_on, Scenario.GOOGLE))
 
 
+def test_dataset_b_after_calibration_replays():
+    # fig5, validation and whatif calibrate first, which advances the
+    # clock; the campaign's submission schedule must start from there.
+    from repro.experiments.common import calibrate_service
+
+    def run(replay_cache):
+        scenario = Scenario(ScenarioConfig(seed=11, vantage_count=6,
+                                           keyed_service_draws=True,
+                                           deterministic_services=True))
+        frontend = scenario.service(Scenario.GOOGLE).frontends[0]
+        calibrate_service(scenario, Scenario.GOOGLE, [frontend])
+        assert scenario.sim.now > 0.0
+        return scenario, run_dataset_b(scenario, Scenario.GOOGLE,
+                                       frontend, KEYWORD, repeats=12,
+                                       interval=8.0,
+                                       replay_cache=replay_cache)
+
+    scenario_off, off = run(False)
+    scenario_on, on = run(True)
+
+    assert on.replay.hits > 0
+    assert "concurrent-submit" not in on.replay.bypasses
+    assert len(on.sessions) == 72
+    assert ([session_fingerprint(s) for s in off.sessions]
+            == [session_fingerprint(s) for s in on.sessions])
+    assert (ground_truth(scenario_off, Scenario.GOOGLE)
+            == ground_truth(scenario_on, Scenario.GOOGLE))
+
+
 def test_dataset_a_sharded_with_cache_equals_serial_without():
     config = ScenarioConfig(seed=7, vantage_count=6,
                             keyed_service_draws=True,
@@ -119,28 +148,6 @@ def test_dataset_a_sharded_with_cache_equals_serial_without():
                                     replay_cache=True)
 
     assert sharded.replay is not None and sharded.replay.hits > 0
-    assert ([session_fingerprint(s) for s in serial.sessions]
-            == [session_fingerprint(s) for s in sharded.sessions])
-
-
-def test_dataset_b_sharded_with_cache_equals_serial_without():
-    config = ScenarioConfig(seed=11, vantage_count=3,
-                            keyed_service_draws=True,
-                            deterministic_services=True)
-    scenario = Scenario(config)
-    fe_name = scenario.service(Scenario.GOOGLE).frontends[0].node.name
-    serial_scenario = Scenario(config)
-    serial_fe = serial_scenario.service(Scenario.GOOGLE) \
-        .frontend_by_name(fe_name)
-    serial = run_dataset_b(serial_scenario, Scenario.GOOGLE, serial_fe,
-                           KEYWORD, repeats=12, interval=8.0,
-                           replay_cache=False)
-    sharded = run_dataset_b_sharded(Scenario(config), Scenario.GOOGLE,
-                                    fe_name, KEYWORD, repeats=12,
-                                    interval=8.0, shards=3, processes=2,
-                                    replay_cache=True)
-
-    assert sharded.replay is not None
     assert ([session_fingerprint(s) for s in serial.sessions]
             == [session_fingerprint(s) for s in sharded.sessions])
 

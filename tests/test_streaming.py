@@ -1,5 +1,8 @@
 """Tests for the bounded-memory streaming campaign runner."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro import obs
@@ -8,9 +11,19 @@ from repro.measure.streaming import (
     StreamingSchedule,
     run_streaming_campaign,
 )
-from repro.parallel import run_streaming_sharded
+from repro.parallel import (
+    ShardError,
+    fe_sharing_components,
+    partition_components,
+    run_streaming_sharded,
+)
 from repro.testbed.scenario import Scenario, ScenarioConfig
-from repro.workload import OpenLoopWorkload, WorkloadSpec
+from repro.workload import (
+    OpenLoopWorkload,
+    TraceWorkload,
+    WorkloadSpec,
+    write_events,
+)
 
 CONFIG = ScenarioConfig(seed=5, vantage_count=8,
                         keyed_service_draws=True,
@@ -101,6 +114,26 @@ def test_streaming_lookahead_guard():
         _serial(batch_events=0)
 
 
+def test_out_of_order_stream_is_rejected(tmp_path):
+    scenario = Scenario(CONFIG)
+    spec = dataclasses.replace(SPEC, max_events=120)
+    events = list(OpenLoopWorkload(
+        spec, [vp.name for vp in scenario.vantage_points]).events())
+    assert len(events) == 120
+    sorted_path = str(tmp_path / "sorted.jsonl")
+    write_events(sorted_path, events)
+    events[10], events[60] = events[60], events[10]
+    swapped_path = str(tmp_path / "swapped.jsonl")
+    write_events(swapped_path, events)
+
+    message = ("event 11 is at t=%r, after an event at t=%r"
+               % (events[11].time, events[10].time))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_streaming_campaign(scenario, TraceWorkload(swapped_path))
+    assert run_streaming_campaign(
+        Scenario(CONFIG), TraceWorkload(sorted_path)).events == 120
+
+
 def test_streaming_replay_cache_changes_no_results():
     base = _serial(replay_cache=False)
     cached = _serial(replay_cache=True)
@@ -144,6 +177,22 @@ def test_sharded_matches_serial_across_tiers(tier):
         assert serial.tier.analytic > 0
         assert (sharded.tier.analytic + sharded.tier.simulated
                 == serial.tier.analytic + serial.tier.simulated)
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_failing_shard_is_named(processes):
+    scenario = Scenario(CONFIG)
+    with pytest.raises(ShardError) as caught:
+        run_streaming_sharded(scenario, SPEC, shards=2,
+                              processes=processes, lookahead=0.05)
+    match = re.match(r"shard (\d) of 2 \(first vantage point (\S+)\) "
+                     r"failed: RuntimeError: session isolation window",
+                     str(caught.value))
+    assert match is not None, str(caught.value)
+    partition = partition_components(
+        fe_sharing_components(scenario, SPEC.services), 2)
+    assert match.group(2) == partition[int(match.group(1))][0].name
+    assert "lookahead" in str(caught.value.__cause__)
 
 
 def test_sharding_requires_keyed_draws():
