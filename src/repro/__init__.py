@@ -10,7 +10,7 @@ inference framework on top of captured packet traces.
 Layer map (bottom-up):
 
 ========================  ==================================================
-``repro.sim``             discrete-event engine, RNG streams, processes
+``repro.sim``             discrete-event engine, RNG streams, session executor
 ``repro.net``             packets, links, nodes, routing, geography
 ``repro.tcp``             TCP: handshake, slow start, loss recovery
 ``repro.http``            HTTP/1.1 with chunked streaming

@@ -23,12 +23,13 @@ from repro.content.keywords import Keyword
 from repro.experiments.common import ExperimentScale, build_scenario
 from repro.http.client import HttpFetch, RequestHooks
 from repro.http.message import HttpRequest, build_query_path
+from repro.measure.driver import run_queries
 from repro.measure.emulator import QueryEmulator
 from repro.net.address import Endpoint
 from repro.services.backend import BACKEND_PORT
 from repro.sim import units
-from repro.sim.process import Sleep, spawn
 from repro.testbed.scenario import Scenario, ScenarioConfig
+from repro.testbed.sites import nearest_metro
 from repro.testbed.vantage import VantagePoint
 
 ABLATION_KEYWORD = Keyword(text="ablation probe query", popularity=0.5,
@@ -71,23 +72,41 @@ def run_split_tcp_ablation(scale: Optional[ExperimentScale] = None, *,
     service.register_keywords([ABLATION_KEYWORD])
 
     emulator = QueryEmulator(scenario, vp)
+    sim = scenario.sim
     split_sessions = []
     direct_durations: List[float] = []
 
-    def driver():
-        for index in range(scale.repeats):
-            split_sessions.append(emulator.submit(
-                service_name, frontend, ABLATION_KEYWORD))
-            yield Sleep(scale.interval)
-            direct_durations.append((yield _direct_query(
-                scenario, vp, backend, index)))
-            yield Sleep(scale.interval)
+    # Each round queries through the FE, then ``interval`` later straight
+    # to the back-end; the next round starts ``interval`` after that
+    # fetch ends (TCP's retry limits end a stuck one through on_failure).
+    def split_query(index: int) -> None:
+        if index < scale.repeats:
+            split_sessions.append(emulator.submit(service_name, frontend,
+                                                  ABLATION_KEYWORD))
+            sim.schedule(scale.interval, direct_query, index)
 
-    spawn(scenario.sim, driver())
-    scenario.sim.run()
+    def direct_query(index: int) -> None:
+        start = sim.now
+
+        def done(end: Optional[float]) -> None:
+            if end is not None:
+                direct_durations.append(end - start)
+            sim.schedule(scale.interval, split_query, index + 1)
+
+        path = build_query_path("/search", {
+            "q": ABLATION_KEYWORD.text,
+            "id": "direct-%s-%04d" % (vp.name, index)})
+        HttpFetch(scenario.client_host(vp),
+                  Endpoint(backend.node.name, BACKEND_PORT),
+                  HttpRequest(path=path, headers={"X-Full-Page": "1"}),
+                  RequestHooks(
+                      on_complete=lambda response: done(sim.now),
+                      on_failure=lambda message: done(None)))
+
+    sim.schedule(0.0, split_query, 0)
+    sim.run()
 
     split_durations = [s.duration for s in split_sessions if s.complete]
-    direct_durations = [d for d in direct_durations if d is not None]
     if not split_durations or not direct_durations:
         raise RuntimeError("ablation produced no complete samples")
     return SplitTcpAblationResult(
@@ -108,15 +127,14 @@ def _split_friendly_vantage_point(scenario: Scenario,
     fetching from a US data center.
     """
     from repro.experiments.common import colocated_vantage_point
-    from repro.testbed.sites import METROS
 
     service = scenario.service(service_name)
     frontend = max(service.frontends,
                    key=lambda fe: fe.location.distance_miles(
                        service.backend_for_frontend(fe).location))
-    metro = min(METROS, key=lambda m: m.location.distance_miles(
-        frontend.location))
-    return colocated_vantage_point(scenario, metro, "split-ablation")
+    return colocated_vantage_point(scenario,
+                                   nearest_metro(frontend.location),
+                                   "split-ablation")
 
 
 def _link_client_to_backend(scenario: Scenario, vp: VantagePoint,
@@ -129,29 +147,6 @@ def _link_client_to_backend(scenario: Scenario, vp: VantagePoint,
                               bandwidth=scenario.config.client_bandwidth,
                               loss_rate=scenario.config.client_loss_rate)
     scenario._links_built.add(key)
-
-
-def _direct_query(scenario: Scenario, vp: VantagePoint, backend,
-                  index: int):
-    """Sub-process: one direct-to-BE fetch; returns its duration."""
-    from repro.sim.process import Signal, WaitEvent
-
-    start = scenario.sim.now
-    finished = Signal("direct-query")
-    path = build_query_path("/search", {
-        "q": ABLATION_KEYWORD.text,
-        "id": "direct-%s-%04d" % (vp.name, index)})
-    hooks = RequestHooks(
-        on_complete=lambda response: finished.fire(scenario.sim.now),
-        on_failure=lambda message: finished.fire(None))
-    HttpFetch(scenario.client_host(vp),
-              Endpoint(backend.node.name, BACKEND_PORT),
-              HttpRequest(path=path, headers={"X-Full-Page": "1"}),
-              hooks)
-    end_time = yield WaitEvent(finished, timeout=120.0)
-    if end_time is None:
-        return None
-    return end_time - start
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +176,15 @@ def run_cache_ablation(scale: Optional[ExperimentScale] = None, *,
     medians = {}
     for cached in (True, False):
         scenario = build_scenario(scale, cache_static=cached)
-        service = scenario.service(service_name)
         vp = scenario.vantage_points[0]
         frontend = scenario.default_frontend(service_name, vp)
-        scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = QueryEmulator(scenario, vp)
-        sessions = []
-
-        def driver():
-            for _ in range(scale.repeats):
-                sessions.append(emulator.submit(service_name, frontend,
-                                                ABLATION_KEYWORD))
-                yield Sleep(scale.interval)
-
-        spawn(scenario.sim, driver())
-        scenario.sim.run()
+        plan = []
+        time = scenario.sim.now
+        for _ in range(scale.repeats):
+            plan.append((time, vp, service_name, frontend,
+                         ABLATION_KEYWORD))
+            time = time + scale.interval
+        sessions = run_queries(scenario, plan)[vp.name]
         complete = [s for s in sessions if s.complete]
         if not complete:
             raise RuntimeError("no complete sessions (cached=%s)" % cached)
@@ -324,23 +313,17 @@ def run_idle_reset_ablation(scale: Optional[ExperimentScale] = None, *,
                        key=lambda fe: fe.location.distance_miles(
                            service.backend_for_frontend(fe).location))
         service.register_keywords([ABLATION_KEYWORD])
-        from repro.testbed.sites import METROS
-        metro = min(METROS, key=lambda m: m.location.distance_miles(
-            frontend.location))
         from repro.experiments.common import colocated_vantage_point
-        vp = colocated_vantage_point(scenario, metro, "idle-reset")
-        scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = QueryEmulator(scenario, vp)
-        sessions = []
-
-        def driver():
-            for _ in range(max(6, scale.repeats)):
-                sessions.append(emulator.submit(service_name, frontend,
-                                                ABLATION_KEYWORD))
-                yield Sleep(idle_gap)
-
-        spawn(scenario.sim, driver())
-        scenario.sim.run()
+        vp = colocated_vantage_point(scenario,
+                                     nearest_metro(frontend.location),
+                                     "idle-reset")
+        plan = []
+        time = scenario.sim.now
+        for _ in range(max(6, scale.repeats)):
+            plan.append((time, vp, service_name, frontend,
+                         ABLATION_KEYWORD))
+            time = time + idle_gap
+        run_queries(scenario, plan)
         tfetches = sorted(
             record.tfetch for record in frontend.fetch_log.values()
             if record.tfetch is not None)

@@ -5,7 +5,10 @@ Every experiment runner follows the same recipe:
 1. build a (scaled) :class:`~repro.testbed.scenario.Scenario`;
 2. run a small *calibration* campaign with payload capture to locate the
    static/dynamic boundary per service (the content analysis);
-3. run the measurement campaign proper (payloads off);
+3. run the measurement campaign proper (payloads off): a dataset
+   campaign, or a *plan* of ``(time, vp, service, frontend, keyword)``
+   queries played by :func:`repro.measure.driver.run_queries`, with
+   times accumulated ``t = t + gap`` from the current clock;
 4. extract metrics and compute the figure's data series.
 
 ``ExperimentScale`` lets benchmarks run the same experiments at reduced

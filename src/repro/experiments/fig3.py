@@ -21,8 +21,7 @@ from repro.experiments.common import (
     build_scenario,
     calibrate_service,
 )
-from repro.measure.emulator import QueryEmulator
-from repro.sim.process import Sleep, spawn
+from repro.measure.driver import run_queries
 from repro.testbed.scenario import Scenario
 
 
@@ -81,23 +80,19 @@ def run_fig3(scale: ExperimentScale = None, *,
 
     vp = scenario.vantage_points[0]
     frontend = scenario.default_frontend(service_name, vp)
-    service = scenario.service(service_name)
-    scenario.link_client_to_frontend(vp, frontend, service)
-    service.register_keywords(keywords)
+    scenario.service(service_name).register_keywords(keywords)
     calibration = calibrate_service(scenario, service_name, [frontend], vp)
 
-    emulator = QueryEmulator(scenario, vp)
+    # Every keyword once per round, rounds ``interval`` apart.
+    plan = []
+    time = scenario.sim.now
+    for _ in range(scale.fig3_samples):
+        for keyword in keywords:
+            plan.append((time, vp, service_name, frontend, keyword))
+        time = time + scale.interval
     sessions_by_keyword = {k.text: [] for k in keywords}
-
-    def driver():
-        for _ in range(scale.fig3_samples):
-            for keyword in keywords:
-                session = emulator.submit(service_name, frontend, keyword)
-                sessions_by_keyword[keyword.text].append(session)
-            yield Sleep(scale.interval)
-
-    spawn(scenario.sim, driver())
-    scenario.sim.run()
+    for session in run_queries(scenario, plan)[vp.name]:
+        sessions_by_keyword[session.keyword.text].append(session)
 
     series = {}
     for keyword in keywords:

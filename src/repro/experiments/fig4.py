@@ -33,7 +33,7 @@ from repro.measure.emulator import QueryEmulator
 from repro.measure.session import QuerySession
 from repro.sim import units
 from repro.testbed.scenario import Scenario
-from repro.testbed.sites import METROS
+from repro.testbed.sites import nearest_metro
 from repro.testbed.vantage import VantagePoint
 
 #: The five RTTs (seconds) on the paper's Figure 4 y-axis.
@@ -119,7 +119,7 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
     for index, rtt in enumerate(rtts):
         vp = VantagePoint(
             name="fig4-client-%02d" % index,
-            metro=_metro_near(frontend.location),
+            metro=nearest_metro(frontend.location),
             location=frontend.location,
             access_delay=rtt / 2.0,  # entire one-way delay via access
             peering_penalty=0.0)
@@ -165,15 +165,6 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
             display_bursts=cluster_by_gap(session.inbound_data_events(),
                                           DISPLAY_CLUSTER_GAP)))
     return result
-
-
-def _metro_near(location):
-    best, best_distance = None, float("inf")
-    for metro in METROS:
-        distance = metro.location.distance_miles(location)
-        if distance < best_distance:
-            best, best_distance = metro, distance
-    return best
 
 
 def render_timelines(result: Fig4Result, width: int = 78) -> str:

@@ -32,11 +32,10 @@ from repro.experiments.common import (
     calibrate_service,
     colocated_vantage_point,
 )
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.sim import units
-from repro.sim.process import Sleep, spawn
 from repro.testbed.scenario import Scenario
-from repro.testbed.sites import METROS
+from repro.testbed.sites import nearest_metro
 
 #: Back-end targets matching the paper's choices.
 PAPER_TARGET_BE = {
@@ -125,27 +124,24 @@ def _run_service_panel(scale: ExperimentScale, service_name: str,
     calibration = calibrate_service(scenario, service_name,
                                     [fe for fe, _ in frontends])
 
-    sessions_by_fe = {fe.node.name: [] for fe, _ in frontends}
-    for index, (frontend, _) in enumerate(frontends):
-        metro = _metro_near(frontend.location)
-        vp = colocated_vantage_point(scenario, metro,
-                                     "fig9-%s-%d" % (service_name, index))
-        scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = QueryEmulator(scenario, vp)
-
-        def driver(emulator=emulator, frontend=frontend):
-            for _ in range(scale.fig9_repeats):
-                session = emulator.submit(service_name, frontend,
-                                          FIG9_KEYWORD)
-                sessions_by_fe[frontend.node.name].append(session)
-                yield Sleep(scale.interval)
-
-        spawn(scenario.sim, driver())
-    scenario.sim.run()
+    probes = [(colocated_vantage_point(
+        scenario, nearest_metro(frontend.location),
+        "fig9-%s-%d" % (service_name, index)), frontend)
+        for index, (frontend, _) in enumerate(frontends)]
+    # Every probe queries its FE once per round, rounds ``interval``
+    # apart.
+    plan = []
+    time = scenario.sim.now
+    for _ in range(scale.fig9_repeats):
+        for vp, frontend in probes:
+            plan.append((time, vp, service_name, frontend, FIG9_KEYWORD))
+        time = time + scale.interval
+    sessions = run_queries(scenario, plan)
 
     metrics_by_fe = {
-        fe_name: extract_all_calibrated(sessions, calibration)
-        for fe_name, sessions in sessions_by_fe.items()}
+        frontend.node.name: extract_all_calibrated(sessions[vp.name],
+                                                    calibration)
+        for vp, frontend in probes}
     distances = {fe.node.name: distance for fe, distance in frontends}
     points = build_distance_points(metrics_by_fe, distances,
                                    max_client_rtt=units.ms(40))
@@ -163,12 +159,3 @@ def _backend_by_site(service, site_name: str):
             return backend
     raise KeyError("no backend site %r in %s"
                    % (site_name, service.profile.name))
-
-
-def _metro_near(location):
-    best, best_distance = None, float("inf")
-    for metro in METROS:
-        distance = metro.location.distance_miles(location)
-        if distance < best_distance:
-            best, best_distance = metro, distance
-    return best

@@ -26,8 +26,7 @@ from repro.experiments.common import (
     build_scenario,
     calibrate_service,
 )
-from repro.measure.emulator import QueryEmulator
-from repro.sim.process import Sleep, spawn
+from repro.measure.driver import run_queries
 from repro.testbed.scenario import Scenario
 
 #: Seconds between keystrokes (a fast typist).
@@ -94,21 +93,15 @@ def run_interactive(scale: Optional[ExperimentScale] = None, *,
     service = scenario.service(service_name)
     vp = scenario.vantage_points[0]
     frontend = scenario.default_frontend(service_name, vp)
-    scenario.link_client_to_frontend(vp, frontend, service)
     calibration = calibrate_service(scenario, service_name, [frontend], vp)
 
-    keywords = prefix_keywords(phrase)
-    emulator = QueryEmulator(scenario, vp)
-    sessions = []
-
-    def typist():
-        for keyword in keywords:
-            sessions.append(emulator.submit(service_name, frontend,
-                                            keyword))
-            yield Sleep(KEYSTROKE_INTERVAL)
-
-    spawn(scenario.sim, typist())
-    scenario.sim.run()
+    # One query per keystroke.
+    plan = []
+    time = scenario.sim.now
+    for keyword in prefix_keywords(phrase):
+        plan.append((time, vp, service_name, frontend, keyword))
+        time = time + KEYSTROKE_INTERVAL
+    sessions = run_queries(scenario, plan)[vp.name]
 
     metrics = extract_all_calibrated(sessions, calibration)
     result = InteractiveResult(service=service_name, phrase=phrase,

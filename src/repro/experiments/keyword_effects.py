@@ -28,8 +28,7 @@ from repro.experiments.common import (
     build_scenario,
     calibrate_service,
 )
-from repro.measure.emulator import QueryEmulator
-from repro.sim.process import Sleep, spawn
+from repro.measure.driver import run_queries
 from repro.testbed.scenario import Scenario
 
 
@@ -89,22 +88,19 @@ def run_keyword_effects(scale: Optional[ExperimentScale] = None, *,
                                                       candidate),
                  service))
     frontend = scenario.default_frontend(service_name, vp)
-    scenario.link_client_to_frontend(vp, frontend, service)
     calibration = calibrate_service(scenario, service_name, [frontend],
                                     vp)
 
-    emulator = QueryEmulator(scenario, vp)
+    # Every keyword once per repeat, one query every ``interval / 2``.
+    plan = []
+    time = scenario.sim.now
+    for _ in range(repeats):
+        for keyword in keywords:
+            plan.append((time, vp, service_name, frontend, keyword))
+            time = time + scale.interval / 2
     sessions_by_keyword: Dict[str, list] = {k.text: [] for k in keywords}
-
-    def driver():
-        for _ in range(repeats):
-            for keyword in keywords:
-                sessions_by_keyword[keyword.text].append(
-                    emulator.submit(service_name, frontend, keyword))
-                yield Sleep(scale.interval / 2)
-
-    spawn(scenario.sim, driver())
-    scenario.sim.run()
+    for session in run_queries(scenario, plan)[vp.name]:
+        sessions_by_keyword[session.keyword.text].append(session)
 
     result = KeywordEffectsResult(service=service_name)
     for keyword in keywords:

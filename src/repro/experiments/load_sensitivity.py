@@ -12,7 +12,9 @@ offered load.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from repro.analysis.stats import median, percentile
@@ -24,10 +26,9 @@ from repro.experiments.common import (
     calibrate_service,
     colocated_vantage_point,
 )
-from repro.measure.emulator import QueryEmulator
-from repro.sim.process import Sleep, spawn
+from repro.measure.driver import run_queries
 from repro.testbed.scenario import Scenario
-from repro.testbed.sites import METROS
+from repro.testbed.sites import nearest_metro
 
 PROBE_KEYWORD = Keyword(text="load probe query", popularity=0.5,
                         complexity=0.5)
@@ -91,40 +92,33 @@ def _run_level(scale: ExperimentScale, service_name: str,
     frontend = service.frontends[0]
     calibration = calibrate_service(scenario, service_name, [frontend])
 
-    metro = min(METROS, key=lambda m: m.location.distance_miles(
-        frontend.location))
-
-    # Background crowd: sustained queries at a fixed interval.
-    for index in range(background_clients):
-        vp = colocated_vantage_point(scenario, metro, "bg-%d" % index)
-        scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = QueryEmulator(scenario, vp)
-
-        def pump(emulator=emulator, index=index):
-            yield Sleep(index * background_interval / max(
-                1, background_clients))
-            for _ in range(probe_queries * 2):
-                emulator.submit(service_name, frontend,
-                                BACKGROUND_KEYWORD)
-                yield Sleep(background_interval)
-
-        spawn(scenario.sim, pump())
-
-    # The probe client.
+    metro = nearest_metro(frontend.location)
+    crowd = [colocated_vantage_point(scenario, metro, "bg-%d" % index)
+             for index in range(background_clients)]
     probe = colocated_vantage_point(scenario, metro, "probe")
-    scenario.link_client_to_frontend(probe, frontend, service)
-    probe_emulator = QueryEmulator(scenario, probe)
-    probe_sessions = []
+    start = scenario.sim.now
+
+    def pump(index: int):
+        """Background client ``index``: sustained queries at a fixed
+        interval, staggered across the crowd."""
+        time = start + index * background_interval / max(
+            1, background_clients)
+        for _ in range(probe_queries * 2):
+            yield (time, crowd[index], service_name, frontend,
+                   BACKGROUND_KEYWORD)
+            time = time + background_interval
 
     def probe_loop():
-        yield Sleep(background_interval * 2)  # let the crowd ramp up
+        time = start + background_interval * 2  # let the crowd ramp up
         for _ in range(probe_queries):
-            probe_sessions.append(probe_emulator.submit(
-                service_name, frontend, PROBE_KEYWORD))
-            yield Sleep(background_interval * 2)
+            yield (time, probe, service_name, frontend, PROBE_KEYWORD)
+            time = time + background_interval * 2
 
-    spawn(scenario.sim, probe_loop())
-    scenario.sim.run()
+    # On a tie the probe goes first: the crowd planned its query later
+    # (one background interval before, against the probe's two).
+    plan = heapq.merge(probe_loop(), *map(pump, range(background_clients)),
+                       key=itemgetter(0))
+    probe_sessions = run_queries(scenario, plan)[probe.name]
 
     metrics = extract_all_calibrated(probe_sessions, calibration)
     if not metrics:

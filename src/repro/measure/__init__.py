@@ -6,6 +6,7 @@ from repro.measure.driver import (
     DatasetB,
     run_dataset_a,
     run_dataset_b,
+    run_queries,
     run_single_queries,
 )
 from repro.measure.emulator import QueryEmulator
@@ -38,6 +39,7 @@ __all__ = [
     "run_streaming_campaign",
     "load_sessions",
     "read_sessions",
+    "run_queries",
     "run_single_queries",
     "save_sessions",
     "write_sessions",

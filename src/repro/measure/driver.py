@@ -13,6 +13,11 @@ so queries don't synchronise, then each vantage point submits every
 the drivers keep every session and return dataset objects holding
 completed :class:`~repro.measure.session.QuerySession` lists.
 
+The figure experiments' own schedules (a keyword set every interval, a
+background crowd around a probe, a typist's keystrokes) are *plans*:
+time-ordered ``(time, vp, service, frontend, keyword)`` lists that
+:func:`run_queries` plays through the same runner.
+
 A vantage point's stagger offset is derived from its index in the
 scenario's *full* fleet, not its position in the subset handed to the
 driver: a sharded campaign (see :mod:`repro.parallel`) that runs each VP
@@ -225,35 +230,60 @@ def run_single_queries(scenario: Scenario, service_name: str,
     Used by the FE-caching experiments: "all measurement nodes submit the
     same search query sequentially to a fixed FE server" (spacing > 0
     makes them sequential) and "each node submits a different search
-    query".
+    query".  Sessions come back grouped by vantage point, in order of
+    first appearance.
     """
-    service = scenario.service(service_name)
-    assignments = list(assignments)
-    # One emulator per distinct vantage point: a VP that appears in
-    # several assignments (the cache-lab streams) keeps one query-id
-    # counter, so every submission gets a globally unique id and the
-    # ground-truth fetch/hit logs stay one record per query.
+    start = scenario.sim.now
+    plan = [(start + index * spacing, vp, service_name, frontend, keyword)
+            for index, (vp, keyword) in enumerate(assignments)]
+    sessions: List[QuerySession] = []
+    for vp_sessions in run_queries(scenario, plan).values():
+        sessions.extend(vp_sessions)
+    return sessions
+
+
+#: One planned submission: (time, vantage point, service, front-end,
+#: keyword).
+PlannedQuery = Tuple[float, VantagePoint, str, FrontEndServer, Keyword]
+
+
+def run_queries(scenario: Scenario, plan: Iterable[PlannedQuery]
+                ) -> Dict[str, List[QuerySession]]:
+    """Submit a plan of queries and run the simulator until it drains.
+
+    ``plan`` lists ``(time, vp, service, frontend, keyword)`` tuples in
+    time order; queries at the same instant are submitted in plan
+    order.  Each vantage point is linked to its front-end and gets one
+    emulator, so a VP that appears several times keeps one query-id
+    counter and every submission gets a globally unique id.  A VP must
+    use one front-end per service.  The plan plays through the one
+    campaign runner as plain packet simulation: the experiments that
+    plan their queries study what the fast paths would bypass (FE
+    caches, load, keyword cost).
+
+    Returns each vantage point's sessions in submission order, keyed by
+    VP name in order of first appearance.
+    """
+    plan = list(plan)
     emulators: Dict[str, QueryEmulator] = {}
     frontends: Dict[Tuple[str, str], FrontEndServer] = {}
-    for vp, _ in assignments:
-        scenario.link_client_to_frontend(vp, frontend, service)
+    for _, vp, service_name, frontend, _ in plan:
+        key = (service_name, vp.name)
+        if frontends.setdefault(key, frontend) is not frontend:
+            raise ValueError("vantage point %s plans %s queries to two "
+                             "front-ends" % (vp.name, service_name))
+        scenario.link_client_to_frontend(vp, frontend,
+                                         scenario.service(service_name))
         if vp.name not in emulators:
             emulators[vp.name] = QueryEmulator(scenario, vp)
-            frontends[(service_name, vp.name)] = frontend
-    start = scenario.sim.now
 
     def events() -> Iterator[QueryEvent]:
-        for index, (vp, keyword) in enumerate(assignments):
-            yield QueryEvent(time=start + index * spacing,
-                             session_id=index, query_index=0, user=index,
-                             vp_name=vp.name, service=service_name,
-                             keyword=keyword)
+        for index, (time, vp, service_name, _, keyword) in enumerate(plan):
+            yield QueryEvent(time=time, session_id=index, query_index=0,
+                             user=index, vp_name=vp.name,
+                             service=service_name, keyword=keyword)
 
-    # Plain packet simulation: these experiments study the FE caches
-    # the fast paths would bypass.
     run_event_stream(scenario, events, emulators, frontends,
                      tier="packet", replay_cache=False)
-    sessions: List[QuerySession] = []
-    for emulator in emulators.values():
-        sessions.extend(emulator.sessions)
-    return sessions
+    return {name: emulator.sessions
+            for name, emulator in emulators.items()}

@@ -21,12 +21,9 @@ from typing import IO, Iterable, Iterator, List, Optional
 from repro.content.keywords import Keyword
 from repro.measure.capture import PacketEvent
 from repro.measure.session import QuerySession
+from repro.workload.trace import TraceFormatError, malformed, parse_line
 
 FORMAT_VERSION = 1
-
-
-class TraceFormatError(Exception):
-    """Raised when a trace file is malformed or has the wrong version."""
 
 
 # ---------------------------------------------------------------------------
@@ -98,85 +95,95 @@ def save_sessions(sessions: Iterable[QuerySession], path: str) -> int:
 # ---------------------------------------------------------------------------
 # decoding
 # ---------------------------------------------------------------------------
-def _decode_event(record: dict) -> PacketEvent:
-    flags = record.get("fl", "")
-    payload = record.get("data")
-    return PacketEvent(
-        time=record["t"],
-        direction=record["dir"],
-        src=record["src"], dst=record["dst"],
-        sport=record["sp"], dport=record["dp"],
-        wire_size=record["wire"],
-        payload_len=record["len"],
-        seq=record["seq"], ack=record["ack"],
-        syn="S" in flags, fin="F" in flags,
-        ack_flag="A" in flags, retransmit="R" in flags,
-        payload=base64.b64decode(payload) if payload is not None
-        else None)
+def _decode_event(record: dict, line_number: int) -> PacketEvent:
+    try:
+        flags = record.get("fl", "")
+        payload = record.get("data")
+        return PacketEvent(
+            time=record["t"],
+            direction=record["dir"],
+            src=record["src"], dst=record["dst"],
+            sport=record["sp"], dport=record["dp"],
+            wire_size=record["wire"],
+            payload_len=record["len"],
+            seq=record["seq"], ack=record["ack"],
+            syn="S" in flags, fin="F" in flags,
+            ack_flag="A" in flags, retransmit="R" in flags,
+            payload=base64.b64decode(payload) if payload is not None
+            else None)
+    except (KeyError, TypeError, ValueError) as error:
+        raise malformed(line_number, error) from error
 
 
-def _decode_session(header: dict) -> QuerySession:
+def _decode_session(header: dict, line_number: int) -> QuerySession:
     if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError("unsupported trace version %r"
-                               % header.get("version"))
-    keyword_data = header["keyword"]
-    return QuerySession(
-        query_id=header["query_id"],
-        service=header["service"],
-        vp_name=header["vp_name"],
-        fe_name=header["fe_name"],
-        keyword=Keyword(text=keyword_data["text"],
-                        popularity=keyword_data["popularity"],
-                        complexity=keyword_data["complexity"],
-                        granularity=keyword_data["granularity"],
-                        suggested=keyword_data["suggested"]),
-        local_port=header["local_port"],
-        started_at=header["started_at"],
-        completed_at=header["completed_at"],
-        failed=header["failed"],
-        response_size=header["response_size"],
-        path_rtt=header["path_rtt"])
+        raise TraceFormatError("line %d: unsupported trace version %r"
+                               % (line_number, header.get("version")))
+    try:
+        keyword_data = header["keyword"]
+        return QuerySession(
+            query_id=header["query_id"],
+            service=header["service"],
+            vp_name=header["vp_name"],
+            fe_name=header["fe_name"],
+            keyword=Keyword(text=keyword_data["text"],
+                            popularity=keyword_data["popularity"],
+                            complexity=keyword_data["complexity"],
+                            granularity=keyword_data["granularity"],
+                            suggested=keyword_data["suggested"]),
+            local_port=header["local_port"],
+            started_at=header["started_at"],
+            completed_at=header["completed_at"],
+            failed=header["failed"],
+            response_size=header["response_size"],
+            path_rtt=header["path_rtt"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise malformed(line_number, error) from error
 
 
 def read_sessions(fileobj: IO[str]) -> Iterator[QuerySession]:
-    """Stream sessions back from a JSON-lines trace file."""
+    """Stream sessions back from a JSON-lines trace file.
+
+    Raises :class:`TraceFormatError`, naming the line, for a record it
+    cannot decode and for a session header whose packet count the
+    records that follow it do not match.
+    """
     current: Optional[QuerySession] = None
-    expected_events = 0
+    expected_events = header_line = 0
     for line_number, line in enumerate(fileobj, start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError("line %d: bad JSON (%s)"
-                                   % (line_number, exc)) from exc
+        record = parse_line(line, line_number)
         kind = record.get("kind")
         if kind == "session":
             if current is not None:
-                _check_complete(current, expected_events)
+                _check_complete(current, expected_events, header_line)
                 yield current
-            current = _decode_session(record)
+            current = _decode_session(record, line_number)
             expected_events = record.get("n_events", 0)
+            header_line = line_number
         elif kind == "pkt":
             if current is None:
                 raise TraceFormatError(
                     "line %d: packet before any session header"
                     % line_number)
-            current.events.append(_decode_event(record))
+            current.events.append(_decode_event(record, line_number))
         else:
             raise TraceFormatError("line %d: unknown record kind %r"
                                    % (line_number, kind))
     if current is not None:
-        _check_complete(current, expected_events)
+        _check_complete(current, expected_events, header_line)
         yield current
 
 
-def _check_complete(session: QuerySession, expected: int) -> None:
+def _check_complete(session: QuerySession, expected: int,
+                    header_line: int) -> None:
     if len(session.events) != expected:
         raise TraceFormatError(
-            "session %s: expected %d events, found %d (truncated file?)"
-            % (session.query_id, expected, len(session.events)))
+            "line %d: session %s: expected %d events, found %d "
+            "(truncated file?)" % (header_line, session.query_id,
+                                   expected, len(session.events)))
 
 
 def load_sessions(path: str) -> List[QuerySession]:

@@ -18,7 +18,8 @@ per shard, and merges the results deterministically:
   every vantage point at one front-end, a single component, so it runs
   serially.
 * :func:`run_over_seeds` — repeat a whole figure experiment across
-  seeds, one process per seed.
+  seeds, one process per seed.  A failing seed raises
+  :class:`ShardError`, naming the seed and the runner.
 
 Load-sensitivity experiments deliberately opt out: their entire point
 is cross-client interaction through FE load, so splitting their clients
@@ -26,16 +27,12 @@ across simulators would change the phenomenon being measured (see
 ``docs/PERFORMANCE.md``).
 """
 
-from repro.parallel.campaigns import (
-    ShardError,
-    run_dataset_a_sharded,
-    run_streaming_sharded,
-)
+from repro.parallel.campaigns import run_dataset_a_sharded, run_streaming_sharded
 from repro.parallel.partition import (
     fe_sharing_components,
     partition_components,
 )
-from repro.parallel.pool import map_shards
+from repro.parallel.pool import ShardError, map_shards
 from repro.parallel.seeds import run_over_seeds
 
 __all__ = [

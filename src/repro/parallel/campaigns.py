@@ -34,19 +34,10 @@ from repro.parallel.partition import (
     fe_sharing_components,
     partition_components,
 )
-from repro.parallel.pool import map_shards
+from repro.parallel.pool import ShardError, map_shards
 from repro.sim.stats import sum_stats
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.workload.generator import OpenLoopWorkload, WorkloadSpec
-
-
-class ShardError(RuntimeError):
-    """A shard worker failed; the message names the shard.
-
-    Raised from the original exception (``raise ... from``).  Through a
-    process pool the original arrives as the pool's remote-traceback
-    text, which the message repeats.
-    """
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,16 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+class ShardError(RuntimeError):
+    """A shard worker failed; the message names the shard (a campaign's
+    slice of vantage points, or one seed of a sweep).
+
+    Raised from the original exception (``raise ... from``).  Through a
+    process pool the original arrives as the pool's remote-traceback
+    text, which the message repeats.
+    """
+
+
 def default_processes() -> int:
     """Default pool size: the machine's CPU count."""
     return os.cpu_count() or 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Sequence, Union
 
 from repro.experiments.common import ExperimentScale
-from repro.parallel.pool import map_shards
+from repro.parallel.pool import ShardError, map_shards
 
 #: Runner names that must not go through the parallel layer.  Their
 #: results are *about* in-simulator concurrency, so readers should
@@ -41,10 +41,14 @@ def _resolve_runner(runner: RunnerRef) -> str:
 
 
 def _run_seed_task(task: _SeedTask) -> Any:
-    module_name, _, func_name = task.runner.partition(":")
-    module = importlib.import_module(module_name)
-    func = getattr(module, func_name)
-    return func(task.scale.with_overrides(seed=task.seed))
+    try:
+        module_name, _, func_name = task.runner.partition(":")
+        func = getattr(importlib.import_module(module_name), func_name)
+        return func(task.scale.with_overrides(seed=task.seed))
+    except Exception as error:
+        raise ShardError("seed %d (runner %s) failed: %s: %s"
+                         % (task.seed, task.runner, type(error).__name__,
+                            error)) from error
 
 
 def run_over_seeds(runner: RunnerRef, scale: ExperimentScale,
@@ -54,7 +58,9 @@ def run_over_seeds(runner: RunnerRef, scale: ExperimentScale,
 
     ``runner`` is a module-level experiment function (or its
     ``"module:name"`` string) taking an :class:`ExperimentScale`;
-    results come back in seed order.
+    results come back in seed order.  A runner that raises surfaces as
+    :class:`~repro.parallel.pool.ShardError` naming the seed and the
+    runner, raised from the original.
     """
     name = _resolve_runner(runner)
     if name in OPT_OUT:

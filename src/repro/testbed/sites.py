@@ -95,6 +95,13 @@ METROS: Tuple[Metro, ...] = (
     _metro("sao-paulo", -23.55, -46.63, "other", hub=True),
 )
 
+
+def nearest_metro(location: GeoPoint) -> Metro:
+    """The metro closest to ``location`` (the first, on a tie)."""
+    return min(METROS, key=lambda metro:
+               metro.location.distance_miles(location))
+
+
 #: Regional mixture matching PlanetLab's 2011 footprint.
 REGION_WEIGHTS = {"us": 0.55, "eu": 0.30, "asia": 0.10, "other": 0.05}
 

@@ -34,7 +34,31 @@ _VERSION = 1
 
 
 class TraceFormatError(ValueError):
-    """A workload trace line failed to parse or validate."""
+    """A JSONL trace holds a line that cannot be decoded.
+
+    The one error of both trace readers, this module's workload traces
+    and :mod:`repro.measure.traceio`'s session archives.  The message
+    starts with the number of the offending line.
+    """
+
+
+def parse_line(line: str, line_number: int) -> dict:
+    """One JSONL line, which must hold a JSON object."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as error:
+        raise TraceFormatError("line %d: invalid JSON (%s)"
+                               % (line_number, error)) from error
+    if not isinstance(record, dict):
+        raise TraceFormatError("line %d: expected a JSON object, found %s"
+                               % (line_number, type(record).__name__))
+    return record
+
+
+def malformed(line_number: int, error: Exception) -> TraceFormatError:
+    """The error for a record whose fields fail to decode."""
+    return TraceFormatError("line %d: malformed trace record (%s: %s)"
+                            % (line_number, type(error).__name__, error))
 
 
 def _event_record(event: QueryEvent) -> dict:
@@ -51,11 +75,10 @@ def _event_record(event: QueryEvent) -> dict:
 
 
 def _event_from_record(record: dict, line_number: int) -> QueryEvent:
+    if record.get("v") != _VERSION:
+        raise TraceFormatError("line %d: unsupported trace version %r"
+                               % (line_number, record.get("v")))
     try:
-        if record.get("v") != _VERSION:
-            raise TraceFormatError(
-                "line %d: unsupported trace version %r"
-                % (line_number, record.get("v")))
         keyword = record["keyword"]
         return QueryEvent(
             time=float(record["time"]),
@@ -70,10 +93,7 @@ def _event_from_record(record: dict, line_number: int) -> QueryEvent:
                             granularity=int(keyword["granularity"]),
                             suggested=bool(keyword["suggested"])))
     except (KeyError, TypeError, ValueError) as error:
-        if isinstance(error, TraceFormatError):
-            raise
-        raise TraceFormatError("line %d: malformed trace record (%s)"
-                               % (line_number, error)) from error
+        raise malformed(line_number, error) from error
 
 
 def write_events(path: str, events: Iterable[QueryEvent]) -> int:
@@ -93,15 +113,9 @@ def read_events(path: str) -> Iterator[QueryEvent]:
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise TraceFormatError(
-                    "line %d: invalid JSON (%s)"
-                    % (line_number, error)) from error
-            yield _event_from_record(record, line_number)
+            if line:
+                yield _event_from_record(parse_line(line, line_number),
+                                         line_number)
 
 
 class TraceWorkload:

@@ -1,4 +1,4 @@
-"""Edge-case coverage: engine, processes, HTTP responder misuse,
+"""Edge-case coverage: engine, HTTP responder misuse,
 TCP host guards, topology asymmetry, emulator memory management."""
 
 import pytest
@@ -9,14 +9,13 @@ from repro.net.address import Endpoint
 from repro.net.topology import LinkSpec, Topology
 from repro.sim import units
 from repro.sim.engine import Simulator
-from repro.sim.process import ProcessFailure, Sleep, spawn
 
 from .conftest import TwoHostWorld, make_world
 from .helpers import CollectorApp, RespondApp, SinkApp
 
 
 # ---------------------------------------------------------------------------
-# engine / process edges
+# engine edges
 # ---------------------------------------------------------------------------
 def test_run_until_idle_respects_hard_limit():
     sim = Simulator()
@@ -43,32 +42,6 @@ def test_event_handle_ordering():
     early = sim.schedule(1.0, lambda: None)
     late = sim.schedule(2.0, lambda: None)
     assert early < late
-
-
-def test_nested_process_failure_propagates():
-    sim = Simulator()
-
-    def child():
-        yield Sleep(0.5)
-        raise KeyError("inner")
-
-    def parent():
-        yield child()
-
-    spawn(sim, parent())
-    with pytest.raises(ProcessFailure):
-        sim.run()
-
-
-def test_sleep_negative_rejected():
-    sim = Simulator()
-
-    def body():
-        yield Sleep(-1.0)
-
-    spawn(sim, body())
-    with pytest.raises(ValueError):
-        sim.run()
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ values — for the same seed.  Everything else (partitioning, pool
 plumbing, seed sweeps) supports that.
 """
 
+import re
+
 import pytest
 
 from repro.content.keywords import Keyword
 from repro.measure.driver import run_dataset_a
 from repro.parallel import (
+    ShardError,
     fe_sharing_components,
     map_shards,
     partition_components,
@@ -165,6 +168,26 @@ def test_sharded_campaign_rejects_sequential_draw_scenario():
     with pytest.raises(ValueError, match="keyed_service_draws"):
         run_dataset_a_sharded(scenario, KEYWORDS, repeats=1,
                               interval=1.0, shards=2, processes=1)
+
+
+def _fails_on_seed_two(scale):
+    if scale.seed == 2:
+        raise KeyError("no such figure")
+    return scale.seed
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_run_over_seeds_names_the_failing_seed(processes):
+    from repro.experiments.common import ExperimentScale
+
+    with pytest.raises(ShardError) as caught:
+        run_over_seeds(_fails_on_seed_two, ExperimentScale(), [1, 2, 3],
+                       processes=processes)
+    assert re.match(r"seed 2 \(runner \S+:_fails_on_seed_two\) failed: "
+                    r"KeyError: 'no such figure'$", str(caught.value)), \
+        str(caught.value)
+    # Inline the cause is the KeyError; through a pool, its traceback.
+    assert "no such figure" in str(caught.value.__cause__)
 
 
 def test_run_over_seeds_rejects_load_sensitivity():

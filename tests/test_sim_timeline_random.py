@@ -1,58 +1,9 @@
-"""Tests for timelines, RNG streams, and unit helpers."""
+"""Tests for RNG streams and unit helpers."""
 
 import pytest
 
 from repro.sim import units
 from repro.sim.randomness import RandomStreams, derive_seed
-from repro.sim.timeline import Timeline
-
-
-# ---------------------------------------------------------------------------
-# Timeline
-# ---------------------------------------------------------------------------
-def test_timeline_append_and_query():
-    tl = Timeline("t")
-    tl.add(1.0, "a", {"v": 1})
-    tl.add(2.0, "b")
-    tl.add(2.0, "a", {"v": 2})
-    assert len(tl) == 3
-    assert [r.kind for r in tl] == ["a", "b", "a"]
-    assert tl.first("a").payload == {"v": 1}
-    assert tl.last("a").payload == {"v": 2}
-    assert tl.first("zzz") is None
-
-
-def test_timeline_rejects_time_regression():
-    tl = Timeline()
-    tl.add(5.0, "x")
-    with pytest.raises(ValueError):
-        tl.add(4.0, "y")
-
-
-def test_timeline_between_uses_half_open_interval():
-    tl = Timeline()
-    for t in (1.0, 2.0, 3.0, 4.0):
-        tl.add(t, "k")
-    assert [r.time for r in tl.between(2.0, 4.0)] == [2.0, 3.0]
-
-
-def test_timeline_span_and_clear():
-    tl = Timeline()
-    assert tl.span() == 0.0
-    tl.add(1.0, "a")
-    assert tl.span() == 0.0
-    tl.add(4.5, "b")
-    assert tl.span() == 3.5
-    tl.clear()
-    assert len(tl) == 0
-
-
-def test_timeline_records_filter_predicate():
-    tl = Timeline()
-    tl.add(1.0, "pkt", {"size": 100})
-    tl.add(2.0, "pkt", {"size": 1500})
-    big = tl.records("pkt", predicate=lambda r: r.payload["size"] > 500)
-    assert len(big) == 1 and big[0].time == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for trace serialization (save/load query sessions)."""
 
 import io
+import json
 
 import pytest
 
@@ -131,6 +132,60 @@ def test_wrong_version_rejected():
               '"n_events": 0}')
     with pytest.raises(TraceFormatError):
         list(read_sessions(io.StringIO(header + "\n")))
+
+
+def _trace_records(captured_sessions):
+    """The first session's trace as decoded JSON records."""
+    buffer = io.StringIO()
+    write_sessions(captured_sessions[:1], buffer)
+    return [json.loads(line) for line in buffer.getvalue().splitlines()]
+
+
+def _read_records(records):
+    """Read back records, writing raw strings as they are."""
+    lines = [record if isinstance(record, str) else json.dumps(record)
+             for record in records]
+    return list(read_sessions(io.StringIO("\n".join(lines) + "\n")))
+
+
+def test_one_trace_format_error_for_both_readers():
+    from repro.workload import TraceFormatError as workload_error
+    assert TraceFormatError is workload_error
+    assert issubclass(TraceFormatError, ValueError)
+
+
+def test_header_without_keyword_names_its_line(captured_sessions):
+    records = _trace_records(captured_sessions)
+    del records[0]["keyword"]
+    with pytest.raises(TraceFormatError,
+                       match=r"^line 1: .*KeyError: 'keyword'"):
+        _read_records(records)
+
+
+def test_packet_without_seq_names_its_line(captured_sessions):
+    records = _trace_records(captured_sessions)
+    del records[3]["seq"]
+    with pytest.raises(TraceFormatError,
+                       match=r"^line 4: .*KeyError: 'seq'"):
+        _read_records(records)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"session"', "7", "null"])
+def test_non_object_line_names_its_line(captured_sessions, line):
+    records = _trace_records(captured_sessions)
+    records.insert(2, line)
+    with pytest.raises(TraceFormatError,
+                       match=r"^line 3: expected a JSON object"):
+        _read_records(records)
+
+
+def test_truncated_session_names_its_header_line(captured_sessions):
+    records = _trace_records(captured_sessions)
+    with pytest.raises(TraceFormatError,
+                       match=r"^line 1: session q-\S+: expected %d events, "
+                             r"found %d" % (len(records) - 1,
+                                            len(records) - 3)):
+        _read_records(records[:-2])
 
 
 def test_render_tcpdump(captured_sessions):

@@ -200,3 +200,15 @@ def test_trace_rejects_malformed_lines(tmp_path):
         handle.write('{"v": 99}\n')
     with pytest.raises(TraceFormatError):
         list(read_events(path))
+
+
+@pytest.mark.parametrize("bad", ["[1, 2]", '"event"', '{"v": 1}',
+                                 '{"v": 1, "time": 1.0, "keyword": []}'])
+def test_trace_names_the_line_of_an_undecodable_record(tmp_path, bad):
+    path = str(tmp_path / "bad.jsonl")
+    write_events(path, OpenLoopWorkload(_spec(max_events=3),
+                                        VPS).events())
+    with open(path, "a") as handle:
+        handle.write("\n" + bad + "\n")
+    with pytest.raises(TraceFormatError, match=r"^line 5: "):
+        list(read_events(path))
