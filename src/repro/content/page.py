@@ -15,7 +15,7 @@ truth.  Content is fully deterministic given (service, keyword).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.content import words
 from repro.content.keywords import Keyword
@@ -56,6 +56,12 @@ class PageProfile:
         return size
 
 
+#: Dynamic pages a generator keeps built.  A campaign cycles through a
+#: few keywords per service (Figure 3's set has four), so a small memo
+#: serves nearly every query while bounding memory at ~40 kB a page.
+PAGE_MEMO_LIMIT = 128
+
+
 class PageGenerator:
     """Deterministic page builder for one simulated search service."""
 
@@ -65,6 +71,9 @@ class PageGenerator:
         self.profile = profile or PageProfile()
         self.seed = seed
         self._static_cache: bytes = b""
+        #: (seed, service, profile, keyword text, size) -> dynamic page,
+        #: oldest first.
+        self._pages: Dict[Tuple, bytes] = {}
 
     # ------------------------------------------------------------------
     # static portion
@@ -111,19 +120,38 @@ class PageGenerator:
     # dynamic portion
     # ------------------------------------------------------------------
     def dynamic_content(self, keyword: Keyword) -> bytes:
-        """The per-query dynamic suffix (results, ads, dynamic menu)."""
+        """The per-query dynamic suffix (results, ads, dynamic menu).
+
+        The bytes depend only on the seed, service, profile, keyword
+        text and target size, so each page is built once and then served
+        from a memo of at most :data:`PAGE_MEMO_LIMIT` pages, oldest
+        evicted first.
+        """
+        target = self.profile.dynamic_size(keyword)
+        key = (self.seed, self.service_name, self.profile, keyword.text,
+               target)
+        page = self._pages.get(key)
+        if page is None:
+            if len(self._pages) >= PAGE_MEMO_LIMIT:
+                del self._pages[next(iter(self._pages))]
+            page = self._pages[key] = self._build_dynamic(keyword, target)
+        return page
+
+    def _build_dynamic(self, keyword: Keyword, target: int) -> bytes:
         rng = random.Random(derive_seed(
             self.seed, "dyn/%s/%s" % (self.service_name, keyword.text)))
-        target = self.profile.dynamic_size(keyword)
         parts: List[str] = []
         parts.append('<div class="dynmenu">%s</div>\n' % "".join(
             "<span>%s: %s</span>" % (item, keyword.text)
             for item in words.DYNAMIC_MENU_ITEMS[:4]))
         for i in range(self.profile.ads_per_page):
             parts.append(self._ad(rng, keyword, i))
+        length = sum(len(p) for p in parts)
         result_count = 0
-        while sum(len(p) for p in parts) < target - 400:
-            parts.append(self._result(rng, keyword, result_count))
+        while length < target - 400:
+            result = self._result(rng, keyword, result_count)
+            parts.append(result)
+            length += len(result)
             result_count += 1
         parts.append("<div id=\"footer\">%s results generated</div>"
                      "</body></html>" % result_count)

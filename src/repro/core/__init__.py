@@ -10,81 +10,3 @@
 * :mod:`repro.core.cache_detect` — do FEs cache search results?
 * :mod:`repro.core.compare` — the Bing-vs-Google style comparison.
 """
-
-from repro.core.bounds import BoundSample, BoundsReport, check_bounds, estimate_tfetch
-from repro.core.cache_detect import CacheDetectionResult, detect_result_caching
-from repro.core.compare import (
-    ComparisonReport,
-    ServiceSummary,
-    compare_services,
-    summarize_service,
-)
-from repro.core.factoring import (
-    DistancePoint,
-    FetchFactoring,
-    build_distance_points,
-    build_sample_pairs,
-    estimate_rtt_be,
-    factor_fetch_time,
-    tproc_via_geography,
-)
-from repro.core.metrics import (
-    MetricsError,
-    QueryMetrics,
-    QueryTimeline,
-    extract_all,
-    extract_all_calibrated,
-    extract_metrics,
-    extract_timeline,
-)
-from repro.core.model import AbstractModel
-from repro.core.whatif import (
-    FittedModel,
-    PlacementAdvice,
-    WhatIfError,
-    advise_placement,
-    fit_model,
-)
-from repro.core.threshold import (
-    RegimeSplit,
-    ThresholdEstimate,
-    estimate_tdelta_threshold,
-    split_tdynamic_regimes,
-)
-
-__all__ = [
-    "AbstractModel",
-    "BoundSample",
-    "BoundsReport",
-    "CacheDetectionResult",
-    "ComparisonReport",
-    "DistancePoint",
-    "FittedModel",
-    "FetchFactoring",
-    "MetricsError",
-    "PlacementAdvice",
-    "QueryMetrics",
-    "QueryTimeline",
-    "RegimeSplit",
-    "ServiceSummary",
-    "ThresholdEstimate",
-    "WhatIfError",
-    "advise_placement",
-    "build_distance_points",
-    "build_sample_pairs",
-    "check_bounds",
-    "compare_services",
-    "detect_result_caching",
-    "estimate_rtt_be",
-    "estimate_tdelta_threshold",
-    "estimate_tfetch",
-    "extract_all",
-    "extract_all_calibrated",
-    "extract_metrics",
-    "extract_timeline",
-    "factor_fetch_time",
-    "fit_model",
-    "split_tdynamic_regimes",
-    "summarize_service",
-    "tproc_via_geography",
-]

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.analysis.stats import median
 
 
@@ -74,6 +72,10 @@ def detect_result_caching(same_query_tdynamic: Sequence[float],
         caching (a cached response skips the whole FE-BE fetch, so the
         drop is large when caching exists).
     """
+    # Imported here, not at module level: scipy takes over a second to
+    # import, and no campaign path calls this function.
+    from scipy import stats as scipy_stats
+
     if len(same_query_tdynamic) < 3 or len(distinct_query_tdynamic) < 3:
         raise ValueError("need at least 3 samples per condition")
     ks = scipy_stats.ks_2samp(same_query_tdynamic,

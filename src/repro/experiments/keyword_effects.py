@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from scipy import stats as scipy_stats
-
 from repro.analysis.stats import median
 from repro.content.keywords import Keyword, KeywordCatalog
 from repro.core.metrics import extract_all_calibrated
@@ -112,6 +110,10 @@ def run_keyword_effects(scale: Optional[ExperimentScale] = None, *,
             keyword=keyword,
             tdynamic_median=median([m.tdynamic for m in metrics]),
             samples=len(metrics)))
+
+    # scipy takes over a second to import; keep it off every path that
+    # does not correlate.
+    from scipy import stats as scipy_stats
 
     tdyn = [e.tdynamic_median for e in result.effects]
     for attribute, rho_field, p_field in (

@@ -62,7 +62,8 @@ class HttpFetch(TcpApp):
 
     def __init__(self, tcp_host: TcpHost, remote: Endpoint,
                  request: HttpRequest, hooks: Optional[RequestHooks] = None,
-                 config: Optional[TcpConfig] = None):
+                 config: Optional[TcpConfig] = None,
+                 local_port: Optional[int] = None):
         self.request = request
         self.hooks = hooks or RequestHooks()
         self.parser = ResponseParser()
@@ -70,6 +71,7 @@ class HttpFetch(TcpApp):
         self.failed: Optional[str] = None
         self._complete = False
         self.conn: Connection = tcp_host.connect(remote, self,
+                                                 local_port=local_port,
                                                  config=config)
 
     @property

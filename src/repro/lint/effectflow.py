@@ -19,7 +19,7 @@ perform.  An effect is a plain ``(kind, signature, detail)`` tuple:
     subscript store into a ``*_log`` attribute — ground-truth records;
 ``("call", "register_keywords", "")``
     call to an effect-shaped method (``record_*`` / ``register*`` /
-    ``log_*`` / ``inject``) — registry writes and capture injection;
+    ``log_*`` / ``inject``) — registry and ground-truth writes;
 ``("port", "reserve_port", "")``
     an ephemeral-port burn — ``reserve_port()`` or a ``.allocate()``
     on a port-pool receiver, canonicalized to one signature so the

@@ -184,7 +184,7 @@ class OverReplicationRule(_EffRule):
                               site: EffectSite) -> bool:
         """True when the site is a call into session-path code — the
         *mechanism* of replication (``record_replayed_fetch``,
-        ``capture.inject``), not an effect of its own."""
+        ``record_replayed_query``), not an effect of its own."""
         for call in fn.calls:
             if call.line != site.line:
                 continue

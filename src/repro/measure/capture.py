@@ -1,11 +1,15 @@
 """Client-side packet capture (the simulated tcpdump).
 
 A :class:`PacketCapture` attaches to a node as a tap and records one
-:class:`PacketEvent` per packet the node sends or receives — timestamp,
-direction, addressing, TCP flags/sequence numbers, and (optionally) the
-payload bytes.  The analysis pipeline consumes *only* these events, never
-simulator internals, mirroring how the paper works exclusively from
-tcpdump traces.
+:class:`PacketEvent` per packet of each connection it captures —
+timestamp, direction, addressing, TCP flags/sequence numbers, and
+(optionally) the payload bytes.  Capture is per session: the emulator
+opens its connection's local port before the SYN leaves and closes it
+when the session ends, taking that port's events.  Packets on other
+ports are not kept, so no capture grows with the campaign.  The
+analysis pipeline consumes *only* these events, never simulator
+internals, mirroring how the paper works exclusively from tcpdump
+traces.
 
 Payload storage is optional because large campaigns (hundreds of nodes x
 hundreds of queries) don't need bodies for every query: the content
@@ -16,7 +20,7 @@ needs only sequence numbers.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -28,7 +32,7 @@ class PacketEvent:
     """One captured packet, as tcpdump would log it.
 
     A manual ``__slots__`` class (not a dataclass): one instance is
-    appended per packet per tapped host, which makes its constructor a
+    appended per captured packet, which makes its constructor a
     measurement-campaign hot path.
     """
 
@@ -81,45 +85,45 @@ class PacketEvent:
 
 
 class PacketCapture:
-    """Tap-based packet recorder for one host."""
+    """Tap-based, per-port packet recorder for one host."""
 
     def __init__(self, sim: Simulator, node: Node,
                  store_payload: bool = False):
         self.sim = sim
         self.node = node
         self.store_payload = store_payload
-        self.events: List[PacketEvent] = []
-        self._tap: Optional[Callable] = None
-        self.attach()
+        #: open local port -> its events, in capture order
+        self._open: Dict[int, List[PacketEvent]] = {}
+        node.add_tap(self._observe)
 
-    def attach(self) -> None:
-        if self._tap is not None:
-            return
-        self._tap = self._observe
-        self.node.add_tap(self._tap)
+    def open_port(self, local_port: int) -> None:
+        """Start recording the host's packets on ``local_port``."""
+        self._open[local_port] = []
 
-    def detach(self) -> None:
-        if self._tap is not None:
-            self.node.remove_tap(self._tap)
-            self._tap = None
-
-    def clear(self) -> None:
-        self.events.clear()
+    def close_port(self, local_port: int) -> List[PacketEvent]:
+        """Stop recording ``local_port`` and return what it captured."""
+        return self._open.pop(local_port)
 
     # ------------------------------------------------------------------
     def _observe(self, event: str, packet: Packet) -> None:
-        if event not in ("send", "recv"):
-            return
         segment = packet.payload
         if not isinstance(segment, Segment):
             return
-        direction = "out" if event == "send" else "in"
+        if event == "send":
+            direction, port = "out", segment.sport
+        elif event == "recv":
+            direction, port = "in", segment.dport
+        else:
+            return
+        events = self._open.get(port)
+        if events is None:
+            return
         # The capture is the materialization boundary for zero-copy
         # segment payloads: bytes are synthesized from the wire's lazy
         # views here and only here.  With store_payload=False (the
         # default for measurement campaigns) payload travels the whole
         # simulated path length-only.
-        self.events.append(PacketEvent(
+        events.append(PacketEvent(
             time=self.sim.now,
             direction=direction,
             src=packet.src, dst=packet.dst,
@@ -131,26 +135,3 @@ class PacketCapture:
             ack_flag=segment.ack_flag,
             retransmit=segment.retransmit,
             payload=bytes(segment.data) if self.store_payload else None))
-
-    # ------------------------------------------------------------------
-    def inject(self, events: List[PacketEvent]) -> None:
-        """Append pre-built events, as if the tap had observed them.
-
-        Used by the session-replay cache to make a replayed session
-        leave exactly the capture footprint its full simulation would
-        have left.  The caller is responsible for event times: injected
-        events should not be later than the simulation clock (the tap
-        only ever appends at ``sim.now``, so per-port chronological
-        order is preserved as long as injection happens at or after the
-        last event's timestamp).
-        """
-        self.events.extend(events)
-
-    # ------------------------------------------------------------------
-    def flow_events(self, local_port: int,
-                    start: float = 0.0,
-                    end: float = float("inf")) -> List[PacketEvent]:
-        """Events of one connection (by the host's local port), within a
-        time window — the per-session trace slice."""
-        return [e for e in self.events
-                if e.local_port == local_port and start <= e.time < end]

@@ -85,12 +85,12 @@ class QueryEmulator:
         hooks = RequestHooks(
             on_complete=lambda response: self._complete(session, response),
             on_failure=lambda message: self._fail(session, message))
-        fetch = HttpFetch(self.tcp_host,
-                          Endpoint(frontend.node.name, FRONTEND_PORT),
-                          HttpRequest(path=path,
-                                      headers={"Host": service_name}),
-                          hooks)
-        session.local_port = fetch.conn.flow.local.port
+        # The SYN leaves inside connect: open the capture first.
+        session.local_port = self.tcp_host.reserve_port()
+        self.capture.open_port(session.local_port)
+        HttpFetch(self.tcp_host, Endpoint(frontend.node.name, FRONTEND_PORT),
+                  HttpRequest(path=path, headers={"Host": service_name}),
+                  hooks, local_port=session.local_port)
         self.sessions.append(session)
         return session
 
@@ -112,15 +112,6 @@ class QueryEmulator:
         self._harvest(session)
 
     def _harvest(self, session: QuerySession) -> None:
-        """Slice this session's packets out of the host-wide capture."""
-        session.events = self.capture.flow_events(
-            session.local_port, start=session.started_at,
-            end=self.scenario.sim.now + 1e-9)
-
-    def drop_capture_before(self, time: float) -> None:
-        """Free memory: forget packets captured before ``time``.
-
-        Long campaigns call this after harvesting each batch.
-        """
-        self.capture.events = [e for e in self.capture.events
-                               if e.time >= time]
+        """Close this session's port on the capture and keep its
+        packets."""
+        session.events = self.capture.close_port(session.local_port)

@@ -15,8 +15,8 @@ The batch drivers keep every session (``DatasetA``/``DatasetB``).
 by batch into per-service quantile sketches
 (:class:`~repro.analysis.sketch.QuantileSketch`) of duration and
 response bytes, counters, replay/tier accounting and, when tracing is
-enabled, sim-scope obs metrics.  It drops folded sessions, trims their
-capture slices, prunes their FE/BE log entries and prunes the schedule
+enabled, sim-scope obs metrics.  It drops folded sessions with their
+packet events, prunes their FE/BE log entries and prunes the schedule
 behind the oldest in-flight session, so peak memory is set by the
 sessions *in flight* (the arrival rate), not by the duration.
 """
@@ -436,9 +436,6 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
                 frontend.static_hit_log.pop(session.query_id, None)
                 backend.query_log.pop(session.query_id, None)
             emulator.sessions[:] = in_flight
-            cut = min((s.started_at for s in in_flight),
-                      default=scenario.sim.now)
-            emulator.drop_capture_before(cut)
         return oldest
 
     names = [vp.name for vp in vps]

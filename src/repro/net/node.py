@@ -72,9 +72,6 @@ class Node:
         """Attach a packet observer called as ``tap(event, packet)``."""
         self.taps.append(tap)
 
-    def remove_tap(self, tap: TapFn) -> None:
-        self.taps.remove(tap)
-
     def _notify(self, event: str, packet: Packet) -> None:
         for tap in self.taps:
             tap(event, packet)

@@ -169,9 +169,10 @@ class SessionExecutor:
 
         Replicates every observable side effect of a simulated submit
         in its exact order: the keyword registration, the query id, the
-        burned ephemeral port, the FE/BE ground-truth records at the
-        forwarding instant, and the capture events at completion.  The
-        simflow parity rules (EFF001-EFF003) are rooted here.
+        ephemeral port (held until completion), the FE/BE ground-truth
+        records at the forwarding instant, and the session's packet
+        events at completion.  The simflow parity rules (EFF001-EFF003)
+        are rooted here.
         """
         scenario = self.scenario
         sim = scenario.sim
@@ -213,7 +214,7 @@ class SessionExecutor:
             session.events = materialize_events(
                 timeline, start, session.vp_name, session.fe_name,
                 session.local_port, emulator.tcp_host)
-            emulator.capture.inject(session.events)
+            emulator.tcp_host.release_port(session.local_port)
 
         sim.schedule_timeline(start, [
             (timeline.forward_offset, server_effects, ()),

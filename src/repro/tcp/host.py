@@ -94,12 +94,18 @@ class TcpHost:
         """Allocate (and consume) the next ephemeral port without opening
         a connection.
 
-        The session-replay cache uses this to keep port-allocation order
-        identical between a replayed session and the full simulation it
-        stands in for: a replay burns exactly the one ephemeral port the
-        simulated connection would have bound.
+        The query emulator reserves its port before :meth:`connect`, so
+        its capture is open before the SYN leaves.  The session executor
+        burns one per session it materializes without simulation,
+        keeping port-allocation order identical to the full simulation
+        it stands in for.
         """
         return self._ports.allocate()
+
+    def release_port(self, port: int) -> None:
+        """Return a port taken with :meth:`reserve_port` whose session
+        ended without a connection to :meth:`forget`."""
+        self._ports.release(port)
 
     def forget(self, conn: Connection) -> None:
         """Release a closed connection's flow state and ephemeral port."""

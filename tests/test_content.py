@@ -1,7 +1,10 @@
 """Tests for the keyword and page-content models."""
 
+import hashlib
+
 import pytest
 
+from repro.content import page as page_module
 from repro.content.keywords import Keyword, KeywordCatalog
 from repro.content.page import PageGenerator, PageProfile
 
@@ -131,6 +134,34 @@ def test_pages_share_static_prefix_across_keywords(generator):
     boundary = len(generator.static_content())
     assert page_a[:boundary] == page_b[:boundary]
     assert page_a[boundary:boundary + 2000] != page_b[boundary:boundary + 2000]
+
+
+def test_memoized_pages_equal_a_fresh_build(generator):
+    keywords = [kw("alpha"), kw("alpha", popularity=0.1),
+                kw("beta query", complexity=0.9)]
+    pages = [generator.dynamic_content(k) for k in keywords]
+    assert all(generator.dynamic_content(k) is page
+               for k, page in zip(keywords, pages))
+    fresh = PageGenerator("svc", generator.profile)
+    assert [fresh.dynamic_content(k) for k in reversed(keywords)] \
+        == pages[::-1]
+    # The target size is part of the key: same text, other popularity.
+    assert [len(page) for page in pages] == [26_000, 25_200, 30_000]
+    # The bytes the builder produced before pages were memoized.
+    assert [hashlib.sha256(page).hexdigest()[:16] for page in pages] == \
+        ["ab6e8d1f334a6458", "bc40422f87c9e24b", "ad0837382b76f8ae"]
+
+
+def test_page_memo_never_exceeds_its_cap(generator, monkeypatch):
+    monkeypatch.setattr(page_module, "PAGE_MEMO_LIMIT", 3)
+    keywords = [kw("query %d" % i) for i in range(5)]
+    pages = []
+    for keyword in keywords:
+        pages.append(generator.dynamic_content(keyword))
+        assert len(generator._pages) <= 3
+    # Evicted pages are rebuilt byte for byte.
+    assert [generator.dynamic_content(k) for k in keywords] == pages
+    assert len(generator._pages) == 3
 
 
 def test_profile_validation():

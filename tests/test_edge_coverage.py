@@ -1,5 +1,5 @@
 """Edge-case coverage: engine, HTTP responder misuse,
-TCP host guards, topology asymmetry, emulator memory management."""
+TCP host guards, topology asymmetry."""
 
 import pytest
 
@@ -166,26 +166,3 @@ def test_connect_asymmetric_links():
     assert topo.path_delay("a", "b") == pytest.approx(0.010)
     assert topo.path_delay("b", "a") == pytest.approx(0.050)
     assert topo.rtt("a", "b") == pytest.approx(0.060)
-
-
-# ---------------------------------------------------------------------------
-# emulator memory management
-# ---------------------------------------------------------------------------
-def test_emulator_drop_capture_before():
-    from repro.content.keywords import Keyword
-    from repro.measure.emulator import QueryEmulator
-    from repro.testbed.scenario import Scenario, ScenarioConfig
-
-    scenario = Scenario(ScenarioConfig(seed=30, vantage_count=4))
-    emulator = QueryEmulator(scenario, scenario.vantage_points[0])
-    keyword = Keyword(text="gc probe", popularity=0.5, complexity=0.5)
-    session = emulator.submit_default(Scenario.GOOGLE, keyword)
-    scenario.sim.run()
-    assert session.complete
-    before = len(emulator.capture.events)
-    assert before > 0
-    emulator.drop_capture_before(scenario.sim.now + 1.0)
-    assert len(emulator.capture.events) == 0
-    # The already-harvested session keeps its events.
-    assert len(session.events) > 0
-    assert before >= len(session.events)

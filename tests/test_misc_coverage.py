@@ -47,42 +47,42 @@ def make_tcp_packet(sport=1234, dport=80, data=b"abc"):
                   size_bytes=segment.wire_size, payload=segment)
 
 
-def test_capture_attach_detach():
+def two_node_world():
     sim = Simulator()
     topo = Topology(sim)
     node_a = topo.add_node("a")
-    topo.add_node("b")
+    node_b = topo.add_node("b")
     topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(10))
     topo.build_routes()
+    return sim, node_a, node_b
+
+
+def test_capture_records_only_open_ports():
+    sim, node_a, _ = two_node_world()
     capture = PacketCapture(sim, node_a)
-    node_a.send(make_tcp_packet())
+    node_a.send(make_tcp_packet(sport=1111))  # nothing open yet
+    capture.open_port(1111)
+    node_a.send(make_tcp_packet(sport=1111))
+    node_a.send(make_tcp_packet(sport=2222))  # never opened
     sim.run()
-    assert len(capture.events) == 1
-    assert capture.events[0].direction == "out"
-    capture.detach()
-    node_a.send(make_tcp_packet())
+    events = capture.close_port(1111)
+    assert len(events) == 1
+    assert events[0].direction == "out" and events[0].local_port == 1111
+    node_a.send(make_tcp_packet(sport=1111))  # closed again
     sim.run()
-    assert len(capture.events) == 1  # no longer recording
-    capture.attach()
-    capture.attach()  # idempotent
-    node_a.send(make_tcp_packet())
-    sim.run()
-    assert len(capture.events) == 2
-    capture.clear()
-    assert capture.events == []
+    with pytest.raises(KeyError):
+        capture.close_port(1111)
+    capture.open_port(1111)  # a reopened port starts empty
+    assert capture.close_port(1111) == []
 
 
 def test_capture_ignores_non_tcp_packets():
-    sim = Simulator()
-    topo = Topology(sim)
-    node_a = topo.add_node("a")
-    topo.add_node("b")
-    topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(10))
-    topo.build_routes()
+    sim, node_a, _ = two_node_world()
     capture = PacketCapture(sim, node_a)
+    capture.open_port(1234)
     node_a.send(Packet(src="a", dst="b", protocol="ping", size_bytes=10))
     sim.run()
-    assert capture.events == []
+    assert capture.close_port(1234) == []
 
 
 def test_packet_event_describe_and_flags():
@@ -97,20 +97,25 @@ def test_packet_event_describe_and_flags():
     assert event.local_port == 1
 
 
-def test_capture_flow_filter_window():
-    sim = Simulator()
-    topo = Topology(sim)
-    node_a = topo.add_node("a")
-    topo.add_node("b")
-    topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(10))
-    topo.build_routes()
+def test_capture_routes_packets_by_local_port():
+    sim, node_a, node_b = two_node_world()
     capture = PacketCapture(sim, node_a)
+    capture.open_port(1111)
+    capture.open_port(2222)
     sim.schedule(1.0, node_a.send, make_tcp_packet(sport=1111))
     sim.schedule(2.0, node_a.send, make_tcp_packet(sport=2222))
+    inbound = make_tcp_packet(sport=80, dport=1111)
+    inbound.src, inbound.dst = "b", "a"
+    sim.schedule(3.0, node_b.send, inbound)
     sim.run()
-    assert len(capture.flow_events(1111)) == 1
-    assert len(capture.flow_events(2222, start=1.5)) == 1
-    assert capture.flow_events(2222, start=0.0, end=1.5) == []
+    first = capture.close_port(1111)
+    assert [(e.direction, e.sport, e.dport) for e in first] == \
+        [("out", 1111, 80), ("in", 80, 1111)]
+    assert first[0].time == pytest.approx(1.0)
+    assert first[1].time > 3.0
+    second = capture.close_port(2222)
+    assert [(e.direction, e.local_port) for e in second] == [("out", 2222)]
+    assert second[0].time == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
