@@ -253,45 +253,20 @@ def test_bench_dataset_a_campaign_traced(benchmark):
     assert dataset.obs_metrics.counters["fe.requests"] == 120
 
 
-def _lint_sim_tree(cache_file):
-    """One simlint run over ``src/repro/sim`` with an explicit cache."""
+def test_bench_lint_cold(benchmark):
+    """One simlint run over the simulation core ``src/repro/sim``."""
     import os
 
     from repro.lint import LintConfig, LintRunner
 
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    runner = LintRunner(LintConfig(cache=str(cache_file)))
-    findings = runner.run_paths([os.path.join(root, "src", "repro", "sim")])
-    return runner, [f for f in findings if f.blocking]
-
-
-def test_bench_lint_cold(benchmark, tmp_path):
-    """simlint cold run (empty cache) over the simulation core.
-
-    Pairs with ``test_bench_lint_warm``: their ratio is what the
-    incremental cache buys on an unchanged tree — facts extraction and
-    the per-file walks skipped, with only the project pass (taint,
-    simtype, simflow fixpoints) re-run over restored facts.
-    """
-    cache = tmp_path / "simlint-cache.json"
+    sim_tree = os.path.join(root, "src", "repro", "sim")
 
     def cold():
-        if cache.exists():
-            cache.unlink()
-        return _lint_sim_tree(cache)
+        runner = LintRunner(LintConfig())
+        findings = runner.run_paths([sim_tree])
+        return runner, [f for f in findings if f.blocking]
 
     runner, blocking = benchmark(cold)
     assert blocking == []
     assert runner.files_analyzed == runner.files_scanned > 0
-    assert runner.files_from_cache == 0
-
-
-def test_bench_lint_warm(benchmark, tmp_path):
-    """simlint warm run (every file restored from the cache)."""
-    cache = tmp_path / "simlint-cache.json"
-    _lint_sim_tree(cache)  # populate
-
-    runner, blocking = benchmark(lambda: _lint_sim_tree(cache))
-    assert blocking == []
-    assert runner.files_from_cache == runner.files_scanned > 0
-    assert runner.files_analyzed == 0

@@ -31,7 +31,7 @@ CONFIG = ScenarioConfig(seed=7, vantage_count=12,
 
 #: Aggregate session arrival rate; duration scales as events/RATE/QPS
 #: so the expected in-flight population is event-count-independent.
-RATE = 2.0  # simlint: unit[1/s]
+RATE = 2.0
 
 SMALL_EVENTS = 10_000
 LARGE_EVENTS = int(os.environ.get("REPRO_BENCH_STREAM_EVENTS", 100_000))

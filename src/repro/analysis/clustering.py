@@ -113,7 +113,7 @@ def classify_session(session: QuerySession,
     dynamic bursts merge into one — ``SessionClusters.merged``.
     """
     if gap is None:
-        gap = adaptive_gap(session)  # simlint: unit[s]
+        gap = adaptive_gap(session)
     inbound_data = session.inbound_data_events()
     if not inbound_data:
         raise ValueError("session %s delivered no data" % session.query_id)
@@ -124,7 +124,7 @@ def classify_session(session: QuerySession,
     handshake = EventCluster(events=list(handshake_events))
     bursts = cluster_by_gap(inbound_data, gap)
     if len(bursts) >= 2:
-        gap_after_first = bursts[1].start - bursts[0].end  # simlint: unit[s]
+        gap_after_first = bursts[1].start - bursts[0].end
     else:
         gap_after_first = 0.0
     return SessionClusters(handshake=handshake, bursts=bursts,

@@ -49,7 +49,7 @@ class _Entry:
     __slots__ = ("size_bytes", "value", "frequency", "sequence")
 
     def __init__(self, size_bytes: int, value, sequence: int):
-        self.size_bytes = size_bytes  # simlint: unit[bytes]
+        self.size_bytes = size_bytes
         self.value = value
         self.frequency = 1
         #: Insertion ordinal — FIFO age and the deterministic LFU
@@ -74,7 +74,7 @@ class ContentCache:
         # compatibility); finite ones announce every hit/miss/eviction.
         self._metric_prefix = metric_prefix if spec.finite else None
         self._entries: Dict[str, _Entry] = {}
-        self.used_bytes = 0  # simlint: unit[bytes]
+        self.used_bytes = 0
         self.hits = 0
         self.misses = 0
         self.insertions = 0

@@ -90,7 +90,7 @@ class CacheHierarchySpec:
     #: Extra delay to pull a static object out of the regional tier
     #: into the response (the regional round trip the packet simulator
     #: does not model; the origin path IS packet-simulated).
-    regional_fetch_delay: float = 0.030  # simlint: unit[s]
+    regional_fetch_delay: float = 0.030
     fill: str = "lce"
     regional_scope: str = "per-fe"
     result: CacheSpec = field(default_factory=CacheSpec)

@@ -104,7 +104,7 @@ class CacheTier:
     def fetch_delay(self, level: int) -> float:
         """Extra response delay for a hit at ``level`` (seconds)."""
         if level <= 0:
-            return 0.0  # simlint: unit[s]
+            return 0.0
         return self.spec.regional_fetch_delay
 
     def clear(self) -> None:

@@ -167,7 +167,7 @@ class KeywordCatalog:
         # identical pool from a fresh catalog before any shard-variant
         # work, so the draw order is fixed (the serial-vs-sharded
         # fingerprint tests lock this in).
-        rng = self.streams.get("bulk")  # simlint: ignore[RNG001]
+        rng = self.streams.get("bulk")
         out = []
         for i in range(count):
             suggested = (i / max(1, count)) < suggested_fraction

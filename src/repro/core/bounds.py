@@ -43,7 +43,7 @@ class BoundSample:
         return self.lower_holds and self.upper_holds
 
     @property
-    def gap(self) -> float:  # simlint: unit[s]
+    def gap(self) -> float:
         """Width of the bound interval (estimation uncertainty)."""
         return self.tdynamic - self.tdelta
 

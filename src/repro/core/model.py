@@ -61,7 +61,7 @@ class AbstractModel:
             raise ValueError("static_windows must be >= 0")
 
     # ------------------------------------------------------------------
-    def predict_tstatic(self, rtt: float) -> float:  # simlint: unit[s]
+    def predict_tstatic(self, rtt: float) -> float:
         """t4 - t2: FE delay plus the windowed static delivery."""
         return self.fe_delay + self.static_windows * rtt
 
@@ -69,7 +69,7 @@ class AbstractModel:
         """t5 - t4: positive until the static delivery catches up."""
         return max(0.0, self.tfetch - self.predict_tstatic(rtt))
 
-    def predict_tdynamic(self, rtt: float) -> float:  # simlint: unit[s]
+    def predict_tdynamic(self, rtt: float) -> float:
         """t5 - t2: the larger of the fetch and the static delivery."""
         return max(self.tfetch, self.predict_tstatic(rtt))
 

@@ -57,7 +57,7 @@ from repro.workload.popularity import ZipfPopularity, zipf_universe
 #: miss, static and dynamic share one response and Tdelta collapses to
 #: the dynamic-part transfer time, well under this).  Half the
 #: google-like back-end's base processing time.
-TDELTA_HIT_THRESHOLD = 0.015  # simlint: unit[s]
+TDELTA_HIT_THRESHOLD = 0.015
 
 #: Keyword universe size for the sweep streams.
 UNIVERSE_SIZE = 24

@@ -1,24 +1,15 @@
 """simlint — static analysis for the simulation universe.
 
-Seven rule packs guard the invariants the paper's numbers rest on:
+Five rule packs guard the invariants the paper's numbers rest on where
+no runtime test can see a violation (``docs/LINTING.md`` records, per
+rule, a seeded bug that only that rule catches):
 
 * :mod:`repro.lint.determinism` (DET001-DET005) — no host clocks, OS
   entropy, shared global ``random``, salted ``hash()`` seeds, or
   set-iteration order leaking into the event queue.
-* :mod:`repro.lint.determinism_flow` (DET006-DET008) — no
-  nondeterministic value *flowing* into ``schedule()``, a seed, or an
-  exported trace field through any cross-module call chain
-  (interprocedural taint over :mod:`repro.lint.dataflow`).
 * :mod:`repro.lint.unit_safety` (UNIT001-UNIT004) — suffix-checked unit
   discipline (``_ms``/``_s``/``_miles``/``_bytes``/``_bps``) with
   conversions through :mod:`repro.sim.units` only.
-* :mod:`repro.lint.unit_flow` (UNIT005-UNIT009) — the same unit bugs
-  on values with *no suffix anywhere on the path*: interprocedural
-  unit/dimension inference (:mod:`repro.lint.simtype`) catches mixed
-  arithmetic, wrong-unit ``schedule()``/histogram sinks, inconsistent
-  return units, signature-disagreeing call sites, and double
-  conversions; ``# simlint: unit[TOKEN]`` annotations assert units
-  where no suffix fits.
 * :mod:`repro.lint.event_safety` (EVT001-EVT003) — no re-entrant
   ``Simulator.run()`` (cross-module call graph), no negative constant
   delays, no discarded :class:`~repro.sim.engine.EventHandle` where
@@ -26,18 +17,20 @@ Seven rule packs guard the invariants the paper's numbers rest on:
 * :mod:`repro.lint.shard_safety` (SHARD001-SHARD003) — no module-level
   state written in shard-reachable code, no set-order-dependent
   merges, no unpaired ``fork_mark()``.
-* :mod:`repro.lint.effects_pack` (EFF001-EFF003) — every session-path
-  side effect is replicated by the fast paths' one injection method,
-  :meth:`repro.sim.executor.SessionExecutor.materialize`, and nothing
-  more (interprocedural effect inference, :mod:`repro.lint.effectflow`).
+* :mod:`repro.lint.rng_lineage` (RNG002-RNG003) — keyed RNG lineage:
+  no colliding key namespaces, no ordinal counters shared between
+  methods.
+
+The fast paths' server-side footprint, which the removed effect-parity
+pack checked statically, is asserted at runtime by
+``tests/test_analytic_tier.py::test_fast_paths_leave_the_packet_footprint``.
 
 Run it with ``python -m repro.lint src/repro`` (or ``python -m repro
 lint ...`` / the ``repro-lint`` console script), configure it under
 ``[tool.simlint]`` in ``pyproject.toml``, and silence intentional
-deviations with ``# simlint: ignore[RULE]`` comments.  Production
-machinery: ``--format sarif`` (SARIF 2.1.0), ``--baseline`` for
-incremental adoption, ``--cache`` for content-hash incremental
-re-runs.  See ``docs/LINTING.md`` for the full rule catalogue.
+deviations with ``# simlint: ignore[RULE]`` comments.  ``--format
+sarif`` emits SARIF 2.1.0.  See ``docs/LINTING.md`` for the full rule
+catalogue and ``benchmarks/lint_audit.py`` for the mutation audit.
 """
 
 from repro.lint.framework import (

@@ -6,8 +6,7 @@ Usage::
     python -m repro lint [paths...]          # same, via the main CLI
     repro-lint [paths...]                    # console-script entry point
 
-Exit codes: 0 — clean (suppressed and baselined findings do not
-count); 1 — at least one blocking finding; 2 — configuration error,
+Exit codes: 0 — clean (suppressed findings do not count); 1 — at least one blocking finding; 2 — configuration error,
 unreadable/unparseable file, or an internal rule crash.  Syntax-error
 files are reported as ``META001`` findings (the rest of the tree is
 still linted) but force exit 2, so CI cannot mistake "could not
@@ -41,14 +40,19 @@ from repro.lint.framework import (
 #: v4: rule set gained the effect-parity (EFF001-EFF004, RPLY rebuilt
 #: on derived summaries) and RNG-lineage (RNG001-RNG003) packs; the
 #: "stats" section gained the "simflow-engine" row.
-JSON_SCHEMA_VERSION = 4
+#: v5: dropped "baselined" (top-level and per finding),
+#: "files_from_cache" and "signatures_from_cache" with the baseline and
+#: the incremental cache; the "simtype-engine" and "simflow-engine"
+#: stats rows are gone with their engines, so "stats" holds one row
+#: per rule pack.
+JSON_SCHEMA_VERSION = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Whole-project determinism / unit-safety / "
-                    "event-safety / shard-safety / effect-parity "
+                    "event-safety / shard-safety / RNG-lineage "
                     "checks for the simulation universe.")
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         metavar="PATH",
@@ -68,17 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: nearest to the first path)")
     parser.add_argument("--no-config", action="store_true",
                         help="ignore [tool.simlint] configuration entirely")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="accept findings recorded in this baseline "
-                             "file (see --write-baseline)")
-    parser.add_argument("--write-baseline", metavar="FILE",
-                        help="record the run's blocking findings to FILE "
-                             "and exit 0")
-    parser.add_argument("--cache", metavar="FILE",
-                        help="incremental cache file: unchanged files "
-                             "are restored instead of re-analyzed")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore any cache configured in pyproject")
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also list suppressed findings in text output")
     parser.add_argument("--stats", action="store_true",
@@ -107,32 +100,22 @@ def _resolve_config(args: argparse.Namespace) -> LintConfig:
     disable = _split_ids(args.disable)
     if select:
         config = LintConfig(enable=tuple(select), disable=config.disable,
-                            exclude=config.exclude,
-                            baseline=config.baseline, cache=config.cache)
+                            exclude=config.exclude)
     if disable:
         config = LintConfig(enable=config.enable,
                             disable=config.disable + tuple(disable),
-                            exclude=config.exclude,
-                            baseline=config.baseline, cache=config.cache)
-    if args.baseline:
-        config.baseline = args.baseline
-    if args.cache:
-        config.cache = args.cache
-    if args.no_cache:
-        config.cache = None
+                            exclude=config.exclude)
     config.validate()
     return config
 
 
 def _pack_times(runner: LintRunner) -> dict:
     """Aggregate per-rule wall time to rule packs (rule-pack module
-    name; the shared inference engine keeps its own row)."""
+    name)."""
     rules = all_rules()
     packs: dict = {}
     for key, seconds in runner.rule_times.items():
-        cls = rules.get(key)
-        pack = (cls.__module__.rsplit(".", 1)[-1] if cls is not None
-                else key)
+        pack = rules[key].__module__.rsplit(".", 1)[-1]
         packs[pack] = packs.get(pack, 0.0) + seconds
     return packs
 
@@ -155,16 +138,10 @@ def _render_text(findings: List[Finding], runner: LintRunner,
     for finding in shown:
         print(finding.render(), file=out)
     suppressed = sum(1 for f in findings if f.suppressed)
-    baselined = sum(1 for f in findings if f.baselined)
-    cached = (", %d from cache" % runner.files_from_cache
-              if runner.files_from_cache else "")
-    if runner.signatures_from_cache:
-        cached += (", %d inferred signature(s) restored"
-                   % runner.signatures_from_cache)
-    print("%d file(s) scanned%s: %d finding(s), %d suppressed, "
-          "%d baselined, %d error(s)"
-          % (runner.files_scanned, cached, len(blocking), suppressed,
-             baselined, runner.errors), file=out)
+    print("%d file(s) scanned: %d finding(s), %d suppressed, "
+          "%d error(s)"
+          % (runner.files_scanned, len(blocking), suppressed,
+             runner.errors), file=out)
 
 
 def _render_json(findings: List[Finding], runner: LintRunner, out) -> None:
@@ -176,12 +153,9 @@ def _render_json(findings: List[Finding], runner: LintRunner, out) -> None:
         "version": JSON_SCHEMA_VERSION,
         "files_scanned": runner.files_scanned,
         "files_analyzed": runner.files_analyzed,
-        "files_from_cache": runner.files_from_cache,
-        "signatures_from_cache": runner.signatures_from_cache,
         "errors": runner.errors,
         "counts": counts,
         "suppressed": sum(1 for f in findings if f.suppressed),
-        "baselined": sum(1 for f in findings if f.baselined),
         "findings": [f.as_dict() for f in findings],
     }
     if runner.collect_stats:
@@ -217,16 +191,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         runner = LintRunner(config)
         runner.collect_stats = args.stats
         findings = runner.run_paths(args.paths)
-        if args.write_baseline:
-            from repro.lint.baseline import write_baseline
-            entries = write_baseline(args.write_baseline, findings)
-            print("simlint: wrote %d baseline entr%s to %s"
-                  % (entries, "y" if entries == 1 else "ies",
-                     args.write_baseline), file=sys.stderr)
-            return 0
-        if config.baseline:
-            from repro.lint.baseline import apply_baseline, load_baseline
-            apply_baseline(findings, load_baseline(config.baseline))
     except LintConfigError as exc:
         print("simlint: configuration error: %s" % exc, file=sys.stderr)
         return 2

@@ -68,9 +68,6 @@ class Finding:
     message: str
     end_line: int = 0
     suppressed: bool = False
-    #: accepted by the baseline file (counts as non-blocking, like
-    #: suppressed, but lives outside the source tree)
-    baselined: bool = False
 
     def __post_init__(self) -> None:
         if not self.end_line:
@@ -79,7 +76,7 @@ class Finding:
     @property
     def blocking(self) -> bool:
         """True when this finding should fail the run."""
-        return not self.suppressed and not self.baselined
+        return not self.suppressed
 
     def as_dict(self) -> Dict[str, Any]:
         """Stable JSON shape — see docs/LINTING.md before changing."""
@@ -92,15 +89,10 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
     def render(self) -> str:
-        state = ""
-        if self.suppressed:
-            state = " (suppressed)"
-        elif self.baselined:
-            state = " (baselined)"
+        state = " (suppressed)" if self.suppressed else ""
         return "%s:%d:%d: %s [%s]%s %s" % (
             self.path, self.line, self.col, self.severity, self.rule,
             state, self.message)
@@ -155,12 +147,9 @@ def _load_rule_packs() -> None:
     # Imported lazily so framework.py itself has no circular imports.
     from repro.lint import (  # noqa: F401
         determinism,
-        determinism_flow,
-        effects_pack,
         event_safety,
         rng_lineage,
         shard_safety,
-        unit_flow,
         unit_safety,
     )
 
@@ -175,16 +164,11 @@ class LintConfig:
     ``enable`` non-empty means *only* those rules run; ``disable`` is
     subtracted afterwards.  ``exclude`` holds path fragments (POSIX
     style) — any file whose normalized path contains one is skipped.
-    ``baseline`` names a baseline file of adopted findings (see
-    :mod:`repro.lint.baseline`), ``cache`` an incremental-cache file
-    (see :mod:`repro.lint.cache`); both are optional.
     """
 
     enable: Tuple[str, ...] = ()
     disable: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
-    baseline: Optional[str] = None
-    cache: Optional[str] = None
 
     def validate(self) -> None:
         known = set(all_rules())
@@ -237,8 +221,7 @@ def load_config(pyproject_path: Optional[str]) -> LintConfig:
         table = _parse_simlint_table(pyproject_path)
     if not isinstance(table, dict):
         raise LintConfigError("[tool.simlint] must be a table")
-    unknown_keys = set(table) - {"enable", "disable", "exclude",
-                                 "baseline", "cache"}
+    unknown_keys = set(table) - {"enable", "disable", "exclude"}
     if unknown_keys:
         raise LintConfigError("unknown [tool.simlint] keys: %s"
                               % ", ".join(sorted(unknown_keys)))
@@ -246,8 +229,6 @@ def load_config(pyproject_path: Optional[str]) -> LintConfig:
         enable=_string_tuple(table, "enable"),
         disable=_string_tuple(table, "disable"),
         exclude=_string_tuple(table, "exclude"),
-        baseline=_string_value(table, "baseline"),
-        cache=_string_value(table, "cache"),
     )
     config.validate()
     return config
@@ -263,21 +244,6 @@ def _string_tuple(table: Dict[str, Any], key: str) -> Tuple[str, ...]:
         raise LintConfigError("[tool.simlint] %s must be a list of strings"
                               % key)
     return values
-
-
-def _string_value(table: Dict[str, Any], key: str) -> Optional[str]:
-    value = table.get(key)
-    if value is None:
-        return None
-    # The py<3.11 fallback parser returns every value as a string list.
-    if isinstance(value, (list, tuple)):
-        if len(value) != 1:
-            raise LintConfigError("[tool.simlint] %s must be one string"
-                                  % key)
-        value = value[0]
-    if not isinstance(value, str):
-        raise LintConfigError("[tool.simlint] %s must be a string" % key)
-    return value
 
 
 def _parse_simlint_table(pyproject_path: str) -> Dict[str, Any]:
@@ -355,35 +321,6 @@ class _Suppressions:
             rules = self.line_rules[line]
             return rules is None or rule_id in rules
         return False
-
-    def to_json(self) -> Dict[str, Any]:
-        """Serialize for the incremental cache (bad comments included,
-        so cached files still re-report them)."""
-        return {
-            "all_lines": sorted(line for line, rules
-                                in self.line_rules.items()
-                                if rules is None),
-            "lines": {str(line): sorted(rules)
-                      for line, rules in self.line_rules.items()
-                      if rules is not None},
-            "file_all": self.file_all,
-            "file_rules": sorted(self.file_rules),
-            "bad": [[line, rule_id]
-                    for line, rule_id in self.bad_comments],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, Any]) -> "_Suppressions":
-        state = cls()
-        for line in data["all_lines"]:
-            state.line_rules[int(line)] = None
-        for line, rules in data["lines"].items():
-            state.line_rules[int(line)] = set(rules)
-        state.file_all = bool(data["file_all"])
-        state.file_rules = set(data["file_rules"])
-        state.bad_comments = [(int(line), rule_id)
-                              for line, rule_id in data["bad"]]
-        return state
 
 
 def _comments(source: str) -> List[Tuple[int, str]]:
@@ -522,23 +459,16 @@ class LintRunner:
             cls for cls in selected
             if getattr(cls, "scope", "file") == "project"]
         self.files_scanned = 0
-        #: files parsed and walked this run (cache misses + direct runs)
+        #: files parsed and walked this run
         self.files_analyzed = 0
-        #: files whose findings were restored from the incremental cache
-        self.files_from_cache = 0
-        #: inferred function signatures restored from the cache and used
-        #: to seed the simtype fixpoints (0 on cold or changed trees)
-        self.signatures_from_cache = 0
         #: hard failures: unreadable/unparseable files, crashed rules
         self.errors = 0
         #: ``--stats``: accumulate per-rule wall time into rule_times
         self.collect_stats = False
-        #: rule id (or "simtype-engine") -> seconds spent this run
+        #: rule id -> seconds spent this run
         self.rule_times: Dict[str, float] = {}
         self._facts_by_path: Dict[str, Any] = {}
         self._suppressions: Dict[str, _Suppressions] = {}
-        self._unit_signature_seed: Optional[Dict[str, Any]] = None
-        self._unit_signature_table: Optional[Dict[str, Any]] = None
 
     # -- discovery ----------------------------------------------------
     def iter_python_files(self, paths: Sequence[str]) -> List[str]:
@@ -565,26 +495,14 @@ class LintRunner:
 
     # -- execution ----------------------------------------------------
     def run_paths(self, paths: Sequence[str]) -> List[Finding]:
-        store = None
-        if self.config.cache:
-            from repro.lint.cache import CacheStore
-            store = CacheStore.open(self.config.cache, self)
         findings: List[Finding] = []
         for path in self.iter_python_files(paths):
-            findings.extend(self._run_file_cached(path, store))
-        if store is not None:
-            self._unit_signature_seed = store.restore_signatures()
+            findings.extend(self.run_file(path))
         findings.extend(self.run_project())
-        if store is not None:
-            store.record_signatures(self._unit_signature_table)
-            store.save()
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 
     def run_file(self, path: str) -> List[Finding]:
-        return self._run_file_cached(path, None)
-
-    def _run_file_cached(self, path: str, store) -> List[Finding]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 source = handle.read()
@@ -593,15 +511,7 @@ class LintRunner:
             return [Finding(rule=META_RULE_ID, severity="error", path=path,
                             line=1, col=0,
                             message="file could not be read: %s" % exc)]
-        if store is not None:
-            restored = store.restore(self, path, source)
-            if restored is not None:
-                return restored
-        errors_before = self.errors
-        findings = self.run_source(source, path)
-        if store is not None and self.errors == errors_before:
-            store.record(self, path, source, findings)
-        return findings
+        return self.run_source(source, path)
 
     def run_source(self, source: str, path: str = "<string>"
                    ) -> List[Finding]:
@@ -648,12 +558,7 @@ class LintRunner:
         if self.project_rule_classes:
             try:
                 from repro.lint.project import extract_module_facts
-                facts = extract_module_facts(path, tree, source=source)
-                self._facts_by_path[path] = facts
-                for lineno, token in facts.bad_unit_annotations:
-                    ctx.report(_MetaRule(ctx), None,
-                               "unit annotation names unknown unit %r"
-                               % token, line=lineno)
+                self._facts_by_path[path] = extract_module_facts(path, tree)
             except Exception as exc:  # pragma: no cover - defensive
                 self.errors += 1
                 ctx.report(_MetaRule(ctx), None,
@@ -700,47 +605,12 @@ class LintRunner:
                 + time.perf_counter() - start  # simlint: ignore[DET001] timing the tool itself
 
     # -- project pass --------------------------------------------------
-    def _build_unit_engine(self, project) -> None:
-        """Run simtype inference once (shared by the UNIT flow rules),
-        collect its signature table for the cache, and count restored
-        signatures when the cached table seeded the fixpoints."""
-        try:
-            from repro.lint.simtype import shared_units
-            analysis = shared_units(project)
-        except Exception:  # pragma: no cover - surfaced by the rules
-            return
-        self._unit_signature_table = analysis.signature_table()
-        if analysis.seeded:
-            self.signatures_from_cache = len(
-                self._unit_signature_seed or {})
-
-    def _build_effect_engine(self, project) -> None:
-        """Run simflow effect inference once; the EFF/RNG rules all
-        consume the memoized analysis."""
-        try:
-            from repro.lint.effectflow import shared_effects
-            shared_effects(project)
-        except Exception:  # pragma: no cover - surfaced by the rules
-            return
-
     def run_project(self) -> List[Finding]:
         """Run project-scope rules over every file linted so far."""
         if not self.project_rule_classes or not self._facts_by_path:
             return []
         from repro.lint.project import ProjectContext
         project = ProjectContext(list(self._facts_by_path.values()))
-        if self._unit_signature_seed:
-            project.unit_signature_seed = self._unit_signature_seed
-        if any(cls.id.startswith("UNIT")
-               for cls in self.project_rule_classes):
-            # Build the inference engine under its own stats entry, so
-            # pack timings compare rule cost rather than who ran first.
-            self._run_timed("simtype-engine", self._build_unit_engine,
-                            project)
-        if any(cls.id.startswith(("EFF", "RNG"))
-               for cls in self.project_rule_classes):
-            self._run_timed("simflow-engine", self._build_effect_engine,
-                            project)
         findings: List[Finding] = []
         for cls in self.project_rule_classes:
             rule = cls()

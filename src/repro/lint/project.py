@@ -2,15 +2,13 @@
 
 The per-file rule packs (:mod:`repro.lint.determinism`, ...) see one AST
 at a time, which is exactly the wrong granularity for the invariants the
-sharded/replayed runtime added: a nondeterministic value can flow
-through two helper modules before it reaches ``schedule()``, and shard
-code can mutate module state defined three imports away.  This module
-gives project-scope rules the substrate they need:
+sharded runtime added: a scheduled callback can reach
+``Simulator.run()`` through a helper in another module, and shard code
+can mutate module state defined three imports away.  This module gives
+project-scope rules the substrate they need:
 
 * :class:`ModuleFacts` / :class:`FunctionFacts` / :class:`CallFacts` —
-  a compact, JSON-serializable summary of one module, extracted in a
-  single AST pass.  Facts (not ASTs) are what the incremental cache
-  stores, so unchanged modules are never re-parsed on repeat runs.
+  a compact summary of one module, extracted in a single AST pass.
 * :class:`ProjectContext` — all modules of one lint invocation: dotted
   module naming, cross-module function resolution that follows import
   aliases and re-export chains, a call graph with the same-module
@@ -42,20 +40,7 @@ __all__ = [
     "ProjectRule",
     "extract_module_facts",
     "module_name_for_path",
-    "parse_unit_annotations",
 ]
-
-#: Bump when the facts shape changes — part of the incremental-cache key.
-#: v2: unit-expression summaries (``unit_assigns``/``unit_returns``/
-#: ``unit_exprs``/``ArgFacts.expr``) and ``# simlint: unit[...]``
-#: annotations, feeding :mod:`repro.lint.simtype`.
-#: v3: string skeletons (``ArgFacts.fstr``), self-attribute references
-#: (``FunctionFacts.self_refs``) and counter increments
-#: (``FunctionFacts.counter_incs``), feeding
-#: :mod:`repro.lint.effectflow` and :mod:`repro.lint.rng_lineage`.
-#: v4: module-level string-collection constants dropped (their only
-#: consumer, the generated replicated-effects allowlist, is gone).
-FACTS_VERSION = 4
 
 SCHEDULE_ATTRS = ("schedule", "call_at")
 
@@ -75,10 +60,6 @@ class ArgFacts:
 
     slot: object  # int position or keyword name (str)
     names: List[str]
-    calls: List[int]  # indexes into the owning FunctionFacts.calls
-    #: unit-expression summary of the argument (see module docstring of
-    #: :mod:`repro.lint.simtype` for the encoding)
-    expr: list = dataclasses.field(default_factory=lambda: ["?"])
     #: string skeleton ``[text, tokens]`` when the argument is (partly)
     #: a statically visible string: ``"cache/%s/admit#%d" % (name, n)``
     #: becomes ``["cache/*/admit#*", ["name", "n"]]`` — every dynamic
@@ -87,18 +68,6 @@ class ArgFacts:
     #: (a bare name, a call result), so fully-dynamic keys never
     #: masquerade as resolvable namespaces.
     fstr: Optional[list] = None
-
-    def to_json(self) -> list:
-        data = [self.slot, self.names, self.calls, self.expr]
-        if self.fstr is not None:
-            data.append(self.fstr)
-        return data
-
-    @classmethod
-    def from_json(cls, data: list) -> "ArgFacts":
-        return cls(slot=data[0], names=list(data[1]), calls=list(data[2]),
-                   expr=list(data[3]),
-                   fstr=list(data[4]) if len(data) > 4 else None)
 
 
 @dataclasses.dataclass
@@ -111,34 +80,12 @@ class CallFacts:
     receiver: Optional[str]  # "self", a bare name, or a receiver attr
     line: int
     col: int
-    end_line: int
     args: List[ArgFacts]
     callback: Optional[str] = None  # scheduled callback name, if any
     lambda_runs: List[Tuple[int, int]] = dataclasses.field(
         default_factory=list)  # sim-run sites inside a lambda callback
     is_sim_run: bool = False
     first_arg_name: Optional[str] = None
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.target, "b": self.bare, "a": self.attr,
-            "r": self.receiver, "l": self.line, "c": self.col,
-            "e": self.end_line, "args": [a.to_json() for a in self.args],
-            "cb": self.callback,
-            "lr": [list(pair) for pair in self.lambda_runs],
-            "sr": self.is_sim_run, "f": self.first_arg_name,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CallFacts":
-        return cls(
-            target=data["t"], bare=data["b"], attr=data["a"],
-            receiver=data["r"], line=data["l"], col=data["c"],
-            end_line=data["e"],
-            args=[ArgFacts.from_json(a) for a in data["args"]],
-            callback=data["cb"],
-            lambda_runs=[tuple(pair) for pair in data["lr"]],
-            is_sim_run=data["sr"], first_arg_name=data["f"])
 
 
 @dataclasses.dataclass
@@ -151,74 +98,23 @@ class FunctionFacts:
     line: int
     params: List[str]
     calls: List[CallFacts] = dataclasses.field(default_factory=list)
-    #: (target names, names read, call indexes, line)
+    #: (target names, line)
     assigns: List[list] = dataclasses.field(default_factory=list)
-    #: (names read, call indexes, line)
-    returns: List[list] = dataclasses.field(default_factory=list)
     global_declares: List[str] = dataclasses.field(default_factory=list)
     #: (name, line) — assignment to a `global`-declared name
     global_writes: List[list] = dataclasses.field(default_factory=list)
     #: (receiver name, method, line) — in-place mutation of a bare name
     mutations: List[list] = dataclasses.field(default_factory=list)
-    #: (attr, line) — `obj.attr[key] = ...` subscript-stores
-    attr_subscript_writes: List[list] = dataclasses.field(
-        default_factory=list)
     #: (line, accumulates) — `for` over a set-valued iterable
     set_loops: List[list] = dataclasses.field(default_factory=list)
-    #: (target names, uexpr, line) — unit-expression view of each
-    #: assignment, independent of ``assigns`` so the taint engine's
-    #: 4-tuple unpacking stays untouched
-    unit_assigns: List[list] = dataclasses.field(default_factory=list)
-    #: (uexpr, line) per return statement
-    unit_returns: List[list] = dataclasses.field(default_factory=list)
-    #: uexprs of bare expression statements / branch conditions (unit
-    #: mixes in comparisons live here)
-    unit_exprs: List[list] = dataclasses.field(default_factory=list)
-    #: attribute names read off ``self`` anywhere in the body —
-    #: method *references* (``self._server_effects`` passed into a
-    #: timeline) become call-graph edges in the effect engine
-    self_refs: List[str] = dataclasses.field(default_factory=list)
     #: (name, line) for augmented-assignment targets (``self._seq += 1``
     #: records ``_seq``) — ordinal counters for the RNG-lineage rules
     counter_incs: List[list] = dataclasses.field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name, "qual": self.qualname, "cls": self.cls,
-            "line": self.line, "params": self.params,
-            "calls": [c.to_json() for c in self.calls],
-            "assigns": self.assigns, "returns": self.returns,
-            "gdecl": self.global_declares, "gw": self.global_writes,
-            "mut": self.mutations, "asw": self.attr_subscript_writes,
-            "setl": self.set_loops,
-            "ua": self.unit_assigns, "ur": self.unit_returns,
-            "ue": self.unit_exprs,
-            "sref": self.self_refs, "cinc": self.counter_incs,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FunctionFacts":
-        return cls(
-            name=data["name"], qualname=data["qual"], cls=data["cls"],
-            line=data["line"], params=list(data["params"]),
-            calls=[CallFacts.from_json(c) for c in data["calls"]],
-            assigns=[list(a) for a in data["assigns"]],
-            returns=[list(r) for r in data["returns"]],
-            global_declares=list(data["gdecl"]),
-            global_writes=[list(w) for w in data["gw"]],
-            mutations=[list(m) for m in data["mut"]],
-            attr_subscript_writes=[list(w) for w in data["asw"]],
-            set_loops=[list(s) for s in data["setl"]],
-            unit_assigns=[list(a) for a in data["ua"]],
-            unit_returns=[list(r) for r in data["ur"]],
-            unit_exprs=[list(e) for e in data["ue"]],
-            self_refs=list(data["sref"]),
-            counter_incs=[list(c) for c in data["cinc"]])
-
 
 @dataclasses.dataclass
 class ModuleFacts:
-    """Per-module facts: the unit the incremental cache stores."""
+    """Per-module facts: everything project rules see of one module."""
 
     module: str
     path: str
@@ -228,36 +124,6 @@ class ModuleFacts:
     #: module-level names bound to mutable containers -> line
     module_mutables: Dict[str, int] = dataclasses.field(
         default_factory=dict)
-    #: line -> unit token from ``# simlint: unit[...]`` annotations
-    unit_annotations: Dict[int, str] = dataclasses.field(
-        default_factory=dict)
-    #: (line, token) for annotations naming an unknown unit token
-    bad_unit_annotations: List[list] = dataclasses.field(
-        default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "module": self.module, "path": self.path,
-            "imports": self.imports,
-            "functions": {q: f.to_json()
-                          for q, f in self.functions.items()},
-            "mutables": self.module_mutables,
-            "units": {str(line): token
-                      for line, token in self.unit_annotations.items()},
-            "bad_units": self.bad_unit_annotations,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModuleFacts":
-        return cls(
-            module=data["module"], path=data["path"],
-            imports=dict(data["imports"]),
-            functions={q: FunctionFacts.from_json(f)
-                       for q, f in data["functions"].items()},
-            module_mutables=dict(data["mutables"]),
-            unit_annotations={int(line): token
-                              for line, token in data["units"].items()},
-            bad_unit_annotations=[list(b) for b in data["bad_units"]])
 
 
 # ---------------------------------------------------------------------------
@@ -285,42 +151,6 @@ def module_name_for_path(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# unit annotations
-# ---------------------------------------------------------------------------
-#: Tokens are lowercase by construction (the suffix vocabulary), so an
-#: uppercase placeholder in prose (``unit[TOKEN]``) is not an
-#: annotation at all rather than a bad one.
-_UNIT_ANNOTATION_RE = re.compile(
-    r"#\s*simlint:\s*unit\[\s*([a-z0-9_]+)\s*\]")
-
-
-def parse_unit_annotations(source: str
-                           ) -> Tuple[Dict[int, str], List[list]]:
-    """``# simlint: unit[TOKEN]`` comments, as {line: token} + bad list.
-
-    Tokens are validated against the unit vocabulary in
-    :data:`repro.lint.unit_safety.ANNOTATION_UNITS`; unknown tokens are
-    returned separately so the framework can surface them as META001
-    findings instead of silently ignoring a typo'd annotation.
-    """
-    from repro.lint.unit_safety import ANNOTATION_UNITS
-    annotations: Dict[int, str] = {}
-    bad: List[list] = []
-    if "simlint" not in source:
-        return annotations, bad
-    for lineno, text in enumerate(source.splitlines(), 1):
-        if "simlint" not in text:
-            continue
-        for match in _UNIT_ANNOTATION_RE.finditer(text):
-            token = match.group(1)
-            if token in ANNOTATION_UNITS:
-                annotations[lineno] = token
-            else:
-                bad.append([lineno, token])
-    return annotations, bad
-
-
-# ---------------------------------------------------------------------------
 # facts extraction
 # ---------------------------------------------------------------------------
 class _FactsExtractor:
@@ -328,10 +158,6 @@ class _FactsExtractor:
 
     def __init__(self, module: str, path: str, tree: ast.Module):
         self.facts = ModuleFacts(module=module, path=path)
-        #: id(ast.Call) -> index into the current function's call list,
-        #: so unit expressions can reference the CallFacts produced by
-        #: the same traversal
-        self._call_ids: Dict[int, int] = {}
         self._collect_imports(tree)
         for stmt in tree.body:
             self._module_level(stmt)
@@ -396,7 +222,6 @@ class _FactsExtractor:
         self._sim_locals = _collect_sim_locals(node, self.facts.imports)
         self._set_names: Set[str] = set()
         self._current = fn
-        self._call_ids = {}
         for stmt in node.body:
             self._stmt(stmt)
         # Immediately-nested defs: extract as their own functions, plus
@@ -406,8 +231,7 @@ class _FactsExtractor:
         for stmt in _immediate_defs(node):
             fn.calls.append(CallFacts(
                 target=None, bare=stmt.name, attr=None, receiver=None,
-                line=stmt.lineno, col=stmt.col_offset,
-                end_line=stmt.lineno, args=[]))
+                line=stmt.lineno, col=stmt.col_offset, args=[]))
             self._current = fn  # restored for each sibling
             self._function(stmt, prefix=qual + ".", cls=None)
 
@@ -423,9 +247,7 @@ class _FactsExtractor:
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             self._assignment(stmt)
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            names, calls = self._summarize(stmt.value)
-            fn.returns.append([names, calls, stmt.lineno])
-            fn.unit_returns.append([self._uexpr(stmt.value), stmt.lineno])
+            self._summarize(stmt.value)
         elif isinstance(stmt, ast.For):
             self._for_loop(stmt)
         elif isinstance(stmt, ast.Delete):
@@ -438,9 +260,6 @@ class _FactsExtractor:
         else:
             for value in _stmt_exprs(stmt):
                 self._summarize(value)
-                uexpr = self._uexpr(value)
-                if uexpr != ["?"]:
-                    fn.unit_exprs.append(uexpr)
         # Recurse into compound statement bodies.
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.stmt):
@@ -465,112 +284,57 @@ class _FactsExtractor:
                     fn.global_writes.append([target.id, stmt.lineno])
             elif isinstance(target, ast.Attribute):
                 target_names.append(target.attr)
-            elif isinstance(target, ast.Subscript):
-                base = target.value
-                if isinstance(base, ast.Name):
-                    fn.mutations.append([base.id, "[]=", stmt.lineno])
-                elif isinstance(base, ast.Attribute):
-                    fn.attr_subscript_writes.append([base.attr,
-                                                     stmt.lineno])
-        names: List[str] = []
-        calls: List[int] = []
+            elif isinstance(target, ast.Subscript) \
+                    and isinstance(target.value, ast.Name):
+                fn.mutations.append([target.value.id, "[]=", stmt.lineno])
         if value is not None:
-            names, calls = self._summarize(value)
+            self._summarize(value)
         if isinstance(stmt, ast.AugAssign):
-            names = names + [n for n in target_names]
             for name in target_names:
                 fn.counter_incs.append([name, stmt.lineno])
-        fn.assigns.append([target_names, names, calls, stmt.lineno])
-        self._unit_assignment(stmt, targets, value)
+        fn.assigns.append([target_names, stmt.lineno])
         # DET005-style set tracking for SHARD002's loop check.
         if value is not None and _is_set_expr(value, self._set_names):
             self._set_names.update(n for n in target_names)
         else:
             self._set_names.difference_update(target_names)
 
-    def _unit_assignment(self, stmt: ast.stmt, targets,
-                         value: Optional[ast.expr]) -> None:
-        """Unit-expression view of one assignment (see simtype)."""
-        if value is None:
-            return
-        fn = self._current
-        unit_targets: List[str] = []
-        for target in _flatten_targets(targets):
-            if isinstance(target, ast.Name):
-                unit_targets.append(target.id)
-            elif isinstance(target, ast.Attribute):
-                unit_targets.append(target.attr)
-            elif isinstance(target, ast.Subscript):
-                key = _subscript_key(target)
-                if key is not None:
-                    unit_targets.append(key)
-        if not unit_targets:
-            return
-        uexpr = self._uexpr(value)
-        if isinstance(stmt, ast.AugAssign):
-            op = _BINOP_TOKENS.get(type(stmt.op))
-            if op is None:
-                uexpr = ["?"]
-            else:
-                uexpr = [op, self._uexpr(stmt.target), uexpr,
-                         stmt.lineno, stmt.col_offset]
-        fn.unit_assigns.append([unit_targets, uexpr, stmt.lineno])
-
     def _for_loop(self, stmt: ast.For) -> None:
         fn = self._current
         self._summarize(stmt.iter)
-        loop_targets: List[str] = []
         for target in _flatten_targets([stmt.target]):
             if isinstance(target, ast.Name):
                 # loop variable: kill any set-ness
                 self._set_names.discard(target.id)
-                loop_targets.append(target.id)
-        if loop_targets:
-            # Loop variables get unknown units (kill stale bindings).
-            fn.unit_assigns.append([loop_targets, ["?"], stmt.lineno])
         if _is_set_expr(stmt.iter, self._set_names):
             accumulates = _body_accumulates(stmt)
             fn.set_loops.append([stmt.lineno, accumulates])
 
     # -- expressions ---------------------------------------------------
-    def _summarize(self, node: ast.expr) -> Tuple[List[str], List[int]]:
-        """(names read, call indexes) for an expression subtree.
+    def _summarize(self, node: ast.expr) -> List[str]:
+        """Names read by an expression subtree.
 
         Calls encountered are appended to the current function's call
         list (post-order), so nested calls get their own CallFacts.
         """
         names: List[str] = []
-        calls: List[int] = []
-        self._summarize_into(node, names, calls)
-        return names, calls
+        self._summarize_into(node, names)
+        return names
 
-    def _summarize_into(self, node: ast.AST, names: List[str],
-                        calls: List[int]) -> None:
+    def _summarize_into(self, node: ast.AST, names: List[str]) -> None:
         if isinstance(node, ast.Name):
             if isinstance(node.ctx, ast.Load) and node.id not in names:
                 names.append(node.id)
             return
-        if isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "self" \
-                and isinstance(node.ctx, ast.Load):
-            # A bare ``self.method`` reference (no call): the effect
-            # engine turns these into call-graph edges, so scheduled
-            # method references are not invisible to the closure.
-            refs = self._current.self_refs
-            if node.attr not in refs:
-                refs.append(node.attr)
         if isinstance(node, ast.Call):
-            index = self._call(node)
-            self._call_ids[id(node)] = index
-            calls.append(index)
+            self._call(node)
             return
         if isinstance(node, ast.Lambda):
             return  # lambda bodies are summarized only when scheduled
         for child in ast.iter_child_nodes(node):
-            self._summarize_into(child, names, calls)
+            self._summarize_into(child, names)
 
-    def _call(self, node: ast.Call) -> int:
+    def _call(self, node: ast.Call) -> None:
         fn = self._current
         func = node.func
         target = _qualname(func, self.facts.imports)
@@ -587,23 +351,18 @@ class _FactsExtractor:
         for index, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
                 arg = arg.value
-            a_names, a_calls = self._summarize(arg)
-            arg_facts.append(ArgFacts(slot=index, names=a_names,
-                                      calls=a_calls,
-                                      expr=self._uexpr(arg),
+            arg_facts.append(ArgFacts(slot=index,
+                                      names=self._summarize(arg),
                                       fstr=_str_skeleton(arg)))
             if index == 0 and isinstance(arg, ast.Name):
                 first_arg_name = arg.id
         for keyword in node.keywords:
-            a_names, a_calls = self._summarize(keyword.value)
             arg_facts.append(ArgFacts(slot=keyword.arg or "**",
-                                      names=a_names, calls=a_calls,
-                                      expr=self._uexpr(keyword.value),
+                                      names=self._summarize(keyword.value),
                                       fstr=_str_skeleton(keyword.value)))
         call = CallFacts(
             target=target, bare=bare, attr=attr, receiver=receiver,
             line=node.lineno, col=node.col_offset,
-            end_line=getattr(node, "end_lineno", None) or node.lineno,
             args=arg_facts, first_arg_name=first_arg_name)
         if attr in SCHEDULE_ATTRS:
             callback = _callback_expr(node)
@@ -616,7 +375,7 @@ class _FactsExtractor:
                     if _is_sim_run(child, self._sim_locals):
                         call.lambda_runs.append(
                             (child.lineno, child.col_offset))
-                self._summarize_into(callback.body, [], [])
+                self._summarize_into(callback.body, [])
         if _is_sim_run(node, self._sim_locals):
             call.is_sim_run = True
         fn.calls.append(call)
@@ -624,77 +383,6 @@ class _FactsExtractor:
         if (attr in MUTATING_METHODS and isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)):
             fn.mutations.append([func.value.id, attr, node.lineno])
-        return len(fn.calls) - 1
-
-    # -- unit expressions ----------------------------------------------
-    def _uexpr(self, node: ast.expr) -> list:
-        """Compact, JSON-serializable unit-expression for simtype.
-
-        Encoding (nested lists): ``["n", name]`` name read, ``["a",
-        attr]`` attribute/constant-key field read, ``["c", i]`` result
-        of call *i* of this function, ``["#"]`` numeric literal,
-        ``["+"|"-"|"*"|"/", left, right, line, col]`` arithmetic,
-        ``["cmp", [operands...], line, col]`` an order/equality
-        comparison, ``["j", a, b]`` a branch join (conditional
-        expression), ``["?"]`` anything the analysis cannot see
-        through.
-        """
-        if isinstance(node, ast.Name):
-            return ["n", node.id]
-        if isinstance(node, ast.Attribute):
-            return ["a", node.attr]
-        if isinstance(node, ast.Subscript):
-            key = _subscript_key(node)
-            return ["a", key] if key is not None else ["?"]
-        if isinstance(node, ast.Call):
-            index = self._call_ids.get(id(node))
-            return ["c", index] if index is not None else ["?"]
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)) \
-                    and not isinstance(node.value, bool):
-                return ["#"]
-            return ["?"]
-        if isinstance(node, ast.BinOp):
-            op = _BINOP_TOKENS.get(type(node.op))
-            if op is None:
-                return ["?"]
-            return [op, self._uexpr(node.left), self._uexpr(node.right),
-                    node.lineno, node.col_offset]
-        if isinstance(node, ast.UnaryOp) \
-                and isinstance(node.op, (ast.USub, ast.UAdd)):
-            return self._uexpr(node.operand)
-        if isinstance(node, ast.IfExp):
-            return ["j", self._uexpr(node.body),
-                    self._uexpr(node.orelse)]
-        if isinstance(node, ast.Compare):
-            if all(isinstance(op, _CMP_OPS) for op in node.ops):
-                operands = [self._uexpr(x)
-                            for x in [node.left] + node.comparators]
-                return ["cmp", operands, node.lineno, node.col_offset]
-            return ["?"]
-        return ["?"]
-
-
-#: AST operator -> uexpr token (operators outside the unit algebra,
-#: e.g. ``%`` and ``**``, summarize to unknown).
-_BINOP_TOKENS = {
-    ast.Add: "+",
-    ast.Sub: "-",
-    ast.Mult: "*",
-    ast.Div: "/",
-    ast.FloorDiv: "/",
-}
-
-_CMP_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-
-
-def _subscript_key(node: ast.Subscript) -> Optional[str]:
-    """Constant-string subscript key (``d["rtt_ms"]`` -> ``rtt_ms``),
-    so dict-field unit flows work like attribute flows."""
-    index = node.slice
-    if isinstance(index, ast.Constant) and isinstance(index.value, str):
-        return index.value
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -875,20 +563,11 @@ def _callback_expr(node: ast.Call) -> Optional[ast.expr]:
 
 
 def extract_module_facts(path: str, tree: ast.Module,
-                         module: Optional[str] = None,
-                         source: Optional[str] = None) -> ModuleFacts:
-    """Extract :class:`ModuleFacts` for one parsed module.
-
-    ``source`` (when available) is scanned for ``# simlint: unit[...]``
-    annotations; extraction itself is purely syntactic over the AST.
-    """
+                         module: Optional[str] = None) -> ModuleFacts:
+    """Extract :class:`ModuleFacts` for one parsed module (purely
+    syntactic over the AST)."""
     name = module or module_name_for_path(path)
-    facts = _FactsExtractor(name, path, tree).facts
-    if source is not None:
-        annotations, bad = parse_unit_annotations(source)
-        facts.unit_annotations = annotations
-        facts.bad_unit_annotations = bad
-    return facts
+    return _FactsExtractor(name, path, tree).facts
 
 
 # ---------------------------------------------------------------------------

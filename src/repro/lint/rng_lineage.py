@@ -1,25 +1,13 @@
-"""RNG-lineage rule pack (RNG001-RNG003).
+"""RNG-lineage rule pack (RNG002-RNG003).
 
 Sharded and streaming campaigns are bit-identical to their serial runs
 only because every stochastic decision is drawn from a *keyed* stream:
 ``derive_seed(seed, "ns/...")`` and ``RandomStreams.keyed(name, key)``
 give each (namespace, entity) pair its own deterministic generator, so
 draw order — which differs across shard interleavings — cannot change
-any value.  Shared sequential streams (``streams.get(name)`` and the
-convenience draws layered on it) are only safe in strictly serial
-code.  Three lineage bugs break the guarantee silently; all three need
-the interprocedural effect summaries of :mod:`repro.lint.effectflow`,
-because the draw usually hides several helper calls below the shard
-entry point:
+any value.  Two lineage bugs break the guarantee silently, and neither
+changes a value a test or golden could compare:
 
-* RNG001 — a shared-stream draw in code reachable from a shard entry
-  point (a :func:`repro.parallel.pool.map_shards` worker): each worker
-  process advances its *own* copy of the sequence, so the values
-  depend on how work was sharded.  Functions that draw from keyed
-  streams alongside the shared fallback (the
-  ``FrontEndLoadModel.draw`` pattern, where ``keyed_draws`` selects
-  the lineage at runtime) are exempt — the keyed path is the one
-  sharded campaigns configure.
 * RNG002 — two keyed draw sites whose key-namespace format strings
   can collide: ``"cache-lab/%s"`` and ``"cache-lab/stream/%s"`` both
   match ``cache-lab/stream/x``, which silently correlates two streams
@@ -33,19 +21,22 @@ entry point:
   first, which is exactly the shard-variant state keying was supposed
   to remove.
 
-All rules stand down when the linted file set has no shard dispatch
-(RNG001) or no keyed draw sites (RNG002/RNG003).
+Both rules stand down when the linted file set has no keyed draw sites.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.lint.effectflow import EffectSite, shared_effects
 from repro.lint.framework import register
-from repro.lint.project import ProjectContext, ProjectRule
-from repro.lint.shard_safety import shard_entry_points
+from repro.lint.project import (
+    ArgFacts,
+    CallFacts,
+    ProjectContext,
+    ProjectRule,
+)
 
 #: Keyed signatures with no statically-resolvable literal content;
 #: skipped by the collision check (a fully-dynamic key matches
@@ -81,9 +72,69 @@ def _patterns_collide(a: str, b: str) -> bool:
     return walk(0, 0)
 
 
-def _rng_sites(project: ProjectContext, lineage: str
-               ) -> List[Tuple[str, EffectSite]]:
-    """(owning qualname, site) for every RNG draw of one lineage.
+@dataclasses.dataclass(frozen=True)
+class KeyedSite:
+    """One keyed draw: its key-namespace skeleton and line."""
+
+    #: the key's skeleton, dynamic holes starred (``DYNAMIC`` when no
+    #: literal text is visible)
+    signature: str
+    line: int
+    #: names/attributes feeding the key's dynamic holes — the RNG003
+    #: ordinal-counter check reads these
+    tokens: Tuple[str, ...] = ()
+
+
+def _arg(call: CallFacts, slot) -> Optional[ArgFacts]:
+    for arg in call.args:
+        if arg.slot == slot:
+            return arg
+    return None
+
+
+def _skel_text(arg: Optional[ArgFacts]) -> Optional[str]:
+    if arg is None or arg.fstr is None:
+        return None
+    return arg.fstr[0]
+
+
+def _skel_tokens(arg: Optional[ArgFacts]) -> Tuple[str, ...]:
+    if arg is None:
+        return ()
+    tokens = list(arg.fstr[1]) if arg.fstr is not None else []
+    for name in arg.names:
+        if name not in tokens:
+            tokens.append(name)
+    return tuple(tokens)
+
+
+def _keyed_site(call: CallFacts) -> Optional[KeyedSite]:
+    """The keyed draw ``call`` makes, if any: ``derive_seed(seed,
+    key)``, or ``.keyed(name, key)`` / ``.spawn(name)`` on a
+    ``RandomStreams``-like receiver (a bare ``random.Random`` passed in
+    by a caller is keyed where it was created)."""
+    if (call.bare or call.attr) == "derive_seed" or (
+            call.target or "").endswith(".derive_seed"):
+        key = _arg(call, 1)
+        return KeyedSite(_skel_text(key) or DYNAMIC, call.line,
+                         _skel_tokens(key))
+    if "stream" not in (call.receiver or "").lower():
+        return None
+    if call.attr == "keyed":
+        name = _skel_text(_arg(call, 0))
+        return KeyedSite(name + "#*" if name is not None else DYNAMIC,
+                         call.line,
+                         _skel_tokens(_arg(call, 0))
+                         + _skel_tokens(_arg(call, 1)))
+    if call.attr == "spawn":
+        name = _skel_text(_arg(call, 0)) or "*"
+        return KeyedSite("spawn/" + name, call.line,
+                         _skel_tokens(_arg(call, 0)))
+    return None
+
+
+def _keyed_sites(project: ProjectContext) -> List[Tuple[str, KeyedSite]]:
+    """(owning qualname, site) for every keyed draw in the project.
 
     Sites inside a module that *defines* ``derive_seed`` are the keying
     mechanism itself (``RandomStreams.keyed`` joining name and key,
@@ -91,54 +142,17 @@ def _rng_sites(project: ProjectContext, lineage: str
     project flows through them, so they are not draw sites of their
     own.
     """
-    analysis = shared_effects(project)
-    out: List[Tuple[str, EffectSite]] = []
-    for qualname in sorted(analysis.sites):
-        facts, _fn = project.functions[qualname]
-        if any(fn.name == "derive_seed"
-               for fn in facts.functions.values()):
+    out: List[Tuple[str, KeyedSite]] = []
+    for qualname in sorted(project.functions):
+        facts, fn = project.functions[qualname]
+        if any(other.name == "derive_seed"
+               for other in facts.functions.values()):
             continue
-        for site in analysis.sites[qualname]:
-            if site.effect[0] == "rng" and site.effect[2] == lineage:
+        for call in fn.calls:
+            site = _keyed_site(call)
+            if site is not None:
                 out.append((qualname, site))
     return out
-
-
-@register
-class SharedDrawInShardCodeRule(ProjectRule):
-    id = "RNG001"
-    name = "shared-draw-in-shard-code"
-    severity = "error"
-    description = ("Shared sequential stream drawn in code reachable "
-                   "from a shard entry point; values depend on the "
-                   "shard interleaving.")
-    scope = "project"
-
-    def check(self, project: ProjectContext) -> None:
-        entries = shard_entry_points(project)
-        if not entries:
-            return
-        analysis = shared_effects(project)
-        parents = analysis.reachable_from(
-            entry for entry, _path, _line in entries)
-        for qualname, site in _rng_sites(project, "shared"):
-            if qualname not in parents:
-                continue
-            local = analysis.sites.get(qualname, ())
-            if any(s.effect[0] == "rng" and s.effect[2] == "keyed"
-                   for s in local):
-                # The keyed-draw sibling path: sharded campaigns select
-                # it at runtime (FrontEndLoadModel.draw).
-                continue
-            facts, _fn = project.functions[qualname]
-            self.report(
-                facts.path, site.line,
-                "shared-stream draw %r is reachable from shard entry "
-                "point(s) (%s); each worker advances its own copy of "
-                "the sequence, so results depend on the sharding — "
-                "draw from a keyed stream instead"
-                % (site.effect[1],
-                   analysis.project.witness_chain(parents, qualname)))
 
 
 @register
@@ -152,11 +166,11 @@ class KeyNamespaceCollisionRule(ProjectRule):
 
     def check(self, project: ProjectContext) -> None:
         sites = [(qualname, site)
-                 for qualname, site in _rng_sites(project, "keyed")
-                 if site.effect[1] != DYNAMIC]
+                 for qualname, site in _keyed_sites(project)
+                 if site.signature != DYNAMIC]
         for index, (qual_a, site_a) in enumerate(sites):
             for qual_b, site_b in sites[index + 1:]:
-                skel_a, skel_b = site_a.effect[1], site_b.effect[1]
+                skel_a, skel_b = site_a.signature, site_b.signature
                 mod_a = project.functions[qual_a][0].module
                 mod_b = project.functions[qual_b][0].module
                 if skel_a == skel_b and mod_a == mod_b:
@@ -195,11 +209,11 @@ class SharedOrdinalCounterRule(ProjectRule):
                 scope = (facts.module, fn.cls or "")
                 incs.setdefault(scope, {}).setdefault(
                     name, []).append(qualname)
-        for qualname, site in _rng_sites(project, "keyed"):
+        for qualname, site in _keyed_sites(project):
             facts, fn = project.functions[qualname]
             scope = (facts.module, fn.cls or "")
             local = set(fn.params)
-            for targets, _names, _calls, _line in fn.assigns:
+            for targets, _line in fn.assigns:
                 local.update(targets)
             for token in site.tokens:
                 if token in local:

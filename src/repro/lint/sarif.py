@@ -4,8 +4,8 @@ SARIF (Static Analysis Results Interchange Format) is what code
 hosting UIs ingest to annotate diffs with findings.  One lint run maps
 to one ``run`` object: the tool section carries the full rule
 catalogue (index-linked from each result), every finding becomes a
-``result`` with a physical location, and suppressed or baselined
-findings are emitted with a ``suppressions`` entry rather than dropped
+``result`` with a physical location, and suppressed findings are
+emitted with a ``suppressions`` entry rather than dropped
 — SARIF consumers hide them by default but keep the audit trail.
 
 Only constructs from the 2.1.0 schema are used; columns are converted
@@ -67,19 +67,11 @@ def sarif_report(findings: List[Finding], rules: Dict[str, type],
         }
         if finding.rule in rule_index:
             result["ruleIndex"] = rule_index[finding.rule]
-        suppressions = []
         if finding.suppressed:
-            suppressions.append({
+            result["suppressions"] = [{
                 "kind": "inSource",
                 "justification": "simlint: ignore comment",
-            })
-        if getattr(finding, "baselined", False):
-            suppressions.append({
-                "kind": "external",
-                "justification": "accepted in baseline file",
-            })
-        if suppressions:
-            result["suppressions"] = suppressions
+            }]
         results.append(result)
     return {
         "$schema": SARIF_SCHEMA,

@@ -62,7 +62,7 @@ def shard_entry_points(project: ProjectContext
 
 def _locals_of(fn: FunctionFacts) -> Set[str]:
     names = set(fn.params)
-    for targets, _names, _calls, _line in fn.assigns:
+    for targets, _line in fn.assigns:
         names.update(targets)
     return names
 

@@ -70,16 +70,6 @@ SCHEDULE_PARAM_UNITS: Dict[str, Tuple[str, str]] = {
     "call_at": ("time", "s"),
 }
 
-#: Tokens accepted inside ``# simlint: unit[TOKEN]`` annotations (the
-#: suffix vocabulary without the leading underscore, plus explicit
-#: dimensionless).  Consumed by :mod:`repro.lint.simtype` as inference
-#: seeds.
-ANNOTATION_UNITS: Dict[str, Tuple[str, str]] = dict(
-    [(suffix.lstrip("_"), unit) for suffix, unit in SUFFIX_UNITS]
-    + [("dimensionless", ("dimensionless", "1")),
-       ("1", ("dimensionless", "1"))])
-
-
 def unit_of_name(name: str) -> Optional[Tuple[str, str]]:
     """Map an identifier to its (dimension, unit), or None if unsuffixed.
 

@@ -39,7 +39,7 @@ class QuerySession:
         return self.completed_at is not None and self.failed is None
 
     @property
-    def duration(self) -> Optional[float]:  # simlint: unit[s]
+    def duration(self) -> Optional[float]:
         """Wall-clock duration from connection open to response end."""
         if self.completed_at is None:
             return None

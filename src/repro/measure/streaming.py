@@ -46,12 +46,12 @@ __all__ = ["StreamingCampaignResult", "StreamingSchedule",
 
 #: Histogram bounds mirrored from repro.obs.record (seconds / bytes).
 DURATION_BOUNDS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0,
-                   5.0)  # simlint: unit[s]
+                   5.0)
 SIZE_BOUNDS = (4_096, 16_384, 32_768, 65_536, 131_072,
-               262_144)  # simlint: unit[bytes]
+               262_144)
 
 #: Default seconds of schedule visibility kept ahead of the clock.
-DEFAULT_LOOKAHEAD = 30.0  # simlint: unit[s]
+DEFAULT_LOOKAHEAD = 30.0
 
 #: Default events scheduled per simulator burst.
 DEFAULT_BATCH_EVENTS = 2048
@@ -243,7 +243,7 @@ def _batches(events: Callable[[], Iterator[QueryEvent]],
     """
     played, ahead = events(), events()
     pulled = fed = 0
-    fed_until = float("-inf")  # simlint: unit[s]
+    fed_until = float("-inf")
     while True:
         batch = list(islice(played, batch_events))
         if not batch:

@@ -84,7 +84,7 @@ def end(mark: CampaignMark, kind: str, scenario, dataset) -> None:
 # ----------------------------------------------------------------------
 def session_span(scenario, session) -> Span:
     """Build the span tree of one finished query session."""
-    end_time = session.completed_at  # simlint: unit[s]
+    end_time = session.completed_at
     if end_time is None:
         end_time = session.events[-1].time if session.events \
             else session.started_at

@@ -194,7 +194,7 @@ class FrontEndServer:
         self.active_requests += 1
         self.peak_concurrency = max(self.peak_concurrency,
                                     self.active_requests)
-        delay = self.load_model.draw(  # simlint: unit[s]
+        delay = self.load_model.draw(
             self.streams, "fe-load/%s" % self.node.name,
             concurrency=self.active_requests,
             key=query_id if self.keyed_draws else None)
@@ -206,7 +206,7 @@ class FrontEndServer:
                 # caches are statically bypassed by admission
                 # ("finite-content-cache" in sim/replay/admission.py),
                 # so no materialized session can skip this write.
-                self.static_hit_log[query_id] = static_level  # simlint: ignore[EFF001]
+                self.static_hit_log[query_id] = static_level
         if self.cache_results and self.cache_static \
                 and static_level != CacheTier.ORIGIN:
             cached = self.result_cache.get(request.query.get("q", ""))

@@ -71,8 +71,6 @@ class FrontEndLoadModel:
         if self.sigma == 0:
             value = self.median_delay
         elif key is not None:
-            # Unchained, so simlint's RNG001 sees this keyed sibling of
-            # the shared draw below.
             keyed = streams.keyed(stream_name, key)
             value = keyed.lognormvariate(math.log(self.median_delay),
                                          self.sigma)
@@ -126,7 +124,6 @@ class ProcessingModel:
         if self.sigma == 0:
             return max(self.floor, mean)
         if key is not None:
-            # Unchained for RNG001, as in FrontEndLoadModel.draw.
             keyed = streams.keyed(stream_name, key)
             noise = keyed.lognormvariate(0.0, self.sigma)
         else:

@@ -28,7 +28,7 @@ from repro.sim.replay.timeline import materialize_events
 #: start-plus-offset arithmetic (~1e-10 s), and below one 40-byte
 #: header's serialization on a 1 Gb/s link (3.2e-7 s) — the smallest
 #: timing slip a genuine modeling error can produce.
-DEFAULT_TOLERANCE = 2.5e-7  # simlint: unit[s]
+DEFAULT_TOLERANCE = 2.5e-7
 
 #: Default validation cadence: the first admissible submission of every
 #: stratum, then roughly one in this many.
@@ -60,7 +60,7 @@ class DivergenceGate:
         if validate_every is not None and validate_every < 1:
             raise ValueError("validate_every must be >= 1 or None")
         self.seed = seed
-        self.tolerance = tolerance  # simlint: unit[s]
+        self.tolerance = tolerance
         #: None disables validation entirely (pure analytic mode).
         self.validate_every = validate_every
         self._strata: Dict[tuple, _Stratum] = {}

@@ -44,7 +44,7 @@ TIER_MODES = ("packet", "analytic", "auto")
 #: on the gate tolerance (2.5e-7 s) so the exported histograms show at
 #: a glance whether predictions sit at float noise or near demotion.
 DIVERGENCE_BOUNDS = (1e-10, 1e-9, 1e-8, 1e-7, 2.5e-7,
-                     1e-6, 1e-5, 1e-4, 1e-3)  # simlint: unit[s]
+                     1e-6, 1e-5, 1e-4, 1e-3)
 
 
 def tier_mode(explicit: Optional[str] = None) -> str:

@@ -40,7 +40,7 @@ from repro.tcp.segment import HEADER_BYTES
 LAST_CHUNK_LEN = 5
 
 
-def chunk_length(payload_len: int) -> int:  # simlint: unit[bytes]
+def chunk_length(payload_len: int) -> int:
     """On-stream length of one HTTP chunk: hex size line + CRLFs."""
     return len("%x" % payload_len) + 4 + payload_len
 
@@ -58,11 +58,11 @@ class LinkHorizon:
     __slots__ = ("bandwidth", "delay", "busy")
 
     def __init__(self, bandwidth: float, delay: float):
-        self.bandwidth = bandwidth  # simlint: unit[bytes/s]
-        self.delay = delay  # simlint: unit[s]
-        self.busy = 0.0  # simlint: unit[s]
+        self.bandwidth = bandwidth
+        self.delay = delay
+        self.busy = 0.0
 
-    def send(self, at: float, wire_bytes: int) -> float:  # simlint: unit[s]
+    def send(self, at: float, wire_bytes: int) -> float:
         """Serialize ``wire_bytes`` at ``at``; returns the arrival time."""
         start = self.busy if self.busy > at else at
         tx_done = start + wire_bytes / self.bandwidth
@@ -74,19 +74,19 @@ class LinkHorizon:
 class DataSegment:
     """One payload-bearing segment of a modeled transfer."""
 
-    sent_at: float  # simlint: unit[s]
-    arrived_at: float  # simlint: unit[s]
-    offset: int  # simlint: unit[bytes]
-    size: int  # simlint: unit[bytes]
+    sent_at: float
+    arrived_at: float
+    offset: int
+    size: int
 
 
 @dataclass(frozen=True)
 class ReceiverAck:
     """The receiver's pure ACK of one data segment."""
 
-    sent_at: float  # simlint: unit[s]
-    arrived_at: float  # simlint: unit[s]
-    acked_through: int  # simlint: unit[bytes]
+    sent_at: float
+    arrived_at: float
+    acked_through: int
 
 
 def deliver_response(writes: Sequence[Tuple[float, int]],
@@ -114,9 +114,9 @@ def deliver_response(writes: Sequence[Tuple[float, int]],
     segments: List[DataSegment] = []
     acks: List[ReceiverAck] = []
     cwnd = window
-    length = 0  # simlint: unit[bytes]
-    nxt = 0  # simlint: unit[bytes]
-    una = 0  # simlint: unit[bytes]
+    length = 0
+    nxt = 0
+    una = 0
     # Pending sender stimuli, processed in engine order: app writes
     # (kind -1, value = bytes appended) and arriving cumulative ACKs
     # (kind +1, value = acked-through offset).  The tie-break counter
@@ -177,52 +177,52 @@ class SessionParams:
     """
 
     # client <-> FE path
-    cf_delay: float  # simlint: unit[s]
-    up_bandwidth: float  # simlint: unit[bytes/s]
-    down_bandwidth: float  # simlint: unit[bytes/s]
+    cf_delay: float
+    up_bandwidth: float
+    down_bandwidth: float
     # FE <-> BE path
-    be_delay: float  # simlint: unit[s]
-    be_up_bandwidth: float  # simlint: unit[bytes/s]
-    be_down_bandwidth: float  # simlint: unit[bytes/s]
+    be_delay: float
+    be_up_bandwidth: float
+    be_down_bandwidth: float
     # wire sizes
-    request_len: int  # simlint: unit[bytes]
-    fe_head_len: int  # simlint: unit[bytes]
-    static_len: int  # simlint: unit[bytes]
-    dynamic_len: int  # simlint: unit[bytes]
-    be_request_len: int  # simlint: unit[bytes]
-    be_head_len: int  # simlint: unit[bytes]
+    request_len: int
+    fe_head_len: int
+    static_len: int
+    dynamic_len: int
+    be_request_len: int
+    be_head_len: int
     # client-facing TCP (the FE's edge stack sends, the client acks)
-    mss: int  # simlint: unit[bytes]
-    initial_cwnd: int  # simlint: unit[bytes]
-    peer_rwnd: int  # simlint: unit[bytes]
+    mss: int
+    initial_cwnd: int
+    peer_rwnd: int
     # FE-BE leg (pinned window)
-    be_mss: int  # simlint: unit[bytes]
-    be_window: int  # simlint: unit[bytes]
-    be_peer_rwnd: int  # simlint: unit[bytes]
+    be_mss: int
+    be_window: int
+    be_peer_rwnd: int
     # resolved service draws
-    fe_delay: float  # simlint: unit[s]
-    tproc: float  # simlint: unit[s]
+    fe_delay: float
+    tproc: float
 
 
 @dataclass(frozen=True)
 class SessionModel:
     """The model's full output, all times relative to the SYN (tb=0)."""
 
-    synack_at: float  # simlint: unit[s]
-    get_arrival: float  # simlint: unit[s]  (forwarding instant)
-    get_ack_at: float  # simlint: unit[s]  (the paper's t2)
-    be_arrival: float  # simlint: unit[s]
-    be_completed: float  # simlint: unit[s]
-    fetch_completed: float  # simlint: unit[s]
-    static_write_at: float  # simlint: unit[s]
-    dynamic_write_at: float  # simlint: unit[s]
-    completed_at: float  # simlint: unit[s]  (the paper's te)
+    synack_at: float
+    get_arrival: float  # forwarding instant
+    get_ack_at: float  # the paper's t2
+    be_arrival: float
+    be_completed: float
+    fetch_completed: float
+    static_write_at: float
+    dynamic_write_at: float
+    completed_at: float  # the paper's te
     segments: Tuple[DataSegment, ...]
     acks: Tuple[ReceiverAck, ...]
-    response_size: int  # simlint: unit[bytes]
+    response_size: int
 
     @property
-    def duration(self) -> float:  # simlint: unit[s]
+    def duration(self) -> float:
         return self.completed_at
 
 

@@ -42,7 +42,7 @@ _SSTHRESH_FLOOR = 1 << 30
 #: Sessions this close to the time origin may still overlap the FE-BE
 #: pool handshakes' link occupancy; margin dominates the serialization
 #: tail of any realistic pool size.
-_WARMUP_MARGIN = 0.005  # simlint: unit[s]
+_WARMUP_MARGIN = 0.005
 
 
 class Prediction:
@@ -54,8 +54,8 @@ class Prediction:
     def __init__(self, timeline: RecordedTimeline, static_end: int,
                  dynamic_start: int):
         self.timeline = timeline
-        self.static_end = static_end  # simlint: unit[bytes]
-        self.dynamic_start = dynamic_start  # simlint: unit[bytes]
+        self.static_end = static_end
+        self.dynamic_start = dynamic_start
 
 
 class _Path:

@@ -171,8 +171,10 @@ class SessionExecutor:
         in its exact order: the keyword registration, the query id, the
         ephemeral port (held until completion), the FE/BE ground-truth
         records at the forwarding instant, and the session's packet
-        events at completion.  The simflow parity rules (EFF001-EFF003)
-        are rooted here.
+        events at completion.
+        ``tests/test_analytic_tier.py::test_fast_paths_leave_the_packet_footprint``
+        checks that the servers end up exactly as a packet run leaves
+        them.
         """
         scenario = self.scenario
         sim = scenario.sim

@@ -489,7 +489,7 @@ class Connection:
         return False
 
     def _window_available(self) -> int:
-        window = min(self.cc.cwnd, self.peer_rwnd)  # simlint: unit[bytes]
+        window = min(self.cc.cwnd, self.peer_rwnd)
         return max(0, window - self._flight_size())
 
     def _try_send(self) -> None:
@@ -517,7 +517,7 @@ class Connection:
         config = self.config
         mss = config.mss
         nagle = config.nagle
-        window = self.cc.cwnd  # simlint: unit[bytes]
+        window = self.cc.cwnd
         if self.peer_rwnd < window:
             window = self.peer_rwnd
         # Also invariant inside the loop: nothing in it enqueues data or

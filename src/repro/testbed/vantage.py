@@ -78,7 +78,7 @@ def generate_vantage_points(count: int, *,
     # worker inside Scenario.__init__, before any shard-variant work,
     # so every shard draws the identical sequence (locked in by the
     # serial-vs-sharded fingerprint tests).
-    rng = streams.get("vantage-placement")  # simlint: ignore[RNG001]
+    rng = streams.get("vantage-placement")
     by_region = {}
     for metro in metros:
         by_region.setdefault(metro.region, []).append(metro)

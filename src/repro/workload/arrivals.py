@@ -43,7 +43,7 @@ class ArrivalProcess:
     """Base class: a deterministic nonhomogeneous Poisson process."""
 
     #: Aggregate base rate over the whole user population.
-    rate: float  # simlint: unit[1/s]
+    rate: float
 
     def intensity(self, time: float) -> float:
         """Instantaneous arrival rate at ``time`` (sessions/second)."""
@@ -63,7 +63,7 @@ class ArrivalProcess:
         peak = self.peak()
         if peak <= 0.0:
             return
-        time = 0.0  # simlint: unit[s]
+        time = 0.0
         while True:
             time += rng.expovariate(peak)
             if time >= duration:
@@ -95,7 +95,7 @@ class DiurnalArrivals(ArrivalProcess):
     """
 
     def __init__(self, rate: float, amplitude: float = 0.5,
-                 period: float = 86_400.0):  # simlint: unit[s]
+                 period: float = 86_400.0):
         if rate < 0.0:
             raise ValueError("rate must be >= 0, got %r" % (rate,))
         if not 0.0 <= amplitude <= 1.0:
@@ -118,8 +118,8 @@ class DiurnalArrivals(ArrivalProcess):
 class FlashCrowdArrivals(ArrivalProcess):
     """A flash crowd: baseline rate with a multiplied burst window."""
 
-    def __init__(self, rate: float, at: float = 600.0,  # simlint: unit[s]
-                 burst: float = 120.0,  # simlint: unit[s]
+    def __init__(self, rate: float, at: float = 600.0,
+                 burst: float = 120.0,
                  multiplier: float = 8.0):
         if rate < 0.0:
             raise ValueError("rate must be >= 0, got %r" % (rate,))
@@ -144,9 +144,9 @@ class FlashCrowdArrivals(ArrivalProcess):
 
 def make_arrivals(kind: str, rate: float, *,
                   diurnal_amplitude: float = 0.5,
-                  diurnal_period: float = 86_400.0,  # simlint: unit[s]
-                  flash_at: float = 600.0,  # simlint: unit[s]
-                  flash_duration: float = 120.0,  # simlint: unit[s]
+                  diurnal_period: float = 86_400.0,
+                  flash_at: float = 600.0,
+                  flash_duration: float = 120.0,
                   flash_multiplier: float = 8.0) -> ArrivalProcess:
     """Build the arrival process a :class:`WorkloadSpec` names."""
     if kind == "poisson":

@@ -45,7 +45,7 @@ __all__ = ["OpenLoopWorkload", "QueryEvent", "WorkloadSpec"]
 class QueryEvent:
     """One query submission instant in an open-loop workload."""
 
-    time: float  # simlint: unit[s]
+    time: float
     session_id: int
     query_index: int
     user: int
@@ -71,21 +71,21 @@ class WorkloadSpec:
     #: Size of the simulated user population.
     users: int = 10_000
     #: Campaign length in simulated seconds.
-    duration: float = 3600.0  # simlint: unit[s]
+    duration: float = 3600.0
     #: Arrival process kind (see :data:`~repro.workload.arrivals.ARRIVAL_KINDS`).
     arrivals: str = "poisson"
     #: Aggregate session-arrival rate of the whole population.
-    session_rate: float = 1.0  # simlint: unit[1/s]
+    session_rate: float = 1.0
     diurnal_amplitude: float = 0.5
-    diurnal_period: float = 86_400.0  # simlint: unit[s]
-    flash_at: float = 600.0  # simlint: unit[s]
-    flash_duration: float = 120.0  # simlint: unit[s]
+    diurnal_period: float = 86_400.0
+    flash_at: float = 600.0
+    flash_duration: float = 120.0
     flash_multiplier: float = 8.0
     #: Mean queries per session (geometric, >= 1) and its hard cap.
     queries_per_session: float = 3.0
     max_session_queries: int = 16
     #: Mean think time between a session's queries (exponential).
-    think_time: float = 30.0  # simlint: unit[s]
+    think_time: float = 30.0
     #: Zipf skew of keyword popularity and the ranked universe size.
     alpha: float = 1.0
     keyword_count: int = 256

@@ -1,8 +1,10 @@
 """Nondeterminism sources for the proj_flow fixture.
 
 ``now`` is the single wall-clock read; everything downstream of it in
-the other modules is reached only through these helpers, so every
-DET006-DET008 finding below exercises the cross-module taint engine.
+the other modules is reached only through these helpers.  DET001 fires
+here, at the source, so a value derived from it can reach the event
+queue, a seed or an exported trace field only through this one
+reviewed line: no separate flow rule is needed downstream.
 """
 
 import time

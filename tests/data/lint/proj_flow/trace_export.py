@@ -1,4 +1,7 @@
-"""Tainted exported trace fields (DET008)."""
+"""A wall-clock value reaching an exported trace field.
+
+The flow starts at ``helpers.now``, where DET001 fires.
+"""
 
 import json
 
@@ -7,7 +10,7 @@ from helpers import now
 
 def export_spans(handle, spans):
     record = {"spans": spans, "generated_at": now()}
-    handle.write(json.dumps(record))  # expect: DET008
+    handle.write(json.dumps(record))
 
 
 def export_clean(handle, spans):

@@ -1,22 +1,4 @@
-"""Shard campaign driver: dispatch, a keyed/shared sibling pair, and
-the stream-seed namespace the pool module later collides with."""
-
-
-def run(pool, shards):
-    return pool.map_shards(_worker, shards)
-
-
-def _worker(shard):
-    sampler = Sampler(shard)
-    jittered(shard.streams, shard.index)
-    return sampler.draw(shard.streams)
-
-
-def jittered(streams, index):
-    lane = streams.keyed("lane#%d" % index)
-    # The keyed sibling above exempts this shared draw: the function
-    # demonstrably knows about per-shard keying.
-    return lane.sample() + streams.uniform(0.0, 0.5)
+"""Campaign stream seeds: the namespace the pool module collides with."""
 
 
 def stream_seed(seed, label):

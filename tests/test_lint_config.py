@@ -124,23 +124,19 @@ def test_json_schema_is_stable(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     # Top-level shape: fixed keys, nothing extra.  Additions require a
     # version bump plus a docs/LINTING.md update.
-    assert sorted(report) == ["baselined", "counts", "errors",
-                              "files_analyzed", "files_from_cache",
-                              "files_scanned", "findings",
-                              "signatures_from_cache", "suppressed",
+    assert sorted(report) == ["counts", "errors", "files_analyzed",
+                              "files_scanned", "findings", "suppressed",
                               "version"]
-    assert report["version"] == JSON_SCHEMA_VERSION == 4
+    assert report["version"] == JSON_SCHEMA_VERSION == 5
     assert report["files_scanned"] == 1
     assert report["files_analyzed"] == 1
-    assert report["files_from_cache"] == 0
     assert report["errors"] == 0
     assert report["suppressed"] == 0
-    assert report["baselined"] == 0
     assert sorted(report["counts"]) == ["error", "warning"]
     assert report["counts"]["error"] == len(report["findings"]) == 2
     for finding in report["findings"]:
-        assert sorted(finding) == ["baselined", "col", "end_line", "line",
-                                   "message", "path", "rule", "severity",
+        assert sorted(finding) == ["col", "end_line", "line", "message",
+                                   "path", "rule", "severity",
                                    "suppressed"]
         assert isinstance(finding["line"], int)
         assert finding["severity"] in ("error", "warning")

@@ -33,8 +33,9 @@ def expected_findings(path):
 def lint_fixture(name, **config_kwargs):
     runner = LintRunner(LintConfig(**config_kwargs))
     findings = runner.run_file(os.path.join(FIXTURES, name))
-    # Project-scope rules (EVT001, the flow packs) run after the
-    # per-file pass; for a one-file fixture the "project" is the file.
+    # Project-scope rules (EVT001, the SHARD and RNG packs) run after
+    # the per-file pass; for a one-file fixture the "project" is the
+    # file.
     findings.extend(runner.run_project())
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -1,15 +1,11 @@
-"""simtype tests: lattice laws (property-based), the arithmetic
-algebra checked against the real :mod:`repro.sim.units` helpers,
-annotation parsing, interprocedural inference, and signature-table
-round trips.
+"""Unit-pack tables checked against the real :mod:`repro.sim.units`
+helpers, suffix lookup, and the ``--stats`` per-pack timing plumbing.
 
-The lattice properties are what the fixpoints in
-:mod:`repro.lint.simtype` lean on: a non-commutative or
-non-associative join would make inference results depend on module
-iteration order.
+The conversion tables in :mod:`repro.lint.unit_safety` are what
+UNIT001 and UNIT004 compare suffixes against, so they must track the
+helpers' semantics exactly.
 """
 
-import ast
 import json
 import os
 
@@ -18,93 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.lint.cli import main
-from repro.lint.project import (
-    ProjectContext,
-    extract_module_facts,
-    parse_unit_annotations,
-)
-from repro.lint.simtype import (
-    CONFLICT,
-    DIMENSIONLESS,
-    UnitAnalysis,
-    add_units,
-    div_units,
-    is_concrete,
-    join,
-    mul_units,
-)
-from repro.lint.unit_safety import (
-    ANNOTATION_UNITS,
-    CONVERSION_RETURNS,
-    SUFFIX_UNITS,
-    unit_of_name,
-)
+from repro.lint.unit_safety import CONVERSION_RETURNS, unit_of_name
 from repro.sim import units as sim_units
-
-# Every abstract value the lattice can hold: all concrete units, the
-# extremes, and parameter placeholders.
-_VALUES = (sorted(set(unit for _suffix, unit in SUFFIX_UNITS))
-           + [DIMENSIONLESS, CONFLICT,
-              ("<param>", "delay"), ("<param>", "grace"), None])
-
-units_st = st.sampled_from(_VALUES)
-
-
-# ---------------------------------------------------------------------------
-# lattice laws
-# ---------------------------------------------------------------------------
-@given(units_st, units_st)
-def test_join_commutative(a, b):
-    assert join(a, b) == join(b, a)
-
-
-@given(units_st, units_st, units_st)
-def test_join_associative(a, b, c):
-    assert join(join(a, b), c) == join(a, join(b, c))
-
-
-@given(units_st)
-def test_join_idempotent_with_bottom_and_top(a):
-    assert join(a, a) == a
-    assert join(a, None) == a
-    assert join(None, a) == a
-    assert join(a, CONFLICT) == CONFLICT
-
-
-@given(units_st, units_st)
-def test_mul_commutative(a, b):
-    assert mul_units(a, b) == mul_units(b, a)
-
-
-@given(units_st)
-def test_dimensionless_is_multiplicative_identity(a):
-    if is_concrete(a):
-        assert mul_units(a, DIMENSIONLESS) == a
-        assert div_units(a, DIMENSIONLESS) == a
-        assert div_units(a, a) == DIMENSIONLESS
-
-
-@given(units_st, units_st)
-def test_add_only_mixes_on_concrete_disagreement(a, b):
-    result, mixed = add_units(a, b)
-    if mixed:
-        assert is_concrete(a) and is_concrete(b) and a != b
-        assert result == CONFLICT
-    elif is_concrete(a) and is_concrete(b):
-        assert a == b and result == a
-
-
-def test_rate_time_size_triangle():
-    bytes_, secs = ("size", "bytes"), ("time", "s")
-    rate = ("rate", "bytes_per_s")
-    assert div_units(bytes_, secs) == rate
-    assert div_units(bytes_, rate) == secs
-    assert mul_units(rate, secs) == bytes_
-    assert div_units(("distance", "miles"), ("speed", "miles_per_s")) \
-        == secs
-    # Nothing outside the tables is guessed.
-    assert mul_units(secs, secs) is None
-    assert div_units(secs, bytes_) is None
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +23,7 @@ def test_rate_time_size_triangle():
 # ---------------------------------------------------------------------------
 @given(st.floats(min_value=1e-6, max_value=1e9, allow_nan=False))
 def test_ms_round_trip_matches_helpers(value):
-    assert sim_units.seconds_to_ms(sim_units.ms(value)) == pytest.approx(value)  # simlint: ignore[UNIT009] round-trip check on purpose
+    assert sim_units.seconds_to_ms(sim_units.ms(value)) == pytest.approx(value)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e6, allow_nan=False))
@@ -140,123 +51,6 @@ def test_suffix_lookup_is_case_insensitive():
 
 
 # ---------------------------------------------------------------------------
-# annotations
-# ---------------------------------------------------------------------------
-def test_annotation_tokens_cover_the_suffix_vocabulary():
-    for suffix, unit in SUFFIX_UNITS:
-        assert ANNOTATION_UNITS[suffix.lstrip("_")] == unit
-    assert ANNOTATION_UNITS["dimensionless"] == DIMENSIONLESS
-
-
-def test_annotation_parsing_accepts_known_and_flags_unknown():
-    source = ("a = 1  # simlint: " + "unit[ms]\n"
-              "b = 2  # simlint: " + "unit[bogus]\n")
-    annotations, bad = parse_unit_annotations(source)
-    assert annotations == {1: "ms"}
-    assert bad == [[2, "bogus"]]
-
-
-def test_bad_annotation_surfaces_as_meta_finding(tmp_path, capsys):
-    target = tmp_path / "mod.py"
-    target.write_text("x = 1  # simlint: " + "unit[bogus]\n",
-                      encoding="utf-8")
-    assert main([str(target), "--no-config", "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert [f["rule"] for f in report["findings"]] == ["META001"]
-    assert "bogus" in report["findings"][0]["message"]
-
-
-# ---------------------------------------------------------------------------
-# inference engine
-# ---------------------------------------------------------------------------
-def _project(**modules):
-    facts = []
-    for name, source in sorted(modules.items()):
-        tree = ast.parse(source)
-        facts.append(extract_module_facts(
-            name + ".py", tree, module=name, source=source))
-    return ProjectContext(facts)
-
-
-_TIMELINE = (
-    "from repro.sim import units\n"
-    "\n"
-    "def window():\n"
-    "    return units.seconds_to_ms(0.25)\n"
-)
-
-_CALLER = (
-    "from timeline import window\n"
-    "\n"
-    "def wait_for():\n"
-    "    pause = window()\n"
-    "    return pause\n"
-)
-
-
-def test_return_units_propagate_interprocedurally():
-    project = _project(timeline=_TIMELINE, caller=_CALLER)
-    analysis = UnitAnalysis(project)
-    analysis.run()
-    assert analysis.summaries["timeline.window"] == ("time", "ms")
-    assert analysis.summaries["caller.wait_for"] == ("time", "ms")
-
-
-def test_annotations_override_inference():
-    project = _project(mod=(
-        "def grace():\n"
-        "    pause = 2  # simlint: " + "unit[s]\n"
-        "    return pause\n"))
-    analysis = UnitAnalysis(project)
-    analysis.run()
-    assert analysis.summaries["mod.grace"] == ("time", "s")
-
-
-def test_body_usage_demands_parameter_units():
-    project = _project(mod=(
-        "def clamp(delay, floor_s):\n"
-        "    if delay < floor_s:\n"
-        "        return floor_s\n"
-        "    return delay\n"))
-    analysis = UnitAnalysis(project)
-    analysis.run()
-    assert analysis.signature_unit("mod.clamp", "delay") == ("time", "s")
-
-
-def test_call_sites_push_units_into_parameters():
-    project = _project(
-        helper=(
-            "def hold(sim, pause, cb):\n"
-            "    sim.schedule(pause, cb)\n"),
-        caller=(
-            "from helper import hold\n"
-            "from repro.sim import units\n"
-            "\n"
-            "def drive(sim, cb):\n"
-            "    hold(sim, units.seconds_to_ms(40.0), cb)\n"))
-    analysis = UnitAnalysis(project)
-    analysis.run()
-    assert analysis.param_in["helper.hold"]["pause"] == ("time", "ms")
-
-
-def test_signature_table_round_trips_and_seeds():
-    project = _project(timeline=_TIMELINE, caller=_CALLER)
-    analysis = UnitAnalysis(project)
-    analysis.run()
-    table = analysis.signature_table()
-    assert table["timeline.window"]["ret"] == ["time", "ms"]
-    # JSON round trip, then seed a fresh analysis over an identical
-    # project: it must report itself seeded and converge to the same
-    # table.
-    restored = json.loads(json.dumps(table))
-    fresh = _project(timeline=_TIMELINE, caller=_CALLER)
-    seeded = UnitAnalysis(fresh, seed=restored)
-    seeded.run()
-    assert seeded.seeded
-    assert seeded.signature_table() == table
-
-
-# ---------------------------------------------------------------------------
 # --stats plumbing
 # ---------------------------------------------------------------------------
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -264,18 +58,19 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 
 def test_stats_reports_per_pack_timing(capsys):
-    root = os.path.join(FIXTURES, "proj_unit_flow")
+    root = os.path.join(FIXTURES, "proj_rng_lineage")
     assert main([root, "--no-config", "--stats",
                  "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
     packs = report["stats"]["rule_pack_seconds"]
-    assert "unit_flow" in packs and "simtype-engine" in packs
+    assert {"rng_lineage", "shard_safety", "determinism"} <= set(packs)
     assert all(seconds >= 0.0 for seconds in packs.values())
 
 
 def test_stats_text_table_lands_on_stderr(capsys):
-    root = os.path.join(FIXTURES, "proj_unit_conv")
+    root = os.path.join(FIXTURES, "unit_bad.py")
     assert main([root, "--no-config", "--stats"]) == 1
     captured = capsys.readouterr()
     assert "analyzer time by rule pack" in captured.err
+    assert "unit_safety" in captured.err
     assert "total" in captured.err

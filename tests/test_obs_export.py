@@ -202,6 +202,24 @@ def test_report_cli_summarizes_an_export(capture, tmp_path, capsys):
     assert "campaign.sessions.completed" in out
 
 
+def test_cli_trace_exports_each_session_once(tmp_path, capsys, monkeypatch):
+    # An inline experiment records its spans live and also hands them
+    # back as its payload; main() must roll the live copy back before
+    # absorbing the payload, or every session is exported twice.
+    from repro.__main__ import main
+    # main() sets REPRO_TRACE only when it is unset; a falsy value
+    # keeps its switch from leaking into later tests.
+    monkeypatch.setenv("REPRO_TRACE", "0")
+    path = str(tmp_path / "trace.jsonl")
+    assert main(["fig5", "--scale", "tiny", "--seed", "1",
+                 "--trace", path]) == 0
+    capsys.readouterr()
+    sessions = [(span["start"], json.dumps(span["attrs"], sort_keys=True))
+                for span in read_jsonl(path)["spans"]
+                if span["name"] == "session"]
+    assert sessions and len(set(sessions)) == len(sessions)
+
+
 def test_report_cli_fails_cleanly_on_bad_input(tmp_path, capsys):
     from repro.__main__ import main
     missing = str(tmp_path / "does-not-exist.jsonl")

@@ -99,6 +99,9 @@ def test_delayed_ack_coalesces_acks():
         assert bytes(client.received) == payload
         ack_counts[delack] = len(acks)
     assert ack_counts[True] < ack_counts[False] * 0.75
+    # One pure ACK per two full segments plus the timer-driven ones;
+    # a lost timer handle re-arms extra timers and sends more.
+    assert ack_counts[True] == 23
 
 
 def test_abort_mid_transfer_notifies_app():

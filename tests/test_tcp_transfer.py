@@ -192,17 +192,24 @@ def test_rtt_estimate_close_to_actual_rtt(two_hosts):
 
 
 def test_delayed_ack_defers_pure_ack():
-    """With delayed ACK on and a silent app, the pure ACK waits ~40 ms."""
+    """With delayed ACK on and a silent app, the pure ACK waits 40 ms."""
     world = make_world(rtt=units.ms(10),
                        server_config=TcpConfig(delayed_ack=True))
     sink = SinkApp()
     world.server.listen(80, lambda: sink)
     client = CollectorApp(request=b"q")  # 1 segment, no response
+    acks = []
+    world.topology.node("client").add_tap(
+        lambda event, packet: acks.append(world.sim.now)
+        if event == "recv" and packet.payload.is_pure_ack else None)
     conn = world.client.connect(Endpoint("server", 80), client)
     world.run(until=5.0)
     assert sink.byte_count == 1
-    # The client's data was acked eventually (delack timer), so una
-    # advanced despite no response data.
+    # The segment leaves with the handshake's ACK at 10 ms and lands at
+    # 15 ms; the server holds its ACK for the 40 ms timer, and the ACK
+    # is back at the client at 60 ms, before any client RTO.
+    assert acks == [pytest.approx(units.ms(60.0), abs=units.ms(0.1))]
+    assert conn.stats.timeouts == 0
     assert conn.send_buffer.all_acked
 
 
