@@ -136,7 +136,7 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "            for keyword in CALIBRATION_KEYWORDS[:2]:",
        "            for keyword in set(CALIBRATION_KEYWORDS[:2]):",
        ["DET005"], M, M,
-       "Fig. 4's two calibration queries are scheduled in salted hash "
+       "Fig. 4's two calibration queries enter its plan in salted hash "
        "order: which keyword goes first differs between processes"),
     # -- units: kept UNIT001-UNIT004 -------------------------------------
     _m("U1", "UNIT006", "services/backend.py",
@@ -246,12 +246,10 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "failed sessions report their duration in ms; nothing reads "
        "it, and UNIT007 did not fire on it either"),
     _m("U2", "UNIT008", "sim/executor.py",
-       "        guard = isolation_guard(scenario.client_fe_rtt(\n"
-       "            emulator.vp, frontend, scenario.service(service_name)))",
+       "        guard = isolation_guard(session.path_rtt)",
        "        from repro.sim import units\n"
-       "        guard = isolation_guard(units.seconds_to_ms(\n"
-       "            scenario.client_fe_rtt(emulator.vp, frontend,\n"
-       "                                   scenario.service(service_name))))",
+       "        guard = isolation_guard(units.seconds_to_ms("
+       "session.path_rtt))",
        [], C, "",
        "the fast-path isolation guard gets an RTT in ms"),
     _m("U16", "UNIT008", "sim/executor.py",
@@ -451,14 +449,14 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "random-policy victims are keyed by the admission counter, so "
        "every eviction between two admissions reuses one key"),
     # -- effect parity: deleted EFF001-EFF003 ----------------------------
-    _m("E1", "EFF001", "sim/executor.py",
+    _m("E1", "EFF001", "measure/emulator.py",
        "        service.register_keywords([keyword])\n"
-       "        query_id = emulator.next_query_id()",
-       "        query_id = emulator.next_query_id()",
-       [], M, M,
-       "unobservable: QueryEmulator.submit registers the keyword first "
-       "and BackendDataCenter._handle's registry.resolve is the only "
-       "reader"),
+       "        session = QuerySession(",
+       "        session = QuerySession(",
+       [], C, "",
+       "no session registers its keyword, on any path: the back-end "
+       "builds pages from fallback keyword attributes the analytic model "
+       "does not use; the analytic-vs-packet test catches it"),
     _m("E2", "EFF001", "sim/executor.py",
        "            frontend.record_replayed_fetch(\n"
        "                query_id, start + timeline.forward_offset,\n"

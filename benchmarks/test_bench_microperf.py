@@ -86,8 +86,11 @@ def test_bench_single_query_end_to_end(benchmark):
 
     def query():
         scenario = Scenario(ScenarioConfig(seed=50, vantage_count=2))
-        emulator = QueryEmulator(scenario, scenario.vantage_points[0])
-        session = emulator.submit_default(Scenario.GOOGLE, keyword)
+        vp = scenario.vantage_points[0]
+        frontend, _ = scenario.connect_default(Scenario.GOOGLE, vp)
+        emulator = QueryEmulator(scenario, vp)
+        session = emulator.open_session(Scenario.GOOGLE, frontend, keyword)
+        emulator.simulate(session, frontend)
         scenario.sim.run()
         return session
 

@@ -16,7 +16,7 @@ from repro.content.keywords import Keyword
 from repro.content.page import PageProfile
 from repro.core.bounds import check_bounds
 from repro.core.metrics import extract_all_calibrated
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.net.geo import GeoPoint
 from repro.net.topology import Topology
 from repro.services.deployment import ServiceDeployment, ServiceProfile
@@ -97,22 +97,20 @@ def main() -> None:
         def client_fe_rtt(self, vp, frontend, service):
             return topology.rtt(vp.name, frontend.node.name)
 
-        def connect_default(self, service_name, vp):
-            raise NotImplementedError("links are built by hand here")
+        def link_client_to_frontend(self, vp, frontend, service):
+            """Links are wired by hand above."""
 
-    shim = _ScenarioShim()
-    sessions = []
+    # Every query at t=0, each client to its own coast's FE.
+    plan = []
     for client_name, fe_tag in (("client-west", "sf"),
                                 ("client-east", "nyc")):
-        emulator = QueryEmulator(shim, _Vp(client_name),
-                                 store_payload=True)
         for text in ("coffee near campus", "library opening hours",
                      "regional train schedule"):
             keyword = Keyword(text=text, popularity=0.5, complexity=0.4)
-            sessions.append(emulator.submit(
-                profile.name, deployment.frontend_by_name(fe_tag),
-                keyword))
-    sim.run()
+            plan.append((sim.now, _Vp(client_name), profile.name,
+                         deployment.frontend_by_name(fe_tag), keyword))
+    played = run_queries(_ScenarioShim(), plan, store_payload=True)
+    sessions = [s for vp_sessions in played.values() for s in vp_sessions]
 
     # ------------------------------------------------------------------
     # 5. The paper's pipeline on the captured traces.

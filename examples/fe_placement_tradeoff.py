@@ -24,7 +24,7 @@ from repro.core.threshold import estimate_tdelta_threshold
 from repro.experiments.ablation import run_placement_ablation
 from repro.experiments.common import CALIBRATION_KEYWORDS, ExperimentScale
 from repro.experiments.report import render_placement
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.sim import units
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.testbed.sites import METROS
@@ -40,7 +40,7 @@ def rtt_sweep() -> None:
                       complexity=0.5)
 
     rtts_ms = [5, 20, 40, 60, 80, 100, 120, 140, 170, 200, 240]
-    sessions = []
+    plan = []
     slot = 0.0
     for index, rtt_ms in enumerate(rtts_ms):
         vp = VantagePoint(name="sweep-%03d" % index, metro=METROS[0],
@@ -48,33 +48,26 @@ def rtt_sweep() -> None:
                           access_delay=units.ms(rtt_ms) / 2.0,
                           peering_penalty=0.0)
         scenario.add_vantage_point(vp)
-        scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = QueryEmulator(scenario, vp, store_payload=True)
-        for repeat in range(5):
-            scenario.sim.call_at(
-                slot, lambda e=emulator, r=rtt_ms: sessions.append(
-                    (r, e.submit(Scenario.BING, frontend, keyword))))
-            slot += 4.0
+        queries = [keyword] * 5
         if index == 0:
-            for calibration_keyword in CALIBRATION_KEYWORDS[:2]:
-                scenario.sim.call_at(
-                    slot, lambda e=emulator, k=calibration_keyword:
-                    sessions.append((None, e.submit(Scenario.BING,
-                                                    frontend, k))))
-                slot += 4.0
-    scenario.sim.run()
+            queries += CALIBRATION_KEYWORDS[:2]
+        for query in queries:
+            plan.append((slot, vp, Scenario.BING, frontend, query))
+            slot += 4.0
+    # Each client's sessions, in the order of rtts_ms.
+    played = list(run_queries(scenario, plan, store_payload=True).values())
 
     calibration = BoundaryCalibration.from_sessions(
-        [s for _, s in sessions])
-    boundary = calibration.boundary_for(sessions[0][1])
+        [s for sessions in played for s in sessions])
+    boundary = calibration.boundary_for(played[0][0])
 
     print("RTT sweep against %s:" % frontend.node.name)
     print("  %-10s %12s %12s %12s" % ("RTT(ms)", "Tstatic", "Tdynamic",
                                       "Tdelta"))
     rtt_values, tdelta_values = [], []
-    for rtt_ms in rtts_ms:
+    for rtt_ms, sessions in zip(rtts_ms, played):
         metrics = [extract_metrics(s, boundary)
-                   for r, s in sessions if r == rtt_ms and s.complete]
+                   for s in sessions[:5] if s.complete]
         metrics.sort(key=lambda m: m.tdynamic)
         mid = metrics[len(metrics) // 2]
         print("  %-10d %12.1f %12.1f %12.1f"

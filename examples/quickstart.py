@@ -15,7 +15,7 @@ Run::
 from repro.analysis.boundary import BoundaryCalibration
 from repro.content.keywords import Keyword
 from repro.core.metrics import extract_metrics
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.sim import units
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
@@ -26,11 +26,11 @@ def main() -> None:
     vp = scenario.vantage_points[0]
     print("Vantage point: %s (metro: %s)" % (vp.name, vp.metro.name))
 
-    # The emulator plays the role of the paper's in-house search box.
-    emulator = QueryEmulator(scenario, vp, store_payload=True)
-
-    # Issue three queries: two extra keywords make the content analysis
-    # (static/dynamic boundary detection) possible.
+    # Issue three queries to the default (DNS-resolved) front-end: two
+    # extra keywords make the content analysis (static/dynamic boundary
+    # detection) possible.  The plan is played by the emulator, the
+    # paper's in-house search box, with packet payloads captured.
+    frontend, _ = scenario.connect_default(Scenario.GOOGLE, vp)
     keywords = [
         Keyword(text="dynamic content distribution", popularity=0.4,
                 complexity=0.4),
@@ -38,9 +38,9 @@ def main() -> None:
         Keyword(text="split tcp performance", popularity=0.4,
                 complexity=0.4),
     ]
-    sessions = [emulator.submit_default(Scenario.GOOGLE, keyword)
-                for keyword in keywords]
-    scenario.sim.run()
+    plan = [(scenario.sim.now, vp, Scenario.GOOGLE, frontend, keyword)
+            for keyword in keywords]
+    sessions = run_queries(scenario, plan, store_payload=True)[vp.name]
 
     session = sessions[0]
     print("Queried %r against %s" % (session.keyword.text, session.fe_name))

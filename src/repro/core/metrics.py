@@ -11,12 +11,13 @@ figure of the paper is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.stream import (
     arrival_time_of_offset,
     inbound_byte_arrivals,
 )
+from repro.measure.capture import PacketEvent
 from repro.measure.session import QuerySession
 
 
@@ -89,6 +90,31 @@ def _boundary_offsets(boundary) -> "tuple[int, int]":
     return static_end, dynamic_start
 
 
+def packet_landmarks(events: Sequence[PacketEvent]) -> Dict[str, float]:
+    """``tb``, ``rtt``, ``t1`` and ``t2`` in one pass over a trace;
+    those it lacks are absent.  :func:`extract_timeline` and the
+    observability spans both start from this scan."""
+    marks: Dict[str, float] = {}
+    syn_ack_time = get_end_seq = None
+    for event in events:
+        if event.direction == "out" and event.syn and "tb" not in marks:
+            marks["tb"] = event.time
+        elif (event.direction == "in" and event.syn and event.ack_flag
+              and syn_ack_time is None):
+            syn_ack_time = event.time
+        elif (event.direction == "out" and event.payload_len > 0
+              and get_end_seq is None):
+            marks["t1"] = event.time
+            get_end_seq = event.seq + event.payload_len
+        elif (get_end_seq is not None and "t2" not in marks
+              and event.direction == "in" and event.ack_flag
+              and event.ack >= get_end_seq and event.time >= marks["t1"]):
+            marks["t2"] = event.time
+    if syn_ack_time is not None and "tb" in marks:
+        marks["rtt"] = syn_ack_time - marks["tb"]
+    return marks
+
+
 def extract_timeline(session: QuerySession,
                      boundary) -> QueryTimeline:
     """Extract the Figure-2 event times from a session trace.
@@ -106,33 +132,13 @@ def extract_timeline(session: QuerySession,
     if not events:
         raise MetricsError("session %s has no trace" % session.query_id)
 
-    tb = syn_ack_time = None
-    t1 = get_event = None
-    for event in events:
-        if event.direction == "out" and event.syn and tb is None:
-            tb = event.time
-        elif (event.direction == "in" and event.syn and event.ack_flag
-              and syn_ack_time is None):
-            syn_ack_time = event.time
-        elif (event.direction == "out" and event.payload_len > 0
-              and t1 is None):
-            t1 = event.time
-            get_event = event
-    if tb is None or syn_ack_time is None:
+    marks = packet_landmarks(events)
+    if "rtt" not in marks:
         raise MetricsError("session %s lacks a handshake" % session.query_id)
-    if t1 is None:
+    if "t1" not in marks:
         raise MetricsError("session %s never sent a request"
                            % session.query_id)
-    rtt = syn_ack_time - tb
-
-    get_end_seq = get_event.seq + get_event.payload_len
-    t2 = None
-    for event in events:
-        if (event.direction == "in" and event.ack_flag
-                and event.ack >= get_end_seq and event.time >= t1):
-            t2 = event.time
-            break
-    if t2 is None:
+    if "t2" not in marks:
         raise MetricsError("GET was never acknowledged in session %s"
                            % session.query_id)
 
@@ -140,16 +146,15 @@ def extract_timeline(session: QuerySession,
     if not arrivals:
         raise MetricsError("no inbound data in session %s"
                            % session.query_id)
-    t3 = arrivals[0].time
     t4 = arrival_time_of_offset(arrivals, static_end - 1)
     t5 = arrival_time_of_offset(arrivals, dynamic_start)
     if t4 is None or t5 is None:
         raise MetricsError(
             "session %s never delivered the boundary bytes (offsets "
             "%d/%d)" % (session.query_id, static_end, dynamic_start))
-    te = arrivals[-1].time
-    return QueryTimeline(tb=tb, t1=t1, t2=t2, t3=t3, t4=t4, t5=t5,
-                         te=te, rtt=rtt)
+    return QueryTimeline(tb=marks["tb"], t1=marks["t1"], t2=marks["t2"],
+                         t3=arrivals[0].time, t4=t4, t5=t5,
+                         te=arrivals[-1].time, rtt=marks["rtt"])
 
 
 def extract_metrics(session: QuerySession, boundary) -> QueryMetrics:

@@ -25,9 +25,11 @@ from repro.http.client import HttpFetch, RequestHooks
 from repro.http.message import HttpRequest, build_query_path
 from repro.measure.driver import run_queries
 from repro.measure.emulator import QueryEmulator
+from repro.measure.streaming import StreamingSchedule
 from repro.net.address import Endpoint
 from repro.services.backend import BACKEND_PORT
 from repro.sim import units
+from repro.sim.executor import SessionExecutor
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.testbed.sites import nearest_metro
 from repro.testbed.vantage import VantagePoint
@@ -72,6 +74,10 @@ def run_split_tcp_ablation(scale: Optional[ExperimentScale] = None, *,
     service.register_keywords([ABLATION_KEYWORD])
 
     emulator = QueryEmulator(scenario, vp)
+    # The chain cannot be planned ahead, so it submits straight to a
+    # packet-only executor.
+    executor = SessionExecutor(scenario, StreamingSchedule(),
+                               tier="packet", replay_cache=False)
     sim = scenario.sim
     split_sessions = []
     direct_durations: List[float] = []
@@ -79,10 +85,11 @@ def run_split_tcp_ablation(scale: Optional[ExperimentScale] = None, *,
     # Each round queries through the FE, then ``interval`` later straight
     # to the back-end; the next round starts ``interval`` after that
     # fetch ends (TCP's retry limits end a stuck one through on_failure).
+    # The direct fetch is no search session: it bypasses the FE.
     def split_query(index: int) -> None:
         if index < scale.repeats:
-            split_sessions.append(emulator.submit(service_name, frontend,
-                                                  ABLATION_KEYWORD))
+            split_sessions.append(executor.submit(
+                emulator, service_name, frontend, ABLATION_KEYWORD))
             sim.schedule(scale.interval, direct_query, index)
 
     def direct_query(index: int) -> None:
@@ -237,18 +244,16 @@ def run_placement_ablation(scale: Optional[ExperimentScale] = None, *,
     result = PlacementAblationResult(service=service_name)
     for coverage in coverages:
         scenario = build_scenario(scale, akamai_coverage=coverage)
-        service = scenario.service(service_name)
-        rtts, overalls = [], []
-        sessions = []
+        now = scenario.sim.now
+        rtts, plan = [], []
         for vp in scenario.vantage_points[:max(10, scale.vantage_count
                                                // 3)]:
             frontend, rtt = scenario.connect_default(service_name, vp)
             rtts.append(rtt)
-            emulator = QueryEmulator(scenario, vp)
-            sessions.append(emulator.submit(service_name, frontend,
-                                            ABLATION_KEYWORD))
-        scenario.sim.run()
-        overalls = [s.duration for s in sessions if s.complete]
+            plan.append((now, vp, service_name, frontend, ABLATION_KEYWORD))
+        overalls = [s.duration
+                    for sessions in run_queries(scenario, plan).values()
+                    for s in sessions if s.complete]
         result.points.append(PlacementPoint(
             coverage=coverage,
             median_rtt=median(rtts),

@@ -3,13 +3,18 @@
 Every experiment runner follows the same recipe:
 
 1. build a (scaled) :class:`~repro.testbed.scenario.Scenario`;
-2. run a small *calibration* campaign with payload capture to locate the
-   static/dynamic boundary per service (the content analysis);
+2. run a small *calibration* plan with payload capture to locate the
+   static/dynamic boundary per service (the content analysis,
+   :func:`calibrate_service`);
 3. run the measurement campaign proper (payloads off): a dataset
    campaign, or a *plan* of ``(time, vp, service, frontend, keyword)``
    queries played by :func:`repro.measure.driver.run_queries`, with
    times accumulated ``t = t + gap`` from the current clock;
 4. extract metrics and compute the figure's data series.
+
+Every query of every step, calibration included, starts in
+:meth:`repro.sim.executor.SessionExecutor.submit`; no experiment opens
+a session itself.
 
 ``ExperimentScale`` lets benchmarks run the same experiments at reduced
 size while keeping the paper-scale parameters one constant away.
@@ -22,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.boundary import BoundaryCalibration
 from repro.content.keywords import Keyword
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.measure.session import QuerySession
 from repro.services.frontend import FrontEndServer
 from repro.sim import units
@@ -91,22 +96,18 @@ def calibrate_service(scenario: Scenario, service_name: str,
                       ) -> BoundaryCalibration:
     """Run the content-analysis calibration for one service.
 
-    Issues the calibration keywords (payload capture on) from one
+    Plans the calibration keywords (payload capture on) from one
     vantage point against each front-end in ``frontends`` (default: the
-    vantage point's default FE), then builds the per-FE boundary table.
+    vantage point's default FE), all at the current instant, then
+    builds the per-FE boundary table.
     """
     vp = vp or scenario.vantage_points[0]
-    service = scenario.service(service_name)
-    emulator = QueryEmulator(scenario, vp, store_payload=True)
     targets = list(frontends) if frontends else \
         [scenario.default_frontend(service_name, vp)]
-    sessions = []
-    for frontend in targets:
-        scenario.link_client_to_frontend(vp, frontend, service)
-        for keyword in CALIBRATION_KEYWORDS:
-            sessions.append(emulator.submit(service_name, frontend,
-                                            keyword))
-    scenario.sim.run()
+    now = scenario.sim.now
+    plan = [(now, vp, service_name, frontend, keyword)
+            for frontend in targets for keyword in CALIBRATION_KEYWORDS]
+    sessions = run_queries(scenario, plan, store_payload=True)[vp.name]
     incomplete = [s for s in sessions if not s.complete]
     if incomplete:
         raise RuntimeError("calibration queries failed: %s"

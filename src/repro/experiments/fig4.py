@@ -18,7 +18,7 @@ structure (for the dot-array rendering) uses plain temporal clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.boundary import BoundaryCalibration
 from repro.analysis.clustering import EventCluster, cluster_by_gap
@@ -29,7 +29,7 @@ from repro.experiments.common import (
     ExperimentScale,
     build_scenario,
 )
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.measure.session import QuerySession
 from repro.sim import units
 from repro.testbed.scenario import Scenario
@@ -111,9 +111,7 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
     service = scenario.service(service_name)
     frontend = service.frontends[0]
 
-    probes: Dict[int, List[QuerySession]] = {i: [] for i in
-                                             range(len(rtts))}
-    calibration_sessions: List[QuerySession] = []
+    plan = []
     spacing = 5.0
     next_slot = 0.0
     for index, rtt in enumerate(rtts):
@@ -124,26 +122,22 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
             access_delay=rtt / 2.0,  # entire one-way delay via access
             peering_penalty=0.0)
         scenario.add_vantage_point(vp)
-        scenario.link_client_to_frontend(vp, frontend, service)
-        emulator = QueryEmulator(scenario, vp, store_payload=True)
         for _ in range(repeats):
-            scenario.sim.call_at(
-                next_slot, lambda e=emulator, i=index: probes[i].append(
-                    e.submit(service_name, frontend, FIG4_KEYWORD)))
+            plan.append((next_slot, vp, service_name, frontend,
+                         FIG4_KEYWORD))
             next_slot += spacing
         if index == 0:
             # Two more keywords from the nearest client, for the content
             # analysis that locates the static/dynamic boundary.
             for keyword in CALIBRATION_KEYWORDS[:2]:
-                scenario.sim.call_at(
-                    next_slot,
-                    lambda e=emulator, k=keyword:
-                    calibration_sessions.append(
-                        e.submit(service_name, frontend, k)))
+                plan.append((next_slot, vp, service_name, frontend,
+                             keyword))
                 next_slot += spacing
-    scenario.sim.run()
+    played = list(run_queries(scenario, plan, store_payload=True).values())
+    probes = [sessions[:repeats] for sessions in played]
+    calibration_sessions = played[0][repeats:]
 
-    for sessions in probes.values():
+    for sessions in probes:
         for session in sessions:
             if not session.complete:
                 raise RuntimeError("figure-4 session failed: %s"

@@ -49,6 +49,17 @@ def _is_schedule_call(node: ast.AST) -> bool:
             and node.func.attr in _SCHEDULE_ATTRS)
 
 
+def _grows_plan(node: ast.AST) -> bool:
+    """``plan.append(...)``: an entry added to a query plan, the list of
+    ``(time, vp, service, frontend, keyword)`` tuples ``run_queries``
+    plays in list order (every experiment names it ``plan``)."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("append", "extend", "insert")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "plan")
+
+
 @register
 class WallClockRule(Rule):
     id = "DET001"
@@ -161,9 +172,10 @@ class SetOrderRule(Rule):
     id = "DET005"
     name = "set-order-schedule"
     severity = "error"
-    description = ("Iteration over a set whose body schedules events; set "
-                   "order is insertion/hash dependent and leaks into the "
-                   "event queue tie-break order.")
+    description = ("Iteration over a set whose body schedules events, "
+                   "directly or by adding to a query plan; set order is "
+                   "insertion/hash dependent and leaks into the event "
+                   "queue tie-break order.")
 
     def begin_file(self) -> None:
         self._set_names: Set[str] = set()
@@ -184,7 +196,7 @@ class SetOrderRule(Rule):
         if not self._iterates_set(node.iter):
             return
         for child in ast.walk(node):
-            if _is_schedule_call(child):
+            if _is_schedule_call(child) or _grows_plan(child):
                 self.report(node, "iterating a set and scheduling events "
                                   "leaks hash order into the event queue; "
                                   "iterate sorted(...) instead")

@@ -661,8 +661,8 @@ class ProjectContext:
         (3) bare/attribute names within the *same module* — the old
         single-file heuristic; (4) an attribute call whose method name
         is defined at most :data:`CHA_FANOUT` times project-wide links
-        to all of them (so ``emulator.submit(...)`` finds
-        ``QueryEmulator.submit`` without type inference, while generic
+        to all of them (so ``emulator.open_session(...)`` finds
+        ``QueryEmulator.open_session`` without type inference, while generic
         names like ``.get`` produce no edges at all).
         """
         if call.is_sim_run:

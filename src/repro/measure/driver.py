@@ -14,9 +14,13 @@ the drivers keep every session and return dataset objects holding
 completed :class:`~repro.measure.session.QuerySession` lists.
 
 The figure experiments' own schedules (a keyword set every interval, a
-background crowd around a probe, a typist's keystrokes) are *plans*:
-time-ordered ``(time, vp, service, frontend, keyword)`` lists that
-:func:`run_queries` plays through the same runner.
+background crowd around a probe, a typist's keystrokes, the boundary
+calibration's batch, Fig. 4's probe slots) are *plans*: time-ordered
+``(time, vp, service, frontend, keyword)`` lists that
+:func:`run_queries` plays through the same runner.  Each entry names
+its own front-end, so one vantage point may address several.  Either
+way, every session starts in
+:meth:`repro.sim.executor.SessionExecutor.submit`.
 
 A vantage point's stagger offset is derived from its index in the
 scenario's *full* fleet, not its position in the subset handed to the
@@ -95,7 +99,7 @@ def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,
                   interval: float = 10.0,
                   services: Optional[Sequence[str]] = None,
                   vantage_points: Optional[Sequence[VantagePoint]] = None,
-                  replay_cache=None,
+                  replay_cache: Optional[bool] = None,
                   tier: Optional[str] = None) -> DatasetA:
     """Run the default-FE campaign and return its sessions.
 
@@ -139,7 +143,7 @@ def run_dataset_b(scenario: Scenario, service_name: str,
                   repeats: int = 10,
                   interval: float = 10.0,
                   vantage_points: Optional[Sequence[VantagePoint]] = None,
-                  replay_cache=None,
+                  replay_cache: Optional[bool] = None,
                   tier: Optional[str] = None) -> DatasetB:
     """Run the fixed-FE campaign for one service and return its sessions.
 
@@ -163,7 +167,8 @@ def _run_closed_loop(scenario: Scenario, dataset, kind: str,
                      emulators: Dict[str, QueryEmulator],
                      frontends: Dict[Tuple[str, str], FrontEndServer],
                      services: Sequence[str], keywords: Sequence[Keyword],
-                     repeats: int, interval: float, replay_cache,
+                     repeats: int, interval: float,
+                     replay_cache: Optional[bool],
                      tier: Optional[str]) -> None:
     """Play a closed-loop campaign from the current clock, keeping its
     sessions on ``dataset``.  The clock ends where a per-VP "submit,
@@ -176,8 +181,8 @@ def _run_closed_loop(scenario: Scenario, dataset, kind: str,
         scenario,
         lambda: closed_loop_events(scenario, vps, services, keywords,
                                    repeats, interval, start),
-        emulators, frontends, tail=interval, tier=tier,
-        replay_cache=replay_cache)
+        emulators, lambda event: frontends[(event.service, event.vp_name)],
+        tail=interval, tier=tier, replay_cache=replay_cache)
     for emulator in emulators.values():
         dataset.sessions.extend(emulator.sessions)
     obs.campaign_end(obs_mark, kind, scenario, dataset)
@@ -247,16 +252,18 @@ def run_single_queries(scenario: Scenario, service_name: str,
 PlannedQuery = Tuple[float, VantagePoint, str, FrontEndServer, Keyword]
 
 
-def run_queries(scenario: Scenario, plan: Iterable[PlannedQuery]
+def run_queries(scenario: Scenario, plan: Iterable[PlannedQuery], *,
+                store_payload: bool = False
                 ) -> Dict[str, List[QuerySession]]:
     """Submit a plan of queries and run the simulator until it drains.
 
     ``plan`` lists ``(time, vp, service, frontend, keyword)`` tuples in
     time order; queries at the same instant are submitted in plan
-    order.  Each vantage point is linked to its front-end and gets one
-    emulator, so a VP that appears several times keeps one query-id
-    counter and every submission gets a globally unique id.  A VP must
-    use one front-end per service.  The plan plays through the one
+    order.  Each vantage point is linked to every front-end it plans
+    for and gets one emulator, so a VP that appears several times keeps
+    one query-id counter and every submission gets a globally unique
+    id.  ``store_payload`` keeps packet payloads on the capture (the
+    content analysis needs them).  The plan plays through the one
     campaign runner as plain packet simulation: the experiments that
     plan their queries study what the fast paths would bypass (FE
     caches, load, keyword cost).
@@ -266,16 +273,12 @@ def run_queries(scenario: Scenario, plan: Iterable[PlannedQuery]
     """
     plan = list(plan)
     emulators: Dict[str, QueryEmulator] = {}
-    frontends: Dict[Tuple[str, str], FrontEndServer] = {}
     for _, vp, service_name, frontend, _ in plan:
-        key = (service_name, vp.name)
-        if frontends.setdefault(key, frontend) is not frontend:
-            raise ValueError("vantage point %s plans %s queries to two "
-                             "front-ends" % (vp.name, service_name))
         scenario.link_client_to_frontend(vp, frontend,
                                          scenario.service(service_name))
         if vp.name not in emulators:
-            emulators[vp.name] = QueryEmulator(scenario, vp)
+            emulators[vp.name] = QueryEmulator(scenario, vp,
+                                               store_payload=store_payload)
 
     def events() -> Iterator[QueryEvent]:
         for index, (time, vp, service_name, _, keyword) in enumerate(plan):
@@ -283,7 +286,9 @@ def run_queries(scenario: Scenario, plan: Iterable[PlannedQuery]
                              user=index, vp_name=vp.name,
                              service=service_name, keyword=keyword)
 
-    run_event_stream(scenario, events, emulators, frontends,
+    # An event's session id is its plan row; [3] is the row's front-end.
+    run_event_stream(scenario, events, emulators,
+                     lambda event: plan[event.session_id][3],
                      tier="packet", replay_cache=False)
     return {name: emulator.sessions
             for name, emulator in emulators.items()}

@@ -7,11 +7,16 @@ issues one GET per query on a *fresh* TCP connection (as browsers of the
 era did for search result pages) toward a chosen front-end server,
 captures the packet trace of that connection, and packages everything
 into a :class:`~repro.measure.session.QuerySession`.
+
+:meth:`repro.sim.executor.SessionExecutor.submit`, the one place a
+session starts, drives both steps of a query:
+:meth:`QueryEmulator.open_session`, then :meth:`QueryEmulator.simulate`
+unless a fast path serves the session from a timeline.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.content.keywords import Keyword
 from repro.http.client import HttpFetch, RequestHooks
@@ -47,32 +52,19 @@ class QueryEmulator:
         self._counter += 1
         return _QUERY_ID_TEMPLATE % (self.vp.name, self._counter)
 
-    def peek_query_id(self) -> str:
-        """The id :meth:`next_query_id` will return next, without
-        consuming it.
+    def open_session(self, service_name: str, frontend: FrontEndServer,
+                     keyword: Keyword) -> QuerySession:
+        """Open one query at the current instant and keep its session.
 
-        The session-replay cache fingerprints a submission *before*
-        deciding whether to simulate it, and the fingerprint includes
-        query-id-keyed service draws — so it must know the id the
-        emulator is about to assign.
-        """
-        return _QUERY_ID_TEMPLATE % (self.vp.name, self._counter + 1)
-
-    def submit(self, service_name: str, frontend: FrontEndServer,
-               keyword: Keyword,
-               query_id: Optional[str] = None) -> QuerySession:
-        """Issue one query; returns the (initially incomplete) session.
-
-        The caller must have linked the vantage point to ``frontend``
-        (see :meth:`Scenario.link_client_to_frontend`) and should run the
-        simulator afterwards; the session fills itself in as the
-        response arrives.
+        Registers the keyword, draws the query id and reserves the
+        ephemeral port, the same on every execution path.  The caller
+        must have linked the vantage point to ``frontend`` (see
+        :meth:`Scenario.link_client_to_frontend`).
         """
         service = self.scenario.service(service_name)
         service.register_keywords([keyword])
-        query_id = query_id or self.next_query_id()
         session = QuerySession(
-            query_id=query_id,
+            query_id=self.next_query_id(),
             service=service_name,
             vp_name=self.vp.name,
             fe_name=frontend.node.name,
@@ -80,25 +72,24 @@ class QueryEmulator:
             started_at=self.scenario.sim.now,
             path_rtt=self.scenario.client_fe_rtt(self.vp, frontend,
                                                  service))
-        path = build_query_path("/search", {"q": keyword.text,
-                                            "id": query_id})
+        session.local_port = self.tcp_host.reserve_port()
+        self.sessions.append(session)
+        return session
+
+    def simulate(self, session: QuerySession,
+                 frontend: FrontEndServer) -> None:
+        """Send an opened session's GET on a fresh connection; the
+        session fills itself in as the response arrives."""
+        path = build_query_path("/search", {"q": session.keyword.text,
+                                            "id": session.query_id})
         hooks = RequestHooks(
             on_complete=lambda response: self._complete(session, response),
             on_failure=lambda message: self._fail(session, message))
         # The SYN leaves inside connect: open the capture first.
-        session.local_port = self.tcp_host.reserve_port()
         self.capture.open_port(session.local_port)
         HttpFetch(self.tcp_host, Endpoint(frontend.node.name, FRONTEND_PORT),
-                  HttpRequest(path=path, headers={"Host": service_name}),
+                  HttpRequest(path=path, headers={"Host": session.service}),
                   hooks, local_port=session.local_port)
-        self.sessions.append(session)
-        return session
-
-    def submit_default(self, service_name: str,
-                       keyword: Keyword) -> QuerySession:
-        """Resolve the default FE via DNS, link, and submit."""
-        frontend, _ = self.scenario.connect_default(service_name, self.vp)
-        return self.submit(service_name, frontend, keyword)
 
     # ------------------------------------------------------------------
     def _complete(self, session: QuerySession, response) -> None:

@@ -34,7 +34,12 @@ from repro.analysis.sketch import QuantileSketch, merge_sketches
 from repro.cache import aggregate_stats
 from repro.measure.emulator import QueryEmulator
 from repro.obs import runtime as _obs
-from repro.obs.metrics import SCOPE_SIM, MetricsSnapshot
+from repro.obs.metrics import (
+    DEFAULT_BOUNDS,
+    SCOPE_SIM,
+    SIZE_BOUNDS,
+    MetricsSnapshot,
+)
 from repro.sim.executor import SessionExecutor, isolation_guard
 from repro.sim.stats import ReplayStats, TierStats, sum_stats
 from repro.testbed.scenario import Scenario
@@ -43,12 +48,6 @@ from repro.workload.generator import QueryEvent, WorkloadSpec
 
 __all__ = ["StreamingCampaignResult", "StreamingSchedule",
            "run_event_stream", "run_streaming_campaign"]
-
-#: Histogram bounds mirrored from repro.obs.record (seconds / bytes).
-DURATION_BOUNDS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0,
-                   5.0)
-SIZE_BOUNDS = (4_096, 16_384, 32_768, 65_536, 131_072,
-               262_144)
 
 #: Default seconds of schedule visibility kept ahead of the clock.
 DEFAULT_LOOKAHEAD = 30.0
@@ -229,7 +228,7 @@ class StreamingCampaignResult:
 
 def _batches(events: Callable[[], Iterator[QueryEvent]],
              schedule: StreamingSchedule,
-             frontends: Dict[Tuple[str, str], object], lookahead: float,
+             frontend_of: Callable[[QueryEvent], object], lookahead: float,
              batch_events: int) -> Iterator[List[QueryEvent]]:
     """The stream one batch at a time, with the schedule fed ahead.
 
@@ -259,8 +258,7 @@ def _batches(events: Callable[[], Iterator[QueryEvent]],
                     "event stream is not time-ordered: event %d is at "
                     "t=%r, after an event at t=%r"
                     % (fed, event.time, fed_until))
-            schedule.feed(frontends[(event.service, event.vp_name)]
-                          .node.name, event.time)
+            schedule.feed(frontend_of(event).node.name, event.time)
             fed_until = event.time
             fed += 1
         yield batch
@@ -269,24 +267,24 @@ def _batches(events: Callable[[], Iterator[QueryEvent]],
 def run_event_stream(scenario: Scenario,
                      events: Callable[[], Iterator[QueryEvent]],
                      emulators: Dict[str, QueryEmulator],
-                     frontends: Dict[Tuple[str, str], object], *,
+                     frontend_of: Callable[[QueryEvent], object], *,
                      lookahead: float = float("inf"),
                      batch_events: int = DEFAULT_BATCH_EVENTS,
                      fold: Optional[Callable[[bool], Optional[float]]]
                      = None,
                      tail: float = 0.0,
                      tier: Optional[str] = None,
-                     replay_cache=None
+                     replay_cache: Optional[bool] = None
                      ) -> Tuple[int, Optional[ReplayStats],
                                 Optional[TierStats]]:
     """Play one event stream; the loop behind every campaign.
 
     ``events`` returns a fresh iterator over the time-ordered stream on
     every call (two walk it, see :func:`_batches`).  ``emulators`` maps
-    each vantage point's name to its emulator and ``frontends`` maps
-    ``(service, vp_name)`` to the front-end its queries go to.  Each
-    batch is scheduled at its events' own instants and run to its last
-    one.
+    each vantage point's name to its emulator and ``frontend_of`` gives
+    the front-end an event's query goes to; it is asked once when the
+    schedule is fed and once at submission.  Each batch is scheduled at
+    its events' own instants and run to its last one.
 
     ``fold(final)`` is the sink: without one, sessions stay on their
     emulators.  A fold runs after every batch and once more after the
@@ -310,8 +308,7 @@ def run_event_stream(scenario: Scenario,
 
     def submit(event: QueryEvent) -> None:
         executor.submit(emulators[event.vp_name], event.service,
-                        frontends[(event.service, event.vp_name)],
-                        event.keyword)
+                        frontend_of(event), event.keyword)
 
     def fold_sessions(final: bool) -> None:
         if fold is not None:
@@ -322,7 +319,7 @@ def run_event_stream(scenario: Scenario,
             schedule.prune(sim.now if oldest is None else oldest)
 
     submitted, last = 0, None
-    for batch in _batches(events, schedule, frontends, lookahead,
+    for batch in _batches(events, schedule, frontend_of, lookahead,
                           batch_events):
         for event in batch:
             # Absolute-time scheduling: the submission instant must
@@ -346,7 +343,8 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
                            batch_events: int = DEFAULT_BATCH_EVENTS,
                            lookahead: float = DEFAULT_LOOKAHEAD,
                            tier: Optional[str] = None,
-                           replay_cache=None) -> StreamingCampaignResult:
+                           replay_cache: Optional[bool] = None
+                           ) -> StreamingCampaignResult:
     """Run an open-loop workload through the streaming fold.
 
     ``workload`` is any object with ``services`` and
@@ -404,7 +402,7 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
         if _obs.enabled:
             _obs.metrics.inc("stream.sessions", scope=SCOPE_SIM)
             _obs.metrics.observe("stream.session.duration", duration,
-                                 bounds=DURATION_BOUNDS,
+                                 bounds=DEFAULT_BOUNDS,
                                  scope=SCOPE_SIM)
             if session.failed is None:
                 _obs.metrics.observe("stream.session.bytes",
@@ -441,8 +439,9 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
     names = [vp.name for vp in vps]
     result.events, result.replay, result.tier = run_event_stream(
         scenario, lambda: workload.events_for(names), emulators,
-        frontends, lookahead=lookahead, batch_events=batch_events,
-        fold=fold, tier=tier, replay_cache=replay_cache)
+        lambda event: frontends[(event.service, event.vp_name)],
+        lookahead=lookahead, batch_events=batch_events, fold=fold,
+        tier=tier, replay_cache=replay_cache)
     result.content_cache = aggregate_stats(
         frontend.static_cache for frontend, _ in servers.values())
     if metrics_base is not None:

@@ -34,8 +34,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 SCOPE_SIM = "sim"
 SCOPE_HOST = "host"
 
-#: Default histogram bounds: seconds, spanning RTT-ish to campaign-ish.
+#: Default histogram bounds: seconds, spanning RTT-ish to campaign-ish;
+#: session durations use them.
 DEFAULT_BOUNDS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0)
+
+#: Histogram bounds for response sizes (bytes).
+SIZE_BOUNDS = (4_096, 16_384, 32_768, 65_536, 131_072, 262_144)
 
 
 class Histogram:

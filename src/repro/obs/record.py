@@ -12,9 +12,9 @@ Span model (docs/OBSERVABILITY.md):
 
 * ``session`` — one top-level span per query session, ``[started_at,
   completed_at]``, with the boundary-free packet landmarks ``tb, t1,
-  t2, t3, te`` as point events (the same scan as
-  :func:`repro.core.metrics.extract_timeline`, minus the landmarks
-  that need the content-analysis boundary).
+  t2, t3, te`` as point events (the scan
+  :func:`repro.core.metrics.extract_timeline` starts from, minus the
+  landmarks that need the content-analysis boundary).
 * children ``phase.connect`` ``[tb, t1]``, ``phase.request``
   ``[t1, t2]``, ``phase.response`` ``[t3, te]``;
 * children ``fe.fetch`` (FE forwarded_at -> completed_at) and
@@ -32,13 +32,15 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.analysis.stream import TraceError, inbound_byte_arrivals
+from repro.core.metrics import packet_landmarks
 from repro.obs import runtime
-from repro.obs.metrics import SCOPE_HOST, SCOPE_SIM
+from repro.obs.metrics import (
+    DEFAULT_BOUNDS,
+    SCOPE_HOST,
+    SCOPE_SIM,
+    SIZE_BOUNDS,
+)
 from repro.obs.trace import Span
-
-#: Histogram bounds: session durations (seconds) and response sizes.
-DURATION_BOUNDS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 5.0)
-SIZE_BOUNDS = (4_096, 16_384, 32_768, 65_536, 131_072, 262_144)
 
 
 class CampaignMark:
@@ -117,42 +119,18 @@ def session_span(scenario, session) -> Span:
 def landmarks(session) -> Dict[str, float]:
     """Boundary-free packet landmarks of one session.
 
-    Mirrors :func:`repro.core.metrics.extract_timeline` exactly for the
-    landmarks that need no static/dynamic boundary (tb, t1, t2, t3,
-    te); returns whichever subset the trace supports instead of
-    raising, so failed sessions still get partial spans.
+    :func:`repro.core.metrics.packet_landmarks` (tb, rtt, t1, t2) plus
+    the first and last inbound byte arrivals (t3, te), the landmarks
+    :func:`repro.core.metrics.extract_timeline` finds without the
+    static/dynamic boundary.  Returns whichever subset the trace
+    supports instead of raising, so failed sessions still get partial
+    spans.
     """
-    events = session.events
-    out: Dict[str, float] = {}
-    tb = syn_ack_time = t1 = None
-    get_event = None
-    for event in events:
-        if event.direction == "out" and event.syn and tb is None:
-            tb = event.time
-        elif (event.direction == "in" and event.syn and event.ack_flag
-              and syn_ack_time is None):
-            syn_ack_time = event.time
-        elif (event.direction == "out" and event.payload_len > 0
-              and t1 is None):
-            t1 = event.time
-            get_event = event
-    if tb is not None:
-        out["tb"] = tb
-    if syn_ack_time is not None and tb is not None:
-        out["rtt"] = syn_ack_time - tb
-    if t1 is None:
+    out = packet_landmarks(session.events)
+    if "t1" not in out:
         return out
-    out["t1"] = t1
-
-    get_end_seq = get_event.seq + get_event.payload_len
-    for event in events:
-        if (event.direction == "in" and event.ack_flag
-                and event.ack >= get_end_seq and event.time >= t1):
-            out["t2"] = event.time
-            break
-
     try:
-        arrivals = inbound_byte_arrivals(events)
+        arrivals = inbound_byte_arrivals(session.events)
     except TraceError:
         return out
     if arrivals:
@@ -224,7 +202,7 @@ def _campaign_metrics(mark: CampaignMark, kind: str, scenario,
           len(sessions) - len(completed), SCOPE_SIM)
     for session in completed:
         m.observe("campaign.session.duration_s", session.duration,
-                  DURATION_BOUNDS, SCOPE_SIM)
+                  DEFAULT_BOUNDS, SCOPE_SIM)
         m.observe("campaign.response.bytes", session.response_size,
                   SIZE_BOUNDS, SCOPE_SIM)
     for service, fe_name in sorted({(s.service, s.fe_name)

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple
 from repro.obs import runtime as _obs
 from repro.obs.metrics import SCOPE_SIM
 from repro.sim.analytic.gate import (
-    DEFAULT_TOLERANCE,
     DEFAULT_VALIDATE_EVERY,
     DivergenceGate,
     landmark_divergences,
@@ -83,9 +82,7 @@ class TieredSessionManager:
     always ground truth.
     """
 
-    def __init__(self, scenario, *, mode: str = "auto",
-                 tolerance: float = DEFAULT_TOLERANCE,
-                 validate_every: int = DEFAULT_VALIDATE_EVERY):
+    def __init__(self, scenario, *, mode: str = "auto"):
         if mode not in ("analytic", "auto"):
             raise ValueError(
                 "mode must be 'analytic' or 'auto' (the packet tier "
@@ -94,8 +91,9 @@ class TieredSessionManager:
         self.mode = mode
         self.predictor = AnalyticPredictor(scenario)
         self.gate = DivergenceGate(
-            scenario.streams.seed, tolerance=tolerance,
-            validate_every=(validate_every if mode == "auto" else None))
+            scenario.streams.seed,
+            validate_every=(DEFAULT_VALIDATE_EVERY if mode == "auto"
+                            else None))
         self.stats = TierStats()
 
     # ------------------------------------------------------------------
@@ -112,11 +110,11 @@ class TieredSessionManager:
         return now < path.warmup_horizon
 
     # ------------------------------------------------------------------
-    def route(self, emulator, service_name: str, frontend, keyword,
-              guard: float, reason: Optional[str]
+    def route(self, emulator, session, frontend, guard: float,
+              reason: Optional[str]
               ) -> Tuple[Optional[RecordedTimeline],
                          Optional[_PendingValidation]]:
-        """Route one submission through the tier policy.
+        """Route one opened session through the tier policy.
 
         ``reason`` is the failed admission rule, or None.  Returns
         ``(timeline, None)`` to serve the session analytically, else
@@ -124,14 +122,14 @@ class TieredSessionManager:
         validation to settle once the session completes, None for a
         bypass.
         """
-        stratum = (service_name, frontend.node.name, emulator.vp.name)
+        stratum = (session.service, session.fe_name, session.vp_name)
         if reason is None and self.gate.demoted(stratum):
             reason = "gate-demoted"
         prediction = None
         if reason is None:
             prediction, reason = self.predictor.predict(
-                service_name, frontend, emulator.vp.name, keyword,
-                emulator.peek_query_id(), guard)
+                session.service, frontend, session.vp_name,
+                session.keyword, session.query_id, guard)
         if reason is not None:
             self.stats.bypass(reason)
             self._count("tier.bypass.%s" % reason)

@@ -6,12 +6,15 @@ simulator produce exactly that landmark timeline and skip the packet
 engine: the analytic tier predicts it, the replay cache recalls it.
 One :class:`SessionExecutor` per campaign owns everything they share:
 
+* :meth:`SessionExecutor.submit`, the one place in the program where a
+  session starts: it opens the session on its emulator before routing,
+  so every path draws the same query id and port;
 * admission — the campaign, path and temporal rules, walked once per
   submission in a fixed precedence, with the analytic tier's own rules
   slotted in;
 * the live-FE tracker those isolation rules consult;
 * one queue of simulated sessions awaiting settlement;
-* :meth:`SessionExecutor.materialize`, the only code that injects a
+* :meth:`SessionExecutor.materialize`, the only code that serves a
   session without simulating it.
 
 Two timeline sources sit behind it, asked in order.  The tier policy
@@ -22,8 +25,9 @@ tier.  The recorded source
 (:class:`~repro.sim.replay.manager.SessionReplayManager`) serves
 packet-tier sessions from the replay cache, on every tier; whatever it
 cannot serve is simulated packet by packet.  Both sources speak one
-protocol: ``route(...) -> (timeline, pending)``, ``settle(session,
-pending)``, ``expire(pending)`` and ``finalize() -> stats``.
+protocol: ``route(emulator, session, frontend, guard, reason) ->
+(timeline, pending)``, ``settle(session, pending)``, ``expire(pending)``
+and ``finalize() -> stats``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from repro.sim.replay.admission import (
     campaign_bypass_reason,
     path_bypass_reason,
 )
-from repro.sim.replay.cache import ReplayCache
 from repro.sim.replay.manager import SessionReplayManager, replay_cache_enabled
 from repro.sim.replay.timeline import RecordedTimeline, materialize_events
 from repro.sim.stats import ReplayStats, TierStats
@@ -67,14 +70,12 @@ class SessionExecutor:
     :func:`~repro.sim.analytic.manager.tier_mode`); modes other than
     ``packet`` add the tier policy.  ``replay_cache`` follows
     ``REPRO_REPLAY_CACHE`` when None; ``False`` turns the recorded
-    source off, ``True`` gives it a fresh cache, and a
-    :class:`~repro.sim.replay.cache.ReplayCache` instance is used as-is
-    (letting successive campaigns on the *same scenario* share warmed
-    timelines).
+    source off and ``True`` gives it a fresh cache.
     """
 
     def __init__(self, scenario, schedule: StreamingSchedule, *,
-                 tier: Optional[str] = None, replay_cache=None):
+                 tier: Optional[str] = None,
+                 replay_cache: Optional[bool] = None):
         self.scenario = scenario
         self.schedule = schedule
         mode = tier_mode(tier)
@@ -84,12 +85,8 @@ class SessionExecutor:
         if replay_cache is None:
             replay_cache = replay_cache_enabled()
         self.recorded: Optional[SessionReplayManager] = None
-        if replay_cache is not False:
-            self.recorded = SessionReplayManager(
-                scenario, schedule,
-                cache=(replay_cache if isinstance(replay_cache, ReplayCache)
-                       else None))
-        self._campaign_reason = campaign_bypass_reason(scenario)
+        if replay_cache:
+            self.recorded = SessionReplayManager(scenario, schedule)
         #: triple -> (tier path reason, shared path reason)
         self._path_reasons: Dict[tuple, Tuple[Optional[str],
                                               Optional[str]]] = {}
@@ -101,31 +98,28 @@ class SessionExecutor:
     # ------------------------------------------------------------------
     def submit(self, emulator, service_name: str, frontend,
                keyword) -> QuerySession:
-        """Submit one query through the sources, simulating it when
-        neither serves it."""
+        """Start one query, the only place a session starts: open it,
+        route it, then materialize a served timeline or simulate it."""
+        session = emulator.open_session(service_name, frontend, keyword)
         policy, recorded = self.policy, self.recorded
         if policy is None and recorded is None:
-            return emulator.submit(service_name, frontend, keyword)
+            emulator.simulate(session, frontend)
+            return session
         self.settle()
-        tier_reason, reason = self._admission(emulator, service_name,
-                                              frontend)
-        scenario = self.scenario
-        guard = isolation_guard(scenario.client_fe_rtt(
-            emulator.vp, frontend, scenario.service(service_name)))
+        tier_reason, reason = self._admission(session, frontend)
+        guard = isolation_guard(session.path_rtt)
         timeline = validation = pending = None
         if policy is not None:
             timeline, validation = policy.route(
-                emulator, service_name, frontend, keyword, guard,
-                tier_reason)
+                emulator, session, frontend, guard, tier_reason)
         if timeline is None and recorded is not None:
             timeline, pending = recorded.route(
-                emulator, service_name, frontend, keyword, guard, reason)
+                emulator, session, frontend, guard, reason)
         if timeline is not None:
-            session = self.materialize(emulator, service_name, frontend,
-                                       keyword, timeline)
+            self.materialize(emulator, session, frontend, timeline)
         else:
-            session = emulator.submit(service_name, frontend, keyword)
-        self._live.setdefault(frontend.node.name, []) \
+            emulator.simulate(session, frontend)
+        self._live.setdefault(session.fe_name, []) \
             .append((session, guard))
         if validation is not None:
             self._pending.append((session, policy, validation))
@@ -162,40 +156,24 @@ class SessionExecutor:
         return replay, tier
 
     # ------------------------------------------------------------------
-    def materialize(self, emulator, service_name: str, frontend, keyword,
-                    timeline: RecordedTimeline) -> QuerySession:
-        """Inject one session from its landmark timeline, shifted to
-        now, without packet simulation.
+    def materialize(self, emulator, session: QuerySession, frontend,
+                    timeline: RecordedTimeline) -> None:
+        """Serve an opened session from its landmark timeline, shifted
+        to its start, without packet simulation.
 
-        Replicates every observable side effect of a simulated submit
-        in its exact order: the keyword registration, the query id, the
-        ephemeral port (held until completion), the FE/BE ground-truth
-        records at the forwarding instant, and the session's packet
-        events at completion.
+        Replicates the rest of a simulated session's side effects in
+        their exact order: the FE/BE ground-truth records at the
+        forwarding instant, the packet events and the port's release
+        at completion.
         ``tests/test_analytic_tier.py::test_fast_paths_leave_the_packet_footprint``
         checks that the servers end up exactly as a packet run leaves
         them.
         """
-        scenario = self.scenario
-        sim = scenario.sim
-        start = sim.now
-        service = scenario.service(service_name)
-        service.register_keywords([keyword])
-        query_id = emulator.next_query_id()
-        session = QuerySession(
-            query_id=query_id,
-            service=service_name,
-            vp_name=emulator.vp.name,
-            fe_name=frontend.node.name,
-            keyword=keyword,
-            started_at=start,
-            path_rtt=scenario.client_fe_rtt(emulator.vp, frontend,
-                                            service))
-        # Burn the ephemeral port the simulated connection would bind,
-        # keeping the host's allocation order identical.
-        session.local_port = emulator.tcp_host.reserve_port()
-        emulator.sessions.append(session)
-        backend = service.backend_for_frontend(frontend)
+        sim = self.scenario.sim
+        start = session.started_at
+        query_id = session.query_id
+        backend = self.scenario.service(session.service) \
+            .backend_for_frontend(frontend)
 
         def server_effects() -> None:
             frontend.record_replayed_fetch(
@@ -222,10 +200,9 @@ class SessionExecutor:
             (timeline.forward_offset, server_effects, ()),
             (timeline.duration, complete, ()),
         ])
-        return session
 
     # ------------------------------------------------------------------
-    def _admission(self, emulator, service_name: str, frontend
+    def _admission(self, session: QuerySession, frontend
                    ) -> Tuple[Optional[str], Optional[str]]:
         """Walk the admission chain once, in precedence order.
 
@@ -236,11 +213,11 @@ class SessionExecutor:
         concurrent submission, busy FE; the bracketed rules are the
         tier policy's own and only ever fill ``tier``.
         """
-        if self._campaign_reason is not None:
-            return self._campaign_reason, self._campaign_reason
-        vp_name = emulator.vp.name
-        fe_name = frontend.node.name
-        triple = (service_name, fe_name, vp_name)
+        campaign = campaign_bypass_reason(self.scenario)
+        if campaign is not None:
+            return campaign, campaign
+        triple = service_name, fe_name, vp_name = (
+            session.service, session.fe_name, session.vp_name)
         reasons = self._path_reasons.get(triple)
         if reasons is None:
             shared = path_bypass_reason(self.scenario, service_name,

@@ -2,9 +2,9 @@
 
 The cache maps session fingerprints (see
 :mod:`repro.sim.replay.fingerprint`) to recorded timelines.  It is
-strictly per-scenario — fingerprints stand in for path and config
+strictly per-campaign — fingerprints stand in for path and config
 parameters that are only functions of identity *within* one scenario —
-and binds itself to the first scenario it is used with.
+so each campaign's replay source owns a fresh one.
 """
 
 from __future__ import annotations
@@ -32,21 +32,9 @@ class ReplayCache:
         self.capacity = capacity
         self.evictions = 0
         self._entries: "OrderedDict[tuple, RecordedTimeline]" = OrderedDict()
-        self._scenario = None
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def bind(self, scenario) -> None:
-        """Tie this cache to a scenario; reuse across scenarios is an
-        error (fingerprints are only unambiguous within one)."""
-        if self._scenario is None:
-            self._scenario = scenario
-        elif self._scenario is not scenario:
-            raise ValueError(
-                "replay cache is bound to a different scenario; session "
-                "fingerprints are not comparable across scenarios -- "
-                "use a fresh ReplayCache per scenario")
 
     def get(self, key: tuple) -> Optional[RecordedTimeline]:
         entry = self._entries.get(key)

@@ -76,20 +76,17 @@ class _Pending:
 class SessionReplayManager:
     """Per-campaign replay-cache source."""
 
-    def __init__(self, scenario, schedule: StreamingSchedule, *,
-                 cache: Optional[ReplayCache] = None):
+    def __init__(self, scenario, schedule: StreamingSchedule):
         self.scenario = scenario
         self.schedule = schedule
-        self.cache = cache if cache is not None else ReplayCache()
-        self.cache.bind(scenario)
+        self.cache = ReplayCache()
         self.stats = ReplayStats()
-        self._evictions_before = self.cache.evictions
 
     # ------------------------------------------------------------------
-    def route(self, emulator, service_name: str, frontend, keyword,
-              guard: float, reason: Optional[str]
+    def route(self, emulator, session, frontend, guard: float,
+              reason: Optional[str]
               ) -> Tuple[Optional[RecordedTimeline], Optional[_Pending]]:
-        """Route one packet-tier submission.
+        """Route one opened packet-tier session.
 
         ``reason`` is the failed shared admission rule, or None.
         Returns ``(timeline, None)`` on a hit, else ``(None, pending)``
@@ -100,9 +97,9 @@ class SessionReplayManager:
             self.stats.bypass(reason)
             return None, None
         now = self.scenario.sim.now
-        key = session_key(self.scenario, service_name, frontend,
-                          emulator.vp.name, keyword,
-                          emulator.peek_query_id(), now)
+        key = session_key(self.scenario, session.service, frontend,
+                          session.vp_name, session.keyword,
+                          session.query_id, now)
         entry = self.cache.get(key)
         if entry is not None:
             # Validating and replaying both need the full isolation
@@ -117,7 +114,7 @@ class SessionReplayManager:
                 self.stats.hits += 1
                 return entry, None
         self.stats.misses += 1
-        backend = self.scenario.service(service_name) \
+        backend = self.scenario.service(session.service) \
             .backend_for_frontend(frontend)
         return None, _Pending(key, frontend, backend, guard, entry,
                               emulator.tcp_host)
@@ -159,9 +156,7 @@ class SessionReplayManager:
     def finalize(self) -> ReplayStats:
         """The run's stats; the executor calls this once per campaign,
         after settling and expiring every pending session."""
-        self.stats.evictions += self.cache.evictions \
-            - self._evictions_before
-        self._evictions_before = self.cache.evictions
+        self.stats.evictions = self.cache.evictions
         return self.stats
 
     # ------------------------------------------------------------------

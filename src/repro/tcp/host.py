@@ -94,11 +94,11 @@ class TcpHost:
         """Allocate (and consume) the next ephemeral port without opening
         a connection.
 
-        The query emulator reserves its port before :meth:`connect`, so
-        its capture is open before the SYN leaves.  The session executor
-        burns one per session it materializes without simulation,
-        keeping port-allocation order identical to the full simulation
-        it stands in for.
+        The query emulator reserves each session's port when it opens
+        the session, before :meth:`connect`, so its capture is open
+        before the SYN leaves.  A session served without simulation
+        burns its port the same way, keeping port-allocation order
+        identical to the full simulation it stands in for.
         """
         return self._ports.allocate()
 

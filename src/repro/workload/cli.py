@@ -16,7 +16,8 @@ deterministic_services=True)``), generates the workload lazily
 streaming runner (:mod:`repro.measure.streaming`), printing aggregate
 counters, replay hit rate, and sketch quantiles.  ``--verify-serial``
 re-runs serially and fails unless the sharded fingerprint is
-bit-identical.
+bit-identical.  Flags one mode would ignore (``--summary`` with
+``--sweep-alpha``, say) exit 2, naming both.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _scenario_from_args(args) -> Scenario:
 
 
 def _run(args, spec: WorkloadSpec,
-         replay_cache=None) -> StreamingCampaignResult:
+         replay_cache: Optional[bool] = None) -> StreamingCampaignResult:
     replay = True if (args.replay_cache and replay_cache is None) \
         else replay_cache
     if args.shards > 1:
@@ -266,12 +267,26 @@ def _sweep_alpha(args, alphas: List[float]) -> int:
     return 0
 
 
+#: Flag pairs that contradict each other: the first flag's mode would
+#: ignore the second.
+_EXCLUSIVE = (("trace_in", "trace_out"), ("sweep_alpha", "trace_in"),
+              ("sweep_alpha", "trace_out"), ("sweep_alpha", "summary"),
+              ("sweep_alpha", "verify_serial"),
+              ("trace_out", "verify_serial"), ("trace_out", "summary"))
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.trace_in and args.trace_out:
-        print("--trace-in and --trace-out are mutually exclusive",
-              file=sys.stderr)
+    for pair in _EXCLUSIVE:
+        if all(getattr(args, dest) for dest in pair):
+            print("%s and %s are mutually exclusive"
+                  % tuple("--" + dest.replace("_", "-") for dest in pair),
+                  file=sys.stderr)
+            return 2
+    if args.verify_serial and args.shards < 2:
+        print("--verify-serial compares a sharded run with a serial "
+              "one; it needs --shards 2 or more", file=sys.stderr)
         return 2
     if args.trace_in and args.shards > 1:
         print("traces replay serially; drop --shards or regenerate "
@@ -304,7 +319,7 @@ def main(argv=None) -> int:
     _print_result(result)
 
     exit_code = 0
-    if args.verify_serial and args.shards > 1:
+    if args.verify_serial:
         serial_args = argparse.Namespace(**vars(args))
         serial_args.shards = 1
         serial = _run(serial_args, _spec_from_args(args))

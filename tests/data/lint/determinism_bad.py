@@ -9,6 +9,7 @@ import random
 import time
 from datetime import datetime
 
+from repro.measure.driver import run_queries
 from repro.sim.engine import Simulator
 
 
@@ -50,3 +51,10 @@ def schedule_all(sim: Simulator, nodes):
     pending = {node for node in nodes}
     for node in pending:  # expect: DET005
         sim.schedule(0.0, node.start)
+
+
+def plan_all(scenario, vp, service, frontend, keywords):
+    plan = []
+    for keyword in set(keywords):  # expect: DET005
+        plan.append((scenario.sim.now, vp, service, frontend, keyword))
+    return run_queries(scenario, plan)

@@ -13,7 +13,7 @@ from repro.core.metrics import (
     extract_metrics,
 )
 from repro.core.model import AbstractModel
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.sim import units
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
@@ -26,14 +26,13 @@ def kw(text, popularity=0.5, complexity=0.5):
 def pipeline():
     """A small campaign with payloads captured, shared by the tests."""
     scenario = Scenario(ScenarioConfig(seed=11, vantage_count=6))
-    sessions = []
-    for vp in scenario.vantage_points:
-        emulator = QueryEmulator(scenario, vp, store_payload=True)
-        for i, text in enumerate(("calibration alpha", "calibration beta",
-                                  "calibration gamma")):
-            sessions.append(emulator.submit_default(
-                Scenario.GOOGLE, kw(text)))
-    scenario.sim.run()
+    plan = [(scenario.sim.now, vp, Scenario.GOOGLE,
+             scenario.default_frontend(Scenario.GOOGLE, vp), kw(text))
+            for vp in scenario.vantage_points
+            for text in ("calibration alpha", "calibration beta",
+                         "calibration gamma")]
+    sessions = [s for vp_sessions in run_queries(
+        scenario, plan, store_payload=True).values() for s in vp_sessions]
     assert all(s.complete for s in sessions)
     calibration = BoundaryCalibration.from_sessions(sessions)
     return scenario, sessions, calibration

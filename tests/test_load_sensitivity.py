@@ -43,18 +43,16 @@ def test_per_concurrent_validation():
 # ---------------------------------------------------------------------------
 def test_fe_tracks_and_releases_concurrency():
     from repro.content.keywords import Keyword
-    from repro.measure.emulator import QueryEmulator
+    from repro.measure.driver import run_queries
     from repro.testbed.scenario import Scenario, ScenarioConfig
 
     scenario = Scenario(ScenarioConfig(seed=40, vantage_count=6))
     vp = scenario.vantage_points[0]
     frontend, _ = scenario.connect_default(Scenario.BING, vp)
-    emulator = QueryEmulator(scenario, vp)
     keyword = Keyword(text="concurrency probe", popularity=0.5,
                       complexity=0.5)
-    for _ in range(3):
-        emulator.submit(Scenario.BING, frontend, keyword)
-    scenario.sim.run()
+    run_queries(scenario, [(scenario.sim.now, vp, Scenario.BING, frontend,
+                            keyword)] * 3)
     assert frontend.peak_concurrency >= 2     # overlapped in flight
     assert frontend.active_requests == 0      # all released at the end
 

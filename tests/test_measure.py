@@ -6,14 +6,23 @@ from repro.content.keywords import Keyword, KeywordCatalog
 from repro.measure.driver import (
     run_dataset_a,
     run_dataset_b,
+    run_queries,
     run_single_queries,
 )
-from repro.measure.emulator import QueryEmulator
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
 
 def kw(text="probe query", popularity=0.5, complexity=0.5):
     return Keyword(text=text, popularity=popularity, complexity=complexity)
+
+
+def query_default(scenario, vp, queries, store_payload=False):
+    """Play ``(service, keyword)`` queries from ``vp`` to its default
+    front-ends, all at the current instant."""
+    now = scenario.sim.now
+    plan = [(now, vp, service, scenario.default_frontend(service, vp),
+             keyword) for service, keyword in queries]
+    return run_queries(scenario, plan, store_payload=store_payload)[vp.name]
 
 
 @pytest.fixture
@@ -23,9 +32,8 @@ def scenario():
 
 def test_single_query_session_end_to_end(scenario):
     vp = scenario.vantage_points[0]
-    emulator = QueryEmulator(scenario, vp, store_payload=True)
-    session = emulator.submit_default(Scenario.GOOGLE, kw())
-    scenario.sim.run()
+    (session,) = query_default(scenario, vp, [(Scenario.GOOGLE, kw())],
+                               store_payload=True)
     assert session.complete
     assert session.duration > 0
     assert session.response_size > 10_000
@@ -47,9 +55,7 @@ def test_single_query_session_end_to_end(scenario):
 
 def test_capture_payload_storage_optional(scenario):
     vp = scenario.vantage_points[1]
-    emulator = QueryEmulator(scenario, vp, store_payload=False)
-    session = emulator.submit_default(Scenario.GOOGLE, kw())
-    scenario.sim.run()
+    (session,) = query_default(scenario, vp, [(Scenario.GOOGLE, kw())])
     assert session.complete
     assert all(e.payload is None for e in session.events)
     assert any(e.payload_len > 0 for e in session.events)
@@ -57,10 +63,8 @@ def test_capture_payload_storage_optional(scenario):
 
 def test_sessions_are_isolated_per_connection(scenario):
     vp = scenario.vantage_points[2]
-    emulator = QueryEmulator(scenario, vp)
-    s1 = emulator.submit_default(Scenario.GOOGLE, kw("first"))
-    s2 = emulator.submit_default(Scenario.BING, kw("second"))
-    scenario.sim.run()
+    s1, s2 = query_default(scenario, vp, [(Scenario.GOOGLE, kw("first")),
+                                          (Scenario.BING, kw("second"))])
     assert s1.complete and s2.complete
     assert s1.local_port != s2.local_port
     ports_1 = {e.local_port for e in s1.events}

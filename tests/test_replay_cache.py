@@ -16,6 +16,7 @@ from repro.parallel import run_dataset_a_sharded
 from repro.sim.engine import SchedulingError, Simulator
 from repro.sim.randomness import RandomStreams
 from repro.sim.replay import ReplayCache, ReplayStats, replay_cache_enabled
+from repro.sim.replay import manager as replay_manager
 from repro.sim.replay.fingerprint import (
     binade,
     predicted_service_draws,
@@ -254,24 +255,13 @@ def test_replay_cache_capacity_and_eviction():
         ReplayCache(capacity=0)
 
 
-def test_replay_cache_binds_to_one_scenario():
-    cache = ReplayCache()
-    first = Scenario(ScenarioConfig(seed=1, vantage_count=2))
-    other = Scenario(ScenarioConfig(seed=2, vantage_count=2))
-    cache.bind(first)
-    cache.bind(first)  # re-binding the same scenario is fine
-    with pytest.raises(ValueError):
-        cache.bind(other)
-
-
-def test_eviction_pressure_keeps_results_identical():
+def test_eviction_pressure_keeps_results_identical(monkeypatch):
     # A one-entry cache thrashes (every VP/binade evicts the previous
     # timeline) but must still never change a byte.
     _, off = run_a(False, repeats=12)
-    scenario = Scenario(DET_CONFIG)
-    dataset = run_dataset_a(scenario, [KEYWORD], repeats=12,
-                            interval=3.0, services=[Scenario.GOOGLE],
-                            replay_cache=ReplayCache(capacity=1))
+    monkeypatch.setattr(replay_manager, "ReplayCache",
+                        lambda: ReplayCache(capacity=1))
+    _, dataset = run_a(True, repeats=12)
     assert dataset.replay.evictions > 0
     assert ([session_fingerprint(s) for s in off.sessions]
             == [session_fingerprint(s) for s in dataset.sessions])

@@ -5,7 +5,7 @@ import pytest
 from repro.content.keywords import Keyword
 from repro.http.client import HttpFetch, RequestHooks
 from repro.http.message import HttpRequest
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.net.address import Endpoint
 from repro.services.backend import BACKEND_PORT
 from repro.services.frontend import FRONTEND_PORT
@@ -69,9 +69,8 @@ def test_backend_outage_produces_502(scenario):
     fe_node.links[backend.node.name].fault_filter = lambda p, i: True
     be_node.links[frontend.node.name].fault_filter = lambda p, i: True
 
-    emulator = QueryEmulator(scenario, vp)
-    session = emulator.submit(Scenario.GOOGLE, frontend, kw())
-    scenario.sim.run(until=scenario.sim.now + 600.0)
+    (session,) = run_queries(scenario, [
+        (scenario.sim.now, vp, Scenario.GOOGLE, frontend, kw())])[vp.name]
     # The fetch fails after retry exhaustion; the FE finishes the
     # response (static-only or 502) rather than hanging forever.
     assert session.completed_at is not None

@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.boundary import BoundaryCalibration
 from repro.content.keywords import Keyword
 from repro.core.metrics import extract_all_calibrated
-from repro.measure.emulator import QueryEmulator
+from repro.measure.driver import run_queries
 from repro.measure.traceio import (
     TraceFormatError,
     load_sessions,
@@ -20,15 +20,22 @@ from repro.measure.traceio import (
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
 
+def query_default(scenario, keywords, store_payload=False):
+    """Google queries from the first VP to its default FE, at once."""
+    vp = scenario.vantage_points[0]
+    frontend = scenario.default_frontend(Scenario.GOOGLE, vp)
+    plan = [(scenario.sim.now, vp, Scenario.GOOGLE, frontend, keyword)
+            for keyword in keywords]
+    return run_queries(scenario, plan, store_payload=store_payload)[vp.name]
+
+
 @pytest.fixture(scope="module")
 def captured_sessions():
     scenario = Scenario(ScenarioConfig(seed=8, vantage_count=4))
-    emulator = QueryEmulator(scenario, scenario.vantage_points[0],
-                             store_payload=True)
-    sessions = [emulator.submit_default(
-        Scenario.GOOGLE, Keyword(text=t, popularity=0.4, complexity=0.4))
-        for t in ("roundtrip one", "roundtrip two")]
-    scenario.sim.run()
+    sessions = query_default(
+        scenario, [Keyword(text=t, popularity=0.4, complexity=0.4)
+                   for t in ("roundtrip one", "roundtrip two")],
+        store_payload=True)
     assert all(s.complete for s in sessions)
     return sessions
 
@@ -92,13 +99,9 @@ def test_save_and_load_files(captured_sessions, tmp_path):
 
 def test_payloadless_sessions_roundtrip():
     scenario = Scenario(ScenarioConfig(seed=9, vantage_count=4))
-    emulator = QueryEmulator(scenario, scenario.vantage_points[0],
-                             store_payload=False)
-    session = emulator.submit_default(
-        Scenario.GOOGLE, Keyword(text="no payload", popularity=0.4,
-                                 complexity=0.4))
-    scenario.sim.run()
-    (restored,) = roundtrip([session])
+    sessions = query_default(scenario, [
+        Keyword(text="no payload", popularity=0.4, complexity=0.4)])
+    (restored,) = roundtrip(sessions)
     assert all(e.payload is None for e in restored.events)
     assert sum(e.payload_len for e in restored.events) > 0
 

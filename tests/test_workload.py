@@ -18,6 +18,7 @@ from repro.workload import (
     write_events,
     zipf_universe,
 )
+from repro.workload import cli as workload_cli
 
 VPS = ["vp-%03d" % index for index in range(9)]
 
@@ -212,3 +213,41 @@ def test_trace_names_the_line_of_an_undecodable_record(tmp_path, bad):
         handle.write("\n" + bad + "\n")
     with pytest.raises(TraceFormatError, match=r"^line 5: "):
         list(read_events(path))
+
+
+# ---------------------------------------------------------------------------
+# the workload CLI
+# ---------------------------------------------------------------------------
+#: (flags, the two flags the message must name); paths are filled in.
+CONTRADICTIONS = [
+    (["--trace-in", "{missing}", "--trace-out", "{out}"],
+     ("--trace-in", "--trace-out")),
+    (["--sweep-alpha", "1.0", "--trace-in", "{missing}"],
+     ("--sweep-alpha", "--trace-in")),
+    (["--sweep-alpha", "1.0", "--trace-out", "{out}"],
+     ("--sweep-alpha", "--trace-out")),
+    (["--sweep-alpha", "1.0", "--summary", "{out}"],
+     ("--sweep-alpha", "--summary")),
+    (["--sweep-alpha", "1.0", "--shards", "2", "--verify-serial"],
+     ("--sweep-alpha", "--verify-serial")),
+    (["--trace-out", "{out}", "--shards", "2", "--verify-serial"],
+     ("--trace-out", "--verify-serial")),
+    (["--trace-out", "{out}", "--summary", "{summary}"],
+     ("--trace-out", "--summary")),
+    (["--verify-serial"], ("--verify-serial", "--shards")),
+    (["--shards", "1", "--verify-serial"], ("--verify-serial", "--shards")),
+]
+
+
+@pytest.mark.parametrize("flags,named", CONTRADICTIONS,
+                         ids=[" ".join(flags) for flags, _ in CONTRADICTIONS])
+def test_cli_rejects_contradictory_flags(tmp_path, capsys, flags, named):
+    paths = {name: str(tmp_path / ("%s.jsonl" % name))
+             for name in ("missing", "out", "summary")}
+    argv = [flag.format(**paths) for flag in flags] + \
+        ["--vps", "2", "--events", "5"]
+    assert workload_cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert all(flag in captured.err for flag in named), captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())  # nothing ran, nothing written
