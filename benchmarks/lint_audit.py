@@ -46,7 +46,7 @@ CAUGHT, MISSED = "caught", "missed"
 #: The rules this audit deleted; each keeps two recorded mutations.
 DELETED_RULES = ("UNIT005", "UNIT006", "UNIT007", "UNIT008", "UNIT009",
                  "DET006", "DET007", "DET008",
-                 "EFF001", "EFF002", "EFF003", "RNG001")
+                 "EFF001", "EFF002", "EFF003", "RNG001", "SHARD003")
 
 #: Bug classes the goldens cannot vouch for: the bug is a dependence
 #: the e2e harness holds fixed, so a golden recorded with the bug
@@ -362,7 +362,7 @@ MUTATIONS: Tuple[Mutation, ...] = (
        ["EVT003"], M, M,
        "the re-armed RTO wake-up is orphaned: _cancel_rto cannot cancel "
        "it, so it keeps the queue busy past quiesce"),
-    # -- shards: kept SHARD001-SHARD003 ----------------------------------
+    # -- shards: kept SHARD001-SHARD002 ----------------------------------
     _m("H1", "SHARD001", "sim/analytic/manager.py",
        "def tier_mode(explicit: Optional[str] = None) -> str:",
        "def tier_mode(explicit: Optional[str] = None) -> str:\n"
@@ -380,34 +380,27 @@ MUTATIONS: Tuple[Mutation, ...] = (
        ["SHARD002"], M, M,
        "merged counters come out in salted set order; every exporter "
        "sorts today, so only dict order moves"),
-    _m("S1", "SHARD003", "parallel/campaigns.py",
-       "    obs.rollback(obs_mark)\n"
-       "    merged.obs_metrics = obs.merge_metrics(",
-       "    merged.obs_metrics = obs.merge_metrics(",
-       ["SHARD003"], C, "",
-       "inline shards double-count their spans and metrics"),
-    _m("S2", "SHARD003", "__main__.py",
-       "        obs.rollback(obs_mark)\n"
-       "        for payload in payloads:",
-       "        for payload in payloads:",
+    # -- shards: deleted SHARD003 ----------------------------------------
+    _m("S4", "SHARD003", "parallel/pool.py",
+       "        return [_call_captured(call) for call in calls]",
+       "        return [worker(arg) for arg in shard_args]",
        [], C, "",
+       "inline shard calls record into the caller's capture, which then "
+       "absorbs the merged shard captures too: every span and metric "
+       "counts twice; the inline-fallback obs tests catch it"),
+    _m("S5", "SHARD003", "__main__.py",
+       "    with obs.capture() as captured:\n"
+       "        text = EXPERIMENTS[name](scale)\n",
+       "    text = EXPERIMENTS[name](scale)\n"
+       "    captured = obs.Capture() if obs.enabled() else None\n"
+       "    if captured is not None:\n"
+       "        captured.tracer.absorb(obs.runtime.tracer.spans)\n"
+       "        captured.metrics.absorb(obs.runtime.metrics.snapshot())\n",
+       [], C, "",
+       "the experiment worker returns a copy of the live runtime: "
        "`python -m repro --trace` without --jobs exports every session "
-       "twice, live and absorbed; SHARD003 misses it (it sees a "
-       "rollback reachable from main() through the workload CLI), the "
-       "CLI trace test catches it"),
-    _m("S3", "SHARD003", "parallel/campaigns.py",
-       "    merged.spec = spec\n"
-       "    _merge_observability(obs_mark, results, merged,\n"
-       "                         [result.sessions for result in results])\n",
-       "    merged.spec = spec\n"
-       "    if obs_mark is not None:\n"
-       "        # The merged result already folds the workers' metrics.\n"
-       "        obs.absorb(None, merged.obs_metrics)\n"
-       '        obs.runtime.metrics.inc("campaign.shards", len(results))\n',
-       ["SHARD003"], M, M,
-       "sharded streaming absorbs the merged metrics without rolling "
-       "back, so an inline run (one CPU, or one shard) counts every "
-       "metric twice"),
+       "again for each later experiment; the CLI trace test catches "
+       "it"),
     # -- RNG lineage: kept RNG001-RNG003 ---------------------------------
     _m("R1", "RNG001", "services/load.py",
        "            keyed = streams.keyed(stream_name, key)\n"

@@ -113,23 +113,19 @@ def _render_load(scale):
 
 
 def _experiment_worker(task):
-    """Run one experiment (pool worker; must stay module-level)."""
+    """Run one experiment (pool worker; must stay module-level).
+
+    Returns the experiment's name, text, wall time and its
+    :func:`repro.obs.capture` (None with tracing off), which main()
+    absorbs whether the worker ran inline or in a --jobs process.
+    """
     name, scale = task
     # Wall-clock here times the CLI itself, not the simulation.
     start = time.time()  # simlint: ignore[DET001]
-    # The rollback for this mark happens in main(), which owns the
-    # parent-side mark; the worker only ships its snapshot delta.
-    mark = obs.fork_mark() if obs.enabled() else None  # simlint: ignore[SHARD003]
-    text = EXPERIMENTS[name](scale)
-    payload = None
-    if mark is not None:
-        # Ship this experiment's trace/metric delta back to the parent
-        # (--jobs workers are separate processes; inline runs produce
-        # the same payload and the parent dedups via rollback).
-        payload = (obs.runtime.tracer.snapshot_since(mark[0]),
-                   obs.runtime.metrics.snapshot().subtract(mark[1]))
+    with obs.capture() as captured:
+        text = EXPERIMENTS[name](scale)
     elapsed = time.time() - start  # simlint: ignore[DET001]
-    return name, text, elapsed, payload
+    return name, text, elapsed, captured
 
 
 def main(argv=None) -> int:
@@ -218,15 +214,12 @@ def main(argv=None) -> int:
         os.environ["REPRO_TIER"] = args.tier
     trace_path = args.trace or obs.env_trace_path()
     if args.trace or args.trace_chrome or args.metrics:
-        # Plumbed via the environment too so worker processes of any
-        # start method re-assert the flag (fork inherits it anyway).
-        os.environ.setdefault("REPRO_TRACE", "1")
+        # map_shards hands the switch to --jobs and --shards workers.
         obs.enable()
     scale = getattr(ExperimentScale, args.scale)(seed=args.seed)
     names = args.experiments or list(EXPERIMENTS)
 
     tasks = [(name, scale) for name in names]
-    obs_mark = obs.fork_mark() if obs.enabled() else None
     if args.jobs > 1:
         from repro.parallel import map_shards
         results = map_shards(_experiment_worker, tasks,
@@ -234,20 +227,14 @@ def main(argv=None) -> int:
     else:
         # Inline keeps output streaming as each experiment finishes.
         results = map(_experiment_worker, tasks)
-    payloads = []
-    for name, text, elapsed, payload in results:
+    for name, text, elapsed, captured in results:
         print("=" * 72)
         print(text)
         print("[%s completed in %.1fs]" % (name, elapsed))
         print()
-        payloads.append(payload)
-    if obs_mark is not None:
-        # Same dedup protocol as parallel.campaigns: drop whatever was
-        # recorded live (inline runs), then absorb every worker delta.
-        obs.rollback(obs_mark)
-        for payload in payloads:
-            if payload is not None:
-                obs.absorb(payload[0], payload[1])
+        if captured is not None:
+            obs.absorb(captured)
+    if obs.enabled():
         if trace_path:
             obs.export_jsonl(trace_path)
             print("[trace: wrote JSONL schema v1 to %s]" % trace_path)

@@ -352,7 +352,3 @@ class BoundaryCalibration:
             raise BoundaryError(
                 "no calibration for front-end %r; add a calibration "
                 "session against it" % session.fe_name) from None
-
-    # Backwards-compatible single-offset view.
-    def offset_for(self, session: QuerySession) -> StreamBoundary:
-        return self.boundary_for(session)

@@ -67,11 +67,6 @@ class QueryMetrics:
         return self.timeline.te - self.timeline.tb
 
     @property
-    def request_to_last_byte(self) -> float:
-        """te - t1, the paper's alternative overall measure."""
-        return self.timeline.te - self.timeline.t1
-
-    @property
     def rtt(self) -> float:
         return self.timeline.rtt
 
@@ -163,25 +158,11 @@ def extract_metrics(session: QuerySession, boundary) -> QueryMetrics:
                         timeline=extract_timeline(session, boundary))
 
 
-def extract_all(sessions: Sequence[QuerySession], boundary,
-                skip_failed: bool = True) -> List[QueryMetrics]:
-    """Extract metrics for a batch, skipping failed/incomplete sessions."""
-    out = []
-    for session in sessions:
-        if skip_failed and not session.complete:
-            continue
-        try:
-            out.append(extract_metrics(session, boundary))
-        except MetricsError:
-            if not skip_failed:
-                raise
-    return out
-
-
 def extract_all_calibrated(sessions: Sequence[QuerySession],
                            calibration,
                            skip_failed: bool = True) -> List[QueryMetrics]:
-    """Like :func:`extract_all`, with per-front-end boundaries.
+    """Extract metrics for a batch with per-front-end boundaries,
+    skipping failed/incomplete sessions unless ``skip_failed`` is False.
 
     ``calibration`` is a
     :class:`repro.analysis.boundary.BoundaryCalibration`; each session

@@ -23,7 +23,7 @@ size while keeping the paper-scale parameters one constant away.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.boundary import BoundaryCalibration
 from repro.content.keywords import Keyword
@@ -138,12 +138,3 @@ def colocated_vantage_point(scenario: Scenario, metro: Metro,
         access_delay=units.ms(rng.uniform(1.0, 2.0)),
         peering_penalty=units.ms(rng.uniform(3.0, 6.0)))
     return scenario.add_vantage_point(vp)
-
-
-def sessions_by_fe(sessions: Sequence[QuerySession]
-                   ) -> Dict[str, List[QuerySession]]:
-    """Group sessions by the front-end that served them."""
-    grouped: Dict[str, List[QuerySession]] = {}
-    for session in sessions:
-        grouped.setdefault(session.fe_name, []).append(session)
-    return grouped

@@ -38,10 +38,6 @@ class ValidationResult:
     #: (rtt, |Tdynamic - Tfetch| / Tfetch) relative proxy errors.
     proxy_errors: List[Tuple[float, float]]
 
-    @property
-    def bound_violation_rate(self) -> float:
-        return 1.0 - self.bounds.both_fraction
-
     def proxy_error_below_rtt(self, rtt_cutoff: float) -> float:
         """Median relative proxy error among low-RTT clients."""
         errors = [err for rtt, err in self.proxy_errors

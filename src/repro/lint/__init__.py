@@ -14,9 +14,9 @@ rule, a seeded bug that only that rule catches):
   ``Simulator.run()`` (cross-module call graph), no negative constant
   delays, no discarded :class:`~repro.sim.engine.EventHandle` where
   cancellation matters.
-* :mod:`repro.lint.shard_safety` (SHARD001-SHARD003) — no module-level
+* :mod:`repro.lint.shard_safety` (SHARD001-SHARD002) — no module-level
   state written in shard-reachable code, no set-order-dependent
-  merges, no unpaired ``fork_mark()``.
+  merges.
 * :mod:`repro.lint.rng_lineage` (RNG002-RNG003) — keyed RNG lineage:
   no colliding key namespaces, no ordinal counters shared between
   methods.

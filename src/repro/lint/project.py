@@ -765,11 +765,6 @@ class ProjectContext:
             chain = chain[:1] + ["..."] + chain[-(limit - 1):]
         return " -> ".join(_short_name(item) for item in chain)
 
-    # -- convenience ---------------------------------------------------
-    def functions_in_module(self, predicate) -> List[str]:
-        return sorted(full for full, (facts, fn) in self.functions.items()
-                      if predicate(facts, fn))
-
 
 def _short_name(qualname: str) -> str:
     if qualname == "...":

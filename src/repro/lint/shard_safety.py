@@ -1,7 +1,7 @@
-"""Shard-safety rule pack (SHARD001-SHARD003).
+"""Shard-safety rule pack (SHARD001-SHARD002).
 
 :func:`repro.parallel.pool.map_shards` runs shard workers in separate
-processes and merges their results order-independently; three classes
+processes and merges their results order-independently; two classes
 of bugs silently break the serial-equals-sharded guarantee that
 ``tests/test_parallel.py`` fingerprints:
 
@@ -11,23 +11,19 @@ of bugs silently break the serial-equals-sharded guarantee that
   sharded (SHARD001);
 * merge/absorb accumulators fed by set/dict iteration — hash order is
   arbitrary across processes, so the merged result is not a function
-  of the inputs (SHARD002);
-* ``fork_mark()`` without a reachable ``rollback()`` — the
-  observability merge protocol double-counts whatever was recorded
-  before the fork (SHARD003).
+  of the inputs (SHARD002).
 
-All three need the cross-module call graph: the shard entry point
-lives in ``parallel/``, the state it reaches lives anywhere.
+Both need the cross-module call graph: the shard entry point lives in
+``parallel/``, the state it reaches lives anywhere.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.lint.framework import register
 from repro.lint.project import (
     FunctionFacts,
-    ModuleFacts,
     ProjectContext,
     ProjectRule,
 )
@@ -143,44 +139,3 @@ class ShardSetMergeRule(ProjectRule):
                     "code; set order differs across processes — sort "
                     "the elements first"
                     % ("merge" if merge_like else "shard-reachable"))
-
-
-@register
-class ForkMarkPairingRule(ProjectRule):
-    id = "SHARD003"
-    name = "fork-mark-pairing"
-    severity = "error"
-    description = ("obs.fork_mark() has no reachable rollback(); the "
-                   "observability merge protocol double-counts "
-                   "pre-fork records unless every mark is rolled "
-                   "back.")
-    scope = "project"
-
-    def check(self, project: ProjectContext) -> None:
-        for fq in sorted(project.functions):
-            facts, fn = project.functions[fq]
-            marks = [call for call in fn.calls
-                     if (call.attr or call.bare) == "fork_mark"]
-            if not marks:
-                continue
-            closure = project.reachable_from([fq])
-            if self._rollback_reachable(project, closure):
-                continue
-            for call in marks:
-                self.report(
-                    facts.path, call.line,
-                    "fork_mark() here, but no rollback() is reachable "
-                    "from %s(); the pre-fork snapshot is never "
-                    "subtracted and merged metrics double-count "
-                    "(suppress when the parent rolls back its own "
-                    "mark)" % fn.name, col=call.col)
-
-    @staticmethod
-    def _rollback_reachable(project: ProjectContext,
-                            closure: Dict[str, object]) -> bool:
-        for fq in closure:
-            _facts, fn = project.functions[fq]
-            for call in fn.calls:
-                if (call.attr or call.bare) == "rollback":
-                    return True
-        return False

@@ -61,7 +61,7 @@ class DatasetA:
     #: Tiered-execution accounting, or None when tier was "packet".
     tier: Optional[TierStats] = None
     #: Observability capture (repro.obs), set when tracing is enabled:
-    #: canonical serialized spans and the campaign's metric delta.
+    #: the campaign's canonical serialized spans and its metrics.
     trace: Optional[list] = None
     obs_metrics: Optional[obs.MetricsSnapshot] = None
 
@@ -175,17 +175,25 @@ def _run_closed_loop(scenario: Scenario, dataset, kind: str,
     sleep ``interval``" loop would leave it: one ``interval`` past the
     last submission."""
     vps = [emulator.vp for emulator in emulators.values()]
-    start = scenario.sim.now
-    obs_mark = obs.campaign_begin(scenario)
-    _, dataset.replay, dataset.tier = run_event_stream(
-        scenario,
-        lambda: closed_loop_events(scenario, vps, services, keywords,
-                                   repeats, interval, start),
-        emulators, lambda event: frontends[(event.service, event.vp_name)],
-        tail=interval, tier=tier, replay_cache=replay_cache)
-    for emulator in emulators.values():
-        dataset.sessions.extend(emulator.sessions)
-    obs.campaign_end(obs_mark, kind, scenario, dataset)
+    sim = scenario.sim
+    start = sim.now
+    with obs.capture() as captured:
+        engine_start = sim.events_processed, sim.compactions
+        _, dataset.replay, dataset.tier = run_event_stream(
+            scenario,
+            lambda: closed_loop_events(scenario, vps, services, keywords,
+                                       repeats, interval, start),
+            emulators,
+            lambda event: frontends[(event.service, event.vp_name)],
+            tail=interval, tier=tier, replay_cache=replay_cache)
+        for emulator in emulators.values():
+            dataset.sessions.extend(emulator.sessions)
+        if captured is not None:
+            obs.record_campaign(kind, scenario, dataset, engine_start)
+    if captured is not None:
+        dataset.trace = captured.tracer.snapshot()
+        dataset.obs_metrics = captured.metrics.snapshot()
+        obs.absorb(captured)
 
 
 def closed_loop_events(scenario: Scenario, vps: Sequence[VantagePoint],

@@ -15,10 +15,11 @@ The batch drivers keep every session (``DatasetA``/``DatasetB``).
 by batch into per-service quantile sketches
 (:class:`~repro.analysis.sketch.QuantileSketch`) of duration and
 response bytes, counters, replay/tier accounting and, when tracing is
-enabled, sim-scope obs metrics.  It drops folded sessions with their
-packet events, prunes their FE/BE log entries and prunes the schedule
-behind the oldest in-flight session, so peak memory is set by the
-sessions *in flight* (the arrival rate), not by the duration.
+enabled, the obs metrics of its own capture.  It drops folded sessions
+with their packet events, prunes their FE/BE log entries and prunes
+the schedule behind the oldest in-flight session, so peak memory is
+set by the sessions *in flight* (the arrival rate), not by the
+duration.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from repro.obs.metrics import (
     SIZE_BOUNDS,
     MetricsSnapshot,
 )
-from repro.sim.executor import SessionExecutor, isolation_guard
+from repro.sim.executor import SessionExecutor
 from repro.sim.stats import ReplayStats, TierStats, sum_stats
 from repro.testbed.scenario import Scenario
 from repro.testbed.vantage import VantagePoint
@@ -71,13 +72,14 @@ class StreamingSchedule:
     Answers are exact for any query whose window lies between the prune
     point and the fed horizon.  The runner keeps that horizon at least
     ``lookahead`` seconds ahead of the clock (the whole stream for the
-    batch drivers), and a folding runner checks that every session's
-    isolation window (duration + guard) fits inside it, so executor
-    comparisons (``next_after(fe, t) < end``) are independent of batch
-    size and sharding.
+    batch drivers), and :meth:`quiet`, the one window query, refuses a
+    window wider than ``lookahead``, so the replay source's isolation
+    checks are independent of batch size and sharding.  Sessions that
+    nothing asks about may outlast it.
     """
 
-    def __init__(self):
+    def __init__(self, lookahead: float = float("inf")):
+        self.lookahead = lookahead
         self._times: Dict[str, List[float]] = {}
 
     def feed(self, fe_name: str, time: float) -> None:
@@ -107,6 +109,20 @@ class StreamingSchedule:
             if index < len(times):
                 return times[index]
         return float("inf")
+
+    def quiet(self, fe_name: str, start: float, end: float) -> bool:
+        """Whether no submission to ``fe_name`` falls after ``start``
+        and before ``end``, a session's isolation window.
+
+        Raises :class:`RuntimeError` when the window is wider than the
+        lookahead: the schedule may not hold its submissions yet.
+        """
+        if end - start > self.lookahead:
+            raise RuntimeError(
+                "session isolation window (%.3fs) exceeds the schedule "
+                "lookahead (%.3fs); raise run_streaming_campaign's "
+                "lookahead" % (end - start, self.lookahead))
+        return self.next_after(fe_name, start) >= end
 
 
 @dataclass
@@ -193,9 +209,8 @@ class StreamingCampaignResult:
                ) -> "StreamingCampaignResult":
         """Exact, order-independent merge of per-shard results.
 
-        Observability handling (rollback/absorb of the merged delta)
-        is the caller's job — see
-        :func:`repro.parallel.run_streaming_sharded`.
+        Absorbing the merged metrics into the live registry is the
+        caller's job — see :func:`repro.parallel.run_streaming_sharded`.
         """
         merged = cls(spec=parts[0].spec if parts else None)
         merged.shards = len(parts)
@@ -301,7 +316,7 @@ def run_event_stream(scenario: Scenario,
         raise ValueError("batch_events must be >= 1")
     if lookahead <= 0.0:
         raise ValueError("lookahead must be > 0")
-    schedule = StreamingSchedule()
+    schedule = StreamingSchedule(lookahead)
     executor = SessionExecutor(scenario, schedule, tier=tier,
                                replay_cache=replay_cache)
     sim = scenario.sim
@@ -357,9 +372,14 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
 
     ``tier`` and ``replay_cache`` behave exactly as on
     :func:`~repro.measure.driver.run_dataset_a`.  ``lookahead`` is the
-    schedule visibility window; it must exceed every session's
-    isolation window (duration + guard), which the runner verifies as
-    sessions fold.
+    schedule visibility window; it must exceed the isolation window
+    (duration + guard) of every session the replay cache records or
+    replays, which :meth:`StreamingSchedule.quiet` verifies.  Sessions
+    it bypasses (a lossy path, a busy front-end) may run longer.
+
+    With tracing enabled the campaign records into its own
+    :func:`repro.obs.capture`, attached as ``obs_metrics`` and then
+    absorbed into the current registry.
     """
     vps = list(vantage_points or scenario.vantage_points)
     services = list(workload.services)
@@ -381,16 +401,8 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
                 frontend, scenario.service(service_name)
                 .backend_for_frontend(frontend))
 
-    metrics_base = _obs.metrics.snapshot() if _obs.enabled else None
-
     def observe_session(session) -> None:
         duration = session.completed_at - session.started_at
-        guard = isolation_guard(session.path_rtt)
-        if duration + guard > lookahead:
-            raise RuntimeError(
-                "session isolation window (%.3fs) exceeds the schedule "
-                "lookahead (%.3fs); raise run_streaming_campaign's "
-                "lookahead" % (duration + guard, lookahead))
         result.sessions += 1
         if session.failed is not None:
             result.failures += 1
@@ -437,16 +449,17 @@ def run_streaming_campaign(scenario: Scenario, workload, *,
         return oldest
 
     names = [vp.name for vp in vps]
-    result.events, result.replay, result.tier = run_event_stream(
-        scenario, lambda: workload.events_for(names), emulators,
-        lambda event: frontends[(event.service, event.vp_name)],
-        lookahead=lookahead, batch_events=batch_events, fold=fold,
-        tier=tier, replay_cache=replay_cache)
+    with _obs.capture() as captured:
+        result.events, result.replay, result.tier = run_event_stream(
+            scenario, lambda: workload.events_for(names), emulators,
+            lambda event: frontends[(event.service, event.vp_name)],
+            lookahead=lookahead, batch_events=batch_events, fold=fold,
+            tier=tier, replay_cache=replay_cache)
+        if captured is not None:
+            _obs.metrics.inc("campaign.streaming")
+    if captured is not None:
+        result.obs_metrics = captured.metrics.snapshot()
+        _obs.absorb(captured)
     result.content_cache = aggregate_stats(
         frontend.static_cache for frontend, _ in servers.values())
-    if metrics_base is not None:
-        if _obs.enabled:
-            _obs.metrics.inc("campaign.streaming")
-        result.obs_metrics = \
-            _obs.metrics.snapshot().subtract(metrics_base)
     return result

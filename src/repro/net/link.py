@@ -117,12 +117,6 @@ class Link:
         self._offer_index = 0
 
     # ------------------------------------------------------------------
-    @property
-    def backlog_bytes(self) -> float:
-        """Bytes currently waiting in (or being drained from) the queue."""
-        pending = self._busy_until - self.sim.now
-        return max(0.0, pending) * self.bandwidth
-
     def transmission_delay(self, packet: Packet) -> float:
         """Serialization time for ``packet`` on this link."""
         return packet.size_bytes / self.bandwidth
@@ -139,9 +133,9 @@ class Link:
         stats = self.stats
         stats.packets_offered += 1
 
-        # Inline backlog_bytes / transmission_delay: send() runs once
-        # per packet per hop, and the property + method calls showed up
-        # in campaign profiles.  The clock is read through the engine's
+        # Inline the queue backlog and transmission_delay: send() runs
+        # once per packet per hop, and the method calls showed up in
+        # campaign profiles.  The clock is read through the engine's
         # storage attribute for the same reason (``now`` is a property).
         sim = self.sim
         now = sim._now

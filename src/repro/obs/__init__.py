@@ -19,6 +19,11 @@ Design rules:
   seconds; exports are canonically ordered; a serial campaign and a
   sharded run of it (``repro.parallel``) serialize byte-identically
   for sim-scope data.
+* **One capture primitive.**  :func:`capture` sends everything
+  recorded inside it to a fresh tracer and registry and restores the
+  outer ones on exit; the caller decides whether to :func:`absorb` it.
+  Campaign drivers, shard workers and CLI experiment workers each
+  record into their own, so nothing is ever subtracted or rolled back.
 * **No import cycles.**  This module (which instrumented code imports)
   pulls in only :mod:`~repro.obs.runtime`, :mod:`~repro.obs.trace` and
   :mod:`~repro.obs.metrics` — none of which import the simulator.
@@ -35,7 +40,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.obs import runtime
 from repro.obs.metrics import (
@@ -44,15 +49,16 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
 )
+from repro.obs.runtime import Capture, absorb, capture
 from repro.obs.trace import Span, Tracer, merge_span_dicts
 
 __all__ = [
-    "SCOPE_HOST", "SCOPE_SIM", "MetricsRegistry", "MetricsSnapshot",
-    "Span", "Tracer", "annotate_boundaries", "absorb",
-    "campaign_begin", "campaign_end", "configure_from_env", "disable",
+    "SCOPE_HOST", "SCOPE_SIM", "Capture", "MetricsRegistry",
+    "MetricsSnapshot", "Span", "Tracer", "absorb",
+    "annotate_boundaries", "capture", "configure_from_env", "disable",
     "enable", "enabled", "env_trace_path", "export_chrome",
-    "export_jsonl", "fork_mark", "merge_metrics", "merge_span_dicts",
-    "merge_traces", "render_summary", "reset", "rollback", "runtime",
+    "export_jsonl", "merge_metrics", "merge_span_dicts", "merge_traces",
+    "record_campaign", "render_summary", "reset", "runtime",
 ]
 
 
@@ -81,22 +87,14 @@ def env_trace_path() -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# campaign bracketing (drivers)
+# campaign recording (drivers)
 # ----------------------------------------------------------------------
-def campaign_begin(scenario):
-    """Mark a campaign start; returns None when tracing is disabled."""
-    if not runtime.enabled:
-        return None
-    from repro.obs.record import begin
-    return begin(scenario)
-
-
-def campaign_end(mark, kind: str, scenario, dataset) -> None:
-    """Record a finished campaign (no-op when ``mark`` is None)."""
-    if mark is None:
-        return
-    from repro.obs.record import end
-    end(mark, kind, scenario, dataset)
+def record_campaign(kind: str, scenario, dataset,
+                    engine_start: Tuple[int, int]) -> None:
+    """Record a finished campaign's spans and metrics into the current
+    capture (see :func:`repro.obs.record.record_campaign`)."""
+    from repro.obs.record import record_campaign as record
+    record(kind, scenario, dataset, engine_start)
 
 
 def annotate_boundaries(metrics_list) -> None:
@@ -108,28 +106,8 @@ def annotate_boundaries(metrics_list) -> None:
 
 
 # ----------------------------------------------------------------------
-# shard merge protocol (parallel.campaigns, CLI --jobs)
+# shard merge (parallel.campaigns)
 # ----------------------------------------------------------------------
-def fork_mark():
-    """State mark taken before fanning work out to shard workers."""
-    return (runtime.tracer.mark(), runtime.metrics.snapshot())
-
-
-def rollback(mark) -> None:
-    """Undo everything recorded since ``fork_mark`` (inline dedup)."""
-    runtime.tracer.rollback(mark[0])
-    runtime.metrics.restore(mark[1])
-
-
-def absorb(trace: Optional[List[dict]],
-           snapshot: Optional[MetricsSnapshot]) -> None:
-    """Fold a worker's trace/metrics delta into the live runtime."""
-    if trace:
-        runtime.tracer.absorb(trace)
-    if snapshot is not None:
-        runtime.metrics.absorb(snapshot)
-
-
 def merge_traces(traces: List[Optional[List[dict]]]) -> List[dict]:
     """Combine per-shard span snapshots into one canonical list."""
     return merge_span_dicts([trace for trace in traces if trace])
@@ -150,14 +128,14 @@ def merge_metrics(snapshots: List[Optional[MetricsSnapshot]]
 def export_jsonl(path: str) -> None:
     """Write everything currently recorded as JSONL schema v1."""
     from repro.obs.export import write_jsonl
-    write_jsonl(path, runtime.tracer.snapshot_since(0),
+    write_jsonl(path, runtime.tracer.snapshot(),
                 runtime.metrics.snapshot())
 
 
 def export_chrome(path: str) -> None:
     """Write everything currently recorded as Chrome trace JSON."""
     from repro.obs.export import write_chrome_trace
-    write_chrome_trace(path, runtime.tracer.snapshot_since(0))
+    write_chrome_trace(path, runtime.tracer.snapshot())
 
 
 def render_summary(title: str = "observability summary") -> str:

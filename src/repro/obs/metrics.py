@@ -3,7 +3,8 @@
 The registry is the numeric half of the observability subsystem
 (:mod:`repro.obs`): instrumentation sites increment named counters,
 record high-watermark gauges, and feed histograms; campaigns snapshot
-the registry and shard workers ship snapshots back for merging.
+the registry of their own capture and shard workers ship snapshots
+back for merging.
 
 Two properties drive the design:
 
@@ -121,8 +122,7 @@ class MetricsSnapshot:
     """A picklable copy of a registry's state at one instant.
 
     Snapshots are what crosses process boundaries: shard workers return
-    them, :meth:`merge` aggregates them, and :meth:`subtract` turns two
-    snapshots into a per-campaign delta.
+    them and :meth:`merge` aggregates them.
     """
 
     __slots__ = ("counters", "gauges", "histograms", "scopes")
@@ -160,44 +160,6 @@ class MetricsSnapshot:
         histograms = {name: _merge_hist_states(states)
                       for name, states in hist_states.items()}
         return cls(counters, gauges, histograms, scopes)
-
-    def subtract(self, base: "MetricsSnapshot") -> "MetricsSnapshot":
-        """The delta accumulated since ``base`` was taken.
-
-        Counters and histogram bucket counts subtract exactly; a
-        delta histogram's min/max are taken from the current totals
-        (exact whenever the histogram was empty at ``base``, which is
-        how campaign deltas use this).  Gauges keep their current
-        values when they changed since ``base``.
-        """
-        counters = {}
-        for name, value in self.counters.items():
-            delta = value - base.counters.get(name, 0)
-            if delta:
-                counters[name] = delta
-        gauges = {name: value for name, value in self.gauges.items()
-                  if base.gauges.get(name) != value}
-        histograms = {}
-        for name, state in self.histograms.items():
-            prior = base.histograms.get(name)
-            if prior is None:
-                if state["count"]:
-                    histograms[name] = state
-                continue
-            count = state["count"] - prior["count"]
-            if count <= 0:
-                continue
-            histograms[name] = {
-                "bounds": state["bounds"],
-                "counts": tuple(c - p for c, p in
-                                zip(state["counts"], prior["counts"])),
-                "count": count,
-                "total": state["total"] - prior["total"],
-                "min": state["min"], "max": state["max"]}
-        scopes = {name: scope for name, scope in self.scopes.items()
-                  if name in counters or name in gauges
-                  or name in histograms}
-        return MetricsSnapshot(counters, gauges, histograms, scopes)
 
     def scoped(self, scope: str) -> "MetricsSnapshot":
         """Only the metrics tagged with ``scope`` (``sim``/``host``)."""
@@ -251,6 +213,10 @@ class MetricsRegistry:
     # -- write paths ---------------------------------------------------
     def inc(self, name: str, value: int = 1,
             scope: str = SCOPE_HOST) -> None:
+        """Add ``value`` to a counter; adding 0 records nothing, so a
+        snapshot lists only the counters that moved."""
+        if not value:
+            return
         self._counters[name] = self._counters.get(name, 0) + value
         self._scopes.setdefault(name, scope)
 
@@ -281,17 +247,8 @@ class MetricsRegistry:
              for name, hist in self._histograms.items()},
             dict(self._scopes))
 
-    def restore(self, snapshot: MetricsSnapshot) -> None:
-        """Reset the live state to ``snapshot`` (rollback)."""
-        self._counters = dict(snapshot.counters)
-        self._gauges = dict(snapshot.gauges)
-        self._histograms = {name: Histogram.from_state(state)
-                            for name, state in
-                            snapshot.histograms.items()}
-        self._scopes = dict(snapshot.scopes)
-
     def absorb(self, snapshot: MetricsSnapshot) -> None:
-        """Merge a (shard's) snapshot into the live state."""
+        """Merge a (capture's or shard's) snapshot into the live state."""
         for name, value in snapshot.counters.items():
             self.inc(name, value, snapshot.scopes.get(name, SCOPE_HOST))
         for name, value in snapshot.gauges.items():

@@ -1,7 +1,8 @@
 """Campaign recording: turn finished sessions into spans and metrics.
 
-The drivers (:mod:`repro.measure.driver`) bracket each campaign with
-:func:`begin`/:func:`end`.  Everything is derived *post hoc* from data
+The drivers (:mod:`repro.measure.driver`) run each campaign inside its
+own :func:`~repro.obs.runtime.capture` and end it with
+:func:`record_campaign`.  Everything is derived *post hoc* from data
 the simulation produced anyway — the session's captured packet events,
 the FE fetch log, and the BE query log — so tracing adds no work to
 the hot simulation path and automatically covers replayed sessions
@@ -29,7 +30,7 @@ Every timestamp is simulated seconds; nothing here reads the host.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Tuple
 
 from repro.analysis.stream import TraceError, inbound_byte_arrivals
 from repro.core.metrics import packet_landmarks
@@ -43,42 +44,17 @@ from repro.obs.metrics import (
 from repro.obs.trace import Span
 
 
-class CampaignMark:
-    """Where a campaign started, for delta extraction at its end."""
+def record_campaign(kind: str, scenario, dataset,
+                    engine_start: Tuple[int, int]) -> None:
+    """Record a finished campaign into the current tracer and registry:
+    one span per session, then the campaign metrics.
 
-    __slots__ = ("trace_mark", "metrics_base", "engine_events",
-                 "engine_compactions")
-
-    def __init__(self, trace_mark, metrics_base, engine_events,
-                 engine_compactions):
-        self.trace_mark = trace_mark
-        self.metrics_base = metrics_base
-        self.engine_events = engine_events
-        self.engine_compactions = engine_compactions
-
-
-def begin(scenario) -> CampaignMark:
-    """Mark the start of a campaign on ``scenario`` (tracing enabled)."""
-    sim = scenario.sim
-    return CampaignMark(runtime.tracer.mark(),
-                        runtime.metrics.snapshot(),
-                        sim.events_processed,
-                        getattr(sim, "compactions", 0))
-
-
-def end(mark: CampaignMark, kind: str, scenario, dataset) -> None:
-    """Record a finished campaign: session spans + campaign metrics.
-
-    Attaches the per-campaign deltas to ``dataset.trace`` (canonical
-    serialized spans) and ``dataset.obs_metrics``
-    (:class:`~repro.obs.metrics.MetricsSnapshot`).
+    ``engine_start`` is the simulator's ``(events_processed,
+    compactions)`` when the campaign began.
     """
     for session in dataset.sessions:
         runtime.tracer.add(session_span(scenario, session))
-    _campaign_metrics(mark, kind, scenario, dataset)
-    dataset.trace = runtime.tracer.snapshot_since(mark.trace_mark)
-    dataset.obs_metrics = \
-        runtime.metrics.snapshot().subtract(mark.metrics_base)
+    _campaign_metrics(kind, scenario, dataset, engine_start)
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +141,7 @@ def annotate_boundaries(metrics_list: Iterable) -> None:
 
     Called after content-analysis calibration with the extracted
     :class:`repro.core.metrics.QueryMetrics`; finds each query's
-    ``session`` span in the global tracer and completes its timeline.
+    ``session`` span in the current tracer and completes its timeline.
     Idempotent per span.
     """
     if not runtime.enabled:
@@ -189,8 +165,8 @@ def annotate_boundaries(metrics_list: Iterable) -> None:
 # ----------------------------------------------------------------------
 # campaign metrics
 # ----------------------------------------------------------------------
-def _campaign_metrics(mark: CampaignMark, kind: str, scenario,
-                      dataset) -> None:
+def _campaign_metrics(kind: str, scenario, dataset,
+                      engine_start: Tuple[int, int]) -> None:
     m = runtime.metrics
     sessions = dataset.sessions
     completed = [s for s in sessions if s.complete]
@@ -219,9 +195,8 @@ def _campaign_metrics(mark: CampaignMark, kind: str, scenario,
     m.inc("campaign.runs.%s" % kind, 1, SCOPE_HOST)
     sim = scenario.sim
     m.inc("engine.events_processed",
-          sim.events_processed - mark.engine_events, SCOPE_HOST)
-    m.inc("engine.compactions",
-          getattr(sim, "compactions", 0) - mark.engine_compactions,
+          sim.events_processed - engine_start[0], SCOPE_HOST)
+    m.inc("engine.compactions", sim.compactions - engine_start[1],
           SCOPE_HOST)
     replay = getattr(dataset, "replay", None)
     if replay is not None:

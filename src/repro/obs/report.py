@@ -82,7 +82,7 @@ def render_summary(snapshot: Optional[MetricsSnapshot] = None,
     if snapshot is None:
         snapshot = runtime.metrics.snapshot()
     if span_dicts is None:
-        span_dicts = runtime.tracer.snapshot_since(0)
+        span_dicts = runtime.tracer.snapshot()
     flat = flatten_spans(span_dicts)
     failures = sum(1 for record in flat
                    if record["name"] == "session"

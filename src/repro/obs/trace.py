@@ -16,7 +16,7 @@ canonical order (:mod:`repro.obs.export`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class Span:
@@ -96,12 +96,9 @@ def merge_span_dicts(snapshots: List[List[dict]]) -> List[dict]:
 class Tracer:
     """An append-only buffer of top-level spans.
 
-    The ``mark``/``rollback``/``snapshot_since`` trio implements the
-    delta protocol used by drivers and shard runners: take a mark, run
-    a campaign, snapshot what was added since — and, when the same work
-    arrives back merged from shard workers, roll back to the mark
-    before absorbing it (exact dedup whether the shards actually ran in
-    other processes or inline in this one).
+    A campaign records into the tracer of its own
+    :func:`~repro.obs.runtime.capture`, so :meth:`snapshot` is exactly
+    that campaign's spans; :meth:`absorb` then moves them outward.
     """
 
     def __init__(self):
@@ -116,20 +113,13 @@ class Tracer:
              attrs: Optional[Dict[str, object]] = None) -> Span:
         return self.add(Span(name, start, end, attrs))
 
-    def mark(self) -> int:
-        return len(self.spans)
+    def snapshot(self) -> List[dict]:
+        """Canonical serialized copies of every recorded span."""
+        return [span.as_dict() for span in
+                sorted(self.spans, key=lambda s: s.sort_key())]
 
-    def rollback(self, mark: int) -> None:
-        del self.spans[mark:]
-
-    def snapshot_since(self, mark: int) -> List[dict]:
-        """Canonical serialized copies of spans recorded after ``mark``."""
-        recent = sorted(self.spans[mark:], key=lambda s: s.sort_key())
-        return [span.as_dict() for span in recent]
-
-    def absorb(self, span_dicts: List[dict]) -> None:
-        for data in span_dicts:
-            self.add(Span.from_dict(data))
+    def absorb(self, spans: Iterable[Span]) -> None:
+        self.spans.extend(spans)
 
     def session_spans(self) -> Dict[str, Span]:
         """query_id -> session span, over the whole buffer."""

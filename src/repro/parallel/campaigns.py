@@ -48,9 +48,8 @@ class _Shard:
     campaign over the vantage points ``vp_names``: Dataset A over
     ``keywords`` when ``spec`` is None, else the streaming campaign over
     the workload ``spec`` generates.  ``kwargs`` go to the campaign
-    function.  ``observe`` mirrors the parent's :mod:`repro.obs` enabled
-    flag: workers re-assert it so tracing survives any process start
-    method and per-shard captures come back on the result.
+    function.  With tracing enabled, the campaign's own capture comes
+    back on the result (``trace``, ``obs_metrics``).
     """
 
     index: int
@@ -60,13 +59,10 @@ class _Shard:
     kwargs: Dict[str, object]
     keywords: Tuple[Keyword, ...] = ()
     spec: Optional[WorkloadSpec] = None
-    observe: bool = False
 
 
 def _run_shard(shard: _Shard):
     try:
-        if shard.observe:
-            obs.enable()
         scenario = Scenario(shard.config)
         by_name = {vp.name: vp for vp in scenario.vantage_points}
         vps = [by_name[name] for name in shard.vp_names]
@@ -99,7 +95,7 @@ def _shard_orders(scenario: Scenario, services: Sequence[str],
     return [_Shard(index=index, count=len(partition),
                    config=scenario.config,
                    vp_names=tuple(vp.name for vp in part), kwargs=kwargs,
-                   keywords=keywords, spec=spec, observe=obs.enabled())
+                   keywords=keywords, spec=spec)
             for index, part in enumerate(partition)]
 
 
@@ -107,32 +103,29 @@ def _shard_orders(scenario: Scenario, services: Sequence[str],
 _SHARD_SESSION_BOUNDS = (10, 30, 100, 300, 1_000, 3_000, 10_000)
 
 
-def _merge_observability(obs_mark, results: Sequence[object], merged,
+def _merge_observability(results: Sequence[object], merged,
                          sessions: Sequence[int]) -> None:
     """Fold per-shard observability captures into the merged result.
 
-    The runner first rolls the live runtime back to ``obs_mark``: when
-    :func:`~repro.parallel.pool.map_shards` fell back to inline
-    execution, the shard campaigns recorded straight into this
-    process's tracer/registry, and absorbing their snapshots too would
-    double-count.  (With real worker processes the rollback is a
-    no-op.)  Sim-scope metrics and spans merge to exactly the serial
-    campaign's capture; host-scope metrics add up across shards.
-    Datasets carry spans; streaming results carry metrics only (their
-    spans would grow with the event count).  ``sessions`` are the
-    per-shard session counts.
+    :func:`~repro.parallel.pool.map_shards` drops whatever a shard
+    recorded, inline or pooled, so the shard results' captures are the
+    only copy and the merged one is absorbed into the current tracer
+    and registry once, as a serial campaign's would be.  Sim-scope
+    metrics and spans merge to exactly the serial campaign's capture;
+    host-scope metrics add up across shards.  Datasets carry spans;
+    streaming results carry metrics only (their spans would grow with
+    the event count).  ``sessions`` are the per-shard session counts.
     """
-    if obs_mark is None:
+    if not obs.enabled():
         return
-    obs.rollback(obs_mark)
     merged.obs_metrics = obs.merge_metrics(
         [result.obs_metrics for result in results])
-    trace = None
+    tracer, registry = obs.runtime.tracer, obs.runtime.metrics
     if isinstance(merged, DatasetA):
-        trace = merged.trace = obs.merge_traces(
+        merged.trace = obs.merge_traces(
             [result.trace for result in results])
-    obs.absorb(trace, merged.obs_metrics)
-    registry = obs.runtime.metrics
+        tracer.absorb(obs.Span.from_dict(data) for data in merged.trace)
+    registry.absorb(merged.obs_metrics)
     registry.inc("campaign.shards", len(results))
     for count in sessions:
         registry.observe("shard.sessions", count, _SHARD_SESSION_BOUNDS)
@@ -197,7 +190,6 @@ def run_dataset_a_sharded(scenario: Scenario,
         dict(repeats=repeats, interval=interval, services=service_names,
              replay_cache=replay_cache, tier=tier),
         keywords=tuple(keywords))
-    obs_mark = obs.fork_mark() if obs.enabled() else None
     results = map_shards(_run_shard, orders, processes)
 
     # Per-shard caches need no coordination: a shard replays only its
@@ -217,7 +209,7 @@ def run_dataset_a_sharded(scenario: Scenario,
     merged.default_fe = dict(sorted(
         (item for result in results for item in result.default_fe.items()),
         key=lambda item: fleet[item[0][0]]))
-    _merge_observability(obs_mark, results, merged,
+    _merge_observability(results, merged,
                          [len(result.sessions) for result in results])
     return merged
 
@@ -246,10 +238,9 @@ def run_streaming_sharded(scenario: Scenario, spec: WorkloadSpec, *,
         dict(batch_events=batch_events, lookahead=lookahead,
              replay_cache=replay_cache, tier=tier),
         spec=spec)
-    obs_mark = obs.fork_mark() if obs.enabled() else None
     results = map_shards(_run_shard, orders, processes)
     merged = StreamingCampaignResult.merged(results)
     merged.spec = spec
-    _merge_observability(obs_mark, results, merged,
+    _merge_observability(results, merged,
                          [result.sessions for result in results])
     return merged

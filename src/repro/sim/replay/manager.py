@@ -106,8 +106,8 @@ class SessionReplayManager:
             # window ahead of us.
             end = now + entry.duration + entry.guard
             if not window_fits(now, end) \
-                    or self.schedule.next_after(frontend.node.name,
-                                                now) < end:
+                    or not self.schedule.quiet(frontend.node.name, now,
+                                               end):
                 self.stats.bypass("window")
                 return None, None
             if entry.validated:
@@ -140,8 +140,8 @@ class SessionReplayManager:
         end = session.completed_at + pending.guard
         if not window_fits(session.started_at, end):
             return
-        if self.schedule.next_after(session.fe_name,
-                                    session.started_at) < end:
+        if not self.schedule.quiet(session.fe_name, session.started_at,
+                                   end):
             return
         timeline = record_timeline(session, pending.guard, fetch, query)
         if timeline is None:

@@ -259,11 +259,6 @@ class Connection:
         """Stream offset -> absolute sequence number (our direction)."""
         return self.isn + 1 + offset
 
-    def _recv_offset(self, seq: int) -> int:
-        """Absolute sequence number -> stream offset (peer direction)."""
-        assert self.peer_isn is not None
-        return seq - (self.peer_isn + 1)
-
     def _rcv_nxt(self) -> int:
         """Next absolute sequence number expected from the peer.
 

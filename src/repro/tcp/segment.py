@@ -83,16 +83,6 @@ class Segment:
         self.uid = next(_segment_counter) if uid is None else uid
 
     @property
-    def seq_span(self) -> int:
-        """Sequence space consumed: payload bytes plus SYN/FIN flags."""
-        return len(self.data) + int(self.syn) + int(self.fin)
-
-    @property
-    def end_seq(self) -> int:
-        """First sequence number *after* this segment."""
-        return self.seq + self.seq_span
-
-    @property
     def wire_size(self) -> int:
         """On-wire size in bytes including all header overhead."""
         return HEADER_BYTES + len(self.data)

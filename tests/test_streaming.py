@@ -114,6 +114,23 @@ def test_streaming_lookahead_guard():
         _serial(batch_events=0)
 
 
+def test_bypassed_sessions_may_outlast_the_lookahead():
+    # A lossy client path bypasses every session, so nothing reads the
+    # schedule over their windows, some of which outlast the default
+    # 30 s lookahead.
+    config = dataclasses.replace(CONFIG, seed=4, vantage_count=6,
+                                 client_loss_rate=0.3)
+    spec = WorkloadSpec(seed=4, users=100, duration=600.0,
+                        session_rate=0.2, keyword_count=16,
+                        services=("google-like",), max_events=40)
+    serial = _serial(spec=spec, config=config, replay_cache=True)
+    assert serial.sessions == serial.events == 40
+    assert serial.replay.bypasses == {"lossy-path": 40}
+    sharded = run_streaming_sharded(Scenario(config), spec, shards=2,
+                                    processes=1, replay_cache=True)
+    assert sharded.fingerprint() == serial.fingerprint()
+
+
 def test_out_of_order_stream_is_rejected(tmp_path):
     scenario = Scenario(CONFIG)
     spec = dataclasses.replace(SPEC, max_events=120)
