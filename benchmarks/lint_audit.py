@@ -242,9 +242,9 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "            return units.seconds_to_ms(self.completed_at\n"
        "                                       - self.started_at)\n"
        "        return self.completed_at - self.started_at",
-       [], M, M,
-       "failed sessions report their duration in ms; nothing reads "
-       "it, and UNIT007 did not fire on it either"),
+       [], C, "",
+       "failed sessions report their duration in ms; UNIT007 did not "
+       "fire on it, and a failed session's duration test catches it"),
     _m("U2", "UNIT008", "sim/executor.py",
        "        guard = isolation_guard(session.path_rtt)",
        "        from repro.sim import units\n"

@@ -16,6 +16,7 @@ from repro.content.keywords import Keyword
 from repro.content.page import PageProfile
 from repro.core.bounds import check_bounds
 from repro.core.metrics import extract_all_calibrated
+from repro.measure.capture import PacketCapture
 from repro.measure.driver import run_queries
 from repro.net.geo import GeoPoint
 from repro.net.topology import Topology
@@ -62,11 +63,12 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Two clients, one per coast, wired by hand.
     # ------------------------------------------------------------------
-    clients = {}
+    clients, captures = {}, {}
     for name, lat, lon, fe_tag in (("client-west", 37.8, -122.3, "sf"),
                                    ("client-east", 40.8, -74.1, "nyc")):
         node = topology.add_node(name, GeoPoint(lat, lon))
         clients[name] = TcpHost(sim, node, TcpConfig(), streams)
+        captures[name] = PacketCapture(sim, node)
         frontend = deployment.frontend_by_name(fe_tag)
         topology.connect(name, frontend.node.name,
                          delay=units.ms(4), bandwidth=units.mbps(50))
@@ -89,6 +91,9 @@ def main() -> None:
 
         def client_host(self, vp):
             return clients[vp.name]
+
+        def client_capture(self, vp):
+            return captures[vp.name]
 
         def service(self, service_name):
             assert service_name == profile.name

@@ -10,7 +10,9 @@ distributions answers the question — the paper concludes FE servers do
 
 This module implements that comparison with a two-sample
 Kolmogorov-Smirnov test plus a median-ratio effect-size check (a
-significant KS alone can reflect tiny differences at large n).
+significant KS alone can reflect tiny differences at large n).  The
+test is :func:`repro.analysis.stats.ks_2samp`, exact and in pure
+Python; it gives scipy's statistic and p-value (see that module).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.stats import median
+from repro.analysis.stats import ks_2samp, median
 
 
 @dataclass(frozen=True)
@@ -72,22 +74,18 @@ def detect_result_caching(same_query_tdynamic: Sequence[float],
         caching (a cached response skips the whole FE-BE fetch, so the
         drop is large when caching exists).
     """
-    # Imported here, not at module level: scipy takes over a second to
-    # import, and no campaign path calls this function.
-    from scipy import stats as scipy_stats
-
     if len(same_query_tdynamic) < 3 or len(distinct_query_tdynamic) < 3:
         raise ValueError("need at least 3 samples per condition")
-    ks = scipy_stats.ks_2samp(same_query_tdynamic,
-                              distinct_query_tdynamic)
+    ks_statistic, p_value = ks_2samp(same_query_tdynamic,
+                                     distinct_query_tdynamic)
     median_same = median(same_query_tdynamic)
     median_distinct = median(distinct_query_tdynamic)
     ratio = (median_same / median_distinct
              if median_distinct > 0 else float("inf"))
-    detected = bool(ks.pvalue < alpha and ratio < ratio_threshold)
+    detected = p_value < alpha and ratio < ratio_threshold
     return CacheDetectionResult(
         median_same=median_same,
         median_distinct=median_distinct,
-        ks_statistic=float(ks.statistic),
-        p_value=float(ks.pvalue),
+        ks_statistic=ks_statistic,
+        p_value=p_value,
         caching_detected=detected)

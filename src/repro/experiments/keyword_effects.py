@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.stats import median
+from repro.analysis.stats import median, spearmanr
 from repro.content.keywords import Keyword, KeywordCatalog
 from repro.core.metrics import extract_all_calibrated
 from repro.experiments.common import (
@@ -111,19 +111,15 @@ def run_keyword_effects(scale: Optional[ExperimentScale] = None, *,
             tdynamic_median=median([m.tdynamic for m in metrics]),
             samples=len(metrics)))
 
-    # scipy takes over a second to import; keep it off every path that
-    # does not correlate.
-    from scipy import stats as scipy_stats
-
     tdyn = [e.tdynamic_median for e in result.effects]
     for attribute, rho_field, p_field in (
             ("word_count", "word_count_rho", "word_count_p"),
             ("complexity", "complexity_rho", "complexity_p"),
             ("popularity", "popularity_rho", "popularity_p")):
         values = [getattr(e.keyword, attribute) for e in result.effects]
-        rho, p = scipy_stats.spearmanr(values, tdyn)
-        setattr(result, rho_field, float(rho))
-        setattr(result, p_field, float(p))
+        rho, p = spearmanr(values, tdyn)
+        setattr(result, rho_field, rho)
+        setattr(result, p_field, p)
     return result
 
 

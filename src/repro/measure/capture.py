@@ -3,24 +3,27 @@
 A :class:`PacketCapture` attaches to a node as a tap and records one
 :class:`PacketEvent` per packet of each connection it captures —
 timestamp, direction, addressing, TCP flags/sequence numbers, and
-(optionally) the payload bytes.  Capture is per session: the emulator
-opens its connection's local port before the SYN leaves and closes it
-when the session ends, taking that port's events.  Packets on other
-ports are not kept, so no capture grows with the campaign.  The
-analysis pipeline consumes *only* these events, never simulator
-internals, mirroring how the paper works exclusively from tcpdump
-traces.
+(optionally) the payload bytes.  Each client node has one capture, made
+with its TCP host by the scenario
+(:meth:`~repro.testbed.scenario.Scenario.client_capture`), so a node
+runs one tap however many emulators query from it.  Capture is per
+session: the emulator opens its connection's local port before the SYN
+leaves and closes it when the session ends, taking that port's events.
+Packets on other ports are not kept, so no capture grows with the
+campaign.  The analysis pipeline consumes *only* these events, never
+simulator internals, mirroring how the paper works exclusively from
+tcpdump traces.
 
-Payload storage is optional because large campaigns (hundreds of nodes x
-hundreds of queries) don't need bodies for every query: the content
-analysis that locates the static/dynamic boundary runs on a small
-calibration set with payloads on, after which temporal classification
-needs only sequence numbers.
+Payload storage is chosen per port, when the port opens, because large
+campaigns (hundreds of nodes x hundreds of queries) don't need bodies
+for every query: the content analysis that locates the static/dynamic
+boundary runs on a small calibration set with payloads on, after which
+temporal classification needs only sequence numbers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.node import Node
 from repro.net.packet import Packet
@@ -87,22 +90,21 @@ class PacketEvent:
 class PacketCapture:
     """Tap-based, per-port packet recorder for one host."""
 
-    def __init__(self, sim: Simulator, node: Node,
-                 store_payload: bool = False):
+    def __init__(self, sim: Simulator, node: Node):
         self.sim = sim
         self.node = node
-        self.store_payload = store_payload
-        #: open local port -> its events, in capture order
-        self._open: Dict[int, List[PacketEvent]] = {}
+        #: open local port -> (its events in capture order, keep payload)
+        self._open: Dict[int, Tuple[List[PacketEvent], bool]] = {}
         node.add_tap(self._observe)
 
-    def open_port(self, local_port: int) -> None:
-        """Start recording the host's packets on ``local_port``."""
-        self._open[local_port] = []
+    def open_port(self, local_port: int, store_payload: bool = False) -> None:
+        """Start recording the host's packets on ``local_port``, with
+        their payload bytes if ``store_payload``."""
+        self._open[local_port] = ([], store_payload)
 
     def close_port(self, local_port: int) -> List[PacketEvent]:
         """Stop recording ``local_port`` and return what it captured."""
-        return self._open.pop(local_port)
+        return self._open.pop(local_port)[0]
 
     # ------------------------------------------------------------------
     def _observe(self, event: str, packet: Packet) -> None:
@@ -115,14 +117,15 @@ class PacketCapture:
             direction, port = "in", segment.dport
         else:
             return
-        events = self._open.get(port)
-        if events is None:
+        recording = self._open.get(port)
+        if recording is None:
             return
+        events, store_payload = recording
         # The capture is the materialization boundary for zero-copy
         # segment payloads: bytes are synthesized from the wire's lazy
-        # views here and only here.  With store_payload=False (the
-        # default for measurement campaigns) payload travels the whole
-        # simulated path length-only.
+        # views here and only here.  On ports opened without
+        # store_payload (measurement campaigns) payload travels the
+        # whole simulated path length-only.
         events.append(PacketEvent(
             time=self.sim.now,
             direction=direction,
@@ -134,4 +137,4 @@ class PacketCapture:
             syn=segment.syn, fin=segment.fin,
             ack_flag=segment.ack_flag,
             retransmit=segment.retransmit,
-            payload=bytes(segment.data) if self.store_payload else None))
+            payload=bytes(segment.data) if store_payload else None))

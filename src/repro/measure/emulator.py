@@ -21,7 +21,6 @@ from typing import List
 from repro.content.keywords import Keyword
 from repro.http.client import HttpFetch, RequestHooks
 from repro.http.message import HttpRequest, build_query_path
-from repro.measure.capture import PacketCapture
 from repro.measure.session import QuerySession
 from repro.services.frontend import FRONTEND_PORT, FrontEndServer
 from repro.net.address import Endpoint
@@ -42,8 +41,8 @@ class QueryEmulator:
         self.scenario = scenario
         self.vp = vp
         self.tcp_host = scenario.client_host(vp)
-        self.capture = PacketCapture(scenario.sim, self.tcp_host.node,
-                                     store_payload=store_payload)
+        self.capture = scenario.client_capture(vp)
+        self.store_payload = store_payload
         self.sessions: List[QuerySession] = []
         self._counter = 0
 
@@ -86,7 +85,7 @@ class QueryEmulator:
             on_complete=lambda response: self._complete(session, response),
             on_failure=lambda message: self._fail(session, message))
         # The SYN leaves inside connect: open the capture first.
-        self.capture.open_port(session.local_port)
+        self.capture.open_port(session.local_port, self.store_payload)
         HttpFetch(self.tcp_host, Endpoint(frontend.node.name, FRONTEND_PORT),
                   HttpRequest(path=path, headers={"Host": session.service}),
                   hooks, local_port=session.local_port)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.cache import CacheHierarchySpec
 from repro.net.topology import Topology
@@ -32,6 +32,9 @@ from repro.tcp.config import TcpConfig
 from repro.tcp.host import TcpHost
 from repro.testbed import sites
 from repro.testbed.vantage import VantagePoint, generate_vantage_points
+
+if TYPE_CHECKING:
+    from repro.measure.capture import PacketCapture
 
 #: Route inflation used on client-FE paths (public Internet).
 CLIENT_ROUTE_INFLATION = 1.6
@@ -220,21 +223,32 @@ class Scenario:
         self.vantage_points: List[VantagePoint] = generate_vantage_points(
             self.config.vantage_count, streams=self.streams)
         self._client_hosts: Dict[str, TcpHost] = {}
+        self._client_captures: Dict[str, PacketCapture] = {}
         self._links_built: set = set()
-        self._build_clients()
+        for vp in self.vantage_points:
+            self._add_client(vp)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build_clients(self) -> None:
-        for vp in self.vantage_points:
-            node = self.topology.add_node(vp.name, vp.location)
-            self._client_hosts[vp.name] = TcpHost(
-                self.sim, node, self.config.client_tcp, self.streams)
+    def _add_client(self, vp: VantagePoint) -> None:
+        """A vantage point's node, its TCP stack and its one capture."""
+        # repro.measure sits above this layer and imports this module.
+        from repro.measure.capture import PacketCapture
+
+        node = self.topology.add_node(vp.name, vp.location)
+        self._client_hosts[vp.name] = TcpHost(
+            self.sim, node, self.config.client_tcp, self.streams)
+        self._client_captures[vp.name] = PacketCapture(self.sim, node)
 
     def client_host(self, vp: VantagePoint) -> TcpHost:
         """The TCP stack of a vantage point."""
         return self._client_hosts[vp.name]
+
+    def client_capture(self, vp: VantagePoint) -> PacketCapture:
+        """The packet capture on a vantage point's node: one per client,
+        shared by every emulator that queries from it."""
+        return self._client_captures[vp.name]
 
     def add_vantage_point(self, vp: VantagePoint) -> VantagePoint:
         """Register an extra (custom-placed) vantage point.
@@ -245,9 +259,7 @@ class Scenario:
         """
         if vp.name in self._client_hosts:
             raise ValueError("vantage point %r already exists" % vp.name)
-        node = self.topology.add_node(vp.name, vp.location)
-        self._client_hosts[vp.name] = TcpHost(
-            self.sim, node, self.config.client_tcp, self.streams)
+        self._add_client(vp)
         self.vantage_points.append(vp)
         return vp
 

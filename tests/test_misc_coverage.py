@@ -147,6 +147,14 @@ def test_session_duration_and_filters():
     assert session.outbound_events() == [outbound]
 
 
+def test_failed_session_duration_is_in_seconds():
+    session = QuerySession(
+        query_id="q", service="svc", vp_name="vp", fe_name="fe",
+        keyword=Keyword(text="k", popularity=0.5, complexity=0.5),
+        started_at=1.0, completed_at=3.5, failed="connection reset")
+    assert session.duration == 2.5
+
+
 # ---------------------------------------------------------------------------
 # sites helpers
 # ---------------------------------------------------------------------------

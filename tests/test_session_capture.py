@@ -1,11 +1,14 @@
 """Per-session packet capture, ephemeral-port lifetime, import cost.
 
 Each session's packets are captured on its own local port, so a
-campaign keeps no packet that no session owns, whatever its length.
-Sessions served without simulation (replay cache, analytic tier) hold
-their ephemeral port only until they complete, so a long campaign can
-wrap the port range on every executor and still match the packet
-engine session for session.  And no campaign path imports scipy.
+campaign keeps no packet that no session owns, whatever its length,
+and each client node has one capture, whatever number of emulators
+query from it.  Sessions served without simulation (replay cache,
+analytic tier) hold their ephemeral port only until they complete, so
+a long campaign can wrap the port range on every executor and still
+match the packet engine session for session.  And nothing at run time
+needs numpy or scipy: no campaign path imports them, and the
+experiments that compute statistics run with both blocked.
 """
 
 import gc
@@ -17,9 +20,10 @@ import sys
 import pytest
 
 import repro
+import repro.experiments.common as common
 from repro.content.keywords import KeywordCatalog
 from repro.measure.capture import PacketEvent
-from repro.measure.driver import run_dataset_a
+from repro.measure.driver import run_dataset_a, run_queries
 from repro.net.address import EphemeralPortAllocator
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
@@ -98,6 +102,40 @@ def test_packet_campaign_keeps_no_packet_outside_its_sessions():
     assert stray_packet_events(24) == (96, 0)
 
 
+def test_one_capture_per_client_node(monkeypatch):
+    """A payload-storing calibration and two plans from one vantage
+    point share its node's one capture; each session keeps payloads as
+    its own plan chose."""
+    played = []
+
+    def recording_run_queries(*args, **kwargs):
+        played.append(run_queries(*args, **kwargs))
+        return played[-1]
+
+    monkeypatch.setattr(common, "run_queries", recording_run_queries)
+    scenario = Scenario(DET_CONFIG)
+    vp = scenario.vantage_points[0]
+    frontend = scenario.default_frontend(Scenario.GOOGLE, vp)
+    common.calibrate_service(scenario, Scenario.GOOGLE, [frontend], vp)
+
+    def plan():
+        return [(scenario.sim.now + 5.0 * i, vp, Scenario.GOOGLE, frontend,
+                 keyword) for i, keyword in enumerate(KEYWORDS)]
+
+    sessions = (run_queries(scenario, plan())[vp.name]
+                + run_queries(scenario, plan())[vp.name])
+    assert len(scenario.client_host(vp).node.taps) == 1
+    (calibration,) = played
+    assert calibration[vp.name]
+    for session in calibration[vp.name]:
+        assert session.complete and session.events
+        assert all(e.payload is not None for e in session.events)
+    assert len(sessions) == 2 * len(KEYWORDS)
+    for session in sessions:
+        assert session.complete and session.events
+        assert all(e.payload is None for e in session.events)
+
+
 CAMPAIGN_SCRIPT = """
 import json, sys
 import repro.__main__
@@ -112,17 +150,41 @@ dataset = run_dataset_a(scenario, KeywordCatalog(7).figure3_set(),
                         repeats=4, tier="auto", replay_cache=False)
 print(json.dumps({"validations": dataset.tier.validations,
                   "analytic": dataset.tier.analytic,
+                  "numpy": "numpy" in sys.modules,
                   "scipy": "scipy" in sys.modules}))
 """
 
 
-def test_auto_campaign_never_imports_scipy():
+def run_python(script, timeout):
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    proc = subprocess.run([sys.executable, "-c", CAMPAIGN_SCRIPT],
+    return subprocess.run([sys.executable, "-c", script],
                           env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+                          timeout=timeout, check=True)
+
+
+def test_auto_campaign_never_imports_numpy_or_scipy():
+    result = json.loads(run_python(CAMPAIGN_SCRIPT, 120)
+                        .stdout.splitlines()[-1])
     assert result["validations"] > 0 and result["analytic"] > 0
+    assert result["numpy"] is False
     assert result["scipy"] is False
+
+
+#: ``python -m repro caching keywords fig9 --scale tiny`` in an
+#: interpreter where importing numpy or scipy fails.
+BLOCKED_SCRIPT = """
+import runpy, sys
+sys.modules["numpy"] = sys.modules["scipy"] = None
+sys.argv = ["repro", "caching", "keywords", "fig9", "--scale", "tiny"]
+runpy.run_module("repro", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_statistics_experiments_run_without_numpy_or_scipy():
+    """The KS test (caching), Spearman (keywords) and the least-squares
+    factoring (fig9) need neither package."""
+    stdout = run_python(BLOCKED_SCRIPT, 300).stdout
+    for name in ("caching", "keywords", "fig9"):
+        assert "[%s completed in" % name in stdout
