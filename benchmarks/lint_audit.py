@@ -182,7 +182,7 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "        backlog = backlog * bandwidth if backlog > 0.0 else 0.0\n"
        "        if backlog + size > self.queue_limit_bytes:",
        "        backlog_s = busy - now\n"
-       "        if backlog_s + packet.size_bytes > self.queue_limit_bytes:",
+       "        if backlog_s + segment.size_bytes > self.queue_limit_bytes:",
        ["UNIT002"], C, "",
        "tail drop compares seconds plus bytes with a byte limit, so the "
        "queue limit never binds"),
@@ -193,7 +193,7 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "        backlog_kb = busy - now\n"
        "        backlog_kb = backlog_kb * bandwidth if backlog_kb > 0.0 "
        "else 0.0\n"
-       "        if backlog_kb + packet.size_bytes > self.queue_limit_bytes:",
+       "        if backlog_kb + segment.size_bytes > self.queue_limit_bytes:",
        ["UNIT002"], M, M,
        "a name that lies: backlog_kb holds bytes; behaviour is "
        "unchanged until someone trusts the suffix"),

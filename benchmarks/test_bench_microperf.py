@@ -66,7 +66,6 @@ def test_bench_tcp_bulk_transfer(benchmark):
         topo.add_node("server")
         topo.connect("client", "server", delay=units.ms(20),
                      bandwidth=units.mbps(500))
-        topo.build_routes()
         client_host = TcpHost(sim, topo.node("client"))
         server_host = TcpHost(sim, topo.node("server"))
         server_host.listen(80, Responder)

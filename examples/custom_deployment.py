@@ -72,7 +72,6 @@ def main() -> None:
         frontend = deployment.frontend_by_name(fe_tag)
         topology.connect(name, frontend.node.name,
                          delay=units.ms(4), bandwidth=units.mbps(50))
-    topology.build_routes()
 
     # ------------------------------------------------------------------
     # 4. A tiny campaign through the measurement stack.

@@ -11,7 +11,7 @@ Layer map (bottom-up):
 
 ========================  ==================================================
 ``repro.sim``             discrete-event engine, RNG streams, session executor
-``repro.net``             packets, links, nodes, routing, geography
+``repro.net``             links, nodes, topology, geography
 ``repro.tcp``             TCP: handshake, slow start, loss recovery
 ``repro.http``            HTTP/1.1 with chunked streaming
 ``repro.content``         keywords and synthetic search-result pages

@@ -1,90 +1,1 @@
 """Trace analysis: streams, content boundaries, clustering, statistics."""
-
-from repro.analysis.boundary import (
-    BoundaryCalibration,
-    BoundaryError,
-    BoundaryEstimate,
-    ChunkSpan,
-    StreamBoundary,
-    boundaries_per_service,
-    chunk_spans,
-    common_prefix_length,
-    detect_boundary,
-    detect_static_size,
-    map_body_offset_to_stream,
-    parse_body,
-    snap_to_chunk_boundary,
-)
-from repro.analysis.clustering import (
-    EventCluster,
-    SessionClusters,
-    adaptive_gap,
-    classify_session,
-    cluster_by_gap,
-    handshake_rtt,
-)
-from repro.analysis.stats import (
-    BoxStats,
-    LinearFit,
-    binned_medians,
-    box_stats,
-    cdf_points,
-    fraction_below,
-    linear_fit,
-    median,
-    moving_median,
-    percentile,
-    summary,
-)
-from repro.analysis.sketch import QuantileSketch, merge_sketches
-from repro.analysis.stream import (
-    ByteArrival,
-    TraceError,
-    arrival_time_of_offset,
-    inbound_byte_arrivals,
-    peer_isn,
-    reconstruct_inbound_stream,
-    total_inbound_bytes,
-)
-
-__all__ = [
-    "BoundaryCalibration",
-    "BoundaryError",
-    "BoundaryEstimate",
-    "BoxStats",
-    "ChunkSpan",
-    "StreamBoundary",
-    "ByteArrival",
-    "EventCluster",
-    "LinearFit",
-    "QuantileSketch",
-    "SessionClusters",
-    "TraceError",
-    "adaptive_gap",
-    "arrival_time_of_offset",
-    "binned_medians",
-    "boundaries_per_service",
-    "box_stats",
-    "cdf_points",
-    "chunk_spans",
-    "classify_session",
-    "cluster_by_gap",
-    "common_prefix_length",
-    "detect_boundary",
-    "detect_static_size",
-    "fraction_below",
-    "handshake_rtt",
-    "inbound_byte_arrivals",
-    "linear_fit",
-    "map_body_offset_to_stream",
-    "median",
-    "merge_sketches",
-    "moving_median",
-    "parse_body",
-    "peer_isn",
-    "percentile",
-    "reconstruct_inbound_stream",
-    "snap_to_chunk_boundary",
-    "summary",
-    "total_inbound_bytes",
-]

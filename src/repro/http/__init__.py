@@ -1,31 +1,1 @@
 """HTTP/1.1 over the simulated TCP stack (chunked streaming supported)."""
-
-from repro.http.client import HttpFetch, PersistentHttpClient, RequestHooks
-from repro.http.message import (
-    HttpError,
-    HttpRequest,
-    HttpResponse,
-    RequestParser,
-    ResponseParser,
-    build_query_path,
-    encode_chunk,
-    encode_last_chunk,
-)
-from repro.http.server import Handler, HttpServer, Responder
-
-__all__ = [
-    "Handler",
-    "HttpError",
-    "HttpFetch",
-    "HttpRequest",
-    "HttpResponse",
-    "HttpServer",
-    "PersistentHttpClient",
-    "RequestHooks",
-    "RequestParser",
-    "Responder",
-    "ResponseParser",
-    "build_query_path",
-    "encode_chunk",
-    "encode_last_chunk",
-]

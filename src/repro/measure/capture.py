@@ -1,6 +1,7 @@
 """Client-side packet capture (the simulated tcpdump).
 
-A :class:`PacketCapture` attaches to a node as a tap and records one
+A :class:`PacketCapture` attaches to a node as a tap, sees every
+segment the node sends or receives, and records one
 :class:`PacketEvent` per packet of each connection it captures —
 timestamp, direction, addressing, TCP flags/sequence numbers, and
 (optionally) the payload bytes.  Each client node has one capture, made
@@ -26,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.node import Node
-from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.tcp.segment import Segment
 
@@ -107,17 +107,9 @@ class PacketCapture:
         return self._open.pop(local_port)[0]
 
     # ------------------------------------------------------------------
-    def _observe(self, event: str, packet: Packet) -> None:
-        segment = packet.payload
-        if not isinstance(segment, Segment):
-            return
-        if event == "send":
-            direction, port = "out", segment.sport
-        elif event == "recv":
-            direction, port = "in", segment.dport
-        else:
-            return
-        recording = self._open.get(port)
+    def _observe(self, direction: str, segment: Segment) -> None:
+        recording = self._open.get(
+            segment.sport if direction == "out" else segment.dport)
         if recording is None:
             return
         events, store_payload = recording
@@ -129,9 +121,9 @@ class PacketCapture:
         events.append(PacketEvent(
             time=self.sim.now,
             direction=direction,
-            src=packet.src, dst=packet.dst,
+            src=segment.src, dst=segment.dst,
             sport=segment.sport, dport=segment.dport,
-            wire_size=packet.size_bytes,
+            wire_size=segment.size_bytes,
             payload_len=len(segment.data),
             seq=segment.seq, ack=segment.ack,
             syn=segment.syn, fin=segment.fin,

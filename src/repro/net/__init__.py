@@ -1,29 +1,1 @@
-"""Network substrate: packets, links, nodes, routing, geography."""
-
-from repro.net.address import Endpoint, EphemeralPortAllocator, FlowKey
-from repro.net.geo import GeoPoint, haversine_miles, nearest
-from repro.net.link import Link, LinkStats
-from repro.net.node import Node, NodeStats
-from repro.net.packet import NETWORK_HEADER_BYTES, Packet
-from repro.net.routing import RoutingError, build_routing_tables, dijkstra
-from repro.net.topology import LinkSpec, Topology
-
-__all__ = [
-    "Endpoint",
-    "EphemeralPortAllocator",
-    "FlowKey",
-    "GeoPoint",
-    "Link",
-    "LinkSpec",
-    "LinkStats",
-    "NETWORK_HEADER_BYTES",
-    "Node",
-    "NodeStats",
-    "Packet",
-    "RoutingError",
-    "Topology",
-    "build_routing_tables",
-    "dijkstra",
-    "haversine_miles",
-    "nearest",
-]
+"""Network substrate: links, nodes, topology, addresses, geography."""

@@ -1,6 +1,6 @@
 """Unidirectional network links.
 
-A :class:`Link` models the path between two adjacent nodes as:
+A :class:`Link` models the one-way path between two nodes as:
 
 * a FIFO transmit queue drained at ``bandwidth`` bytes/second (fluid
   model: the queue is represented by a ``busy_until`` horizon, so
@@ -11,23 +11,26 @@ A :class:`Link` models the path between two adjacent nodes as:
 * optional per-packet jitter, modelling path variability beyond queuing;
 * tail drop when the queue backlog exceeds ``queue_limit_bytes``.
 
-Bidirectional connectivity is built from two independent ``Link`` objects
-(see :class:`repro.net.topology.Topology`), which allows asymmetric paths.
+What crosses a link is a :class:`~repro.tcp.segment.Segment`, whose
+``size_bytes`` is its on-wire size.  A path is two independent ``Link``
+objects, one per direction (see :meth:`repro.net.topology.Topology.connect`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.net.packet import Packet
 from repro.obs import runtime as _obs
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 
-#: Signature of a deterministic fault filter: called with the packet and
-#: its 0-based offer index on this link; returning True drops the packet.
-FaultFilter = Callable[[Packet, int], bool]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.tcp.segment import Segment
+
+#: Signature of a deterministic fault filter: called with the segment and
+#: its 0-based offer index on this link; returning True drops it.
+FaultFilter = Callable[["Segment", int], bool]
 
 
 @dataclass
@@ -62,8 +65,8 @@ class Link:
     bandwidth:
         Serialization rate in bytes per second.
     deliver:
-        Callback invoked as ``deliver(packet)`` when a packet arrives at
-        the far end.
+        Callback invoked as ``deliver(segment)`` when a segment arrives
+        at the far end.
     loss_rate:
         Independent per-packet drop probability in [0, 1].
     jitter:
@@ -77,7 +80,7 @@ class Link:
     streams:
         RNG registry; loss and jitter draw from streams named after the link.
     fault_filter:
-        Optional deterministic drop rule ``fn(packet, offer_index) ->
+        Optional deterministic drop rule ``fn(segment, offer_index) ->
         bool`` for failure-injection tests (e.g. "drop the 7th data
         packet").  Faulted packets count as random losses in the stats.
     """
@@ -85,7 +88,7 @@ class Link:
     def __init__(self, sim: Simulator, name: str, *,
                  delay: float,
                  bandwidth: float,
-                 deliver: Callable[[Packet], None],
+                 deliver: Callable[["Segment"], None],
                  loss_rate: float = 0.0,
                  jitter: float = 0.0,
                  queue_limit_bytes: int = 4 * 1024 * 1024,
@@ -117,15 +120,10 @@ class Link:
         self._offer_index = 0
 
     # ------------------------------------------------------------------
-    def transmission_delay(self, packet: Packet) -> float:
-        """Serialization time for ``packet`` on this link."""
-        return packet.size_bytes / self.bandwidth
+    def send(self, segment: "Segment") -> bool:
+        """Offer ``segment`` to the link.
 
-    # ------------------------------------------------------------------
-    def send(self, packet: Packet) -> bool:
-        """Offer ``packet`` to the link.
-
-        Returns True if the packet was accepted (it may still be lost in
+        Returns True if the segment was accepted (it may still be lost in
         flight), False if it was tail-dropped at the queue.
         """
         offer_index = self._offer_index
@@ -133,14 +131,13 @@ class Link:
         stats = self.stats
         stats.packets_offered += 1
 
-        # Inline the queue backlog and transmission_delay: send() runs
-        # once per packet per hop, and the method calls showed up in
-        # campaign profiles.  The clock is read through the engine's
-        # storage attribute for the same reason (``now`` is a property).
+        # send() runs once per packet, so the queue backlog and the
+        # transmission delay are computed inline, and the clock is read
+        # through the engine's storage attribute (``now`` is a property).
         sim = self.sim
         now = sim._now
         busy = self._busy_until
-        size = packet.size_bytes
+        size = segment.size_bytes
         bandwidth = self.bandwidth
         backlog = busy - now
         backlog = backlog * bandwidth if backlog > 0.0 else 0.0
@@ -155,7 +152,7 @@ class Link:
         self._busy_until = tx_done
 
         if self.fault_filter is not None and \
-                self.fault_filter(packet, offer_index):
+                self.fault_filter(segment, offer_index):
             stats.packets_lost += 1
             if _obs.enabled:
                 _obs.metrics.inc("link.packets_lost")
@@ -178,14 +175,14 @@ class Link:
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        sim.call_at(arrival, self._arrive, packet)
+        sim.call_at(arrival, self._arrive, segment)
         return True
 
-    def _arrive(self, packet: Packet) -> None:
+    def _arrive(self, segment: "Segment") -> None:
         stats = self.stats
         stats.packets_delivered += 1
-        stats.bytes_delivered += packet.size_bytes
-        self.deliver(packet)
+        stats.bytes_delivered += segment.size_bytes
+        self.deliver(segment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Link %s delay=%.4fs bw=%.0fB/s loss=%.3g>" % (

@@ -1,9 +1,10 @@
 """Topology assembly.
 
 :class:`Topology` is the one-stop builder used by the testbed layer: it
-creates nodes, wires bidirectional (pairs of unidirectional) links with
-delays derived either from explicit parameters or from node geography, and
-computes static shortest-path routes.
+creates nodes and wires each pair that talks with one bidirectional path
+(a pair of unidirectional links), with a delay derived either from
+explicit parameters or from node geography.  Every path is direct, as in
+the paper, so a path's delay is its link's.
 
 A link's one-way propagation delay resolution order:
 
@@ -14,39 +15,24 @@ A link's one-way propagation delay resolution order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.net.geo import GeoPoint
 from repro.net.link import Link
 from repro.net.node import Node
-from repro.net.routing import build_routing_tables
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """Requested characteristics of one direction of a connection."""
-
-    delay: float
-    bandwidth: float
-    loss_rate: float = 0.0
-    jitter: float = 0.0
-    queue_limit_bytes: int = 4 * 1024 * 1024
-
-
 class Topology:
-    """A mutable collection of nodes and links plus routing."""
+    """A mutable collection of nodes and the links between them."""
 
     def __init__(self, sim: Simulator,
                  streams: Optional[RandomStreams] = None):
         self.sim = sim
         self.streams = streams or RandomStreams(0)
         self.nodes: Dict[str, Node] = {}
-        self._edges: Dict[str, Dict[str, float]] = {}
-        self._routes_stale = False
 
     # ------------------------------------------------------------------
     # construction
@@ -58,7 +44,6 @@ class Topology:
             raise ValueError("duplicate node name %r" % name)
         node = Node(self.sim, name, location)
         self.nodes[name] = node
-        self._edges[name] = {}
         return node
 
     def node(self, name: str) -> Node:
@@ -84,20 +69,11 @@ class Topology:
         node_a, node_b = self.node(a), self.node(b)
         resolved = self._resolve_delay(node_a, node_b, delay,
                                        distance_miles, route_inflation)
-        spec = LinkSpec(delay=resolved, bandwidth=bandwidth,
-                        loss_rate=loss_rate, jitter=jitter,
-                        queue_limit_bytes=queue_limit_bytes)
-        forward = self._make_link(node_a, node_b, spec)
-        backward = self._make_link(node_b, node_a, spec)
-        return forward, backward
-
-    def connect_asymmetric(self, a: str, b: str,
-                           forward: LinkSpec, backward: LinkSpec
-                           ) -> Tuple[Link, Link]:
-        """Create a connection with independent per-direction specs."""
-        node_a, node_b = self.node(a), self.node(b)
-        return (self._make_link(node_a, node_b, forward),
-                self._make_link(node_b, node_a, backward))
+        params = dict(delay=resolved, bandwidth=bandwidth,
+                      loss_rate=loss_rate, jitter=jitter,
+                      queue_limit_bytes=queue_limit_bytes)
+        return (self._make_link(node_a, node_b, **params),
+                self._make_link(node_b, node_a, **params))
 
     def _resolve_delay(self, node_a: Node, node_b: Node,
                        delay: Optional[float],
@@ -114,52 +90,21 @@ class Topology:
             "connect(%s, %s): need delay=, distance_miles=, or node "
             "locations" % (node_a.name, node_b.name))
 
-    def _make_link(self, src: Node, dst: Node, spec: LinkSpec) -> Link:
+    def _make_link(self, src: Node, dst: Node, **params) -> Link:
         link = Link(self.sim, "%s->%s" % (src.name, dst.name),
-                    delay=spec.delay, bandwidth=spec.bandwidth,
-                    deliver=dst.deliver, loss_rate=spec.loss_rate,
-                    jitter=spec.jitter,
-                    queue_limit_bytes=spec.queue_limit_bytes,
-                    streams=self.streams)
+                    deliver=dst.deliver, streams=self.streams, **params)
         src.attach_link(dst.name, link)
-        self._edges[src.name][dst.name] = spec.delay
-        self._routes_stale = True
         return link
 
     # ------------------------------------------------------------------
-    # routing
+    # path delays
     # ------------------------------------------------------------------
-    def build_routes(self) -> None:
-        """(Re)compute every node's next-hop table from link delays."""
-        tables = build_routing_tables(self._edges)
-        for name, node in self.nodes.items():
-            node.routes = dict(tables.get(name, {}))
-        self._routes_stale = False
-
-    def ensure_routes(self) -> None:
-        """Rebuild routes only if topology changed since the last build."""
-        if self._routes_stale:
-            self.build_routes()
-
     def path_delay(self, a: str, b: str) -> float:
-        """Total one-way propagation delay of the routed path a -> b."""
-        self.ensure_routes()
-        total = 0.0
-        current = a
-        guard = 0
-        while current != b:
-            next_hop = self.nodes[current].routes.get(b)
-            if next_hop is None:
-                if b in self._edges.get(current, {}):
-                    next_hop = b
-                else:
-                    raise ValueError("no route from %r to %r" % (a, b))
-            total += self._edges[current][next_hop]
-            current = next_hop
-            guard += 1
-            if guard > len(self.nodes):
-                raise RuntimeError("routing loop between %r and %r" % (a, b))
-        return total
+        """One-way propagation delay of the link a -> b."""
+        link = self.node(a).links.get(b)
+        if link is None:
+            raise ValueError("no link from %r to %r" % (a, b))
+        return link.delay
 
     def rtt(self, a: str, b: str) -> float:
         """Round-trip propagation delay between two nodes."""

@@ -1,34 +1,1 @@
 """Simulated search services: back-ends, front-ends, deployments."""
-
-from repro.services.backend import (
-    BACKEND_PORT,
-    BackendDataCenter,
-    KeywordRegistry,
-    QueryRecord,
-)
-from repro.services.deployment import (
-    ServiceDeployment,
-    ServiceProfile,
-    Site,
-    bing_akamai_profile,
-    google_like_profile,
-)
-from repro.services.frontend import FRONTEND_PORT, FetchRecord, FrontEndServer
-from repro.services.load import FrontEndLoadModel, ProcessingModel
-
-__all__ = [
-    "BACKEND_PORT",
-    "BackendDataCenter",
-    "FRONTEND_PORT",
-    "FetchRecord",
-    "FrontEndLoadModel",
-    "FrontEndServer",
-    "KeywordRegistry",
-    "ProcessingModel",
-    "QueryRecord",
-    "ServiceDeployment",
-    "ServiceProfile",
-    "Site",
-    "bing_akamai_profile",
-    "google_like_profile",
-]

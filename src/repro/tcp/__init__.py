@@ -1,33 +1,1 @@
 """Event-driven TCP: handshake, slow start, loss recovery, persistence."""
-
-from repro.tcp.buffers import Reassembler, SendBuffer
-from repro.tcp.config import CLASSIC_2011, IW10, TcpConfig
-from repro.tcp.congestion import (
-    CongestionController,
-    CubicController,
-    FixedWindowController,
-    RenoController,
-)
-from repro.tcp.connection import Connection, ConnectionStats, State, TcpApp
-from repro.tcp.host import TcpHost
-from repro.tcp.segment import DEFAULT_MSS, HEADER_BYTES, Segment
-
-__all__ = [
-    "CLASSIC_2011",
-    "Connection",
-    "ConnectionStats",
-    "CongestionController",
-    "CubicController",
-    "DEFAULT_MSS",
-    "FixedWindowController",
-    "HEADER_BYTES",
-    "IW10",
-    "Reassembler",
-    "RenoController",
-    "Segment",
-    "SendBuffer",
-    "State",
-    "TcpApp",
-    "TcpConfig",
-    "TcpHost",
-]

@@ -26,7 +26,6 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.net.address import Endpoint, FlowKey
 from repro.obs import runtime as _obs
-from repro.net.packet import Packet
 from repro.tcp.buffers import Reassembler, SendBuffer
 from repro.tcp.config import TcpConfig
 from repro.tcp.congestion import (
@@ -227,8 +226,9 @@ class Connection:
         self._cancel_timers()
         if self.state != State.CLOSED:
             self.state = State.CLOSED
-            self.host.forget(self)
-            self.app.on_error(self, reason)
+            app = self.app
+            self._release()
+            app.on_error(self, reason)
 
     # ------------------------------------------------------------------
     # opening
@@ -454,7 +454,7 @@ class Connection:
         elif self.state == State.LAST_ACK:
             self.state = State.CLOSED
             self._cancel_timers()
-            self.host.forget(self)
+            self._release()
 
     def _schedule_forget(self) -> None:
         """Approximate TIME_WAIT: linger 2 RTO then release the flow."""
@@ -466,7 +466,14 @@ class Connection:
     def _finish_time_wait(self) -> None:
         if self.state == State.TIME_WAIT:
             self.state = State.CLOSED
-            self.host.forget(self)
+            self._release()
+
+    def _release(self) -> None:
+        """Give back the flow and drop the app.  The app usually holds
+        this connection too; without that cycle a closed connection is
+        freed by reference counting, not only by a full collection."""
+        self.host.forget(self)
+        self.app = None
 
     # ------------------------------------------------------------------
     # transmission
@@ -656,10 +663,10 @@ class Connection:
         size = len(segment.data)
         stats.bytes_sent += size
         self._last_send_time = self.sim._now
-        packet = Packet(src=self._src_host, dst=self._dst_host,
-                        protocol="tcp", size_bytes=HEADER_BYTES + size,
-                        payload=segment)
-        self._node.send(packet)
+        segment.src = self._src_host
+        segment.dst = self._dst_host
+        segment.size_bytes = HEADER_BYTES + size
+        self._node.send(segment)
 
     # ------------------------------------------------------------------
     # timers & RTT estimation (RFC 6298)

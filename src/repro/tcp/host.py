@@ -1,9 +1,10 @@
 """Per-node TCP stack.
 
-:class:`TcpHost` binds to a :class:`repro.net.node.Node`, registers itself
-as the node's ``"tcp"`` protocol handler, and demultiplexes incoming
-segments to connections by flow key.  It provides the two socket-style
-entry points used by everything above it:
+:class:`TcpHost` binds itself as the receiver of one
+:class:`repro.net.node.Node` (TCP is the only transport, so a node has
+one stack, and a second one raises) and demultiplexes incoming segments
+to connections by flow key.  It provides the two socket-style entry
+points used by everything above it:
 
 * :meth:`connect` — active open toward a remote endpoint;
 * :meth:`listen` — passive open; an application factory is invoked for
@@ -16,7 +17,6 @@ from typing import Callable, Dict, Optional
 
 from repro.net.address import Endpoint, EphemeralPortAllocator, FlowKey
 from repro.net.node import Node
-from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams, derive_seed
 from repro.tcp.config import TcpConfig
@@ -28,8 +28,7 @@ AppFactory = Callable[[], TcpApp]
 
 #: Initial sequence numbers are drawn modulo this space.  Kept well
 #: below 2**32 so tests can do signed arithmetic on raw sequence
-#: numbers without wraparound; exported for the session-replay cache,
-#: which re-derives per-flow ISNs when materializing a cached timeline.
+#: numbers without wraparound.
 ISN_SPACE = 1 << 24
 
 
@@ -39,6 +38,8 @@ class TcpHost:
     def __init__(self, sim: Simulator, node: Node,
                  config: Optional[TcpConfig] = None,
                  streams: Optional[RandomStreams] = None):
+        if node.receiver is not None:
+            raise ValueError("node %s already has a TCP host" % node.name)
         self.sim = sim
         self.node = node
         self.config = config or TcpConfig()
@@ -51,7 +52,7 @@ class TcpHost:
         self.listeners: Dict[int, AppFactory] = {}
         self.listener_configs: Dict[int, TcpConfig] = {}
         self._ports = EphemeralPortAllocator()
-        node.register_protocol("tcp", self._receive)
+        node.receiver = self._receive
 
     # ------------------------------------------------------------------
     # socket API
@@ -117,11 +118,8 @@ class TcpHost:
     # ------------------------------------------------------------------
     # demux
     # ------------------------------------------------------------------
-    def _receive(self, packet: Packet) -> None:
-        segment = packet.payload
-        if not isinstance(segment, Segment):
-            return
-        conn = self._flows.get((segment.dport, packet.src, segment.sport))
+    def _receive(self, segment: Segment) -> None:
+        conn = self._flows.get((segment.dport, segment.src, segment.sport))
         if conn is not None:
             conn.handle_segment(segment)
             return
@@ -129,7 +127,7 @@ class TcpHost:
             factory = self.listeners.get(segment.dport)
             if factory is not None:
                 flow = FlowKey(Endpoint(self.node.name, segment.dport),
-                               Endpoint(packet.src, segment.sport))
+                               Endpoint(segment.src, segment.sport))
                 self._accept(flow, segment, factory)
                 return
         # No matching flow or listener: silently drop (a real stack would

@@ -1,10 +1,14 @@
 """TCP segments.
 
-A :class:`Segment` is the transport PDU carried in a
-:class:`repro.net.packet.Packet`.  Segments carry *real payload bytes*:
-the content-analysis pipeline (Section 3 of the paper) diffs actual
-response bodies across keywords to find the static prefix, so the
-simulated wire must carry the actual synthetic HTML.
+A :class:`Segment` is the one object that crosses a
+:class:`~repro.net.link.Link`: when it goes on the wire,
+:meth:`repro.tcp.connection.Connection._transmit` stamps it with its
+source and destination hosts and its on-wire size.
+
+Segments carry *real payload bytes*: the content-analysis pipeline
+(Section 3 of the paper) diffs actual response bodies across keywords to
+find the static prefix, so the simulated wire must carry the actual
+synthetic HTML.
 
 Sequence-number arithmetic follows TCP conventions: SYN and FIN each
 consume one sequence number; ``seq`` is the number of the first payload
@@ -17,15 +21,11 @@ below treats as length-only freight.  Consumers that need real bytes —
 the packet-capture boundary, application delivery — materialize with
 ``bytes(...)`` there and only there.
 
-Like :class:`~repro.net.packet.Packet`, this is a manual ``__slots__``
-class: one segment per MSS of payload plus one per ACK makes the
-constructor a hot-path cost.
+This is a manual ``__slots__`` class: one segment per MSS of payload
+plus one per ACK makes the constructor a hot-path cost.
 """
 
 from __future__ import annotations
-
-import itertools
-from typing import Optional
 
 #: Combined TCP + IP + link framing bytes charged per segment on the wire.
 HEADER_BYTES = 40
@@ -34,17 +34,18 @@ HEADER_BYTES = 40
 #: Ethernet-derived value used by the services measured in the paper.
 DEFAULT_MSS = 1460
 
-_segment_counter = itertools.count(1)
-
 
 class Segment:
     """One TCP segment.
 
     Attributes
     ----------
+    src, dst:
+        Host names of the sender and the receiver; set on transmit.
+    size_bytes:
+        On-wire size including :data:`HEADER_BYTES`; set on transmit.
     sport, dport:
-        Source and destination ports (host names live on the enclosing
-        :class:`~repro.net.packet.Packet`).
+        Source and destination ports.
     seq:
         Sequence number of the first byte of ``data`` (or of the SYN/FIN
         when the segment carries one and no data).
@@ -58,17 +59,14 @@ class Segment:
     retransmit:
         True when this transmission is a retransmission — used to honour
         Karn's algorithm when sampling RTT.
-    uid:
-        Unique id for tracing.
     """
 
-    __slots__ = ("sport", "dport", "seq", "ack", "data", "syn", "fin",
-                 "ack_flag", "retransmit", "uid")
+    __slots__ = ("src", "dst", "size_bytes", "sport", "dport", "seq", "ack",
+                 "data", "syn", "fin", "ack_flag", "retransmit")
 
     def __init__(self, sport: int, dport: int, seq: int, ack: int = 0,
                  data: bytes = b"", syn: bool = False, fin: bool = False,
-                 ack_flag: bool = False, retransmit: bool = False,
-                 uid: Optional[int] = None):
+                 ack_flag: bool = False, retransmit: bool = False):
         if seq < 0 or ack < 0:
             raise ValueError("sequence/ack numbers must be non-negative")
         self.sport = sport
@@ -80,12 +78,6 @@ class Segment:
         self.fin = fin
         self.ack_flag = ack_flag
         self.retransmit = retransmit
-        self.uid = next(_segment_counter) if uid is None else uid
-
-    @property
-    def wire_size(self) -> int:
-        """On-wire size in bytes including all header overhead."""
-        return HEADER_BYTES + len(self.data)
 
     @property
     def is_pure_ack(self) -> bool:
@@ -104,4 +96,4 @@ class Segment:
             len(self.data))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<Segment #%d %s>" % (self.uid, self.describe())
+        return "<Segment %s>" % self.describe()

@@ -28,7 +28,6 @@ class TwoHostWorld:
         self.topology.add_node("server")
         self.topology.connect("client", "server", delay=rtt / 2.0,
                               bandwidth=bandwidth, loss_rate=loss_rate)
-        self.topology.build_routes()
         self.client = TcpHost(self.sim, self.topology.node("client"),
                               client_config or TcpConfig(),
                               self.streams)

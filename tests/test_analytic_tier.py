@@ -272,7 +272,7 @@ def test_fast_paths_leave_the_packet_footprint(tier, replay_cache,
     "BE pool connection, and the analytic source has no 'window' "
     "bypass like SessionReplayManager.route's, so the next packet "
     "session on that FE sees other state than in the packet run "
-    "(ROADMAP item 4)"))
+    "(ROADMAP item 6)"))
 def test_analytic_tier_isolates_sessions_like_the_packet_run():
     keywords = KeywordCatalog(97).figure3_set()[:1]
     config = ScenarioConfig(seed=97, vantage_count=4,

@@ -6,9 +6,10 @@ import pytest
 from repro.http.message import HttpError, HttpRequest, HttpResponse
 from repro.http.server import HttpServer, Responder
 from repro.net.address import Endpoint
-from repro.net.topology import LinkSpec, Topology
+from repro.net.topology import Topology
 from repro.sim import units
 from repro.sim.engine import Simulator
+from repro.tcp.segment import Segment
 
 from .conftest import TwoHostWorld, make_world
 from .helpers import CollectorApp, RespondApp, SinkApp
@@ -155,14 +156,28 @@ def test_connect_asymmetric_links():
     topo = Topology(sim)
     topo.add_node("a")
     topo.add_node("b")
-    forward, backward = topo.connect_asymmetric(
-        "a", "b",
-        LinkSpec(delay=0.010, bandwidth=units.mbps(100)),
-        LinkSpec(delay=0.050, bandwidth=units.mbps(1)))
+    forward, backward = topo.connect("a", "b", delay=0.010,
+                                     bandwidth=units.mbps(100))
+    # Each direction is its own Link: slow the return path by hand.
+    backward.delay = 0.050
+    backward.bandwidth = units.mbps(1)
     assert forward.delay == 0.010
     assert backward.delay == 0.050
     assert backward.bandwidth < forward.bandwidth
-    topo.build_routes()
     assert topo.path_delay("a", "b") == pytest.approx(0.010)
     assert topo.path_delay("b", "a") == pytest.approx(0.050)
     assert topo.rtt("a", "b") == pytest.approx(0.060)
+
+    # Segments take each direction's own delay and serialization rate.
+    arrivals = {}
+    for name in ("a", "b"):
+        topo.node(name).receiver = (
+            lambda segment, name=name: arrivals.setdefault(name, sim.now))
+    for src, dst in (("a", "b"), ("b", "a")):
+        segment = Segment(sport=1, dport=2, seq=0)
+        segment.src, segment.dst, segment.size_bytes = src, dst, 1250
+        topo.node(src).send(segment)
+    sim.run()
+    assert arrivals["b"] == pytest.approx(
+        0.010 + 1250 / units.mbps(100))
+    assert arrivals["a"] == pytest.approx(0.050 + 1250 / units.mbps(1))

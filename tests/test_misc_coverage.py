@@ -7,11 +7,11 @@ from repro.content.keywords import KeywordCatalog
 from repro.measure.capture import PacketCapture, PacketEvent
 from repro.measure.session import QuerySession
 from repro.content.keywords import Keyword
-from repro.net.packet import Packet
 from repro.net.topology import Topology
 from repro.sim import units
 from repro.sim.engine import Simulator
-from repro.tcp.segment import Segment
+from repro.tcp.host import TcpHost
+from repro.tcp.segment import HEADER_BYTES, Segment
 
 
 # ---------------------------------------------------------------------------
@@ -40,11 +40,12 @@ def test_catalog_classes_do_not_leak_rng_state():
 # ---------------------------------------------------------------------------
 # capture mechanics
 # ---------------------------------------------------------------------------
-def make_tcp_packet(sport=1234, dport=80, data=b"abc"):
+def make_tcp_segment(sport=1234, dport=80, data=b"abc", src="a", dst="b"):
     segment = Segment(sport=sport, dport=dport, seq=1, data=data,
                       ack_flag=True)
-    return Packet(src="a", dst="b", protocol="tcp",
-                  size_bytes=segment.wire_size, payload=segment)
+    segment.src, segment.dst = src, dst
+    segment.size_bytes = HEADER_BYTES + len(data)
+    return segment
 
 
 def two_node_world():
@@ -53,36 +54,29 @@ def two_node_world():
     node_a = topo.add_node("a")
     node_b = topo.add_node("b")
     topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(10))
-    topo.build_routes()
+    # Hosts with no flows: they drop what arrives, after the taps.
+    TcpHost(sim, node_a)
+    TcpHost(sim, node_b)
     return sim, node_a, node_b
 
 
 def test_capture_records_only_open_ports():
     sim, node_a, _ = two_node_world()
     capture = PacketCapture(sim, node_a)
-    node_a.send(make_tcp_packet(sport=1111))  # nothing open yet
+    node_a.send(make_tcp_segment(sport=1111))  # nothing open yet
     capture.open_port(1111)
-    node_a.send(make_tcp_packet(sport=1111))
-    node_a.send(make_tcp_packet(sport=2222))  # never opened
+    node_a.send(make_tcp_segment(sport=1111))
+    node_a.send(make_tcp_segment(sport=2222))  # never opened
     sim.run()
     events = capture.close_port(1111)
     assert len(events) == 1
     assert events[0].direction == "out" and events[0].local_port == 1111
-    node_a.send(make_tcp_packet(sport=1111))  # closed again
+    node_a.send(make_tcp_segment(sport=1111))  # closed again
     sim.run()
     with pytest.raises(KeyError):
         capture.close_port(1111)
     capture.open_port(1111)  # a reopened port starts empty
     assert capture.close_port(1111) == []
-
-
-def test_capture_ignores_non_tcp_packets():
-    sim, node_a, _ = two_node_world()
-    capture = PacketCapture(sim, node_a)
-    capture.open_port(1234)
-    node_a.send(Packet(src="a", dst="b", protocol="ping", size_bytes=10))
-    sim.run()
-    assert capture.close_port(1234) == []
 
 
 def test_packet_event_describe_and_flags():
@@ -102,10 +96,9 @@ def test_capture_routes_packets_by_local_port():
     capture = PacketCapture(sim, node_a)
     capture.open_port(1111)
     capture.open_port(2222)
-    sim.schedule(1.0, node_a.send, make_tcp_packet(sport=1111))
-    sim.schedule(2.0, node_a.send, make_tcp_packet(sport=2222))
-    inbound = make_tcp_packet(sport=80, dport=1111)
-    inbound.src, inbound.dst = "b", "a"
+    sim.schedule(1.0, node_a.send, make_tcp_segment(sport=1111))
+    sim.schedule(2.0, node_a.send, make_tcp_segment(sport=2222))
+    inbound = make_tcp_segment(sport=80, dport=1111, src="b", dst="a")
     sim.schedule(3.0, node_b.send, inbound)
     sim.run()
     first = capture.close_port(1111)

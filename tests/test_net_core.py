@@ -1,16 +1,23 @@
-"""Tests for network primitives: addresses, packets, geo, links, routing."""
+"""Tests for network primitives: addresses, geo, links, nodes, topology."""
 
 import pytest
 
 from repro.net.address import Endpoint, EphemeralPortAllocator, FlowKey
 from repro.net.geo import GeoPoint, haversine_miles, nearest
 from repro.net.link import Link
-from repro.net.packet import Packet
-from repro.net.routing import build_routing_tables, dijkstra
 from repro.net.topology import Topology
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
+from repro.tcp.host import TcpHost
+from repro.tcp.segment import Segment
+
+
+def wire_segment(size_bytes, src="a", dst="b"):
+    """A segment stamped for the wire, as Connection._transmit does."""
+    segment = Segment(sport=1, dport=2, seq=0)
+    segment.src, segment.dst, segment.size_bytes = src, dst, size_bytes
+    return segment
 
 
 # ---------------------------------------------------------------------------
@@ -43,31 +50,6 @@ def test_ephemeral_ports_unique_until_released():
     # After a full wrap, p1 becomes available again.
     seen = {alloc.allocate() for _ in range(100)}
     assert len(seen) == 100
-
-
-# ---------------------------------------------------------------------------
-# packets
-# ---------------------------------------------------------------------------
-def test_packet_uids_unique_and_hops_tracked():
-    pkt1 = Packet("a", "b", "tcp", 100)
-    pkt2 = Packet("a", "b", "tcp", 100)
-    assert pkt1.uid != pkt2.uid
-    pkt1.record_hop("a")
-    pkt1.record_hop("r1")
-    assert pkt1.hops == ["a", "r1"]
-
-
-def test_packet_hop_budget_enforced():
-    pkt = Packet("a", "b", "tcp", 10)
-    for i in range(Packet.MAX_HOPS):
-        pkt.record_hop("n%d" % i)
-    with pytest.raises(RuntimeError):
-        pkt.record_hop("one-too-many")
-
-
-def test_packet_negative_size_rejected():
-    with pytest.raises(ValueError):
-        Packet("a", "b", "tcp", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +99,7 @@ def test_link_delivery_includes_tx_and_prop_delay():
     arrivals = []
     link = Link(sim, "l", delay=0.010, bandwidth=1000.0,  # 1000 B/s
                 deliver=lambda p: arrivals.append(sim.now))
-    link.send(Packet("a", "b", "tcp", 500))
+    link.send(wire_segment(500))
     sim.run()
     # 500 B at 1000 B/s = 0.5 s tx + 0.01 s prop.
     assert arrivals == [pytest.approx(0.51)]
@@ -128,8 +110,8 @@ def test_link_serializes_back_to_back_packets():
     arrivals = []
     link = Link(sim, "l", delay=0.0, bandwidth=1000.0,
                 deliver=lambda p: arrivals.append(sim.now))
-    link.send(Packet("a", "b", "tcp", 1000))
-    link.send(Packet("a", "b", "tcp", 1000))
+    link.send(wire_segment(1000))
+    link.send(wire_segment(1000))
     sim.run()
     assert arrivals == [pytest.approx(1.0), pytest.approx(2.0)]
 
@@ -141,7 +123,7 @@ def test_link_loss_rate_statistics():
                 deliver=lambda p: received.append(p),
                 loss_rate=0.3, streams=RandomStreams(1))
     for _ in range(2000):
-        link.send(Packet("a", "b", "tcp", 100))
+        link.send(wire_segment(100))
     sim.run()
     loss = link.stats.loss_fraction
     assert 0.25 < loss < 0.35
@@ -155,7 +137,7 @@ def test_link_tail_drop_on_queue_overflow():
     link = Link(sim, "tiny", delay=0.0, bandwidth=100.0,
                 deliver=lambda p: delivered.append(p),
                 queue_limit_bytes=250)
-    accepted = [link.send(Packet("a", "b", "tcp", 100)) for _ in range(5)]
+    accepted = [link.send(wire_segment(100)) for _ in range(5)]
     sim.run()
     assert accepted[0] and accepted[1]
     assert not all(accepted)
@@ -167,13 +149,13 @@ def test_link_jitter_preserves_fifo():
     sim = Simulator()
     order = []
     link = Link(sim, "jit", delay=0.01, bandwidth=1e9,
-                deliver=lambda p: order.append(p.uid),
+                deliver=order.append,
                 jitter=0.05, streams=RandomStreams(3))
-    pkts = [Packet("a", "b", "tcp", 100) for _ in range(50)]
-    for p in pkts:
-        link.send(p)
+    segments = [wire_segment(100) for _ in range(50)]
+    for segment in segments:
+        link.send(segment)
     sim.run()
-    assert order == [p.uid for p in pkts]
+    assert order == segments
 
 
 def test_link_parameter_validation():
@@ -188,78 +170,23 @@ def test_link_parameter_validation():
 
 
 # ---------------------------------------------------------------------------
-# routing
+# topology and nodes
 # ---------------------------------------------------------------------------
-def test_dijkstra_simple_chain():
-    graph = {"a": {"b": 1.0}, "b": {"a": 1.0, "c": 2.0}, "c": {"b": 2.0}}
-    distances, hops = dijkstra(graph, "a")
-    assert distances["c"] == pytest.approx(3.0)
-    assert hops["c"] == "b"
-    assert hops["b"] == "b"
-
-
-def test_dijkstra_prefers_shorter_path():
-    graph = {
-        "a": {"b": 1.0, "c": 10.0},
-        "b": {"a": 1.0, "c": 1.0},
-        "c": {"a": 10.0, "b": 1.0},
-    }
-    distances, hops = dijkstra(graph, "a")
-    assert distances["c"] == pytest.approx(2.0)
-    assert hops["c"] == "b"
-
-
-def test_dijkstra_unreachable_absent():
-    graph = {"a": {"b": 1.0}, "b": {"a": 1.0}, "island": {}}
-    distances, hops = dijkstra(graph, "a")
-    assert "island" not in distances
-    assert "island" not in hops
-
-
-def test_dijkstra_rejects_negative_weight():
-    with pytest.raises(ValueError):
-        dijkstra({"a": {"b": -1.0}, "b": {}}, "a")
-
-
-def test_build_routing_tables_all_sources():
-    graph = {"a": {"b": 1.0}, "b": {"a": 1.0, "c": 1.0}, "c": {"b": 1.0}}
-    tables = build_routing_tables(graph)
-    assert tables["a"]["c"] == "b"
-    assert tables["c"]["a"] == "b"
-
-
-# ---------------------------------------------------------------------------
-# topology end-to-end
-# ---------------------------------------------------------------------------
-def test_topology_routes_and_forwarding():
-    sim = Simulator()
-    topo = Topology(sim)
-    for name in ("a", "r", "b"):
-        topo.add_node(name)
-    topo.connect("a", "r", delay=0.005, bandwidth=units.mbps(100))
-    topo.connect("r", "b", delay=0.010, bandwidth=units.mbps(100))
-    topo.build_routes()
-
-    got = []
-    topo.node("b").register_protocol("test", lambda p: got.append(sim.now))
-    pkt = Packet("a", "b", "test", 100)
-    topo.node("a").send(pkt)
-    sim.run()
-    assert len(got) == 1
-    assert got[0] > 0.015  # at least the propagation delays
-    assert pkt.hops == ["a", "r"]
-    assert topo.node("r").stats.forwarded == 1
-
-
 def test_topology_path_delay_and_rtt():
     sim = Simulator()
     topo = Topology(sim)
-    for name in ("a", "r", "b"):
+    for name in ("a", "b", "c"):
         topo.add_node(name)
-    topo.connect("a", "r", delay=0.005, bandwidth=units.mbps(10))
-    topo.connect("r", "b", delay=0.010, bandwidth=units.mbps(10))
+    forward, backward = topo.connect("a", "b", delay=0.015,
+                                     bandwidth=units.mbps(10))
+    assert forward.delay == backward.delay == 0.015
+    assert forward.bandwidth == backward.bandwidth == units.mbps(10)
     assert topo.path_delay("a", "b") == pytest.approx(0.015)
+    assert topo.path_delay("b", "a") == pytest.approx(0.015)
     assert topo.rtt("a", "b") == pytest.approx(0.030)
+    # Every path is one direct link: no link, no path.
+    with pytest.raises(ValueError, match="no link from 'a' to 'c'"):
+        topo.path_delay("a", "c")
 
 
 def test_topology_geo_derived_delay():
@@ -290,20 +217,18 @@ def test_topology_duplicate_node_rejected():
         topo.add_node("n")
 
 
-def test_node_drops_without_route_or_handler():
+def test_node_raises_without_link_or_with_second_host():
     sim = Simulator()
     topo = Topology(sim)
-    topo.add_node("a")
-    topo.add_node("b")
+    for name in ("a", "b", "c"):
+        topo.add_node(name)
     topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(1))
-    topo.build_routes()
-    # No handler registered on b for protocol "nope".
-    topo.node("a").send(Packet("a", "b", "nope", 10))
-    # No route at all to "ghost".
-    assert topo.node("a").send(Packet("a", "ghost", "tcp", 10)) is False
-    sim.run()
-    assert topo.node("b").stats.dropped_no_handler == 1
-    assert topo.node("a").stats.dropped_no_route == 1
+    TcpHost(sim, topo.node("b"))
+    # a has no link to c, and nothing forwards: every path is one link.
+    with pytest.raises(ValueError, match="a has no link to c"):
+        topo.node("a").send(wire_segment(10, dst="c"))
+    with pytest.raises(ValueError, match="node b already has a TCP host"):
+        TcpHost(sim, topo.node("b"))
 
 
 def test_node_taps_observe_events():
@@ -312,12 +237,14 @@ def test_node_taps_observe_events():
     topo.add_node("a")
     topo.add_node("b")
     topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(1))
-    topo.build_routes()
-    topo.node("b").register_protocol("t", lambda p: None)
+    received = []
+    topo.node("b").receiver = received.append
     events = []
-    topo.node("a").add_tap(lambda e, p: events.append(("a", e)))
-    topo.node("b").add_tap(lambda e, p: events.append(("b", e)))
-    topo.node("a").send(Packet("a", "b", "t", 10))
+    topo.node("a").add_tap(lambda d, s: events.append(("a", d, s)))
+    topo.node("b").add_tap(lambda d, s: events.append(("b", d, s)))
+    segment = wire_segment(10)
+    assert topo.node("a").send(segment)
+    assert events == [("a", "out", segment)]
     sim.run()
-    assert ("a", "send") in events
-    assert ("b", "recv") in events
+    assert events == [("a", "out", segment), ("b", "in", segment)]
+    assert received == [segment]

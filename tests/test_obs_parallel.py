@@ -77,7 +77,7 @@ def test_dataset_a_sharded_trace_and_metrics_match_serial():
 
 def test_dataset_a_inline_fallback_does_not_double_count():
     # processes=1 makes map_shards run the shard campaigns inline in
-    # this process; the rollback/absorb protocol must dedup exactly.
+    # this process; each shard's capture must be absorbed exactly once.
     obs.enable()
     serial = _serial_a()
     inline = _sharded_a(processes=1)

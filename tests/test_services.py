@@ -106,7 +106,6 @@ class DeployedWorld:
         fe_name = self.deployment.frontends[0].node.name
         self.topology.connect("client", fe_name, delay=client_fe_rtt / 2,
                               bandwidth=units.mbps(100))
-        self.topology.build_routes()
         self.fe_endpoint = Endpoint(fe_name, 80)
 
     def query(self, keyword, query_id="q1"):

@@ -8,7 +8,8 @@ analytic tier) hold their ephemeral port only until they complete, so
 a long campaign can wrap the port range on every executor and still
 match the packet engine session for session.  And nothing at run time
 needs numpy or scipy: no campaign path imports them, and the
-experiments that compute statistics run with both blocked.
+experiments that compute statistics run with both blocked.  A campaign
+loads none of the trace-analysis modules either.
 """
 
 import gc
@@ -170,6 +171,18 @@ def test_auto_campaign_never_imports_numpy_or_scipy():
     assert result["validations"] > 0 and result["analytic"] > 0
     assert result["numpy"] is False
     assert result["scipy"] is False
+
+
+def test_streaming_loads_only_the_analysis_it_uses():
+    """A campaign needs the quantile sketch, not the trace analysis:
+    importing ``repro.measure.streaming`` leaves the rest of
+    ``repro.analysis`` unloaded."""
+    script = ("import json, sys, repro.measure.streaming\n"
+              "print(json.dumps(sorted(sys.modules)))")
+    loaded = json.loads(run_python(script, 60).stdout.splitlines()[-1])
+    assert "repro.analysis.sketch" in loaded
+    for name in ("boundary", "clustering", "stats", "stream"):
+        assert "repro.analysis." + name not in loaded
 
 
 #: ``python -m repro caching keywords fig9 --scale tiny`` in an

@@ -147,7 +147,7 @@ def test_cubic_recovers_faster_than_reno_after_loss():
                                                    close_after=True))
         client = CollectorApp(request=b"G")
         link = world.topology.node("server").links["client"]
-        link.fault_filter = lambda packet, index: index == 40
+        link.fault_filter = lambda segment, index: index == 40
         world.client.connect(Endpoint("server", 80), client)
         world.sim.run(until=300.0)
         assert bytes(client.received) == payload

@@ -47,8 +47,8 @@ def test_custom_mss_segments_on_wire():
 
     sizes = []
     world.topology.node("client").add_tap(
-        lambda event, packet: sizes.append(packet.payload.data)
-        if event == "recv" and packet.payload.data else None)
+        lambda direction, segment: sizes.append(segment.data)
+        if direction == "in" and segment.data else None)
     world.client.connect(Endpoint("server", 80), client)
     world.sim.run()
     assert bytes(client.received) == payload
@@ -72,8 +72,8 @@ def test_nagle_coalesces_small_writes():
         client = Dripper()
         data_segments = []
         world.topology.node("server").add_tap(
-            lambda event, packet: data_segments.append(packet)
-            if event == "recv" and packet.payload.data else None)
+            lambda direction, segment: data_segments.append(segment)
+            if direction == "in" and segment.data else None)
         world.client.connect(Endpoint("server", 80), client)
         world.sim.run(until=30.0)
         segment_counts[nagle] = len(data_segments)
@@ -92,8 +92,8 @@ def test_delayed_ack_coalesces_acks():
         client = CollectorApp(request=b"G")
         acks = []
         world.topology.node("server").add_tap(
-            lambda event, packet: acks.append(packet)
-            if event == "recv" and packet.payload.is_pure_ack else None)
+            lambda direction, segment: acks.append(segment)
+            if direction == "in" and segment.is_pure_ack else None)
         world.client.connect(Endpoint("server", 80), client)
         world.sim.run(until=60.0)
         assert bytes(client.received) == payload

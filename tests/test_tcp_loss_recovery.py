@@ -27,7 +27,7 @@ def client_to_server_link(world):
 
 def drop_offer_indices(indices):
     targets = set(indices)
-    return lambda packet, index: index in targets
+    return lambda segment, index: index in targets
 
 
 def test_fast_retransmit_recovers_mid_stream_loss():
@@ -74,8 +74,7 @@ def test_tail_loss_requires_rto():
     # recovery must come from the retransmission timer.
     data_offers = []
 
-    def drop_last_data_segment(packet, index):
-        segment = packet.payload
+    def drop_last_data_segment(segment, index):
         if segment.data and not segment.retransmit:
             data_offers.append(index)
             if len(data_offers) == 14:  # the 14th response segment
@@ -145,8 +144,7 @@ def test_lost_ack_is_harmless():
     link = client_to_server_link(world)
     dropped = []
 
-    def drop_every_third_pure_ack(packet, index):
-        segment = packet.payload
+    def drop_every_third_pure_ack(segment, index):
         if (segment.ack_flag and not segment.data and not segment.syn
                 and not segment.fin):
             if len(dropped) % 3 == 0:

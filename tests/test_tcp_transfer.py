@@ -200,8 +200,8 @@ def test_delayed_ack_defers_pure_ack():
     client = CollectorApp(request=b"q")  # 1 segment, no response
     acks = []
     world.topology.node("client").add_tap(
-        lambda event, packet: acks.append(world.sim.now)
-        if event == "recv" and packet.payload.is_pure_ack else None)
+        lambda direction, segment: acks.append(world.sim.now)
+        if direction == "in" and segment.is_pure_ack else None)
     conn = world.client.connect(Endpoint("server", 80), client)
     world.run(until=5.0)
     assert sink.byte_count == 1
