@@ -118,8 +118,8 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "static page bytes come from the global generator: they differ "
        "from run to run and shard to shard, but only sizes are compared"),
     _m("D1", "DET004", "tcp/host.py",
-       '        seed = derive_seed(self.streams.seed, "isn/%s" % flow)',
-       '        seed = hash("isn/%s" % flow)',
+       '    seed = derive_seed(root_seed, "isn/%s" % flow)',
+       '    seed = hash("isn/%s" % flow)',
        ["DET004"], M, C,
        "ISNs from the salted hash(): stable within a process, so "
        "in-process comparisons agree; the golden flags only the edit"),
@@ -292,9 +292,9 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "a module-random jitter flows into Tproc's schedule(); DET003 "
        "fires at the source"),
     _m("F3", "DET007", "tcp/host.py",
-       '        seed = derive_seed(self.streams.seed, "isn/%s" % flow)',
-       "        import time\n"
-       '        seed = derive_seed(int(time.time()), "isn/%s" % flow)',
+       '    seed = derive_seed(root_seed, "isn/%s" % flow)',
+       "    import time\n"
+       '    seed = derive_seed(int(time.time()), "isn/%s" % flow)',
        ["DET001"], C, "",
        "a clock value seeds the ISN; DET001 fires at the source"),
     _m("F4", "DET007", "cache/policy.py",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+from urllib.parse import quote_plus, unquote_plus
 
 CRLF = b"\r\n"
 
@@ -132,39 +133,15 @@ def encode_last_chunk() -> bytes:
 
 
 def _url_quote(text: str) -> str:
-    safe = ("abcdefghijklmnopqrstuvwxyz"
-            "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_.~")
-    out = []
-    for ch in text:
-        if ch in safe:
-            out.append(ch)
-        elif ch == " ":
-            out.append("+")
-        else:
-            out.extend("%%%02X" % b for b in ch.encode("utf-8"))
-    return "".join(out)
+    """Form-encode ``text``: unreserved characters stay, a space becomes
+    ``+``, every other UTF-8 byte becomes ``%XX``."""
+    return quote_plus(text, safe="")
 
 
 def _url_unquote(text: str) -> str:
-    out = bytearray()
-    i = 0
-    raw = text.encode("latin-1")
-    while i < len(raw):
-        byte = raw[i:i + 1]
-        if byte == b"+":
-            out.extend(b" ")
-            i += 1
-        elif byte == b"%" and i + 2 < len(raw) + 1:
-            try:
-                out.append(int(raw[i + 1:i + 3], 16))
-                i += 3
-            except ValueError:
-                out.extend(byte)
-                i += 1
-        else:
-            out.extend(byte)
-            i += 1
-    return out.decode("utf-8", errors="replace")
+    """Invert :func:`_url_quote`.  A ``%`` not followed by two hex
+    digits stays literal; undecodable bytes become U+FFFD."""
+    return unquote_plus(text, errors="replace")
 
 
 def build_query_path(base: str, params: Dict[str, str]) -> str:

@@ -36,7 +36,10 @@ class PacketEvent:
 
     A manual ``__slots__`` class (not a dataclass): one instance is
     appended per captured packet, which makes its constructor a
-    measurement-campaign hot path.
+    measurement-campaign hot path.  Its two per-packet callers (the
+    capture tap and :func:`repro.sim.replay.timeline.materialize_events`)
+    pass its fields positionally, in ``__slots__`` order, which costs
+    well under half of a keyword call.
     """
 
     __slots__ = ("time", "direction", "src", "dst", "sport", "dport",
@@ -119,14 +122,8 @@ class PacketCapture:
         # store_payload (measurement campaigns) payload travels the
         # whole simulated path length-only.
         events.append(PacketEvent(
-            time=self.sim.now,
-            direction=direction,
-            src=segment.src, dst=segment.dst,
-            sport=segment.sport, dport=segment.dport,
-            wire_size=segment.size_bytes,
-            payload_len=len(segment.data),
-            seq=segment.seq, ack=segment.ack,
-            syn=segment.syn, fin=segment.fin,
-            ack_flag=segment.ack_flag,
-            retransmit=segment.retransmit,
-            payload=bytes(segment.data) if store_payload else None))
+            self.sim.now, direction, segment.src, segment.dst,
+            segment.sport, segment.dport, segment.size_bytes,
+            len(segment.data), segment.seq, segment.ack, segment.syn,
+            segment.fin, segment.ack_flag, segment.retransmit,
+            bytes(segment.data) if store_payload else None))

@@ -150,6 +150,8 @@ class ServiceDeployment:
         self.frontends: List[FrontEndServer] = []
         #: node name -> deployment site name (e.g. metro), for both roles.
         self.site_of_node: Dict[str, str] = {}
+        #: FE node name -> the BE it is homed on and linked to.
+        self._backend_of: Dict[str, BackendDataCenter] = {}
         self._build_backends(be_sites)
         self._build_frontends(fe_sites, cache_static, cache_results)
 
@@ -183,7 +185,8 @@ class ServiceDeployment:
             self.site_of_node[node.name] = site_name
             tcp_host = TcpHost(self.sim, node, self.profile.edge_tcp,
                                self.streams)
-            backend = self._nearest_backend(location)
+            backend, _ = nearest(location, self.backends)
+            self._backend_of[node.name] = backend
             self.topology.connect(
                 node.name, backend.node.name,
                 bandwidth=self.profile.fe_be_bandwidth,
@@ -207,10 +210,6 @@ class ServiceDeployment:
                 cache_spec=self.cache_spec,
                 cache_seed=self.streams.seed,
                 regional_cache=self._regional_cache_for(backend)))
-
-    def _nearest_backend(self, location: GeoPoint) -> BackendDataCenter:
-        backend, _ = nearest(location, self.backends)
-        return backend
 
     def _regional_cache_for(self, backend: BackendDataCenter
                             ) -> Optional[ContentCache]:
@@ -251,8 +250,9 @@ class ServiceDeployment:
 
     def backend_for_frontend(self, frontend: FrontEndServer
                              ) -> BackendDataCenter:
-        """The BE a given FE forwards to (nearest by construction)."""
-        return self._nearest_backend(frontend.location)
+        """The BE a given FE forwards to (its nearest, chosen when the
+        deployment was built)."""
+        return self._backend_of[frontend.node.name]
 
     def fe_be_distance_miles(self, frontend: FrontEndServer) -> float:
         backend = self.backend_for_frontend(frontend)

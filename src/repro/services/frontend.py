@@ -187,10 +187,11 @@ class FrontEndServer:
         self.requests_served += 1
         if _obs.enabled:
             _obs.metrics.inc("fe.requests")
-        query_id = request.query.get(
+        query = request.query
+        query_id = query.get(
             "id", "fe-%s-%d" % (self.node.name, self.requests_served))
-        state = _RequestState(responder, query_id,
-                              request.query.get("q", ""), self)
+        state = _RequestState(responder, query_id, query.get("q", ""),
+                              self)
         self.active_requests += 1
         self.peak_concurrency = max(self.peak_concurrency,
                                     self.active_requests)
@@ -209,7 +210,7 @@ class FrontEndServer:
                 self.static_hit_log[query_id] = static_level
         if self.cache_results and self.cache_static \
                 and static_level != CacheTier.ORIGIN:
-            cached = self.result_cache.get(request.query.get("q", ""))
+            cached = self.result_cache.get(state.keyword_text)
             if cached is not None:
                 # Counterfactual mode (the paper shows real services do
                 # NOT do this): serve the dynamic part from the FE cache

@@ -130,8 +130,9 @@ def landmark_divergences(session, prediction,
     boundary, so the comparison measures modeling error only — not
     extraction differences.
     """
-    # Imported here: repro.analysis reaches back into repro.measure,
-    # whose driver imports this package (cycle at module-import time).
+    # Imported here, at the first validation, so that importing the
+    # session executor loads none of the trace analysis
+    # (tests/test_session_capture.py).
     from repro.analysis.boundary import StreamBoundary
     from repro.core.metrics import extract_timeline
     from repro.measure.session import QuerySession

@@ -70,23 +70,33 @@ class LinkHorizon:
         return tx_done + self.delay
 
 
-@dataclass(frozen=True)
 class DataSegment:
-    """One payload-bearing segment of a modeled transfer."""
+    """One payload-bearing segment of a modeled transfer.
 
-    sent_at: float
-    arrived_at: float
-    offset: int
-    size: int
+    A plain ``__slots__`` record, like :class:`ReceiverAck`: the model
+    builds one per segment of every predicted session.
+    """
+
+    __slots__ = ("sent_at", "arrived_at", "offset", "size")
+
+    def __init__(self, sent_at: float, arrived_at: float, offset: int,
+                 size: int):
+        self.sent_at = sent_at
+        self.arrived_at = arrived_at
+        self.offset = offset
+        self.size = size
 
 
-@dataclass(frozen=True)
 class ReceiverAck:
     """The receiver's pure ACK of one data segment."""
 
-    sent_at: float
-    arrived_at: float
-    acked_through: int
+    __slots__ = ("sent_at", "arrived_at", "acked_through")
+
+    def __init__(self, sent_at: float, arrived_at: float,
+                 acked_through: int):
+        self.sent_at = sent_at
+        self.arrived_at = arrived_at
+        self.acked_through = acked_through
 
 
 def deliver_response(writes: Sequence[Tuple[float, int]],

@@ -9,8 +9,8 @@ a new start time and a freshly allocated port then reproduces, bit for
 bit, the :class:`~repro.measure.capture.PacketEvent` list and landmark
 times the full simulation would have produced — initial sequence
 numbers are deterministic per flow (see
-:meth:`repro.tcp.host.TcpHost.next_isn`), so the new connection's ISNs
-are computable without simulating it.
+:func:`repro.tcp.host.flow_isn`), so the new connection's ISNs are
+computable without simulating it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro.measure.capture import PacketEvent
-from repro.net.address import Endpoint, FlowKey
 from repro.services.frontend import FRONTEND_PORT
+from repro.tcp.host import flow_isn
 
 #: One normalized packet: (offset, outbound, wire_size, payload_len,
 #: seq_rel, ack_field, syn, fin, ack_flag, retransmit).  ``seq_rel`` is
@@ -128,29 +128,29 @@ def materialize_events(timeline: RecordedTimeline, start: float,
     ISN derivation depends only on the seed and the flow key, so the
     client host stands in for both endpoints.
     """
-    client_isn = tcp_host.next_isn(FlowKey(
-        Endpoint(vp_name, local_port), Endpoint(fe_name, FRONTEND_PORT)))
-    server_isn = tcp_host.next_isn(FlowKey(
-        Endpoint(fe_name, FRONTEND_PORT), Endpoint(vp_name, local_port)))
+    seed = tcp_host.streams.seed
+    client_isn = flow_isn(seed, vp_name, local_port, fe_name,
+                          FRONTEND_PORT)
+    server_isn = flow_isn(seed, fe_name, FRONTEND_PORT, vp_name,
+                          local_port)
     events: List[PacketEvent] = []
+    append = events.append
     for (offset, out, wire_size, payload_len, seq_rel, ack_field, syn,
          fin, ack_flag, retransmit) in timeline.events:
         if out:
-            src, dst = vp_name, fe_name
-            sport, dport = local_port, FRONTEND_PORT
-            seq = seq_rel + client_isn
-            ack = ack_field + server_isn if ack_flag else ack_field
+            append(PacketEvent(
+                start + offset, "out", vp_name, fe_name, local_port,
+                FRONTEND_PORT, wire_size, payload_len,
+                seq_rel + client_isn,
+                ack_field + server_isn if ack_flag else ack_field,
+                syn, fin, ack_flag, retransmit))
         else:
-            src, dst = fe_name, vp_name
-            sport, dport = FRONTEND_PORT, local_port
-            seq = seq_rel + server_isn
-            ack = ack_field + client_isn if ack_flag else ack_field
-        events.append(PacketEvent(
-            time=start + offset, direction="out" if out else "in",
-            src=src, dst=dst, sport=sport, dport=dport,
-            wire_size=wire_size, payload_len=payload_len,
-            seq=seq, ack=ack, syn=syn, fin=fin, ack_flag=ack_flag,
-            retransmit=retransmit))
+            append(PacketEvent(
+                start + offset, "in", fe_name, vp_name, FRONTEND_PORT,
+                local_port, wire_size, payload_len,
+                seq_rel + server_isn,
+                ack_field + client_isn if ack_flag else ack_field,
+                syn, fin, ack_flag, retransmit))
     return events
 
 

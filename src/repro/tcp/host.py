@@ -145,5 +145,20 @@ class TcpHost:
     # ------------------------------------------------------------------
     def next_isn(self, flow: FlowKey) -> int:
         """Deterministic per-flow initial sequence number."""
-        seed = derive_seed(self.streams.seed, "isn/%s" % flow)
-        return seed % ISN_SPACE
+        return flow_isn(self.streams.seed, flow.local.host,
+                        flow.local.port, flow.remote.host, flow.remote.port)
+
+
+def flow_isn(root_seed: int, local_host: str, local_port: int,
+             remote_host: str, remote_port: int) -> int:
+    """The initial sequence number the ``local`` end of a flow sends.
+
+    A pure function of the seed and the flow key, formatted as
+    ``str(FlowKey)`` would be, so a session served without simulation
+    derives the ISNs its connection would have drawn from the host and
+    port fields at hand, without building the key.
+    """
+    flow = "%s:%d <-> %s:%d" % (local_host, local_port, remote_host,
+                                remote_port)
+    seed = derive_seed(root_seed, "isn/%s" % flow)
+    return seed % ISN_SPACE

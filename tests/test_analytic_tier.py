@@ -12,6 +12,7 @@ import pytest
 
 from repro.content.keywords import Keyword, KeywordCatalog
 from repro.measure import driver as driver_module
+from repro.measure.capture import PacketEvent
 from repro.measure.driver import run_dataset_a, run_dataset_b
 from repro.parallel import run_dataset_a_sharded
 from repro.sim.analytic import (
@@ -177,6 +178,14 @@ def test_analytic_campaign_matches_packet_within_tolerance():
         # Modeled completion time agrees to within the gate tolerance.
         assert abs(ours.completed_at - theirs.completed_at) \
             <= DEFAULT_TOLERANCE
+        # The materialized capture matches packet for packet: every
+        # field exactly, the timestamp within the gate tolerance.
+        for mine, model in zip(ours.events, theirs.events):
+            for name in PacketEvent.__slots__:
+                if name != "time":
+                    assert getattr(mine, name) == getattr(model, name), \
+                        (ours.query_id, name)
+            assert abs(mine.time - model.time) <= DEFAULT_TOLERANCE
 
 
 def test_analytic_campaign_server_logs_match_packet():

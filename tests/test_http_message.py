@@ -8,6 +8,8 @@ from repro.http.message import (
     HttpResponse,
     RequestParser,
     ResponseParser,
+    _url_quote,
+    _url_unquote,
     build_query_path,
     encode_chunk,
     encode_last_chunk,
@@ -72,6 +74,31 @@ def test_query_parse_roundtrip():
 
 def test_query_empty_when_no_querystring():
     assert HttpRequest(path="/plain").query == {}
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", "mobile cloud computing", "a+b&c=d?e/f%g#h", "~-_.",
+    "caf\u00e9", "\u65e5\u672c\u8a9e", "%4", "%+1", "\t\r\n"])
+def test_url_codec_round_trip(text):
+    assert _url_unquote(_url_quote(text)) == text
+    path = build_query_path("/search", {"q": text, "id": "q-1"})
+    assert HttpRequest(path=path).query == {"q": text, "id": "q-1"}
+
+
+def test_url_quote_escapes_all_but_unreserved():
+    assert _url_quote("a b&c~d") == "a+b%26c~d"
+    assert _url_quote("caf\u00e9") == "caf%C3%A9"
+
+
+def test_url_unquote_leaves_malformed_escapes_literal():
+    # A "%" needs two hex digits after it; "+" decodes to a space first.
+    assert _url_unquote("%4") == "%4"
+    assert _url_unquote("%+1") == "% 1"
+    assert _url_unquote("% 1") == "% 1"
+    assert _url_unquote("%zz%") == "%zz%"
+    assert _url_unquote("%41%2b") == "A+"
+    # A lone byte that is not UTF-8 decodes to the replacement character.
+    assert _url_unquote("%E9") == "\ufffd"
 
 
 # ---------------------------------------------------------------------------

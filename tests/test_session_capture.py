@@ -9,7 +9,8 @@ a long campaign can wrap the port range on every executor and still
 match the packet engine session for session.  And nothing at run time
 needs numpy or scipy: no campaign path imports them, and the
 experiments that compute statistics run with both blocked.  A campaign
-loads none of the trace-analysis modules either.
+loads none of the trace-analysis modules either, and every module of
+``repro.sim`` and every package imports on its own.
 """
 
 import gc
@@ -156,11 +157,11 @@ print(json.dumps({"validations": dataset.tier.validations,
 """
 
 
-def run_python(script, timeout):
+def run_python(script, timeout, *args):
     env = {key: value for key, value in os.environ.items()
            if not key.startswith("REPRO_")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
-    return subprocess.run([sys.executable, "-c", script],
+    return subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True,
                           timeout=timeout, check=True)
 
@@ -171,6 +172,52 @@ def test_auto_campaign_never_imports_numpy_or_scipy():
     assert result["validations"] > 0 and result["analytic"] > 0
     assert result["numpy"] is False
     assert result["scipy"] is False
+
+
+#: Imports each module named on the command line into an interpreter
+#: holding no ``repro`` module, and prints the ones that fail.
+IMPORT_ALONE_SCRIPT = """
+import importlib, json, sys
+failed = {}
+for name in sys.argv[1:]:
+    for loaded in [m for m in sys.modules
+                   if m == "repro" or m.startswith("repro.")]:
+        del sys.modules[loaded]
+    try:
+        importlib.import_module(name)
+    except ImportError as error:
+        failed[name] = str(error)
+print(json.dumps(failed))
+"""
+
+
+def sim_modules_and_packages():
+    """Every module of ``repro.sim`` and every package of ``repro``,
+    found on disk without importing them."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    names = []
+    for folder, _dirs, files in os.walk(os.path.join(src, "repro")):
+        package = os.path.relpath(folder, src).replace(os.sep, ".")
+        for filename in sorted(files):
+            stem, ext = os.path.splitext(filename)
+            if ext != ".py":
+                continue
+            if stem == "__init__":
+                names.append(package)
+            elif package.split(".")[:2] == ["repro", "sim"]:
+                names.append(package + "." + stem)
+    return sorted(names)
+
+
+def test_every_sim_module_and_package_imports_on_its_own():
+    """No import cycle hides behind the order tests import in: each of
+    these modules imports first into a fresh ``sys.modules``."""
+    names = sim_modules_and_packages()
+    assert "repro.sim.replay.timeline" in names
+    assert "repro.measure" in names
+    failed = json.loads(run_python(IMPORT_ALONE_SCRIPT, 120, *names)
+                        .stdout.splitlines()[-1])
+    assert failed == {}
 
 
 def test_streaming_loads_only_the_analysis_it_uses():
