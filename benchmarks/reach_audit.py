@@ -1,0 +1,458 @@
+#!/usr/bin/env python3
+"""Reach audit: which ``src/`` functions does no user-facing run enter?
+
+The audit runs every surface a user drives, in this one process, under
+:mod:`cProfile`:
+
+* the four end-to-end benchmark bodies, as ``benchmarks/e2e/child.py``
+  runs them with its counters installed, each followed by its
+  workload's reference check;
+* every script under ``examples/``;
+* the commands README.md and ``docs/`` show: ``python -m repro`` with
+  each of its flags, ``python -m repro report``, the workload CLI's
+  documented flags, and simlint's text, JSON and SARIF reports,
+  ``--stats`` and ``--list-rules``.
+
+Process pools run inline (the pool :mod:`repro.parallel.pool` starts is
+replaced by a loop in this process), so shard and ``--jobs`` workers are
+measured too.  A function counts as reached when the profiler saw it
+entered.  Dunder methods are skipped: Python calls them implicitly.
+
+Every function no surface reaches must be on :data:`ALLOWED` with a
+one-line reason (failure handling, a branch of a kept algorithm, a
+name picked by string dispatch, ...); code no user run needs is deleted
+instead.  The audit exits 1 when the unreached set and the allow-list
+differ in either direction, and when a surface fails.
+
+Run from anywhere, on Python 3.11 or later (older versions take the
+TOML fallback the allow-list names; about 2.5 minutes on a 2-vCPU
+host)::
+
+    python benchmarks/reach_audit.py
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import cProfile
+import io
+import os
+import runpy
+import sys
+import tempfile
+import traceback
+from typing import Callable, Dict, List, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+E2E = os.path.join(ROOT, "benchmarks", "e2e")
+sys.path.insert(0, SRC)
+sys.path.insert(0, E2E)
+
+#: ``path::qualname`` (path under ``src/repro``) -> why the function
+#: stays although no surface enters it.
+ALLOWED: Dict[str, str] = {
+    # Failure handling: safety code on kept paths that no seeded run
+    # happens to fail.
+    "http/client.py::HttpFetch.on_error":
+        "fails the fetch when its connection aborts",
+    "http/client.py::PersistentHttpClient._fail":
+        "fails the in-flight and queued requests of a dead connection",
+    "http/client.py::PersistentHttpClient.on_close":
+        "the back-end closed a persistent connection",
+    "http/client.py::PersistentHttpClient.on_error":
+        "a persistent connection aborted",
+    "http/client.py::RequestHooks.failure":
+        "delivers a failed request to its owner",
+    "http/server.py::Responder.finished":
+        "FrontEndServer._fetch_failed asks whether the reply ended",
+    "measure/emulator.py::QueryEmulator._fail":
+        "records a session whose fetch failed",
+    "services/frontend.py::FrontEndServer._fetch_failed":
+        "answers 502 when the back-end fetch fails",
+    "sim/analytic/manager.py::TieredSessionManager.expire":
+        "a validation sample still open when the run ends diverges",
+    "sim/replay/manager.py::SessionReplayManager.expire":
+        "a recording still open when the run ends is dropped",
+    "sim/replay/cache.py::ReplayCache.pop":
+        "drops an entry whose validation session failed",
+    "tcp/connection.py::TcpApp.on_close":
+        "default callback: the peer finished sending",
+    "tcp/connection.py::TcpApp.on_data":
+        "default callback for an application that ignores data",
+    "tcp/connection.py::TcpApp.on_error":
+        "default callback: the connection aborted",
+    "tcp/connection.py::TcpApp.on_established":
+        "default callback for an application with nothing to send",
+    "workload/trace.py::malformed":
+        "the error for a trace record whose fields fail to decode",
+    # Branches of kept algorithms that seeded runs do not take.
+    "tcp/congestion.py::CubicController._begin_epoch":
+        "CUBIC's epoch start after a loss",
+    "tcp/congestion.py::CubicController._cubic_window_segments":
+        "CUBIC's window growth after a loss epoch began",
+    "tcp/congestion.py::CubicController.on_dup_ack":
+        "CUBIC's reaction to a duplicate ACK",
+    "tcp/congestion.py::CubicController.on_fast_retransmit":
+        "CUBIC's reaction to a fast retransmit",
+    "tcp/congestion.py::CubicController.on_recovery_exit":
+        "CUBIC's exit from fast recovery",
+    "tcp/congestion.py::CubicController.on_timeout":
+        "CUBIC's reaction to a retransmission timeout",
+    "tcp/congestion.py::FixedWindowController.on_dup_ack":
+        "the pinned window ignores a duplicate ACK",
+    "tcp/congestion.py::FixedWindowController.on_recovery_exit":
+        "the pinned window ignores the end of recovery",
+    "tcp/connection.py::Connection._delack_fire":
+        "the delayed-ACK timer (delayed ACK is off by default)",
+    "analysis/stats.py::_ks_paths_inside":
+        "the exact two-sample KS p-value for small samples",
+    "analysis/sketch.py::QuantileSketch.state":
+        "QuantileSketch.__eq__ compares sketches through it",
+    "obs/metrics.py::MetricsSnapshot.empty":
+        "obs.merge_metrics' answer when no shard returned metrics",
+    "obs/metrics.py::MetricsSnapshot.scoped":
+        "a traced stream's fingerprint hashes its sim-scope metrics",
+    # Interfaces: the base class declares what each subclass overrides.
+    "tcp/congestion.py::CongestionController.in_recovery":
+        "interface that every congestion controller implements",
+    "tcp/congestion.py::CongestionController.on_ack":
+        "interface that every congestion controller implements",
+    "tcp/congestion.py::CongestionController.on_dup_ack":
+        "interface that every congestion controller implements",
+    "tcp/congestion.py::CongestionController.on_fast_retransmit":
+        "interface that every congestion controller implements",
+    "tcp/congestion.py::CongestionController.on_recovery_exit":
+        "interface that every congestion controller implements",
+    "tcp/congestion.py::CongestionController.on_timeout":
+        "interface that every congestion controller implements",
+    "workload/arrivals.py::ArrivalProcess.intensity":
+        "interface that every arrival process implements",
+    "workload/arrivals.py::ArrivalProcess.peak":
+        "interface that every arrival process implements",
+    "lint/project.py::ProjectRule.check":
+        "interface that every project-scope rule implements",
+    # Names picked by string dispatch or listed in a table.
+    "experiments/common.py::ExperimentScale.small":
+        "picked by `python -m repro --scale small`",
+    "experiments/common.py::ExperimentScale.paper":
+        "picked by `python -m repro --scale paper`",
+    "sim/units.py::us":
+        "a conversion in simlint's unit table (CONVERSION_RETURNS)",
+    "sim/units.py::kbps":
+        "a conversion in simlint's unit table (CONVERSION_RETURNS)",
+    "sim/units.py::transmission_delay":
+        "a conversion in simlint's unit table (CONVERSION_RETURNS)",
+    # The observability switch docs/OBSERVABILITY.md documents.
+    "obs/__init__.py::disable": "documented library API",
+    "obs/__init__.py::reset": "documented library API",
+    "obs/runtime.py::disable": "what obs.disable calls",
+    "obs/runtime.py::reset": "what obs.reset calls",
+    # Benchmark assertions outside tests/.
+    "experiments/ablation.py::CacheAblationResult.ttfb_improvement":
+        "asserted by benchmarks/test_bench_ablations.py",
+    "experiments/fig4.py::Fig4Result.gap_shrinks_with_rtt":
+        "asserted by benchmarks/test_bench_fig4.py",
+    "experiments/fig5.py::Fig5Result.thresholds_ms":
+        "asserted by benchmarks/test_bench_fig5.py",
+    "experiments/residential.py::ResidentialResult.row":
+        "asserted by benchmarks/test_bench_extensions.py",
+    # simlint: parts that run only on code that violates a rule, and
+    # the TOML fallback CI's Python 3.9 job runs.
+    "lint/determinism.py::_grows_plan":
+        "DET005 on a set loop that adds to a query plan",
+    "lint/determinism.py::_is_schedule_call":
+        "DET005 on a set loop whose body schedules",
+    "lint/project.py::_body_accumulates":
+        "SHARD002 on a set loop that accumulates",
+    "lint/rng_lineage.py::_short":
+        "names the other consumers in an RNG002 finding",
+    "lint/unit_safety.py::ArgumentUnitRule._callee_label":
+        "names the callee in a UNIT finding",
+    "lint/unit_safety.py::describe":
+        "names a unit in a UNIT finding",
+    "lint/unit_safety.py::mismatch_kind":
+        "classifies the mismatch in a UNIT finding",
+    "lint/framework.py::Finding.render":
+        "prints a finding in the text report",
+    "lint/framework.py::_parse_simlint_table":
+        "reads [tool.simlint] where tomllib is missing (Python < 3.11)",
+}
+
+#: ``python -m repro`` runs; ``{tmp}`` is a scratch directory.
+MAIN_RUNS = (
+    ["fig678", "--trace", "{tmp}/trace.jsonl", "--metrics"],
+    ["fig678", "--trace-chrome", "{tmp}/chrome.json"],
+    ["report", "{tmp}/trace.jsonl"],
+    ["fig5", "fig678", "--jobs", "2", "--trace", "{tmp}/jobs.jsonl"],
+    ["fig678", "--shards", "2", "--trace", "{tmp}/shards.jsonl"],
+    ["fig678", "--tier", "auto"],
+    ["fig678", "--tier", "analytic"],
+    ["fig678", "--no-replay-cache"],
+    ["lint", "src/repro"],
+)
+#: ``python -m repro workload`` runs, small enough to take seconds.
+WORKLOAD_RUNS = (
+    ["--users", "1000", "--duration", "120", "--rate", "2",
+     "--events", "150", "--summary", "{tmp}/summary.json"],
+    ["--arrivals", "flash", "--alpha", "1.2", "--shards", "2",
+     "--events", "150"],
+    ["--arrivals", "diurnal", "--events", "150", "--tier", "auto",
+     "--services", "google-like,bing-akamai"],
+    ["--sweep-alpha", "0.6,1.2", "--events", "100"],
+    ["--events", "150", "--trace-out", "{tmp}/run.jsonl"],
+    ["--trace-in", "{tmp}/run.jsonl"],
+    ["--shards", "2", "--verify-serial", "--events", "150",
+     "--replay-cache", "--processes", "2"],
+    ["--fe-cache", "lru:131072", "--events", "150", "--batch", "32",
+     "--lookahead", "60", "--keywords", "64", "--vps", "6"],
+)
+#: ``python -m repro.lint`` runs, from the repository root.
+LINT_RUNS = (
+    ["src", "tests", "benchmarks", "examples"],
+    ["src", "tests", "--format", "json"],
+    ["src", "--format", "sarif"],
+    ["src", "--stats"],
+    ["--list-rules"],
+)
+#: The seed the e2e bodies and their reference checks run at.
+E2E_SEED = 1
+
+
+class InlinePool:
+    """Stands in for ``multiprocessing.Pool``: maps in this process."""
+
+    def __init__(self, processes=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable):
+        return [func(item) for item in iterable]
+
+
+def run_pools_inline() -> None:
+    """Make :mod:`repro.parallel.pool` start no worker process.
+
+    Replacing ``default_processes`` would not do: ``--jobs N`` and the
+    workload CLI's ``--processes`` pass a pool size explicitly.
+    """
+    import multiprocessing
+    import types
+
+    from repro.parallel import pool
+
+    pool.multiprocessing = types.SimpleNamespace(
+        Pool=InlinePool, current_process=multiprocessing.current_process)
+
+
+# ----------------------------------------------------------------------
+# the functions under src/
+# ----------------------------------------------------------------------
+def src_functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
+    """(file, first line) -> (``path::qualname``, lines) for every
+    non-dunder function under ``src/repro``.
+
+    The first line is the first decorator's, as a code object's
+    ``co_firstlineno`` has it; lines count from the ``def``.
+    """
+    package = os.path.join(SRC, "repro")
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(package):
+        dirnames.sort()
+        for filename in sorted(filenames):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, filename)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            rel = os.path.relpath(path, package).replace(os.sep, "/")
+            _collect(tree, path, rel, "", found)
+    return found
+
+
+def _collect(node, path, rel, prefix, found) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            _collect(child, path, rel, prefix + child.name + ".", found)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + child.name
+            name = child.name
+            if not (name.startswith("__") and name.endswith("__")):
+                first = min([child.lineno] + [d.lineno for d in
+                                              child.decorator_list])
+                found[(path, first)] = (
+                    "%s::%s" % (rel, qualname),
+                    child.end_lineno - child.lineno + 1)
+            _collect(child, path, rel, qualname + ".<locals>.", found)
+        else:
+            _collect(child, path, rel, prefix, found)
+
+
+# ----------------------------------------------------------------------
+# the surfaces
+# ----------------------------------------------------------------------
+def surfaces(tmp: str) -> List[Tuple[str, Callable[[], int]]]:
+    """(label, run) for every surface; ``run`` returns an exit code."""
+    from repro.__main__ import main as repro_main
+    from repro.lint.cli import main as lint_main
+
+    def fill(argv):
+        return [arg.format(tmp=tmp) for arg in argv]
+
+    runs = []
+    examples = os.path.join(ROOT, "examples")
+    for name in sorted(os.listdir(examples)):
+        if name.endswith(".py"):
+            runs.append(("examples/" + name,
+                         _example(os.path.join(examples, name))))
+    for argv in MAIN_RUNS:
+        runs.append(("python -m repro " + " ".join(argv),
+                     _call(repro_main, fill(argv))))
+    for argv in WORKLOAD_RUNS:
+        runs.append(("python -m repro workload " + " ".join(argv),
+                     _call(repro_main, ["workload"] + fill(argv))))
+    for argv in LINT_RUNS:
+        runs.append(("python -m repro.lint " + " ".join(argv),
+                     _call(lint_main, fill(argv))))
+    # Last: the harness patches the emulator and load sweep for good.
+    runs.append(("e2e counters", _install_counters))
+    from workloads import WORKLOADS
+    for name in WORKLOADS:
+        runs.append(("e2e " + name, _e2e(name)))
+    return runs
+
+
+def _call(main, argv) -> Callable[[], int]:
+    return lambda: main(list(argv)) or 0
+
+
+def _example(path) -> Callable[[], int]:
+    def run():
+        argv = sys.argv
+        sys.argv = [path]
+        try:
+            runpy.run_path(path, run_name="__main__")
+        finally:
+            sys.argv = argv
+        return 0
+    return run
+
+
+_COUNTS: Dict[str, int] = {}
+
+
+def _install_counters() -> int:
+    import child
+
+    child.install_counters(_COUNTS)
+    return 0
+
+
+def _e2e(name) -> Callable[[], int]:
+    def run():
+        from profiler import null_span
+        from workloads import WORKLOADS
+
+        workload = WORKLOADS[name]
+        workload.prepare()
+        raw = workload.run(workload.setup(E2E_SEED), null_span)
+        workload.outcome(raw)
+        problems = workload.verify(E2E_SEED, raw)
+        for problem in problems:
+            print(problem)
+        return 1 if problems else 0
+    return run
+
+
+def run_surfaces(profile: cProfile.Profile) -> List[str]:
+    """Run every surface under ``profile``; the failures."""
+    from repro import obs
+
+    failures = []
+    with tempfile.TemporaryDirectory(prefix="reach-audit-") as tmp:
+        # Import-time calls (registration decorators, tables) count.
+        profile.enable()
+        runs = surfaces(tmp)
+        profile.disable()
+        for label, run in runs:
+            environ = dict(os.environ)
+            output = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(output), \
+                        contextlib.redirect_stderr(output):
+                    profile.enable()
+                    try:
+                        code = run()
+                    finally:
+                        profile.disable()
+            except SystemExit as stop:
+                code = stop.code
+            except Exception:  # a surface that raises is reported
+                code = "raised\n" + traceback.format_exc()
+            finally:
+                # Outside the profile: the CLI leaves REPRO_* variables
+                # and the observability switch set behind it.
+                os.environ.clear()
+                os.environ.update(environ)
+                obs.disable()
+                obs.reset()
+            print("%-4s %s" % ("ok" if code in (0, None) else "FAIL",
+                               label), flush=True)
+            if code not in (0, None):
+                failures.append("%s: exit %s\n%s"
+                                % (label, code, output.getvalue()[-2000:]))
+    return failures
+
+
+def reached_code(profile: cProfile.Profile) -> set:
+    """(file, first line) of every function the profile saw entered."""
+    reached = set()
+    for entry in profile.getstats():
+        code = entry.code
+        if not isinstance(code, str):
+            reached.add((code.co_filename, code.co_firstlineno))
+    return reached
+
+
+def main() -> int:
+    os.chdir(ROOT)
+    profile = cProfile.Profile()
+    profile.enable()
+    run_pools_inline()
+    profile.disable()
+    failures = run_surfaces(profile)
+    functions = src_functions()
+    reached = reached_code(profile)
+    unreached = {name: lines for key, (name, lines) in functions.items()
+                 if key not in reached}
+    unlisted = sorted(set(unreached) - set(ALLOWED))
+    stale = sorted(set(ALLOWED) - set(unreached))
+    blank = sorted(name for name, reason in ALLOWED.items()
+                   if not reason.strip())
+
+    print("%d functions under src/repro, %d unreached (%d lines), "
+          "%d on the allow-list"
+          % (len(functions), len(unreached), sum(unreached.values()),
+             len(ALLOWED)))
+    for failure in failures:
+        print("surface failed: " + failure)
+    for name in unlisted:
+        print("unreached, not allow-listed: %s (%d lines)"
+              % (name, unreached[name]))
+    for name in stale:
+        print("allow-listed, but reached or gone: " + name)
+    for name in blank:
+        print("allow-listed without a reason: " + name)
+    problems = len(failures) + len(unlisted) + len(stale) + len(blank)
+    print("%d problem(s)" % problems)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

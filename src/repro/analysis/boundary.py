@@ -32,30 +32,6 @@ class BoundaryError(Exception):
     """Raised when a boundary cannot be determined from the sessions."""
 
 
-@dataclass(frozen=True)
-class BoundaryEstimate:
-    """Result of the content analysis for one service.
-
-    Attributes
-    ----------
-    stream_offset:
-        Inbound stream offset (bytes from the first payload byte) at
-        which responses for different keywords diverge.  Everything
-        before it is the static portion (plus HTTP framing).
-    sessions_used:
-        How many sessions contributed.
-    distinct_keywords:
-        How many distinct keywords the contributing sessions used.
-    min_stream_length:
-        Shortest contributing stream (upper bound on the boundary).
-    """
-
-    stream_offset: int
-    sessions_used: int
-    distinct_keywords: int
-    min_stream_length: int
-
-
 def common_prefix_length(streams: Sequence[bytes]) -> int:
     """Length of the longest common prefix of all byte strings."""
     if not streams:
@@ -72,52 +48,6 @@ def common_prefix_length(streams: Sequence[bytes]) -> int:
         else:
             high = mid - 1
     return low
-
-
-def detect_boundary(sessions: Sequence[QuerySession]) -> BoundaryEstimate:
-    """Locate the static/dynamic boundary from captured sessions.
-
-    Requires at least two complete sessions with *different* keywords
-    (the same keyword would reproduce identical pages, so the "common
-    prefix" would be the entire response — which is itself the signal
-    the FE-caching analysis uses, but useless for boundary detection).
-    """
-    complete = [s for s in sessions if s.complete]
-    if len(complete) < 2:
-        raise BoundaryError("need at least two complete sessions")
-    keywords = {s.keyword.text for s in complete}
-    if len(keywords) < 2:
-        raise BoundaryError(
-            "all sessions used the same keyword; the common prefix "
-            "would span the whole response")
-    streams = [reconstruct_inbound_stream(s.events) for s in complete]
-    offset = common_prefix_length(streams)
-    shortest = min(len(s) for s in streams)
-    if offset >= shortest:
-        raise BoundaryError(
-            "streams are identical over their whole shared length; "
-            "cannot have used different keywords")
-    if offset == 0:
-        raise BoundaryError("no common prefix; are these the same service?")
-    return BoundaryEstimate(stream_offset=offset,
-                            sessions_used=len(complete),
-                            distinct_keywords=len(keywords),
-                            min_stream_length=shortest)
-
-
-def boundaries_per_service(sessions: Sequence[QuerySession]
-                           ) -> Dict[str, BoundaryEstimate]:
-    """Run boundary detection separately for each service present.
-
-    Sessions of one service must share a front-end server (the raw
-    stream prefix includes FE-specific response headers); for mixed-FE
-    campaigns use :class:`BoundaryCalibration` instead.
-    """
-    by_service: Dict[str, List[QuerySession]] = {}
-    for session in sessions:
-        by_service.setdefault(session.service, []).append(session)
-    return {service: detect_boundary(group)
-            for service, group in by_service.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -157,42 +87,6 @@ def detect_static_size(sessions: Sequence[QuerySession]) -> int:
     if size >= min(len(b) for b in bodies):
         raise BoundaryError("response bodies are identical")
     return size
-
-
-def map_body_offset_to_stream(stream: bytes, body_offset: int) -> int:
-    """Map a body offset to its raw-stream offset through HTTP framing.
-
-    Supports Content-Length and chunked transfer encoding.  Raises
-    :class:`BoundaryError` if the stream ends before the offset.
-    """
-    if body_offset < 0:
-        raise ValueError("body_offset must be >= 0")
-    head_end = stream.find(b"\r\n\r\n")
-    if head_end < 0:
-        raise BoundaryError("no HTTP head in stream")
-    head = stream[:head_end].decode("latin-1", errors="replace").lower()
-    cursor = head_end + 4
-    if "transfer-encoding: chunked" not in head:
-        target = cursor + body_offset
-        if target >= len(stream):
-            raise BoundaryError("stream shorter than requested offset")
-        return target
-    remaining = body_offset
-    while True:
-        line_end = stream.find(b"\r\n", cursor)
-        if line_end < 0:
-            raise BoundaryError("truncated chunk header")
-        try:
-            chunk_size = int(stream[cursor:line_end].split(b";")[0], 16)
-        except ValueError:
-            raise BoundaryError("bad chunk size in stream")
-        data_start = line_end + 2
-        if chunk_size == 0:
-            raise BoundaryError("stream body shorter than requested offset")
-        if remaining < chunk_size:
-            return data_start + remaining
-        remaining -= chunk_size
-        cursor = data_start + chunk_size + 2  # skip payload + CRLF
 
 
 @dataclass(frozen=True)
@@ -267,7 +161,9 @@ def snap_to_chunk_boundary(stream: bytes, body_upper_bound: int
     spans = chunk_spans(stream)
     if not spans:
         # Content-Length response: no framing to snap to; use the bound.
-        offset = map_body_offset_to_stream(stream, body_upper_bound)
+        offset = stream.find(b"\r\n\r\n") + 4 + body_upper_bound
+        if offset >= len(stream):
+            raise BoundaryError("body shorter than the static upper bound")
         return StreamBoundary(static_end=offset, dynamic_start=offset)
     cumulative = 0
     for index, span in enumerate(spans):
@@ -284,8 +180,7 @@ def snap_to_chunk_boundary(stream: bytes, body_upper_bound: int
             if index == 0:
                 # The bound falls inside the first chunk: no earlier
                 # chunk boundary to snap to, use the bound itself.
-                offset = map_body_offset_to_stream(stream,
-                                                   body_upper_bound)
+                offset = span.payload_start + body_upper_bound
                 return StreamBoundary(static_end=offset,
                                       dynamic_start=offset)
             return StreamBoundary(

@@ -11,7 +11,7 @@ All functions return a string; callers decide where to print it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.stats import BoxStats
 
@@ -131,20 +131,3 @@ def hbox_plot(boxes: Sequence[Tuple[str, BoxStats]], *,
                                    value_format % high)
     lines.append(scale_line)
     return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
-    """A one-line trend of values using block characters."""
-    if not values:
-        raise ValueError("nothing to plot")
-    blocks = " .:-=+*#%@"
-    low, high = _bounds(values)
-    if width is not None and len(values) > width:
-        # Downsample by taking the mean of equal slices.
-        step = len(values) / width
-        values = [sum(values[int(i * step):int((i + 1) * step) or None])
-                  / max(1, len(values[int(i * step):int((i + 1) * step)
-                                      or None]))
-                  for i in range(width)]
-    return "".join(blocks[_scale(v, low, high, len(blocks))]
-                   for v in values)

@@ -25,9 +25,9 @@ Design rules, matching the obs metrics registry
 
 The quantile rule is nearest-rank on the bucket CDF: ``quantile(q)``
 returns the midpoint of the bucket containing the sorted observation
-at index ``floor(q * (count - 1))``, so the returned value is within
-:attr:`~QuantileSketch.relative_error` of that exact observation
-(``1 / (2 * subbuckets)``; 1/256 ≈ 0.4% at the default resolution).
+at index ``floor(q * (count - 1))``, so the returned value is within a
+relative ``1 / (2 * subbuckets)`` of that exact observation (1/256 ≈
+0.4% at the default resolution).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class QuantileSketch:
     >>> sketch = QuantileSketch()
     >>> for value in (0.1, 0.2, 0.4, 0.8):
     ...     sketch.observe(value)
-    >>> abs(sketch.quantile(0.5) - 0.2) <= 0.2 * sketch.relative_error
+    >>> abs(sketch.quantile(0.5) - 0.2) <= 0.2 / (2 * sketch.subbuckets)
     True
     """
 
@@ -69,12 +69,6 @@ class QuantileSketch:
         self.total = Fraction(0)
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
-
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative distance of a quantile answer from the
-        exact observation it stands for."""
-        return 1.0 / (2.0 * self.subbuckets)
 
     # ------------------------------------------------------------------
     # observe / merge
@@ -188,17 +182,6 @@ class QuantileSketch:
                 "total": self.total,
                 "min": self.minimum,
                 "max": self.maximum}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "QuantileSketch":
-        sketch = cls(state["subbuckets"])
-        sketch.counts = dict(state["counts"])
-        sketch.zeros = state["zeros"]
-        sketch.count = state["count"]
-        sketch.total = Fraction(state["total"])
-        sketch.minimum = state["min"]
-        sketch.maximum = state["max"]
-        return sketch
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical state (bit-comparable across

@@ -1,8 +1,7 @@
 """Statistical helpers used throughout the analysis.
 
-Everything the paper's inference needs: moving medians (Figure 3
-smooths with a window of 10), empirical CDFs (Figure 6), box-plot
-statistics (Figure 8), per-bin medians against an x variable
+Everything the paper's inference needs: empirical CDFs (Figure 6),
+box-plot statistics (Figure 8), per-bin medians against an x variable
 (Figure 5), ordinary least-squares linear regression (Figure 9's fit
 lines), the two-sample Kolmogorov-Smirnov test (Section 3's
 result-caching check) and Spearman's rank correlation (the keyword
@@ -114,24 +113,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return _percentile_sorted(sorted(_floats(values)), q)
 
 
-def moving_median(values: Sequence[float], window: int = 10) -> List[float]:
-    """Moving median with a trailing window (paper's Figure 3 smoothing).
-
-    The first ``window - 1`` outputs use the values available so far, so
-    the result has the same length as the input.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    out = []
-    buffer: List[float] = []
-    for value in values:
-        buffer.append(value)
-        if len(buffer) > window:
-            buffer.pop(0)
-        out.append(median(buffer))
-    return out
-
-
 def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
     """Empirical CDF as (value, fraction <= value) steps."""
     if len(values) == 0:
@@ -157,10 +138,6 @@ class BoxStats:
     median: float
     q3: float
     high_whisker: float
-
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
 
 
 def box_stats(values: Sequence[float]) -> BoxStats:
@@ -205,9 +182,6 @@ class LinearFit:
     intercept: float
     r_squared: float
     n: int
-
-    def predict(self, x: float) -> float:
-        return self.slope * x + self.intercept
 
 
 def linear_fit(x: Sequence[float], y: Sequence[float]) -> LinearFit:

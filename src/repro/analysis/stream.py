@@ -31,10 +31,6 @@ class ByteArrival:
     end: int     # one past the last new byte
     event: PacketEvent
 
-    @property
-    def size(self) -> int:
-        return self.end - self.start
-
 
 def peer_isn(events: Sequence[PacketEvent]) -> int:
     """The server's initial sequence number, from its SYN-ACK."""
@@ -137,8 +133,3 @@ def arrival_time_of_offset(arrivals: Sequence[ByteArrival],
         if arrival.start <= offset < arrival.end:
             return arrival.time
     return None
-
-
-def total_inbound_bytes(arrivals: Sequence[ByteArrival]) -> int:
-    """Distinct stream bytes delivered."""
-    return sum(a.size for a in arrivals)

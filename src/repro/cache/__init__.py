@@ -9,22 +9,15 @@ runs bit-identical.  See docs/CACHING.md.
 """
 
 from repro.cache.policy import ContentCache
-from repro.cache.spec import (ADMISSIONS, FILLS, POLICIES,
-                              REGIONAL_SCOPES, CacheHierarchySpec,
-                              CacheSpec)
-from repro.cache.tier import (LEVEL_NAMES, ORIGIN, CacheTier,
-                              aggregate_stats)
+from repro.cache.spec import POLICIES, CacheHierarchySpec, CacheSpec
+from repro.cache.tier import ORIGIN, CacheTier, aggregate_stats
 
 __all__ = [
-    "ADMISSIONS",
-    "FILLS",
     "POLICIES",
-    "REGIONAL_SCOPES",
     "CacheHierarchySpec",
     "CacheSpec",
     "CacheTier",
     "ContentCache",
-    "LEVEL_NAMES",
     "ORIGIN",
     "aggregate_stats",
 ]

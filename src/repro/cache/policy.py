@@ -92,17 +92,6 @@ class ContentCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> Optional[float]:
-        """Hit fraction over all lookups so far (None before any)."""
-        total = self.lookups
-        if total == 0:
-            return None
-        return self.hits / total
-
     def stats(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
@@ -137,10 +126,6 @@ class ContentCache:
         if not self.lookup(key):
             return None
         return self._entries[key].value
-
-    def peek(self, key: str) -> bool:
-        """Presence test without touching recency or counters."""
-        return key in self._entries
 
     def size_of(self, key: str) -> int:
         """Stored byte size of a resident key (KeyError if absent)."""
@@ -179,16 +164,6 @@ class ContentCache:
         self.insertions += 1
         self._inc("insertions")
         return True
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        self._entries.clear()
-        self.used_bytes = 0
-
-    def reset_stats(self) -> None:
-        """Zero the counters (residency is untouched)."""
-        self.hits = self.misses = 0
-        self.insertions = self.evictions = self.rejections = 0
 
     # -- internals -----------------------------------------------------
 

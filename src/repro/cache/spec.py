@@ -111,20 +111,7 @@ class CacheHierarchySpec:
             raise ValueError("regional_fetch_delay must be >= 0")
 
     @property
-    def finite(self) -> bool:
-        """True when the static path can miss (cold/evicting caches)."""
-        return self.static.finite
-
-    @property
     def shared_regional(self) -> bool:
         """True when the regional tier is shared across front-ends."""
         return self.regional is not None \
             and self.regional_scope == "shared"
-
-    @property
-    def tier_depth(self) -> int:
-        """Number of cache tiers ahead of the origin (1 or 2; 0 for
-        the degenerate always-hit black box)."""
-        if not self.static.finite:
-            return 0
-        return 2 if self.regional is not None else 1

@@ -107,17 +107,6 @@ class CacheTier:
             return 0.0
         return self.spec.regional_fetch_delay
 
-    def clear(self) -> None:
-        for cache in self.levels:
-            cache.clear()
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-tier counter dump plus the origin-fetch total."""
-        out = {LEVEL_NAMES[level]: cache.stats()
-               for level, cache in enumerate(self.levels)}
-        out["origin"] = {"fetches": self.origin_fetches}
-        return out
-
     def _fill_above(self, key: str, size_bytes: int,
                     hit_level: int) -> None:
         if self.spec.fill == "lcd":

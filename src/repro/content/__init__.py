@@ -1,12 +1,1 @@
 """Search content model: keywords and synthetic result pages."""
-
-from repro.content.keywords import Keyword, KeywordCatalog, KeywordClass
-from repro.content.page import PageGenerator, PageProfile
-
-__all__ = [
-    "Keyword",
-    "KeywordCatalog",
-    "KeywordClass",
-    "PageGenerator",
-    "PageProfile",
-]

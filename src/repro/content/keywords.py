@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.content import words
 from repro.sim.randomness import RandomStreams
@@ -181,16 +181,3 @@ class KeywordCatalog:
                 complexity=rng.uniform(0.2, 0.8),
                 suggested=suggested))
         return out
-
-    @staticmethod
-    def refinement_chain(base: Sequence[str]) -> List[Keyword]:
-        """Build the paper's explicit granularity example: each prefix of
-        ``base`` becomes one keyword of increasing granularity."""
-        chain = []
-        for depth in range(1, len(base) + 1):
-            text = " ".join(base[:depth])
-            chain.append(Keyword(text=text,
-                                 popularity=max(0.05, 0.5 / depth),
-                                 complexity=min(1.0, 0.15 * depth),
-                                 granularity=depth))
-        return chain

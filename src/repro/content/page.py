@@ -175,9 +175,6 @@ class PageGenerator:
                 % (index + 1, keyword.text, copy))
 
     # ------------------------------------------------------------------
-    def full_page(self, keyword: Keyword) -> bytes:
-        """Static + dynamic concatenation, as delivered to a user."""
-        return self.static_content() + self.dynamic_content(keyword)
 
     @staticmethod
     def _fit(page: bytes, target: int, filler_tag: bytes) -> bytes:

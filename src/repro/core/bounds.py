@@ -98,16 +98,3 @@ def check_bounds(metrics: Sequence[QueryMetrics],
             tdynamic=metric.tdynamic,
             rtt=metric.rtt))
     return report
-
-
-def estimate_tfetch(metric: QueryMetrics,
-                    weight: float = 0.5) -> float:
-    """Point estimate of Tfetch from the bounds.
-
-    ``weight`` interpolates between the lower bound (0.0) and upper
-    bound (1.0).  At small client-FE RTT, Tdynamic is the tight bound
-    (the paper uses it directly as the Tfetch proxy in Section 5).
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must be in [0,1]")
-    return (1.0 - weight) * metric.tdelta + weight * metric.tdynamic

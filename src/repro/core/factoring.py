@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import LinearFit, linear_fit, median
-from repro.sim import units
 from repro.core.metrics import QueryMetrics
 
 
@@ -52,13 +51,6 @@ class FetchFactoring:
     def slope_ms_per_mile(self) -> float:
         """Network delay contribution, in ms per mile of FE-BE distance."""
         return self.fit.slope * 1000.0
-
-    def network_share(self, distance_miles: float) -> float:
-        """Estimated fraction of Tfetch due to the network at a distance."""
-        total = self.fit.predict(distance_miles)
-        if total <= 0:
-            return 0.0
-        return max(0.0, self.fit.slope * distance_miles) / total
 
 
 def build_distance_points(
@@ -129,46 +121,3 @@ def factor_fetch_time(points: Sequence[DistancePoint],
         fit = linear_fit([p.distance_miles for p in points],
                          [p.tdynamic_median for p in points])
     return FetchFactoring(points=tuple(points), fit=fit)
-
-
-def estimate_rtt_be(factoring: FetchFactoring, distance_miles: float,
-                    c: float = 3.0) -> float:
-    """Back out RTTbe from the slope given an assumed window count C.
-
-    The paper's Eq. 2 reviewer heuristic: slope = C * dRTTbe/dmiles, so
-    RTTbe(distance) = slope * distance / C.
-    """
-    if c <= 0:
-        raise ValueError("C must be positive")
-    return factoring.fit.slope * distance_miles / c
-
-
-def tproc_via_geography(metrics: Sequence[QueryMetrics],
-                        fe_be_distance_miles: float, *,
-                        c: float = 3.0,
-                        route_inflation: float = 1.6,
-                        max_client_rtt: float = 0.040) -> List[float]:
-    """Per-query back-end processing estimates via geographic RTTbe.
-
-    Reviewer #3's suggestion in the paper's summary review: "use a
-    virtual coordinate system to estimate the RTT between FE and BE
-    servers and then take this ... out from Tdynamic in order to say
-    something about Tproc at the datacenter."  Here the coordinate
-    system is geography itself: RTTbe is predicted from the FE-BE
-    great-circle distance at fiber speed, scaled by ``route_inflation``,
-    and ``Tproc ~ Tdynamic - C * RTTbe`` for low-client-RTT queries.
-
-    Returns one estimate per qualifying query (clamped at zero).
-    """
-    if fe_be_distance_miles < 0:
-        raise ValueError("distance must be non-negative")
-    if c <= 0:
-        raise ValueError("C must be positive")
-    rtt_be = 2.0 * units.propagation_delay(fe_be_distance_miles,
-                                           route_inflation)
-    estimates = []
-    for metric in metrics:
-        if metric.rtt > max_client_rtt:
-            continue
-        estimates.append(max(0.0, metric.tdynamic - c * rtt_be))
-    return estimates

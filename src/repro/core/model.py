@@ -85,18 +85,3 @@ class AbstractModel:
         if self.static_windows == 0:
             return float("inf") if self.tfetch > self.fe_delay else 0.0
         return max(0.0, (self.tfetch - self.fe_delay) / self.static_windows)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def bounds_hold(tdelta: float, tfetch: float, tdynamic: float,
-                    slack: float = 0.0) -> bool:
-        """Check the paper's Eq. 1: Tdelta <= Tfetch <= Tdynamic."""
-        return tdelta - slack <= tfetch <= tdynamic + slack
-
-    @staticmethod
-    def fetch_decomposition(tproc: float, rtt_be: float,
-                            c: float) -> float:
-        """The paper's Eq. 2: Tfetch = Tproc + C * RTTbe."""
-        if c < 0 or tproc < 0 or rtt_be < 0:
-            raise ValueError("components must be non-negative")
-        return tproc + c * rtt_be

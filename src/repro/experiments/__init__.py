@@ -26,7 +26,7 @@ from repro.experiments.ablation import (
 )
 from repro.experiments.cache_lab import run_cache_lab
 from repro.experiments.caching import run_caching_experiment
-from repro.experiments.common import ExperimentScale, build_scenario
+from repro.experiments.common import ExperimentScale
 from repro.experiments.dataset_a import (
     run_dataset_a_experiment,
     run_fig6,
@@ -35,18 +35,15 @@ from repro.experiments.dataset_a import (
 )
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.keyword_effects import run_keyword_effects
-from repro.experiments.load_sensitivity import run_load_sensitivity
 from repro.experiments.residential import run_residential
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig9 import run_fig9
 from repro.experiments.interactive import run_interactive
 from repro.experiments.validation import run_validation
-from repro.experiments.whatif import run_whatif
 
 __all__ = [
     "ExperimentScale",
-    "build_scenario",
     "run_cache_ablation",
     "run_cache_lab",
     "run_caching_experiment",
@@ -61,11 +58,9 @@ __all__ = [
     "run_idle_reset_ablation",
     "run_interactive",
     "run_keyword_effects",
-    "run_load_sensitivity",
     "run_loss_ablation",
     "run_placement_ablation",
     "run_residential",
     "run_split_tcp_ablation",
     "run_validation",
-    "run_whatif",
 ]

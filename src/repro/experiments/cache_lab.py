@@ -95,13 +95,6 @@ class CacheLabPoint:
             return 0.0
         return self.fe_hits / self.queries
 
-    @property
-    def classifier_agrees(self) -> bool:
-        """Does the outside-view hit rate track the ground truth
-        within 10 points?"""
-        return abs(self.measured_hit_rate
-                   - self.ground_truth_hit_rate) <= 0.10
-
 
 @dataclass
 class CacheValidationCase:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.analysis.stats import moving_median, summary
+from repro.analysis.stats import summary
 from repro.content.keywords import Keyword, KeywordCatalog
 from repro.core.metrics import extract_all_calibrated
 from repro.experiments.common import (
@@ -32,13 +32,6 @@ class KeywordSeries:
     keyword: Keyword
     tstatic: List[float] = field(default_factory=list)
     tdynamic: List[float] = field(default_factory=list)
-
-    def smoothed(self, window: int = 10) -> "KeywordSeries":
-        """The paper's moving-median view."""
-        out = KeywordSeries(self.keyword)
-        out.tstatic = moving_median(self.tstatic, window)
-        out.tdynamic = moving_median(self.tdynamic, window)
-        return out
 
 
 @dataclass

@@ -84,10 +84,6 @@ class Fig4Result:
     service: str
     rows: List[TimelineRow] = field(default_factory=list)
 
-    def gaps(self) -> List[Tuple[float, float]]:
-        """(rtt, static-to-dynamic gap) pairs."""
-        return [(row.target_rtt, row.gap) for row in self.rows]
-
     def gap_shrinks_with_rtt(self) -> bool:
         """The model's prediction: larger RTT, smaller (or merged) gap."""
         gaps = [row.gap for row in self.rows]

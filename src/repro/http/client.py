@@ -74,10 +74,6 @@ class HttpFetch(TcpApp):
                                                  local_port=local_port,
                                                  config=config)
 
-    @property
-    def complete(self) -> bool:
-        return self._complete
-
     # TcpApp interface -------------------------------------------------
     def on_established(self, conn: Connection) -> None:
         conn.send(self.request.encode())
@@ -141,13 +137,6 @@ class PersistentHttpClient(TcpApp):
                                                  controller=controller)
 
     # ------------------------------------------------------------------
-    @property
-    def established(self) -> bool:
-        return self._established
-
-    @property
-    def busy(self) -> bool:
-        return self._inflight is not None
 
     @property
     def queue_depth(self) -> int:

@@ -102,10 +102,6 @@ class HttpResponse:
     body: bytes = b""
     version: str = "HTTP/1.1"
 
-    @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
-
     def encode_head(self) -> bytes:
         reason = REASONS.get(self.status, "Unknown")
         head = "%s %d %s" % (self.version, self.status, reason)
@@ -114,12 +110,6 @@ class HttpResponse:
         if encoded_headers:
             parts.append(encoded_headers)
         return CRLF.join(parts) + CRLF + CRLF
-
-    def encode(self) -> bytes:
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(self.body)))
-        clone = HttpResponse(self.status, headers, b"", self.version)
-        return clone.encode_head() + self.body
 
 
 def encode_chunk(data: bytes) -> bytes:

@@ -5,7 +5,7 @@ no runtime test can see a violation (``docs/LINTING.md`` records, per
 rule, a seeded bug that only that rule catches):
 
 * :mod:`repro.lint.determinism` (DET001-DET005) — no host clocks, OS
-  entropy, shared global ``random``, salted ``hash()`` seeds, or
+  entropy, shared global ``random``, the salted ``hash()``, or
   set-iteration order leaking into the event queue.
 * :mod:`repro.lint.unit_safety` (UNIT001-UNIT004) — suffix-checked unit
   discipline (``_ms``/``_s``/``_miles``/``_bytes``/``_bps``) with
@@ -34,37 +34,17 @@ catalogue and ``benchmarks/lint_audit.py`` for the mutation audit.
 """
 
 from repro.lint.framework import (
-    Finding,
-    FileContext,
     LintConfig,
     LintConfigError,
     LintRunner,
-    Rule,
     all_rules,
-    find_pyproject,
     load_config,
-    register,
-)
-from repro.lint.project import (
-    ModuleFacts,
-    ProjectContext,
-    ProjectRule,
-    extract_module_facts,
 )
 
 __all__ = [
-    "Finding",
-    "FileContext",
     "LintConfig",
     "LintConfigError",
     "LintRunner",
-    "ModuleFacts",
-    "ProjectContext",
-    "ProjectRule",
-    "Rule",
     "all_rules",
-    "extract_module_facts",
-    "find_pyproject",
     "load_config",
-    "register",
 ]

@@ -9,9 +9,9 @@ from the host.  These rules catch the host leaking in.
 from __future__ import annotations
 
 import ast
-from typing import Optional, Set
+from typing import Set
 
-from repro.lint.framework import Rule, ancestors, register
+from repro.lint.framework import Rule, register
 
 #: Host-clock callables (resolved through import aliases).
 WALL_CLOCK_CALLS = {
@@ -118,7 +118,7 @@ class SaltedHashRule(Rule):
     id = "DET004"
     name = "salted-hash"
     severity = "error"
-    description = ("Builtin hash() feeding a seed or an ordering; hash() is "
+    description = ("Builtin hash() call or hash as a sort key; hash() is "
                    "salted per process (PYTHONHASHSEED) so results differ "
                    "between runs.")
 
@@ -138,33 +138,10 @@ class SaltedHashRule(Rule):
                                 "order every process; sort on a stable key "
                                 "or use randomness.derive_seed")
             return
-        if not (isinstance(func, ast.Name) and func.id == "hash"):
-            return
-        context = self._seeding_context(node)
-        if context:
-            self.report(node, "hash() is salted per process and must not "
-                              "%s; use randomness.derive_seed(root_seed, "
-                              "name) for a stable mapping" % context)
-
-    def _seeding_context(self, node: ast.Call) -> Optional[str]:
-        for ancestor in ancestors(node):
-            if isinstance(ancestor, ast.Call):
-                qual = self.ctx.qualname(ancestor.func) or ""
-                last = qual.rpartition(".")[2]
-                if "seed" in last.lower() or last == "Random":
-                    return "feed %s()" % qual
-                for keyword in ancestor.keywords:
-                    if (keyword.arg and "seed" in keyword.arg.lower()
-                            and _contains(keyword.value, node)):
-                        return "feed the %r argument" % keyword.arg
-            elif isinstance(ancestor, (ast.Assign, ast.AnnAssign,
-                                       ast.AugAssign)):
-                for name in _target_names(ancestor):
-                    if "seed" in name.lower():
-                        return "be stored in %r" % name
-            if isinstance(ancestor, ast.stmt):
-                break
-        return None
+        if isinstance(func, ast.Name) and func.id == "hash":
+            self.report(node, "hash() is salted per process; use "
+                              "randomness.derive_seed(root_seed, name) for "
+                              "a stable mapping")
 
 
 @register
@@ -225,6 +202,3 @@ def _target_names(node: ast.stmt):
         elif isinstance(target, ast.Attribute):
             yield target.attr
 
-
-def _contains(tree: ast.AST, node: ast.AST) -> bool:
-    return any(child is node for child in ast.walk(tree))

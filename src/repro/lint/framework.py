@@ -41,7 +41,6 @@ __all__ = [
     "LintRunner",
     "register",
     "all_rules",
-    "get_rule",
     "load_config",
     "find_pyproject",
 ]
@@ -132,15 +131,6 @@ def all_rules() -> Dict[str, type]:
     """Return the registry (id -> rule class), importing the rule packs."""
     _load_rule_packs()
     return dict(_REGISTRY)
-
-
-def get_rule(rule_id: str) -> type:
-    _load_rule_packs()
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise LintConfigError("unknown rule id %r; known rules: %s"
-                              % (rule_id, ", ".join(sorted(_REGISTRY))))
 
 
 def _load_rule_packs() -> None:

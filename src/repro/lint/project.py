@@ -542,7 +542,7 @@ def _collect_sim_locals(node: ast.AST,
 def _is_sim_run(node: ast.AST, sim_locals: Set[str]) -> bool:
     if not (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("run", "run_until_idle")):
+            and node.func.attr == "run"):
         return False
     value = node.func.value
     if isinstance(value, ast.Name):

@@ -66,29 +66,6 @@ class PacketEvent:
         self.retransmit = retransmit
         self.payload = payload
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<PacketEvent %s>" % self.describe()
-
-    @property
-    def is_pure_ack(self) -> bool:
-        return (self.ack_flag and self.payload_len == 0
-                and not self.syn and not self.fin)
-
-    @property
-    def local_port(self) -> int:
-        """The captured host's port for this packet."""
-        return self.sport if self.direction == "out" else self.dport
-
-    def describe(self) -> str:
-        """tcpdump-style one-liner."""
-        arrow = ">" if self.direction == "out" else "<"
-        flags = "".join(c for f, c in ((self.syn, "S"), (self.fin, "F"),
-                                       (self.ack_flag, ".")) if f)
-        return "%.6f %s %s:%d %s %s:%d [%s] seq=%d ack=%d len=%d" % (
-            self.time, arrow, self.src, self.sport, arrow,
-            self.dst, self.dport, flags, self.seq, self.ack,
-            self.payload_len)
-
 
 class PacketCapture:
     """Tap-based, per-port packet recorder for one host."""

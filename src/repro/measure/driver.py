@@ -68,12 +68,6 @@ class DatasetA:
     def for_service(self, service: str) -> List[QuerySession]:
         return [s for s in self.sessions if s.service == service]
 
-    def for_vp(self, vp_name: str, service: Optional[str] = None
-               ) -> List[QuerySession]:
-        return [s for s in self.sessions
-                if s.vp_name == vp_name
-                and (service is None or s.service == service)]
-
 
 @dataclass
 class DatasetB:
@@ -89,9 +83,6 @@ class DatasetB:
     #: Observability capture (repro.obs), as on :class:`DatasetA`.
     trace: Optional[list] = None
     obs_metrics: Optional[obs.MetricsSnapshot] = None
-
-    def for_vp(self, vp_name: str) -> List[QuerySession]:
-        return [s for s in self.sessions if s.vp_name == vp_name]
 
 
 def run_dataset_a(scenario: Scenario, keywords: Sequence[Keyword], *,

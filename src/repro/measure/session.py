@@ -49,6 +49,3 @@ class QuerySession:
         """Inbound packets carrying payload, in arrival order."""
         return [e for e in self.events
                 if e.direction == "in" and e.payload_len > 0]
-
-    def outbound_events(self) -> List[PacketEvent]:
-        return [e for e in self.events if e.direction == "out"]

@@ -155,10 +155,6 @@ class StreamingCampaignResult:
             sketch = self.sketches[name] = QuantileSketch()
         return sketch
 
-    def quantile(self, name: str, q: float) -> Optional[float]:
-        sketch = self.sketches.get(name)
-        return sketch.quantile(q) if sketch is not None else None
-
     def hit_rate(self) -> Optional[float]:
         """Replay-cache hit fraction of submitted events (None = off)."""
         if self.replay is None or self.events == 0:

@@ -39,9 +39,6 @@ class FlowKey:
     local: Endpoint
     remote: Endpoint
 
-    def reversed(self) -> "FlowKey":
-        return FlowKey(self.remote, self.local)
-
     def __str__(self) -> str:
         return "%s <-> %s" % (self.local, self.remote)
 

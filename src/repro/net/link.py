@@ -43,13 +43,6 @@ class LinkStats:
     packets_dropped_queue: int = 0
     bytes_delivered: int = 0
 
-    @property
-    def loss_fraction(self) -> float:
-        """Fraction of offered packets lost to random loss."""
-        if self.packets_offered == 0:
-            return 0.0
-        return self.packets_lost / self.packets_offered
-
 
 class Link:
     """A unidirectional link between two nodes.

@@ -55,7 +55,7 @@ from repro.obs.trace import Span, Tracer, merge_span_dicts
 __all__ = [
     "SCOPE_HOST", "SCOPE_SIM", "Capture", "MetricsRegistry",
     "MetricsSnapshot", "Span", "Tracer", "absorb",
-    "annotate_boundaries", "capture", "configure_from_env", "disable",
+    "annotate_boundaries", "capture", "disable",
     "enable", "enabled", "env_trace_path", "export_chrome",
     "export_jsonl", "merge_metrics", "merge_span_dicts", "merge_traces",
     "record_campaign", "render_summary", "reset", "runtime",
@@ -76,10 +76,6 @@ def disable() -> None:
 
 def reset() -> None:
     runtime.reset()
-
-
-def configure_from_env() -> None:
-    runtime.configure_from_env()
 
 
 def env_trace_path() -> Optional[str]:

@@ -71,12 +71,6 @@ class Histogram:
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    @property
-    def mean(self) -> Optional[float]:
-        if self.count == 0:
-            return None
-        return float(self.total / self.count)
-
     def state(self) -> dict:
         """An immutable-ish, picklable copy of the histogram state."""
         return {"bounds": self.bounds, "counts": tuple(self.counts),

@@ -140,9 +140,3 @@ def reset() -> None:
     """Drop all recorded spans and metrics (keeps the switch as-is)."""
     tracer.clear()
     metrics.clear()
-
-
-def configure_from_env() -> None:
-    """Re-read ``REPRO_TRACE`` (e.g. after the CLI mutates environ)."""
-    global enabled
-    enabled = env_setting() is not None

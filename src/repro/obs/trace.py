@@ -44,9 +44,6 @@ class Span:
         self.children.append(span)
         return span
 
-    def finish(self, end: float) -> None:
-        self.end = end
-
     # -- canonical serialization ---------------------------------------
     def sort_key(self) -> tuple:
         return (self.start,
@@ -107,11 +104,6 @@ class Tracer:
     def add(self, span: Span) -> Span:
         self.spans.append(span)
         return span
-
-    def span(self, name: str, start: float,
-             end: Optional[float] = None,
-             attrs: Optional[Dict[str, object]] = None) -> Span:
-        return self.add(Span(name, start, end, attrs))
 
     def snapshot(self) -> List[dict]:
         """Canonical serialized copies of every recorded span."""

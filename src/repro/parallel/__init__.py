@@ -17,9 +17,6 @@ per shard, and merges the results deterministically:
   shard raises :class:`ShardError`, naming the shard.  Dataset B aims
   every vantage point at one front-end, a single component, so it runs
   serially.
-* :func:`run_over_seeds` — repeat a whole figure experiment across
-  seeds, one process per seed.  A failing seed raises
-  :class:`ShardError`, naming the seed and the runner.
 
 Load-sensitivity experiments deliberately opt out: their entire point
 is cross-client interaction through FE load, so splitting their clients
@@ -33,7 +30,6 @@ from repro.parallel.partition import (
     partition_components,
 )
 from repro.parallel.pool import ShardError, map_shards
-from repro.parallel.seeds import run_over_seeds
 
 __all__ = [
     "ShardError",
@@ -41,6 +37,5 @@ __all__ = [
     "map_shards",
     "partition_components",
     "run_dataset_a_sharded",
-    "run_over_seeds",
     "run_streaming_sharded",
 ]

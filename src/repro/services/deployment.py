@@ -237,11 +237,6 @@ class ServiceDeployment:
         """Make keyword attributes resolvable at the back-ends."""
         self.registry.register_all(keywords)
 
-    def nearest_frontend(self, location: GeoPoint) -> FrontEndServer:
-        """The geographically nearest FE (used by DNS default mapping)."""
-        frontend, _ = nearest(location, self.frontends)
-        return frontend
-
     def frontend_by_name(self, name: str) -> FrontEndServer:
         for frontend in self.frontends:
             if frontend.node.name == name or name in frontend.node.name:
@@ -253,10 +248,6 @@ class ServiceDeployment:
         """The BE a given FE forwards to (its nearest, chosen when the
         deployment was built)."""
         return self._backend_of[frontend.node.name]
-
-    def fe_be_distance_miles(self, frontend: FrontEndServer) -> float:
-        backend = self.backend_for_frontend(frontend)
-        return frontend.location.distance_miles(backend.location)
 
     def merged_fetch_log(self) -> Dict[str, object]:
         """Union of all FEs' ground-truth fetch records."""

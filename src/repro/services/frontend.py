@@ -169,10 +169,6 @@ class FrontEndServer:
     def location(self) -> Optional[GeoPoint]:
         return self.node.location
 
-    @property
-    def name(self) -> str:
-        return self.node.name
-
     def _pick_backend_client(self) -> PersistentHttpClient:
         """Least-loaded persistent connection in the pool."""
         return min(self._pool, key=lambda c: c.queue_depth)

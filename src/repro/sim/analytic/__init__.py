@@ -22,24 +22,12 @@ function directly:
 
 from repro.sim.analytic.gate import DEFAULT_TOLERANCE, DivergenceGate
 from repro.sim.analytic.manager import TieredSessionManager, tier_mode
-from repro.sim.analytic.model import (
-    LinkHorizon,
-    SessionModel,
-    SessionParams,
-    predict_session,
-)
-from repro.sim.analytic.predictor import AnalyticPredictor
 from repro.sim.stats import TierStats
 
 __all__ = [
-    "AnalyticPredictor",
     "DEFAULT_TOLERANCE",
     "DivergenceGate",
-    "LinkHorizon",
-    "SessionModel",
-    "SessionParams",
     "TierStats",
     "TieredSessionManager",
-    "predict_session",
     "tier_mode",
 ]

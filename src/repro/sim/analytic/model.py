@@ -231,10 +231,6 @@ class SessionModel:
     acks: Tuple[ReceiverAck, ...]
     response_size: int
 
-    @property
-    def duration(self) -> float:
-        return self.completed_at
-
 
 def predict_session(p: SessionParams) -> SessionModel:
     """Evaluate the closed-form model for one session.

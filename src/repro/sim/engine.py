@@ -56,8 +56,8 @@ _STATE = 4
 
 #: An event handle is the heap entry itself — a plain list
 #: ``[time, seq, callback, args, state]``.  Treat it as opaque: cancel
-#: through :meth:`Simulator.cancel`, inspect through :func:`is_cancelled`
-#: / :func:`is_pending`.  Kept as a named alias for annotations.
+#: through :meth:`Simulator.cancel`.  Kept as a named alias for
+#: annotations.
 EventHandle = list
 
 
@@ -67,16 +67,6 @@ class SimulationError(Exception):
 
 class SchedulingError(SimulationError):
     """Raised when an event is scheduled in the past or on a dead engine."""
-
-
-def is_pending(handle: EventHandle) -> bool:
-    """True while the event has neither fired nor been cancelled."""
-    return handle[_STATE] == _PENDING
-
-
-def is_cancelled(handle: EventHandle) -> bool:
-    """True once the event was cancelled (and will therefore never fire)."""
-    return handle[_STATE] == _CANCELLED
 
 
 class Simulator:
@@ -119,23 +109,9 @@ class Simulator:
         """Number of events executed so far (cancelled events excluded).
 
         Updated when :meth:`run` returns (the dispatch loop tallies
-        locally); :meth:`step` updates it immediately.
+        locally).
         """
         return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of queue entries not yet executed (may include cancelled)."""
-        return len(self._queue)
-
-    @property
-    def live_events(self) -> int:
-        """Number of queue entries that will actually fire.
-
-        Unlike :attr:`pending_events` this excludes lazily-cancelled
-        entries; the count is maintained incrementally (no queue scan).
-        """
-        return len(self._queue) - self._cancelled
 
     # ------------------------------------------------------------------
     # scheduling
@@ -265,22 +241,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single next pending event.
-
-        Returns ``True`` if an event was executed, ``False`` if the queue
-        was empty (cancelled entries are drained silently).
-        """
-        self._drain_cancelled_head()
-        if not self._queue:
-            return False
-        entry = _heappop(self._queue)
-        self._now = entry[0]
-        self._processed += 1
-        entry[_STATE] = _EXECUTED
-        entry[2](*entry[3])
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
@@ -342,27 +302,3 @@ class Simulator:
             next_time = self._next_live_time()
             if next_time is None or next_time > until:
                 self._now = until
-
-    def run_until_idle(self, idle_gap: float, hard_limit: float) -> None:
-        """Run until no event fires within ``idle_gap`` of the previous one.
-
-        Useful for draining a measurement session whose natural end is "the
-        connection went quiet".  ``hard_limit`` caps total simulated time:
-        an event scheduled past it never fires, even mid-burst, so the
-        clock cannot overshoot the cap.  An inter-event gap *exactly*
-        equal to ``idle_gap`` does not stop the run (the test is strictly
-        greater-than).
-        """
-        if idle_gap <= 0:
-            raise ValueError("idle_gap must be positive")
-        last = self._now
-        while self.live_events and self._now < hard_limit:
-            self._drain_cancelled_head()
-            if not self._queue:
-                break
-            next_time = self._queue[0][0]
-            if next_time - last > idle_gap or next_time > hard_limit:
-                break
-            if not self.step():
-                break
-            last = self._now

@@ -72,10 +72,6 @@ class ReplayStats(SummedStats):
     #: Reason -> count for submissions admission turned away.
     bypasses: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def submissions(self) -> int:
-        return self.hits + self.misses + self.bypassed
-
 
 @dataclass
 class TierStats(SummedStats):
@@ -94,10 +90,6 @@ class TierStats(SummedStats):
     demotions: int = 0
     #: Admission-bypass reasons -> counts (packet-tier sessions).
     bypasses: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def submissions(self) -> int:
-        return self.analytic + self.simulated
 
 
 def sum_stats(parts: Iterable[Optional[SummedStats]]

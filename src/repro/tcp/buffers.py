@@ -11,7 +11,7 @@ arrivals must reproduce the original stream exactly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class SendBuffer:
@@ -43,10 +43,6 @@ class SendBuffer:
     @property
     def unacked_bytes(self) -> int:
         return self.nxt - self.una
-
-    @property
-    def all_acked(self) -> bool:
-        return self.una == self._length
 
     # ------------------------------------------------------------------
     def enqueue(self, data: bytes) -> None:
@@ -164,14 +160,6 @@ class Reassembler:
         self._segments: Dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def buffered_bytes(self) -> int:
-        return sum(len(d) for d in self._segments.values())
-
-    @property
-    def available_window(self) -> int:
-        """Receive window left to advertise."""
-        return max(0, self.window_bytes - self.buffered_bytes)
 
     def offer(self, offset: int, data: bytes) -> bytes:
         """Insert a received segment; return newly in-order bytes.
@@ -229,13 +217,3 @@ class Reassembler:
             # Fully stale segment.
             del self._segments[start]
         return None
-
-    def gaps(self) -> List[Tuple[int, int]]:
-        """Return the (start, end) offsets of holes before buffered data."""
-        holes = []
-        cursor = self.next_expected
-        for start in sorted(self._segments):
-            if start > cursor:
-                holes.append((cursor, start))
-            cursor = max(cursor, start + len(self._segments[start]))
-        return holes

@@ -12,7 +12,7 @@ but talks to the back-end over a long-lived, already-warm connection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.sim import units
 from repro.tcp.segment import DEFAULT_MSS
@@ -112,10 +112,6 @@ class TcpConfig:
     @property
     def initial_cwnd_bytes(self) -> int:
         return self.mss * self.initial_window_segments
-
-    def with_overrides(self, **kwargs) -> "TcpConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **kwargs)
 
 
 #: Era-appropriate defaults for a user-facing (cold) connection.

@@ -12,8 +12,6 @@ by the BE-FE persistent-connection ablation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class CongestionController:
     """Interface for congestion-control algorithms.
@@ -45,16 +43,6 @@ class CongestionController:
         raise NotImplementedError
 
 
-@dataclass
-class RenoState:
-    """Snapshot of a Reno controller, for tracing and assertions."""
-
-    cwnd: int
-    ssthresh: int
-    in_recovery: bool
-    in_slow_start: bool
-
-
 class RenoController(CongestionController):
     """NewReno-style congestion control in bytes."""
 
@@ -75,10 +63,6 @@ class RenoController(CongestionController):
     @property
     def in_recovery(self) -> bool:
         return self._recovery
-
-    def snapshot(self) -> RenoState:
-        return RenoState(self.cwnd, self.ssthresh,
-                         self._recovery, self.in_slow_start)
 
     # ------------------------------------------------------------------
     def on_ack(self, newly_acked: int, flight_size: int) -> None:

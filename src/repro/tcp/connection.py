@@ -196,11 +196,6 @@ class Connection:
     def remote(self) -> Endpoint:
         return self.flow.remote
 
-    @property
-    def srtt(self) -> Optional[float]:
-        """Smoothed RTT estimate in seconds (None before first sample)."""
-        return self._srtt
-
     def send(self, data: bytes) -> None:
         """Queue application ``data`` for transmission."""
         if self._fin_sent:

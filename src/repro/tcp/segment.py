@@ -78,22 +78,3 @@ class Segment:
         self.fin = fin
         self.ack_flag = ack_flag
         self.retransmit = retransmit
-
-    @property
-    def is_pure_ack(self) -> bool:
-        """True for segments that carry only an acknowledgement."""
-        return (self.ack_flag and not len(self.data)
-                and not self.syn and not self.fin)
-
-    def describe(self) -> str:
-        """Compact tcpdump-style description, used in trace tooling."""
-        flags = "".join(code for flag, code in
-                        ((self.syn, "S"), (self.fin, "F"),
-                         (self.ack_flag, "."))
-                        if flag) or "-"
-        return "%d>%d [%s] seq=%d ack=%d len=%d" % (
-            self.sport, self.dport, flags, self.seq, self.ack,
-            len(self.data))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<Segment %s>" % self.describe()

@@ -1,26 +1,1 @@
 """PlanetLab-style testbed: sites, vantage points, scenario assembly."""
-
-from repro.testbed.scenario import CLIENT_ROUTE_INFLATION, Scenario, ScenarioConfig
-from repro.testbed.sites import (
-    BING_LIKE_BE_SITES,
-    GOOGLE_LIKE_BE_SITES,
-    METROS,
-    Metro,
-    akamai_like_fe_sites,
-    google_like_fe_sites,
-)
-from repro.testbed.vantage import VantagePoint, generate_vantage_points
-
-__all__ = [
-    "BING_LIKE_BE_SITES",
-    "CLIENT_ROUTE_INFLATION",
-    "GOOGLE_LIKE_BE_SITES",
-    "METROS",
-    "Metro",
-    "Scenario",
-    "ScenarioConfig",
-    "VantagePoint",
-    "akamai_like_fe_sites",
-    "generate_vantage_points",
-    "google_like_fe_sites",
-]

@@ -6,13 +6,14 @@ clusters, so the measured RTTs — "a latency of 20 ms even to Akamai is
 really low" — under-represent real users; DSL interleaving alone adds
 ~30 ms (Maier et al., IMC 2009), and mobile users see more.
 
-This module provides alternative vantage-point generators so the
-reproduction can quantify that critique:
+This module provides access profiles and a vantage-point generator
+for them (:func:`vantage_points_with_profile`) so the reproduction can
+quantify that critique:
 
-* :func:`residential_vantage_points` — DSL-like access: 15-40 ms
-  last-mile delay, mild loss, moderate peering penalty;
-* :func:`mobile_vantage_points` — 3G-like access: 40-120 ms last-mile
-  delay and noticeable loss.
+* :data:`RESIDENTIAL_DSL` — DSL-like access: 15-40 ms last-mile delay,
+  mild loss, moderate peering penalty;
+* :data:`MOBILE_3G` — 3G-like access: 40-120 ms last-mile delay and
+  noticeable loss.
 
 Access loss rates are carried on the vantage point (via the
 ``access_loss_rate`` metadata) and applied by
@@ -84,17 +85,6 @@ def vantage_points_with_profile(count: int, profile: AccessProfile, *,
             peering_penalty=units.ms(rng.uniform(
                 *profile.peering_penalty_range_ms))))
     return out
-
-
-def residential_vantage_points(count: int, seed: int = 0
-                               ) -> List[VantagePoint]:
-    """DSL-home vantage points (reviewer #5's population)."""
-    return vantage_points_with_profile(count, RESIDENTIAL_DSL, seed=seed)
-
-
-def mobile_vantage_points(count: int, seed: int = 0) -> List[VantagePoint]:
-    """3G-like mobile vantage points."""
-    return vantage_points_with_profile(count, MOBILE_3G, seed=seed)
 
 
 def scenario_with_access_profile(profile: AccessProfile, *,

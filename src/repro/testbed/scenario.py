@@ -87,24 +87,8 @@ class LazyServiceMap:
     def __contains__(self, name) -> bool:
         return name in self._factories
 
-    def get(self, name, default=None):
-        if name not in self._factories:
-            return default
-        return self[name]
-
-    def keys(self):
-        return self._factories.keys()
-
     def values(self):
         return [self[name] for name in self._factories]
-
-    def items(self):
-        return [(name, self[name]) for name in self._factories]
-
-    @property
-    def built(self) -> Dict[str, ServiceDeployment]:
-        """The deployments constructed so far (for tests/diagnostics)."""
-        return dict(self._built)
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,12 @@ them in bounded memory.
 """
 
 from repro.workload.arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
     DiurnalArrivals,
     FlashCrowdArrivals,
     PoissonArrivals,
     make_arrivals,
 )
-from repro.workload.generator import (
-    OpenLoopWorkload,
-    QueryEvent,
-    WorkloadSpec,
-)
+from repro.workload.generator import OpenLoopWorkload, WorkloadSpec
 from repro.workload.popularity import ZipfPopularity, zipf_universe
 from repro.workload.trace import (
     TraceFormatError,
@@ -40,13 +34,10 @@ from repro.workload.trace import (
 )
 
 __all__ = [
-    "ARRIVAL_KINDS",
-    "ArrivalProcess",
     "DiurnalArrivals",
     "FlashCrowdArrivals",
     "OpenLoopWorkload",
     "PoissonArrivals",
-    "QueryEvent",
     "TraceFormatError",
     "TraceWorkload",
     "WorkloadSpec",

@@ -53,10 +53,6 @@ class QueryEvent:
     service: str
     keyword: Keyword
 
-    def sort_key(self) -> Tuple[float, int, int]:
-        """Global stream order: time, then stable session/query ties."""
-        return (self.time, self.session_id, self.query_index)
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:

@@ -57,12 +57,6 @@ class ZipfPopularity:
             self._cumulative.append(running)
         self._total = running
 
-    def probability(self, rank: int) -> float:
-        """P(sample == keyword at 1-based ``rank``)."""
-        if not 1 <= rank <= len(self.keywords):
-            raise ValueError("rank out of range: %r" % (rank,))
-        return (rank ** -self.alpha) / self._total
-
     def sample(self, rng: random.Random) -> Keyword:
         """Draw one keyword; consumes exactly one ``rng.random()``."""
         point = rng.random() * self._total

@@ -36,9 +36,7 @@ _VERSION = 1
 class TraceFormatError(ValueError):
     """A JSONL trace holds a line that cannot be decoded.
 
-    The one error of both trace readers, this module's workload traces
-    and :mod:`repro.measure.traceio`'s session archives.  The message
-    starts with the number of the offending line.
+    The message starts with the number of the offending line.
     """
 
 

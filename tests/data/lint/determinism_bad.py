@@ -47,6 +47,10 @@ def order_sites(sites):
     return sorted(sites, key=hash)  # expect: DET004
 
 
+def bucket_of(name):
+    return hash(name) % 7  # expect: DET004
+
+
 def schedule_all(sim: Simulator, nodes):
     pending = {node for node in nodes}
     for node in pending:  # expect: DET005

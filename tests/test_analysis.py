@@ -3,18 +3,13 @@
 import pytest
 
 from repro.analysis import stats
-from repro.analysis.boundary import (
-    BoundaryError,
-    common_prefix_length,
-    detect_boundary,
-)
+from repro.analysis.boundary import common_prefix_length
 from repro.analysis.stream import (
     TraceError,
     arrival_time_of_offset,
     inbound_byte_arrivals,
     peer_isn,
     reconstruct_inbound_stream,
-    total_inbound_bytes,
 )
 from repro.measure.capture import PacketEvent
 
@@ -27,17 +22,6 @@ def test_median_and_percentile():
     assert stats.percentile([1, 2, 3, 4, 5], 50) == 3
     with pytest.raises(ValueError):
         stats.median([])
-
-
-def test_moving_median_window():
-    values = [10, 0, 10, 0, 10, 100]
-    smoothed = stats.moving_median(values, window=3)
-    assert len(smoothed) == len(values)
-    assert smoothed[0] == 10
-    assert smoothed[2] == 10  # median(10, 0, 10)
-    assert smoothed[5] == 10  # median(0, 10, 100)
-    with pytest.raises(ValueError):
-        stats.moving_median(values, window=0)
 
 
 def test_cdf_points_and_fraction_below():
@@ -55,7 +39,7 @@ def test_box_stats_quartiles():
     assert box.q3 == pytest.approx(75.25)
     assert box.low_whisker >= 1
     assert box.high_whisker <= 100
-    assert box.iqr == pytest.approx(49.5)
+    assert box.q3 - box.q1 == pytest.approx(49.5)
 
 
 def test_binned_medians():
@@ -74,7 +58,7 @@ def test_linear_fit_recovers_line():
     assert fit.slope == pytest.approx(0.5)
     assert fit.intercept == pytest.approx(3.0)
     assert fit.r_squared == pytest.approx(1.0)
-    assert fit.predict(100) == pytest.approx(53.0)
+    assert fit.slope * 100 + fit.intercept == pytest.approx(53.0)
     with pytest.raises(ValueError):
         stats.linear_fit([1, 1], [2, 3])
 
@@ -121,7 +105,7 @@ def test_byte_arrivals_in_order():
     ]
     arrivals = inbound_byte_arrivals(events)
     assert [(a.start, a.end) for a in arrivals] == [(0, 4), (4, 8)]
-    assert total_inbound_bytes(arrivals) == 8
+    assert sum(a.end - a.start for a in arrivals) == 8
 
 
 def test_byte_arrivals_ignore_retransmitted_overlap():
@@ -186,48 +170,3 @@ def test_common_prefix_length():
     assert common_prefix_length([b"abc"]) == 3
     with pytest.raises(ValueError):
         common_prefix_length([])
-
-
-class FakeKeyword:
-    def __init__(self, text):
-        self.text = text
-
-
-class FakeSession:
-    def __init__(self, stream, keyword, complete=True):
-        isn = 10
-        self.keyword = FakeKeyword(keyword)
-        self.completed_at = 1.0 if complete else None
-        self.failed = None if complete else "x"
-        self.events = handshake_events(isn) + [
-            make_event(0.1, "in", seq=isn + 1, payload=stream)]
-
-    @property
-    def complete(self):
-        return self.completed_at is not None and self.failed is None
-
-
-def test_detect_boundary_across_keywords():
-    static = b"S" * 100
-    s1 = FakeSession(static + b"dynamic-one", "one")
-    s2 = FakeSession(static + b"dynamic-two", "two")
-    estimate = detect_boundary([s1, s2])
-    # Common prefix extends through "dynamic-" (shared) -> offset >= 100.
-    assert estimate.stream_offset >= 100
-    assert estimate.sessions_used == 2
-    assert estimate.distinct_keywords == 2
-
-
-def test_detect_boundary_needs_distinct_keywords():
-    static = b"S" * 50
-    s1 = FakeSession(static + b"same", "kw")
-    s2 = FakeSession(static + b"same", "kw")
-    with pytest.raises(BoundaryError):
-        detect_boundary([s1, s2])
-
-
-def test_detect_boundary_needs_two_complete_sessions():
-    s1 = FakeSession(b"data", "kw", complete=True)
-    s2 = FakeSession(b"data2", "kw2", complete=False)
-    with pytest.raises(BoundaryError):
-        detect_boundary([s1, s2])

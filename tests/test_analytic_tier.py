@@ -320,7 +320,7 @@ def test_auto_tier_validations_never_diverge():
     assert stats.validations > 0
     assert stats.divergences == 0
     assert stats.demotions == 0
-    assert stats.submissions == len(dataset.sessions)
+    assert stats.analytic + stats.simulated == len(dataset.sessions)
     assert all(s.complete for s in dataset.sessions)
 
 
@@ -392,8 +392,9 @@ def test_auto_tier_without_replay_cache_serves_the_same_sessions():
     _, uncached = run_a("auto", repeats=20, replay_cache=False)
 
     assert uncached.replay is None
-    assert cached.replay is not None and cached.replay.submissions \
-        == cached.tier.simulated
+    replay = cached.replay
+    assert replay is not None and (replay.hits + replay.misses
+                                   + replay.bypassed) == cached.tier.simulated
     # Replay hits never change a tier decision.
     assert uncached.tier == cached.tier
     assert ([session_fingerprint(s) for s in cached.sessions]
@@ -455,7 +456,7 @@ def test_tier_stats_sum_merges_counters():
                               divergences=1, demotions=1,
                               bypasses={"fe-busy": 3, "time-origin": 1})
     assert total.bypassed == 4
-    assert total.submissions == 14
+    assert total.analytic + total.simulated == 14
 
 
 # ---------------------------------------------------------------------------

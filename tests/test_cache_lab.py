@@ -92,8 +92,8 @@ def test_finite_cache_logs_miss_then_hits():
     # Cold cache: first request goes to origin, repeats hit the FE.
     assert levels == [CacheTier.ORIGIN, 0, 0, 0]
     assert frontend.static_cache.origin_fetches == 1
-    stats = frontend.static_cache.stats()
-    assert stats["fe"]["hits"] == 3 and stats["fe"]["misses"] == 1
+    stats = frontend.static_cache.levels[0].stats()
+    assert stats["hits"] == 3 and stats["misses"] == 1
 
 
 def test_default_infinite_cache_logs_nothing():
@@ -296,6 +296,7 @@ def test_cache_lab_acceptance_properties():
     assert result.hit_rate_monotone_in_alpha
     # The outside-view (Tdelta) classifier tracks the server-side log.
     for point in result.points_by(tier_depth=1):
-        assert point.classifier_agrees, point
+        assert abs(point.measured_hit_rate
+                   - point.ground_truth_hit_rate) <= 0.10, point
     # cache_detect's verdict matches the log ground truth everywhere.
     assert result.all_validations_correct

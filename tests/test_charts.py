@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import cdf_plot, hbox_plot, scatter, sparkline
+from repro.analysis.charts import cdf_plot, hbox_plot, scatter
 from repro.analysis.stats import BoxStats
 
 
@@ -60,16 +60,3 @@ def test_hbox_labels_truncated():
     text = hbox_plot([(long_label, BoxStats(1, 2, 3, 4, 5))],
                      label_width=10)
     assert text.splitlines()[0].startswith("x" * 10 + " ")
-
-
-def test_sparkline_trend():
-    rising = sparkline([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-    assert len(rising) == 10
-    assert rising[0] == " " and rising[-1] == "@"
-    with pytest.raises(ValueError):
-        sparkline([])
-
-
-def test_sparkline_downsamples():
-    line = sparkline(list(range(1000)), width=20)
-    assert len(line) == 20

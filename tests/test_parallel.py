@@ -4,22 +4,18 @@ The load-bearing property is *bit-identical equivalence*: a campaign
 sharded across processes must produce exactly the session list the
 serial run produces — same timestamps, same packet traces, same draw
 values — for the same seed.  Everything else (partitioning, pool
-plumbing, seed sweeps) supports that.
+plumbing) supports that.
 """
-
-import re
 
 import pytest
 
 from repro.content.keywords import Keyword
 from repro.measure.driver import run_dataset_a
 from repro.parallel import (
-    ShardError,
     fe_sharing_components,
     map_shards,
     partition_components,
     run_dataset_a_sharded,
-    run_over_seeds,
 )
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
@@ -119,24 +115,6 @@ def test_map_shards_preserves_submission_order():
     assert map_shards(_square, [], processes=4) == []
 
 
-# ---------------------------------------------------------------------------
-# seed sweeps
-# ---------------------------------------------------------------------------
-def test_run_over_seeds_runs_experiment_per_seed():
-    from repro.experiments.common import ExperimentScale
-    from repro.experiments.dataset_a import run_dataset_a_experiment
-
-    scale = ExperimentScale(vantage_count=8, repeats=1, interval=1.0)
-    results = run_over_seeds(run_dataset_a_experiment, scale, [1, 2],
-                             processes=2)
-    assert [r.scale.seed for r in results] == [1, 2]
-    for result in results:
-        for service, metrics in result.metrics.items():
-            assert len(metrics) == 8  # one query per VP per service
-    # Different seeds genuinely are different universes.
-    assert results[0].default_rtts != results[1].default_rtts
-
-
 def test_experiment_level_sharding_is_internally_consistent():
     from repro.experiments.common import ExperimentScale
     from repro.experiments.dataset_a import run_dataset_a_experiment
@@ -168,29 +146,3 @@ def test_sharded_campaign_rejects_sequential_draw_scenario():
     with pytest.raises(ValueError, match="keyed_service_draws"):
         run_dataset_a_sharded(scenario, KEYWORDS, repeats=1,
                               interval=1.0, shards=2, processes=1)
-
-
-def _fails_on_seed_two(scale):
-    if scale.seed == 2:
-        raise KeyError("no such figure")
-    return scale.seed
-
-
-@pytest.mark.parametrize("processes", [1, 2])
-def test_run_over_seeds_names_the_failing_seed(processes):
-    from repro.experiments.common import ExperimentScale
-
-    with pytest.raises(ShardError) as caught:
-        run_over_seeds(_fails_on_seed_two, ExperimentScale(), [1, 2, 3],
-                       processes=processes)
-    assert re.match(r"seed 2 \(runner \S+:_fails_on_seed_two\) failed: "
-                    r"KeyError: 'no such figure'$", str(caught.value)), \
-        str(caught.value)
-    # Inline the cause is the KeyError; through a pool, its traceback.
-    assert "no such figure" in str(caught.value.__cause__)
-
-
-def test_run_over_seeds_rejects_load_sensitivity():
-    from repro.experiments.load_sensitivity import run_load_sensitivity
-    with pytest.raises(ValueError):
-        run_over_seeds(run_load_sensitivity, None, [1, 2])

@@ -45,7 +45,6 @@ def test_reassembler_handles_any_arrival_order(data, seed, segment_size):
         out.extend(r.offer(offset, payload))
     assert bytes(out) == data
     assert r.next_expected == len(data)
-    assert r.gaps() == []
 
 
 @settings(max_examples=12, deadline=None)

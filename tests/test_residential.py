@@ -8,8 +8,6 @@ from repro.testbed.residential import (
     MOBILE_3G,
     RESIDENTIAL_DSL,
     AccessProfile,
-    mobile_vantage_points,
-    residential_vantage_points,
     scenario_with_access_profile,
     vantage_points_with_profile,
 )
@@ -26,7 +24,7 @@ def test_profiles_are_ordered_by_access_delay():
 
 
 def test_residential_points_have_dsl_delays():
-    vps = residential_vantage_points(50, seed=2)
+    vps = vantage_points_with_profile(50, RESIDENTIAL_DSL, seed=2)
     assert len(vps) == 50
     for vp in vps:
         assert units.ms(15) <= vp.access_delay <= units.ms(40)
@@ -34,7 +32,7 @@ def test_residential_points_have_dsl_delays():
 
 
 def test_mobile_points_have_3g_delays():
-    vps = mobile_vantage_points(30, seed=2)
+    vps = vantage_points_with_profile(30, MOBILE_3G, seed=2)
     for vp in vps:
         assert units.ms(40) <= vp.access_delay <= units.ms(120)
 

@@ -33,7 +33,7 @@ def test_frontend_404_for_unknown_path(scenario):
                       Endpoint(frontend.node.name, FRONTEND_PORT),
                       HttpRequest(path="/favicon.ico"))
     scenario.sim.run()
-    assert fetch.complete
+    assert fetch.response is not None
     assert fetch.response.status == 404
     assert b"/favicon.ico" in fetch.response.body
     assert frontend.requests_served == 0  # search counter untouched
@@ -50,7 +50,7 @@ def test_backend_404_for_unknown_path(scenario):
                       Endpoint(backend.node.name, BACKEND_PORT),
                       HttpRequest(path="/admin"))
     scenario.sim.run()
-    assert fetch.complete
+    assert fetch.response is not None
     assert fetch.response.status == 404
     assert backend.queries_served == 0
 

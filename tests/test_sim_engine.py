@@ -7,8 +7,7 @@
 
 import pytest
 
-from repro.sim.engine import (SchedulingError, SimulationError, Simulator,
-                              is_cancelled, is_pending)
+from repro.sim.engine import SchedulingError, SimulationError, Simulator
 
 
 def test_events_fire_in_time_order():
@@ -69,11 +68,9 @@ def test_cancelled_event_does_not_fire():
     fired = []
     handle = sim.schedule(1.0, fired.append, "x")
     sim.schedule(2.0, fired.append, "y")
-    assert is_pending(handle)
     sim.cancel(handle)
     sim.run()
     assert fired == ["y"]
-    assert is_cancelled(handle)
 
 
 def test_cancel_is_idempotent():
@@ -90,7 +87,6 @@ def test_cancel_after_fire_is_noop():
     handle = sim.schedule(1.0, lambda: None)
     sim.run()
     assert sim.cancel(handle) is False
-    assert not is_cancelled(handle)
 
 
 def test_run_until_stops_before_later_events():
@@ -141,24 +137,6 @@ def test_run_until_with_max_events_keeps_clock_on_pending_work():
     assert sim.now == 5.0
 
 
-def test_live_events_excludes_cancelled_entries():
-    sim = Simulator()
-    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(3)]
-    assert sim.pending_events == 3
-    assert sim.live_events == 3
-    sim.cancel(handles[1])
-    assert sim.pending_events == 3  # lazy deletion keeps the entry
-    assert sim.live_events == 2
-    sim.run()
-    assert sim.live_events == 0
-    assert sim.events_processed == 2
-
-
-def test_step_returns_false_on_empty_queue():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(4):
@@ -176,56 +154,6 @@ def test_engine_not_reentrant():
     sim.schedule(1.0, recurse)
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_run_until_idle_stops_at_gap():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(1.5, fired.append, "b")
-    sim.schedule(50.0, fired.append, "far")
-    sim.run_until_idle(idle_gap=5.0, hard_limit=100.0)
-    assert fired == ["a", "b"]
-
-
-def test_run_until_idle_drains_cancelled_head():
-    # A cancelled entry at the head must neither fire nor mask the gap
-    # to the first *live* event behind it.
-    sim = Simulator()
-    fired = []
-    doomed = sim.schedule(1.0, fired.append, "doomed")
-    sim.schedule(6.0, fired.append, "far")
-    sim.cancel(doomed)
-    sim.run_until_idle(idle_gap=5.0, hard_limit=100.0)
-    assert fired == []  # gap to 6.0 exceeds idle_gap once head drained
-    assert sim.live_events == 1
-
-    sim2 = Simulator()
-    fired2 = []
-    doomed2 = sim2.schedule(1.0, fired2.append, "doomed")
-    sim2.schedule(2.0, fired2.append, "near")
-    sim2.cancel(doomed2)
-    sim2.run_until_idle(idle_gap=5.0, hard_limit=100.0)
-    assert fired2 == ["near"]
-
-
-def test_run_until_idle_gap_exactly_equal_continues():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(6.0, fired.append, "b")  # gap == idle_gap exactly
-    sim.run_until_idle(idle_gap=5.0, hard_limit=100.0)
-    assert fired == ["a", "b"]
-
-
-def test_run_until_idle_hard_limit_mid_burst():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i + 1), fired.append, i)
-    sim.run_until_idle(idle_gap=5.0, hard_limit=3.5)
-    assert fired == [0, 1, 2]  # the t=4.0 event is past the cap
-    assert sim.now == 3.0
 
 
 def test_start_time_respected():

@@ -29,10 +29,10 @@ def test_send_buffer_tracking():
     assert buf.ack_to(30) == 30
     assert buf.unacked_bytes == 30
     assert buf.ack_to(30) == 0  # duplicate ack
-    assert not buf.all_acked
+    assert buf.unacked_bytes == 30
     buf.advance_nxt(40)
     assert buf.ack_to(100) == 70
-    assert buf.all_acked
+    assert buf.unacked_bytes == buf.unsent_bytes == 0
 
 
 def test_send_buffer_releases_acked_memory():
@@ -78,9 +78,9 @@ def test_reassembler_in_order():
 def test_reassembler_out_of_order():
     r = Reassembler()
     assert r.offer(3, b"def") == b""
-    assert r.buffered_bytes == 3
+    assert r.next_expected == 0
     assert r.offer(0, b"abc") == b"abcdef"
-    assert r.buffered_bytes == 0
+    assert r.next_expected == 6
 
 
 def test_reassembler_duplicate_ignored():
@@ -102,23 +102,6 @@ def test_reassembler_partial_stale_prefix():
     # Retransmission covering old + new data.
     assert r.offer(2, b"cdEF") == b"EF"
     assert r.next_expected == 6
-
-
-def test_reassembler_gaps_reported():
-    r = Reassembler()
-    r.offer(5, b"xx")
-    r.offer(10, b"yy")
-    assert r.gaps() == [(0, 5), (7, 10)]
-    r.offer(0, b"aaaaa")
-    assert r.gaps() == [(7, 10)]
-
-
-def test_reassembler_window_accounting():
-    r = Reassembler(window_bytes=100)
-    r.offer(10, b"z" * 30)
-    assert r.available_window == 70
-    r.offer(0, b"z" * 10)
-    assert r.available_window == 100
 
 
 def test_reassembler_empty_offer():

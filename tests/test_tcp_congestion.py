@@ -72,13 +72,6 @@ def test_ack_of_zero_bytes_is_noop():
     assert cc.cwnd == before
 
 
-def test_snapshot_reports_state():
-    cc = make_reno()
-    snap = cc.snapshot()
-    assert snap.cwnd == cc.cwnd
-    assert snap.in_slow_start
-
-
 def test_fixed_window_ignores_everything():
     cc = FixedWindowController(64 * 1024)
     cc.on_timeout(1000)

@@ -7,7 +7,8 @@ from repro.sim import units
 from repro.tcp.config import TcpConfig
 
 from .conftest import make_world
-from .helpers import CollectorApp, EchoServerApp, RespondApp, make_payload
+from .helpers import (CollectorApp, EchoServerApp, RespondApp, is_pure_ack,
+                      make_payload)
 
 RTT = units.ms(50)
 
@@ -93,7 +94,7 @@ def test_delayed_ack_coalesces_acks():
         acks = []
         world.topology.node("server").add_tap(
             lambda direction, segment: acks.append(segment)
-            if direction == "in" and segment.is_pure_ack else None)
+            if direction == "in" and is_pure_ack(segment) else None)
         world.client.connect(Endpoint("server", 80), client)
         world.sim.run(until=60.0)
         assert bytes(client.received) == payload
@@ -124,12 +125,3 @@ def test_iw10_config_preset():
     assert IW10.initial_window_segments == 10
     assert CLASSIC_2011.initial_window_segments == 3
     assert IW10.initial_cwnd_bytes == 10 * IW10.mss
-
-
-def test_config_with_overrides_is_pure():
-    base = TcpConfig()
-    tweaked = base.with_overrides(mss=1000, congestion="cubic")
-    assert tweaked.mss == 1000
-    assert tweaked.congestion == "cubic"
-    assert base.mss == 1460
-    assert base.congestion == "reno"

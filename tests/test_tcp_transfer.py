@@ -9,7 +9,8 @@ from repro.tcp.congestion import FixedWindowController
 from repro.tcp.connection import ConnectionError_, State
 
 from .conftest import make_world
-from .helpers import CollectorApp, EchoServerApp, RespondApp, SinkApp, make_payload
+from .helpers import (CollectorApp, EchoServerApp, RespondApp, SinkApp,
+                      is_pure_ack, make_payload)
 
 RTT = units.ms(40)
 
@@ -188,7 +189,7 @@ def test_rtt_estimate_close_to_actual_rtt(two_hosts):
     client = CollectorApp(request=make_payload(30_000), close_after_send=True)
     conn = world.client.connect(Endpoint("server", 80), client)
     world.run()
-    assert conn.srtt == pytest.approx(RTT, rel=0.25)
+    assert conn._srtt == pytest.approx(RTT, rel=0.25)
 
 
 def test_delayed_ack_defers_pure_ack():
@@ -201,7 +202,7 @@ def test_delayed_ack_defers_pure_ack():
     acks = []
     world.topology.node("client").add_tap(
         lambda direction, segment: acks.append(world.sim.now)
-        if direction == "in" and segment.is_pure_ack else None)
+        if direction == "in" and is_pure_ack(segment) else None)
     conn = world.client.connect(Endpoint("server", 80), client)
     world.run(until=5.0)
     assert sink.byte_count == 1
@@ -210,7 +211,7 @@ def test_delayed_ack_defers_pure_ack():
     # is back at the client at 60 ms, before any client RTO.
     assert acks == [pytest.approx(units.ms(60.0), abs=units.ms(0.1))]
     assert conn.stats.timeouts == 0
-    assert conn.send_buffer.all_acked
+    assert conn.send_buffer.unacked_bytes == 0
 
 
 def test_fixed_window_controller_transfers_in_fewer_rtts():

@@ -41,15 +41,6 @@ def test_zipf_universe_is_ranked_and_deterministic():
     assert popularity == sorted(popularity, reverse=True)
 
 
-def test_zipf_probabilities_sum_to_one_and_decay():
-    popularity = ZipfPopularity(zipf_universe(7, 32), alpha=1.0)
-    probabilities = [popularity.probability(rank)
-                     for rank in range(1, 33)]
-    assert sum(probabilities) == pytest.approx(1.0)
-    assert probabilities == sorted(probabilities, reverse=True)
-    assert probabilities[0] / probabilities[15] == pytest.approx(16.0)
-
-
 def test_zipf_skew_concentrates_head_mass():
     universe = zipf_universe(7, 64)
     rng_flat, rng_skewed = random.Random(1), random.Random(1)
@@ -107,7 +98,7 @@ def test_stream_is_deterministic_and_ordered():
     first = list(OpenLoopWorkload(_spec(), VPS).events())
     second = list(OpenLoopWorkload(_spec(), VPS).events())
     assert first == second
-    keys = [event.sort_key() for event in first]
+    keys = [(e.time, e.session_id, e.query_index) for e in first]
     assert keys == sorted(keys)
     assert all(0.0 <= event.time < 300.0 for event in first)
 
@@ -123,7 +114,8 @@ def test_shard_filters_partition_the_serial_stream():
         assert sum(len(stream) for stream in shard_streams) == len(serial)
         merged = sorted((event for stream in shard_streams
                          for event in stream),
-                        key=lambda event: event.sort_key())
+                        key=lambda e: (e.time, e.session_id,
+                                       e.query_index))
         assert merged == serial
 
 
@@ -213,6 +205,12 @@ def test_trace_names_the_line_of_an_undecodable_record(tmp_path, bad):
         handle.write("\n" + bad + "\n")
     with pytest.raises(TraceFormatError, match=r"^line 5: "):
         list(read_events(path))
+
+
+def test_trace_format_error_is_a_value_error():
+    from repro.workload.trace import TraceFormatError as trace_error
+    assert TraceFormatError is trace_error
+    assert issubclass(TraceFormatError, ValueError)
 
 
 # ---------------------------------------------------------------------------
