@@ -229,9 +229,9 @@ MUTATIONS: Tuple[Mutation, ...] = (
        [], C, "",
        "the duration histogram, bounded in seconds, is fed ms"),
     _m("U14", "UNIT007", "cache/tier.py",
-       "        return self.spec.regional_fetch_delay",
+       "        return REGIONAL_FETCH_DELAY",
        "        from repro.sim import units\n"
-       "        return units.seconds_to_ms(self.spec.regional_fetch_delay)",
+       "        return units.seconds_to_ms(REGIONAL_FETCH_DELAY)",
        [], C, "",
        "a regional-tier hit returns its extra delay in ms, a top-tier "
        "hit 0.0"),
@@ -262,16 +262,10 @@ MUTATIONS: Tuple[Mutation, ...] = (
        [], C, "",
        "materialized packet events are shifted by a start in ms"),
     _m("U17", "UNIT009", "tcp/config.py",
-       "    min_rto: float = units.ms(200)",
-       "    min_rto: float = units.ms(units.ms(200))",
+       "MIN_RTO = units.ms(200)",
+       "MIN_RTO = units.ms(units.ms(200))",
        ["UNIT001"], C, "",
        "a 0.2 ms minimum RTO; UNIT001 fires too"),
-    _m("U5", "UNIT009", "tcp/config.py",
-       "    delayed_ack_timeout: float = units.ms(40)",
-       "    delayed_ack_timeout: float = 40",
-       [], C, "",
-       "a 40 s delayed-ACK timer; the delayed-ACK tests catch it since "
-       "they check the ACK's arrival time; no unit rule ever could"),
     # -- determinism flow: deleted DET006-DET008 -------------------------
     _m("F1", "DET006", "services/frontend.py",
        "        static_level = 0\n"
@@ -298,13 +292,14 @@ MUTATIONS: Tuple[Mutation, ...] = (
        ["DET001"], C, "",
        "a clock value seeds the ISN; DET001 fires at the source"),
     _m("F4", "DET007", "cache/policy.py",
-       "        self._admit_seq += 1\n"
+       "        self._evict_seq += 1\n"
        "        rng = random.Random(derive_seed(",
        "        import os\n"
-       "        self._admit_seq += 1\n"
+       "        self._evict_seq += 1\n"
        "        rng = random.Random(os.urandom(1)[0] + derive_seed(",
        ["DET002"], C, "",
-       "OS entropy seeds the admission draw; DET002 fires at the source"),
+       "OS entropy seeds the random-eviction draw; DET002 fires at the "
+       "source"),
     _m("F5", "DET008", "obs/export.py",
        '    header = {"kind": "header", "schema": SCHEMA_NAME,',
        "    import time\n"
@@ -343,16 +338,6 @@ MUTATIONS: Tuple[Mutation, ...] = (
        ["EVT002"], M, M,
        "a failed direct fetch retries with a negative delay, which "
        "raises; no test or golden fails a fetch there"),
-    _m("V1", "EVT003", "tcp/connection.py",
-       "                self._delack_timer = self.sim.schedule(\n"
-       "                    self.config.delayed_ack_timeout, "
-       "self._delack_fire)",
-       "                self.sim.schedule(\n"
-       "                    self.config.delayed_ack_timeout, "
-       "self._delack_fire)",
-       ["EVT003"], C, "",
-       "every segment arms another delayed-ACK timer; the pinned "
-       "pure-ACK count of the bulk delayed-ACK test catches it"),
     _m("V2", "EVT003", "tcp/connection.py",
        "            # the remainder.\n"
        "            self._rto_timer = self.sim.call_at(deadline, "
@@ -413,23 +398,20 @@ MUTATIONS: Tuple[Mutation, ...] = (
        [], C, "",
        "Tproc noise from the shared stream; RNG001 missed it, since "
        "the BE handler is not on the resolved shard call graph"),
-    _m("G2", "RNG001", "testbed/scenario.py",
-       "        rng = random.Random(derive_seed(\n"
-       '            self.streams.seed, "dns/%s/%s" % (service_name, '
-       "vp.name)))",
-       '        rng = self.streams.get("dns/%s/%s" % (service_name, '
-       "vp.name))",
+    _m("G2", "RNG001", "tcp/host.py",
+       "        return flow_isn(self.streams.seed, flow.local.host,\n"
+       "                        flow.local.port, flow.remote.host, "
+       "flow.remote.port)",
+       '        return self.streams.get("isn").randrange(ISN_SPACE)',
        [], C, "",
-       "with dns_variance > 0 the FE mapping follows lookup order; "
-       "the DNS determinism test catches it, as RNG001 did"),
-    _m("G1", "RNG002", "testbed/scenario.py",
-       '            self.streams.seed, "dns/%s/%s" % (service_name, '
-       "vp.name)))",
-       '            self.streams.seed, "%s/%s" % (service_name, '
-       "vp.name)))",
-       ["RNG002"], M, M,
-       "a prefix-less DNS key namespace can collide with every other "
-       "keyed namespace"),
+       "ISNs from the scenario's shared stream: a connection's ISN "
+       "depends on every connection opened before it"),
+    _m("G1", "RNG002", "tcp/host.py",
+       '    seed = derive_seed(root_seed, "isn/%s" % flow)',
+       '    seed = derive_seed(root_seed, "%s" % flow)',
+       ["RNG002"], M, C,
+       "a prefix-less ISN key namespace can collide with every other "
+       "keyed namespace; the golden flags only the edit"),
     _m("K1", "RNG003", "cache/policy.py",
        "        self._evict_seq += 1\n"
        "        rng = random.Random(derive_seed(\n"
@@ -437,10 +419,10 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "self._evict_seq)))",
        "        rng = random.Random(derive_seed(\n"
        '            self._seed, "cache/%s/evict#%d" % (self.name, '
-       "self._admit_seq)))",
+       "self._insert_seq)))",
        ["RNG003"], M, C,
-       "random-policy victims are keyed by the admission counter, so "
-       "every eviction between two admissions reuses one key"),
+       "random-policy victims are keyed by the insertion counter, so "
+       "every eviction between two insertions reuses one key"),
     # -- effect parity: deleted EFF001-EFF003 ----------------------------
     _m("E1", "EFF001", "measure/emulator.py",
        "        service.register_keywords([keyword])\n"

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Reach audit: which ``src/`` functions does no user-facing run enter?
+"""Reach audit: which ``src/`` functions does no user-facing run enter,
+and which config fields does none set?
 
 The audit runs every surface a user drives, in this one process, under
 :mod:`cProfile`:
@@ -21,8 +22,18 @@ entered.  Dunder methods are skipped: Python calls them implicitly.
 Every function no surface reaches must be on :data:`ALLOWED` with a
 one-line reason (failure handling, a branch of a kept algorithm, a
 name picked by string dispatch, ...); code no user run needs is deleted
-instead.  The audit exits 1 when the unreached set and the allow-list
-differ in either direction, and when a surface fails.
+instead.
+
+The same run audits the options.  Before the surfaces run, ``__init__``
+of every class in :data:`CONFIG_CLASSES` is wrapped to record each field
+a surface constructs with a value other than its default
+(``dataclasses.replace`` goes through ``__init__``, so overrides count).
+Every field no surface sets must be on :data:`OPTIONS_ALLOWED` with a
+one-line reason; a knob no user run turns is made a constant instead.
+
+The audit exits 1 when the unreached functions or the never-set fields
+and their allow-list differ in either direction, when an allow-listed
+entry has no reason, and when a surface fails.
 
 Run from anywhere, on Python 3.11 or later (older versions take the
 TOML fallback the allow-list names; about 2.5 minutes on a 2-vCPU
@@ -36,6 +47,8 @@ from __future__ import annotations
 import ast
 import contextlib
 import cProfile
+import dataclasses
+import importlib
 import io
 import os
 import runpy
@@ -104,8 +117,6 @@ ALLOWED: Dict[str, str] = {
         "the pinned window ignores a duplicate ACK",
     "tcp/congestion.py::FixedWindowController.on_recovery_exit":
         "the pinned window ignores the end of recovery",
-    "tcp/connection.py::Connection._delack_fire":
-        "the delayed-ACK timer (delayed ACK is off by default)",
     "analysis/stats.py::_ks_paths_inside":
         "the exact two-sample KS p-value for small samples",
     "analysis/sketch.py::QuantileSketch.state":
@@ -178,6 +189,39 @@ ALLOWED: Dict[str, str] = {
         "prints a finding in the text report",
     "lint/framework.py::_parse_simlint_table":
         "reads [tool.simlint] where tomllib is missing (Python < 3.11)",
+}
+
+#: The config classes whose fields the options section audits, as
+#: (module, class).
+CONFIG_CLASSES = (
+    ("repro.tcp.config", "TcpConfig"),
+    ("repro.testbed.scenario", "ScenarioConfig"),
+    ("repro.services.deployment", "ServiceProfile"),
+    ("repro.services.load", "FrontEndLoadModel"),
+    ("repro.services.load", "ProcessingModel"),
+    ("repro.content.page", "PageProfile"),
+    ("repro.cache.spec", "CacheSpec"),
+    ("repro.cache.spec", "CacheHierarchySpec"),
+    ("repro.workload.generator", "WorkloadSpec"),
+    ("repro.experiments.common", "ExperimentScale"),
+)
+
+#: ``Class.field`` -> why the field stays although no surface sets it.
+OPTIONS_ALLOWED: Dict[str, str] = {
+    # The transport mechanisms' parameters: unit tests set them to
+    # reach segmentation, slow start, congestion avoidance and flow
+    # control in small transfers.
+    "TcpConfig.mss":
+        "segmentation: tests cut small payloads into many segments",
+    "TcpConfig.initial_window_segments":
+        "slow start: tests widen the initial window",
+    "TcpConfig.initial_ssthresh_bytes":
+        "congestion avoidance: a finite ssthresh reaches the fast "
+        "paths' congestion-model bypass",
+    "TcpConfig.receive_window_bytes":
+        "flow control: tests cap the flight with a small window",
+    "ScenarioConfig.client_tcp":
+        "tests put a non-default client stack on a path (tcp-knobs)",
 }
 
 #: ``python -m repro`` runs; ``{tmp}`` is a scratch directory.
@@ -292,6 +336,45 @@ def _collect(node, path, rel, prefix, found) -> None:
             _collect(child, path, rel, qualname + ".<locals>.", found)
         else:
             _collect(child, path, rel, prefix, found)
+
+
+# ----------------------------------------------------------------------
+# the options
+# ----------------------------------------------------------------------
+def record_options() -> Tuple[set, set]:
+    """Wrap ``__init__`` of every config class.
+
+    Returns (every ``Class.field``, the set the wrappers fill with each
+    field constructed with a value other than its default).  Defaults
+    are computed here, before wrapping, so comparing with them builds
+    nothing; a field without a default counts as set.
+    """
+    fields, changed = set(), set()
+    for module, name in CONFIG_CLASSES:
+        cls = getattr(importlib.import_module(module), name)
+        names, defaults = [], {}
+        for field in dataclasses.fields(cls):
+            names.append(field.name)
+            fields.add("%s.%s" % (name, field.name))
+            if field.default is not dataclasses.MISSING:
+                defaults[field.name] = field.default
+            elif field.default_factory is not dataclasses.MISSING:
+                defaults[field.name] = field.default_factory()
+        cls.__init__ = _recording_init(cls.__init__, name, names,
+                                       defaults, changed)
+    return fields, changed
+
+
+def _recording_init(init, name, names, defaults, changed):
+    missing = object()
+
+    def recording(self, *args, **kwargs):
+        for field, value in list(zip(names, args)) + list(kwargs.items()):
+            if defaults.get(field, missing) is missing \
+                    or value != defaults[field]:
+                changed.add("%s.%s" % (name, field))
+        init(self, *args, **kwargs)
+    return recording
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +508,7 @@ def main() -> int:
     profile = cProfile.Profile()
     profile.enable()
     run_pools_inline()
+    fields, changed = record_options()
     profile.disable()
     failures = run_surfaces(profile)
     functions = src_functions()
@@ -450,8 +534,29 @@ def main() -> int:
     for name in blank:
         print("allow-listed without a reason: " + name)
     problems = len(failures) + len(unlisted) + len(stale) + len(blank)
+    problems += options_problems(fields, changed)
     print("%d problem(s)" % problems)
     return 1 if problems else 0
+
+
+def options_problems(fields: set, changed: set) -> int:
+    """Print the options section; the number of problems it found."""
+    unset = fields - changed
+    unlisted = sorted(unset - set(OPTIONS_ALLOWED))
+    stale = sorted(set(OPTIONS_ALLOWED) - unset)
+    blank = sorted(name for name, reason in OPTIONS_ALLOWED.items()
+                   if not reason.strip())
+    print("%d fields in %d config classes, %d never set, "
+          "%d on the options allow-list"
+          % (len(fields), len(CONFIG_CLASSES), len(unset),
+             len(OPTIONS_ALLOWED)))
+    for name in unlisted:
+        print("never set, not allow-listed: " + name)
+    for name in stale:
+        print("allow-listed option, but set or gone: " + name)
+    for name in blank:
+        print("allow-listed option without a reason: " + name)
+    return len(unlisted) + len(stale) + len(blank)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Run::
 from repro.content.keywords import Keyword
 from repro.core.metrics import extract_all_calibrated
 from repro.core.whatif import advise_placement, fit_model
-from repro.experiments.common import ExperimentScale, calibrate_service
+from repro.experiments.common import calibrate_service
 from repro.measure.driver import run_dataset_b
 from repro.sim import units
 from repro.testbed.scenario import Scenario, ScenarioConfig

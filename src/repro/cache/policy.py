@@ -1,4 +1,4 @@
-"""Byte-capacity content cache with pluggable eviction and admission.
+"""Byte-capacity content cache with pluggable eviction.
 
 :class:`ContentCache` stores opaque objects under string keys, charges
 each against a byte budget, and evicts according to the policy named in
@@ -24,9 +24,8 @@ its :class:`~repro.cache.spec.CacheSpec`:
     cache name, eviction ordinal) — independent of any other RNG in
     the simulation.
 
-Admission is ``always`` or ``prob`` (ProbCache-style coin flip per
-insert attempt, again from a keyed stream).  Objects larger than the
-whole capacity are never admitted.
+Every new object is admitted, except one larger than the whole
+capacity, which is rejected.
 
 Determinism contract: every draw is keyed off this cache's own seed and
 its private event ordinals, and the per-FE request stream that feeds a
@@ -58,7 +57,7 @@ class _Entry:
 
 
 class ContentCache:
-    """One cache: a byte budget, an eviction policy, an admission rule.
+    """One cache: a byte budget and an eviction policy.
 
     ``metric_prefix`` names the obs counters (``<prefix>hits`` etc.);
     counters are only exported for *finite* caches so the degenerate
@@ -82,7 +81,6 @@ class ContentCache:
         self.rejections = 0
         self._insert_seq = 0
         self._evict_seq = 0
-        self._admit_seq = 0
 
     # -- introspection -------------------------------------------------
 
@@ -135,9 +133,9 @@ class ContentCache:
         """Offer an object; returns True when it ends up resident.
 
         Re-offering a resident key refreshes its value/size in place
-        (no admission draw, no insertion counted).  New keys pass the
-        admission rule, then evict victims until the object fits;
-        objects larger than the whole capacity are rejected outright.
+        (no insertion counted).  New keys evict victims until the object
+        fits; objects larger than the whole capacity are rejected
+        outright.
         """
         entry = self._entries.get(key)
         if entry is not None:
@@ -147,10 +145,6 @@ class ContentCache:
             if self.spec.finite:
                 self._evict_until(self.spec.capacity_bytes, protect=key)
             return True
-        if not self._admit(key):
-            self.rejections += 1
-            self._inc("rejections")
-            return False
         capacity = self.spec.capacity_bytes
         if capacity is not None:
             if size_bytes > capacity:
@@ -166,14 +160,6 @@ class ContentCache:
         return True
 
     # -- internals -----------------------------------------------------
-
-    def _admit(self, key: str) -> bool:
-        if self.spec.admission == "always":
-            return True
-        self._admit_seq += 1
-        rng = random.Random(derive_seed(
-            self._seed, "cache/%s/admit#%d" % (self.name, self._admit_seq)))
-        return rng.random() < self.spec.admit_probability
 
     def _evict_until(self, budget: int,
                      protect: Optional[str] = None) -> None:

@@ -5,7 +5,7 @@ optional regional middle tier.  A lookup walks the tiers in order and
 reports where the object was found:
 
 * level ``0`` — the FE's own cache (no extra delay),
-* level ``1`` — the regional cache (costs ``regional_fetch_delay``),
+* level ``1`` — the regional cache (costs :data:`REGIONAL_FETCH_DELAY`),
 * :data:`ORIGIN` (``-1``) — nowhere: the front-end must fetch the full
   page from the back-end, which rides the real packet-simulated path
   and therefore perturbs t3/t4/t5.
@@ -37,20 +37,20 @@ ORIGIN = -1
 #: Human-readable tier names, indexed by lookup level.
 LEVEL_NAMES = ("fe", "regional")
 
+#: Extra delay to pull a static object out of the regional tier into
+#: the response, seconds (the regional round trip the packet simulator
+#: does not model; the origin path IS packet-simulated).
+REGIONAL_FETCH_DELAY = 0.030
+
 
 class CacheTier:
-    """One front-end's view of the static-content cache hierarchy.
-
-    ``regional_cache`` lets the deployment inject a *shared* regional
-    instance (``regional_scope="shared"``: one per backend site);
-    otherwise each front-end gets a private regional cache.
-    """
+    """One front-end's view of the static-content cache hierarchy:
+    its own static cache and, optionally, its own regional tier."""
 
     ORIGIN = ORIGIN
 
     def __init__(self, spec: CacheHierarchySpec, *, name: str = "fe",
-                 seed: int = 0,
-                 regional_cache: Optional[ContentCache] = None):
+                 seed: int = 0):
         self.spec = spec
         self.name = name
         self.levels: List[ContentCache] = []
@@ -60,11 +60,9 @@ class CacheTier:
                 spec.static, name="%s/static" % name, seed=seed,
                 metric_prefix="cache.fe."))
             if spec.regional is not None:
-                if regional_cache is None:
-                    regional_cache = ContentCache(
-                        spec.regional, name="%s/regional" % name,
-                        seed=seed, metric_prefix="cache.regional.")
-                self.levels.append(regional_cache)
+                self.levels.append(ContentCache(
+                    spec.regional, name="%s/regional" % name,
+                    seed=seed, metric_prefix="cache.regional."))
 
     @property
     def finite(self) -> bool:
@@ -105,7 +103,7 @@ class CacheTier:
         """Extra response delay for a hit at ``level`` (seconds)."""
         if level <= 0:
             return 0.0
-        return self.spec.regional_fetch_delay
+        return REGIONAL_FETCH_DELAY
 
     def _fill_above(self, key: str, size_bytes: int,
                     hit_level: int) -> None:
@@ -120,13 +118,11 @@ def aggregate_stats(tiers) -> Optional[Dict[str, int]]:
     """Sum finite-cache counters over many front-ends' tiers.
 
     Keys are ``<level>_<counter>`` (``fe_hits``, ``regional_evictions``,
-    ...) plus ``origin_fetches``.  A shared regional cache referenced by
-    several tiers is counted once (deduplicated by identity).  Returns
-    None when every tier is the degenerate infinite hierarchy, so
-    default campaigns report no cache section at all.
+    ...) plus ``origin_fetches``.  Returns None when every tier is the
+    degenerate infinite hierarchy, so default campaigns report no cache
+    section at all.
     """
     totals: Dict[str, int] = {}
-    seen = set()
     any_finite = False
     for tier in tiers:
         if not tier.finite:
@@ -135,9 +131,6 @@ def aggregate_stats(tiers) -> Optional[Dict[str, int]]:
         totals["origin_fetches"] = (totals.get("origin_fetches", 0)
                                     + tier.origin_fetches)
         for level, cache in enumerate(tier.levels):
-            if id(cache) in seen:
-                continue
-            seen.add(id(cache))
             prefix = LEVEL_NAMES[level]
             for key, value in cache.stats().items():
                 name = "%s_%s" % (prefix, key)

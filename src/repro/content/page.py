@@ -34,8 +34,6 @@ class PageProfile:
     static_size: int = 12_000
     dynamic_base_size: int = 24_000
     dynamic_complexity_size: int = 14_000
-    results_per_page: int = 10
-    ads_per_page: int = 3
 
     def __post_init__(self):
         if self.static_size < 512:
@@ -55,6 +53,9 @@ class PageProfile:
         size += int(2000 * keyword.popularity)
         return size
 
+
+#: Ads at the top of every dynamic portion.
+ADS_PER_PAGE = 3
 
 #: Dynamic pages a generator keeps built.  A campaign cycles through a
 #: few keywords per service (Figure 3's set has four), so a small memo
@@ -144,7 +145,7 @@ class PageGenerator:
         parts.append('<div class="dynmenu">%s</div>\n' % "".join(
             "<span>%s: %s</span>" % (item, keyword.text)
             for item in words.DYNAMIC_MENU_ITEMS[:4]))
-        for i in range(self.profile.ads_per_page):
+        for i in range(ADS_PER_PAGE):
             parts.append(self._ad(rng, keyword, i))
         length = sum(len(p) for p in parts)
         result_count = 0

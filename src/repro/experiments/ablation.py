@@ -15,7 +15,7 @@ need no boundary calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 from repro.analysis.stats import median
@@ -28,7 +28,6 @@ from repro.measure.emulator import QueryEmulator
 from repro.measure.streaming import StreamingSchedule
 from repro.net.address import Endpoint
 from repro.services.backend import BACKEND_PORT
-from repro.sim import units
 from repro.sim.executor import SessionExecutor
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.testbed.sites import nearest_metro
@@ -304,8 +303,8 @@ def run_idle_reset_ablation(scale: Optional[ExperimentScale] = None, *,
         backend_tcp = TcpConfig(slow_start_after_idle=reset)
         base = (google_like_profile() if service_name == Scenario.GOOGLE
                 else bing_akamai_profile())
-        profile = base.with_overrides(backend_window_bytes=None,
-                                      backend_tcp=backend_tcp)
+        profile = replace(base, backend_window_bytes=None,
+                          backend_tcp=backend_tcp)
         kwargs = ({"google_profile": profile}
                   if service_name == Scenario.GOOGLE
                   else {"bing_profile": profile})
@@ -378,7 +377,7 @@ def run_loss_ablation(scale: Optional[ExperimentScale] = None, *,
     """Sweep last-hop loss; split TCP's advantage should grow."""
     scale = scale or ExperimentScale.small()
     # Loss recovery times are high-variance; triple the samples.
-    scale = scale.with_overrides(repeats=max(scale.repeats * 3, 15))
+    scale = replace(scale, repeats=max(scale.repeats * 3, 15))
     result = LossAblationResult(service=service_name)
     for loss in loss_rates:
         ablation = run_split_tcp_ablation(scale, service_name=service_name,

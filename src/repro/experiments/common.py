@@ -22,7 +22,7 @@ size while keeping the paper-scale parameters one constant away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.boundary import BoundaryCalibration
@@ -77,9 +77,6 @@ class ExperimentScale:
         """The 2011 campaign's size: ~240 nodes, 500-720 repeats."""
         return cls(vantage_count=240, repeats=720, interval=10.0,
                    fig3_samples=500, fig9_repeats=120, seed=seed)
-
-    def with_overrides(self, **kwargs) -> "ExperimentScale":
-        return replace(self, **kwargs)
 
 
 def build_scenario(scale: ExperimentScale, **config_overrides) -> Scenario:

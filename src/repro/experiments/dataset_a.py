@@ -29,7 +29,6 @@ from repro.experiments.common import (
 )
 from repro.measure.driver import run_dataset_a
 from repro.sim import units
-from repro.testbed.scenario import Scenario
 
 
 @dataclass

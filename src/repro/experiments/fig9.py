@@ -19,7 +19,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.content.keywords import Keyword
 from repro.core.factoring import (
-    DistancePoint,
     FetchFactoring,
     build_distance_points,
     build_sample_pairs,

@@ -17,7 +17,6 @@ from repro.lint.project import (
     ProjectContext,
     ProjectRule,
     SCHEDULE_ATTRS,
-    SIM_RECEIVERS,  # noqa: F401  (re-exported; pre-v2 public name)
 )
 
 

@@ -135,13 +135,8 @@ def all_rules() -> Dict[str, type]:
 
 def _load_rule_packs() -> None:
     # Imported lazily so framework.py itself has no circular imports.
-    from repro.lint import (  # noqa: F401
-        determinism,
-        event_safety,
-        rng_lineage,
-        shard_safety,
-        unit_safety,
-    )
+    from repro.lint import determinism, event_safety  # noqa: F401
+    from repro.lint import rng_lineage, shard_safety, unit_safety  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,6 @@ def _check_shardable(scenario: Scenario,
             "ScenarioConfig(keyed_service_draws=True): with the default "
             "shared sequential RNG streams, a shard's service-delay "
             "draws would depend on queries running in other shards")
-    if scenario.config.fe_cache.shared_regional:
-        raise ValueError(
-            "sharded campaigns cannot use a shared regional cache "
-            '(fe_cache.regional_scope="shared"): its contents depend on '
-            "the interleaved miss streams of every front-end homed on a "
-            "back-end, and front-ends land in different shards; use "
-            'regional_scope="per-fe" or run serially')
 
 
 def run_dataset_a_sharded(scenario: Scenario,

@@ -25,10 +25,10 @@ keyword registry and ground-truth logs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache import CacheHierarchySpec, ContentCache
+from repro.cache import CacheHierarchySpec
 from repro.content.page import PageGenerator, PageProfile
 from repro.net.geo import GeoPoint, nearest
 from repro.net.topology import Topology
@@ -70,10 +70,6 @@ class ServiceProfile:
     edge_tcp: TcpConfig = field(default_factory=TcpConfig)
     backend_tcp: TcpConfig = field(
         default_factory=lambda: TcpConfig(fixed_window_bytes=12_000))
-
-    def with_overrides(self, **kwargs) -> "ServiceProfile":
-        """Copy the profile with the given fields replaced (ablations)."""
-        return replace(self, **kwargs)
 
 
 def google_like_profile() -> ServiceProfile:
@@ -141,9 +137,6 @@ class ServiceDeployment:
         self.keyed_draws = keyed_draws
         self.cache_spec = cache_spec if cache_spec is not None \
             else CacheHierarchySpec()
-        #: Shared regional caches (regional_scope="shared"): one per BE
-        #: site, injected into every FE homed on that back-end.
-        self._shared_regional: Dict[str, ContentCache] = {}
         self.pages = PageGenerator(profile.name, profile.page_profile,
                                    seed=content_seed)
         self.backends: List[BackendDataCenter] = []
@@ -208,27 +201,7 @@ class ServiceDeployment:
                 backend_window_bytes=self.profile.backend_window_bytes,
                 keyed_draws=self.keyed_draws,
                 cache_spec=self.cache_spec,
-                cache_seed=self.streams.seed,
-                regional_cache=self._regional_cache_for(backend)))
-
-    def _regional_cache_for(self, backend: BackendDataCenter
-                            ) -> Optional[ContentCache]:
-        """The shared regional cache for FEs homed on ``backend``.
-
-        Only built for ``regional_scope="shared"``; the per-fe default
-        lets each :class:`FrontEndServer` own a private regional tier.
-        """
-        if not self.cache_spec.shared_regional:
-            return None
-        cache = self._shared_regional.get(backend.node.name)
-        if cache is None:
-            cache = ContentCache(
-                self.cache_spec.regional,
-                name="%s/regional" % backend.node.name,
-                seed=self.streams.seed,
-                metric_prefix="cache.regional.")
-            self._shared_regional[backend.node.name] = cache
-        return cache
+                cache_seed=self.streams.seed))
 
     # ------------------------------------------------------------------
     # lookups used by the testbed / experiments

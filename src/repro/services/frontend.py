@@ -118,8 +118,7 @@ class FrontEndServer:
                  port: int = FRONTEND_PORT,
                  keyed_draws: bool = False,
                  cache_spec: Optional[CacheHierarchySpec] = None,
-                 cache_seed: int = 0,
-                 regional_cache: Optional[ContentCache] = None):
+                 cache_seed: int = 0):
         if pool_size < 1:
             raise ValueError("pool_size must be >= 1")
         self.sim = sim
@@ -141,8 +140,7 @@ class FrontEndServer:
         self.cache_spec = cache_spec if cache_spec is not None \
             else CacheHierarchySpec()
         self.static_cache = CacheTier(
-            self.cache_spec, name=node.name, seed=cache_seed,
-            regional_cache=regional_cache)
+            self.cache_spec, name=node.name, seed=cache_seed)
         #: Ground truth for cache-lab validation: query_id -> hit level
         #: (0 = FE, 1 = regional, -1 = origin).  Only populated for
         #: finite caches; pruned with fetch_log in streaming campaigns.

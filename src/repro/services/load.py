@@ -31,13 +31,19 @@ from typing import Optional
 from repro.content.keywords import Keyword
 from repro.sim.randomness import RandomStreams
 
+#: Lower bound on a front-end processing delay, seconds.
+FE_DELAY_FLOOR = 0.0005
+#: Lower bound on a back-end processing time (Tproc), seconds.
+TPROC_FLOOR = 0.002
+
 
 @dataclass(frozen=True)
 class FrontEndLoadModel:
     """Lognormal per-request delay at a front-end server.
 
     ``median_delay`` is in seconds; ``sigma`` is the lognormal shape
-    (0 = deterministic); ``floor`` bounds the delay from below.
+    (0 = deterministic); :data:`FE_DELAY_FLOOR` bounds the delay from
+    below.
     ``per_concurrent_delay`` adds processing time for every *other*
     request currently in flight on the same FE — the mechanism behind
     the paper's speculation that shared Akamai FEs show higher and more
@@ -46,7 +52,6 @@ class FrontEndLoadModel:
 
     median_delay: float = 0.003
     sigma: float = 0.2
-    floor: float = 0.0005
     per_concurrent_delay: float = 0.0
 
     def __post_init__(self):
@@ -79,21 +84,20 @@ class FrontEndLoadModel:
                                       math.log(self.median_delay),
                                       self.sigma)
         value += self.per_concurrent_delay * max(0, concurrency - 1)
-        return max(self.floor, value)
+        return max(FE_DELAY_FLOOR, value)
 
 
 @dataclass(frozen=True)
 class ProcessingModel:
     """Back-end query processing time model.
 
-    All times in seconds.
+    All times in seconds; :data:`TPROC_FLOOR` bounds a draw from below.
     """
 
     base: float = 0.050
     complexity_weight: float = 1.0
     popularity_discount: float = 0.4
     sigma: float = 0.2
-    floor: float = 0.002
 
     def __post_init__(self):
         if self.base <= 0:
@@ -122,10 +126,10 @@ class ProcessingModel:
         """
         mean = self.mean_for(keyword)
         if self.sigma == 0:
-            return max(self.floor, mean)
+            return max(TPROC_FLOOR, mean)
         if key is not None:
             keyed = streams.keyed(stream_name, key)
             noise = keyed.lognormvariate(0.0, self.sigma)
         else:
             noise = streams.lognormal(stream_name, 0.0, self.sigma)
-        return max(self.floor, mean * noise)
+        return max(TPROC_FLOOR, mean * noise)

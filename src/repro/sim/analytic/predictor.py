@@ -13,10 +13,9 @@ executor materializes both through one method
 
 Analytic admission layers on top of the replay path predicates: beyond
 loss/jitter/fault-free dedicated links, the model additionally requires
-the default ACK discipline (no delayed ACK, no Nagle, no idle reset),
-slow start that never exits (the "infinite" default ssthresh — under
-which Reno and Cubic are byte-for-byte identical), a pinned-window BE
-leg, and the FE static cache enabled.
+no idle reset, slow start that never exits (the "infinite" default
+ssthresh — under which Reno and Cubic are byte-for-byte identical), a
+pinned-window BE leg, and the FE static cache enabled.
 """
 
 from __future__ import annotations
@@ -70,6 +69,16 @@ class _Path:
                  "backend_host", "warmup_horizon")
 
 
+def request_lengths(service_name: str, backend_host: str,
+                    request_path: str) -> Tuple[int, int]:
+    """Encoded lengths of a query's GET as the client sends it and as
+    the FE forwards it, which differ only in the Host value."""
+    request_len = len(HttpRequest(
+        path=request_path, headers={"Host": service_name}).encode())
+    return (request_len,
+            request_len - len(service_name) + len(backend_host))
+
+
 def analytic_path_reason(scenario, service_name: str,
                          frontend) -> Optional[str]:
     """Why the analytic model cannot cover this triple's sessions.
@@ -81,14 +90,13 @@ def analytic_path_reason(scenario, service_name: str,
     profile = scenario.service(service_name).profile
     backend_tcp = profile.backend_tcp
     for tcp in (scenario.config.client_tcp, profile.edge_tcp):
-        if tcp.delayed_ack or tcp.nagle or tcp.slow_start_after_idle:
+        if tcp.slow_start_after_idle:
             return "tcp-knobs"
         if tcp.fixed_window_bytes is not None:
             return "tcp-knobs"
         if tcp.initial_ssthresh_bytes < _SSTHRESH_FLOOR:
             return "tcp-knobs"
-    if backend_tcp.fixed_window_bytes is None \
-            or backend_tcp.delayed_ack or backend_tcp.nagle:
+    if backend_tcp.fixed_window_bytes is None:
         return "tcp-knobs"
     if not frontend.cache_static:
         # Full-page relay (no FE cache) has a different write schedule.
@@ -177,12 +185,8 @@ class AnalyticPredictor:
         path = self.path(service_name, frontend, vp_name)
         request_path = build_query_path(
             "/search", {"q": keyword.text, "id": query_id})
-        request_len = len(HttpRequest(
-            path=request_path,
-            headers={"Host": service_name}).encode())
-        be_request_len = len(HttpRequest(
-            path=request_path,
-            headers={"Host": path.backend_host}).encode())
+        request_len, be_request_len = request_lengths(
+            service_name, path.backend_host, request_path)
         if request_len > path.client_mss \
                 or request_len > path.client_cwnd:
             # A multi-segment GET changes the ACK-of-request pattern.

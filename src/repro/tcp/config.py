@@ -17,6 +17,17 @@ from dataclasses import dataclass
 from repro.sim import units
 from repro.tcp.segment import DEFAULT_MSS
 
+#: Bounds on the retransmission timeout, seconds.
+MIN_RTO = units.ms(200)
+MAX_RTO = 60.0
+#: RTO before the first RTT sample (RFC 6298 says 1 s).
+INITIAL_RTO = 1.0
+#: Duplicate ACKs that trigger fast retransmit.
+DUPACK_THRESHOLD = 3
+#: Retransmission attempts before the connection is aborted.
+MAX_SYN_RETRIES = 6
+MAX_DATA_RETRIES = 10
+
 
 @dataclass(frozen=True)
 class TcpConfig:
@@ -34,25 +45,6 @@ class TcpConfig:
     receive_window_bytes:
         Advertised receive window (held constant; window scaling is
         assumed).
-    min_rto / max_rto:
-        Bounds on the retransmission timeout, seconds.
-    initial_rto:
-        RTO before the first RTT sample (RFC 6298 says 1 s).
-    delayed_ack:
-        When True, pure ACKs for a single in-order segment are delayed up
-        to ``delayed_ack_timeout`` (classic 40 ms quickack-off behaviour).
-        Off by default: the measured services ACK queries immediately,
-        which is what gives the paper a clean ``t2``.
-    delayed_ack_timeout:
-        Maximum ACK delay in seconds when ``delayed_ack`` is on.
-    dupack_threshold:
-        Duplicate ACKs that trigger fast retransmit.
-    max_syn_retries / max_data_retries:
-        Retransmission attempts before the connection is aborted.
-    nagle:
-        When True, small segments are coalesced while data is in flight.
-        Off by default — interactive request/response traffic (search!)
-        disables Nagle in practice.
     fixed_window_bytes:
         When set, the connection uses a
         :class:`~repro.tcp.congestion.FixedWindowController` pinned at
@@ -78,15 +70,6 @@ class TcpConfig:
     initial_window_segments: int = 3
     initial_ssthresh_bytes: int = 1 << 30
     receive_window_bytes: int = 1 << 20
-    min_rto: float = units.ms(200)
-    max_rto: float = 60.0
-    initial_rto: float = 1.0
-    delayed_ack: bool = False
-    delayed_ack_timeout: float = units.ms(40)
-    dupack_threshold: int = 3
-    max_syn_retries: int = 6
-    max_data_retries: int = 10
-    nagle: bool = False
     fixed_window_bytes: "int | None" = None
     slow_start_after_idle: bool = False
     congestion: str = "reno"
@@ -98,10 +81,6 @@ class TcpConfig:
             raise ValueError("initial_window_segments must be positive")
         if self.receive_window_bytes < self.mss:
             raise ValueError("receive window smaller than one MSS")
-        if self.min_rto <= 0 or self.max_rto < self.min_rto:
-            raise ValueError("invalid RTO bounds")
-        if self.dupack_threshold < 1:
-            raise ValueError("dupack_threshold must be >= 1")
         if self.fixed_window_bytes is not None \
                 and self.fixed_window_bytes < self.mss:
             raise ValueError("fixed window smaller than one MSS")
@@ -113,9 +92,3 @@ class TcpConfig:
     def initial_cwnd_bytes(self) -> int:
         return self.mss * self.initial_window_segments
 
-
-#: Era-appropriate defaults for a user-facing (cold) connection.
-CLASSIC_2011 = TcpConfig()
-
-#: A warmer stack used by some content providers in 2011 (IW10).
-IW10 = TcpConfig(initial_window_segments=10)

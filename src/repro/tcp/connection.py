@@ -11,7 +11,7 @@ reproduce the transport phenomena the paper depends on:
 * persistent connections whose congestion window survives across
   request/response exchanges (no idle-window reset), which is how the
   FE's long-lived back-end connection stays warm;
-* immediate or delayed ACKs, and ACK piggybacking on response data.
+* immediate ACKs, and ACK piggybacking on response data.
 
 It does **not** model window scaling negotiation (the advertised window
 is a constant from config), selective acknowledgements, or simultaneous
@@ -27,7 +27,15 @@ from typing import Optional, TYPE_CHECKING
 from repro.net.address import Endpoint, FlowKey
 from repro.obs import runtime as _obs
 from repro.tcp.buffers import Reassembler, SendBuffer
-from repro.tcp.config import TcpConfig
+from repro.tcp.config import (
+    DUPACK_THRESHOLD,
+    INITIAL_RTO,
+    MAX_DATA_RETRIES,
+    MAX_RTO,
+    MAX_SYN_RETRIES,
+    MIN_RTO,
+    TcpConfig,
+)
 from repro.tcp.congestion import (
     CongestionController,
     CubicController,
@@ -155,7 +163,7 @@ class Connection:
         # timer re-checks the deadline when it fires (see ``_on_rto``).
         self._dupacks = 0
         self._recover_offset = 0
-        self._rto = config.initial_rto
+        self._rto = INITIAL_RTO
         self._srtt: Optional[float] = None
         self._rttvar = 0.0
         self._rto_timer = None
@@ -165,8 +173,6 @@ class Connection:
 
         # ACK generation.
         self._ack_pending = False
-        self._delack_timer = None
-        self._segments_since_ack = 0
 
         # RFC 2861 idle detection (controller kind never changes, so the
         # isinstance test runs once here instead of per send attempt).
@@ -218,7 +224,7 @@ class Connection:
 
     def abort(self, reason: str = "aborted") -> None:
         """Tear the connection down immediately (no FIN exchange)."""
-        self._cancel_timers()
+        self._cancel_rto()
         if self.state != State.CLOSED:
             self.state = State.CLOSED
             app = self.app
@@ -390,7 +396,7 @@ class Connection:
         if self.cc.in_recovery:
             self.cc.on_dup_ack()
             self._try_send()
-        elif self._dupacks == self.config.dupack_threshold:
+        elif self._dupacks == DUPACK_THRESHOLD:
             self.stats.fast_retransmits += 1
             if _obs.enabled:
                 _obs.metrics.inc("tcp.fast_retransmits")
@@ -411,7 +417,6 @@ class Connection:
                 self._peer_fin_offset = fin_offset
 
         self._ack_pending = True
-        self._segments_since_ack += 1
 
         if delivered:
             self.app.on_data(self, delivered)
@@ -448,12 +453,12 @@ class Connection:
                 self._schedule_forget()
         elif self.state == State.LAST_ACK:
             self.state = State.CLOSED
-            self._cancel_timers()
+            self._cancel_rto()
             self._release()
 
     def _schedule_forget(self) -> None:
         """Approximate TIME_WAIT: linger 2 RTO then release the flow."""
-        self._cancel_timers()
+        self._cancel_rto()
         # TIME_WAIT expiry is unconditional; the handle is never cancelled.
         self.sim.schedule(2 * self._rto,
                           self._finish_time_wait)  # simlint: ignore[EVT003]
@@ -511,9 +516,7 @@ class Connection:
         # Window bounds are loop-invariant (cc.on_ack never runs inside
         # the loop), so they are computed once, and flight is tracked
         # from the buffer offsets directly.
-        config = self.config
-        mss = config.mss
-        nagle = config.nagle
+        mss = self.config.mss
         window = self.cc.cwnd
         if self.peer_rwnd < window:
             window = self.peer_rwnd
@@ -536,8 +539,6 @@ class Connection:
                 size = unsent
             if available < size:
                 size = available
-            if nagle and size < mss and sb.nxt - sb.una > 0:
-                break
             offset = sb.nxt
             data = sb.peek_view(offset, size)
             sb.advance_nxt(len(data))
@@ -555,7 +556,6 @@ class Connection:
                 self._rtt_probe = (offset + len(data), self.sim._now)
             self._transmit(segment)
             self._ack_pending = False
-            self._segments_since_ack = 0
             sent_any = True
         # A bare FIN when everything was already sent.
         if (self.send_buffer.fin_enqueued and not self._fin_sent
@@ -580,7 +580,7 @@ class Connection:
         if self.send_buffer.unacked_bytes > 0:
             return  # not idle: data is in flight
         idle = self.sim._now - self._last_send_time
-        if idle > max(self._rto, self.config.min_rto):
+        if idle > max(self._rto, MIN_RTO):
             self.cc.cwnd = min(self.cc.cwnd, self.config.initial_cwnd_bytes)
 
     def _note_fin_state(self) -> None:
@@ -629,25 +629,7 @@ class Connection:
             self._try_send()
         if not self._ack_pending or self.peer_isn is None:
             return
-        if self.config.delayed_ack and self._segments_since_ack < 2 \
-                and self._peer_fin_offset is None:
-            if self._delack_timer is None:
-                self._delack_timer = self.sim.schedule(
-                    self.config.delayed_ack_timeout, self._delack_fire)
-            return
-        self._send_pure_ack()
-
-    def _delack_fire(self) -> None:
-        self._delack_timer = None
-        if self._ack_pending:
-            self._send_pure_ack()
-
-    def _send_pure_ack(self) -> None:
         self._ack_pending = False
-        self._segments_since_ack = 0
-        if self._delack_timer is not None:
-            self.sim.cancel(self._delack_timer)
-            self._delack_timer = None
         self._transmit(Segment(sport=self._sport, dport=self._dport,
                                seq=self.isn + 1 + self.send_buffer.nxt,
                                ack=self._rcv_nxt(), ack_flag=True))
@@ -678,8 +660,7 @@ class Connection:
                             + beta * abs(self._srtt - sample))
             self._srtt = (1 - alpha) * self._srtt + alpha * sample
         self._rto = self._srtt + max(4 * self._rttvar, 0.001)
-        self._rto = min(max(self._rto, self.config.min_rto),
-                        self.config.max_rto)
+        self._rto = min(max(self._rto, MIN_RTO), MAX_RTO)
 
     def _sample_rtt_for_handshake(self) -> None:
         self._update_rtt(self.sim.now - self.open_time)
@@ -715,12 +696,6 @@ class Connection:
             self.sim.cancel(self._rto_timer)
             self._rto_timer = None
 
-    def _cancel_timers(self) -> None:
-        self._cancel_rto()
-        if self._delack_timer is not None:
-            self.sim.cancel(self._delack_timer)
-            self._delack_timer = None
-
     def _on_rto(self) -> None:
         self._rto_timer = None
         deadline = self._rto_deadline
@@ -738,13 +713,13 @@ class Connection:
         if _obs.enabled:
             _obs.metrics.inc("tcp.timeouts")
         self._retries += 1
-        limit = (self.config.max_syn_retries
+        limit = (MAX_SYN_RETRIES
                  if self.state in (State.SYN_SENT, State.SYN_RCVD)
-                 else self.config.max_data_retries)
+                 else MAX_DATA_RETRIES)
         if self._retries > limit:
             self.abort("retry limit exceeded in %s" % self.state.value)
             return
-        self._rto = min(self._rto * 2, self.config.max_rto)
+        self._rto = min(self._rto * 2, MAX_RTO)
         if self.state == State.SYN_SENT:
             self._transmit(Segment(sport=self.local.port,
                                    dport=self.remote.port,

@@ -12,7 +12,6 @@ and are deterministic: re-requesting the same pair is a no-op.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -27,7 +26,7 @@ from repro.services.deployment import (
 from repro.services.frontend import FrontEndServer
 from repro.sim import units
 from repro.sim.engine import Simulator
-from repro.sim.randomness import RandomStreams, derive_seed
+from repro.sim.randomness import RandomStreams
 from repro.tcp.config import TcpConfig
 from repro.tcp.host import TcpHost
 from repro.testbed import sites
@@ -101,10 +100,6 @@ class ScenarioConfig:
     client_loss_rate: float = 0.0
     akamai_coverage: float = 0.75
     cache_static: bool = True
-    #: Probability that DNS maps a client to its second- or third-
-    #: nearest FE instead of the nearest (real 2011 DNS mapping was
-    #: resolver-based and imperfect; 0 keeps resolution deterministic).
-    dns_variance: float = 0.0
     #: TCP config for vantage-point stacks.
     client_tcp: TcpConfig = TcpConfig()
     #: The front-end cache complement (see :mod:`repro.cache`).  The
@@ -132,10 +127,6 @@ class ScenarioConfig:
     #: stochastic defaults.
     deterministic_services: bool = False
 
-    def __post_init__(self):
-        if not 0.0 <= self.dns_variance <= 1.0:
-            raise ValueError("dns_variance must be in [0, 1]")
-
 
 def deterministic_profile(profile: ServiceProfile) -> ServiceProfile:
     """Strip every stochastic element from a service profile.
@@ -145,7 +136,8 @@ def deterministic_profile(profile: ServiceProfile) -> ServiceProfile:
     structural parameters (sizes, bandwidths, pools, TCP configs) are
     untouched.
     """
-    return profile.with_overrides(
+    return replace(
+        profile,
         processing=replace(profile.processing, sigma=0.0),
         fe_load=replace(profile.fe_load, sigma=0.0),
         fe_be_loss=0.0,
@@ -296,29 +288,15 @@ class Scenario:
 
         Models 2011 DNS-based mapping: the FE with the lowest expected
         RTT from the client's resolver (which shares the client's
-        metro).  With ``dns_variance`` > 0, the mapping occasionally
-        lands on the second- or third-nearest FE instead — the draw is
-        deterministic per (vantage point, service), like a cached,
-        slightly-off resolver answer.
+        metro).
         """
         service = self.service(service_name)
-        ranked = sorted(
-            service.frontends,
-            key=lambda frontend: self.client_fe_rtt(vp, frontend,
-                                                    service))
-        if not ranked:
+        if not service.frontends:
             raise RuntimeError("service %r has no front-ends"
                                % service_name)
-        variance = self.config.dns_variance
-        if variance <= 0.0 or len(ranked) < 2:
-            return ranked[0]
-        # A fresh RNG per (service, vp) keeps repeated lookups stable,
-        # like a resolver's cached answer.
-        rng = random.Random(derive_seed(
-            self.streams.seed, "dns/%s/%s" % (service_name, vp.name)))
-        if rng.random() >= variance:
-            return ranked[0]
-        return ranked[min(len(ranked) - 1, 1 + int(rng.random() * 2))]
+        return min(service.frontends,
+                   key=lambda frontend: self.client_fe_rtt(vp, frontend,
+                                                           service))
 
     def connect_default(self, service_name: str,
                         vp: VantagePoint) -> Tuple[FrontEndServer, float]:

@@ -142,21 +142,14 @@ class FlashCrowdArrivals(ArrivalProcess):
         return self.rate * self.multiplier
 
 
-def make_arrivals(kind: str, rate: float, *,
-                  diurnal_amplitude: float = 0.5,
-                  diurnal_period: float = 86_400.0,
-                  flash_at: float = 600.0,
-                  flash_duration: float = 120.0,
-                  flash_multiplier: float = 8.0) -> ArrivalProcess:
-    """Build the arrival process a :class:`WorkloadSpec` names."""
+def make_arrivals(kind: str, rate: float) -> ArrivalProcess:
+    """Build the arrival process a :class:`WorkloadSpec` names, with
+    the process's own default shape."""
     if kind == "poisson":
         return PoissonArrivals(rate)
     if kind == "diurnal":
-        return DiurnalArrivals(rate, amplitude=diurnal_amplitude,
-                               period=diurnal_period)
+        return DiurnalArrivals(rate)
     if kind == "flash":
-        return FlashCrowdArrivals(rate, at=flash_at,
-                                  burst=flash_duration,
-                                  multiplier=flash_multiplier)
+        return FlashCrowdArrivals(rate)
     raise ValueError("arrivals must be one of %s, got %r"
                      % ("/".join(ARRIVAL_KINDS), kind))

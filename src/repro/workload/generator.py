@@ -40,6 +40,12 @@ from repro.workload.popularity import ZipfPopularity, zipf_universe
 
 __all__ = ["OpenLoopWorkload", "QueryEvent", "WorkloadSpec"]
 
+#: Mean queries per session (geometric, >= 1) and its hard cap.
+QUERIES_PER_SESSION = 3.0
+MAX_SESSION_QUERIES = 16
+#: Mean think time between a session's queries (exponential), seconds.
+THINK_TIME = 30.0
+
 
 @dataclass(frozen=True)
 class QueryEvent:
@@ -72,16 +78,6 @@ class WorkloadSpec:
     arrivals: str = "poisson"
     #: Aggregate session-arrival rate of the whole population.
     session_rate: float = 1.0
-    diurnal_amplitude: float = 0.5
-    diurnal_period: float = 86_400.0
-    flash_at: float = 600.0
-    flash_duration: float = 120.0
-    flash_multiplier: float = 8.0
-    #: Mean queries per session (geometric, >= 1) and its hard cap.
-    queries_per_session: float = 3.0
-    max_session_queries: int = 16
-    #: Mean think time between a session's queries (exponential).
-    think_time: float = 30.0
     #: Zipf skew of keyword popularity and the ranked universe size.
     alpha: float = 1.0
     keyword_count: int = 256
@@ -100,12 +96,6 @@ class WorkloadSpec:
                              % ("/".join(ARRIVAL_KINDS), self.arrivals))
         if self.session_rate < 0.0:
             raise ValueError("session_rate must be >= 0")
-        if self.queries_per_session < 1.0:
-            raise ValueError("queries_per_session must be >= 1")
-        if self.max_session_queries < 1:
-            raise ValueError("max_session_queries must be >= 1")
-        if self.think_time <= 0.0:
-            raise ValueError("think_time must be > 0")
         if not self.services:
             raise ValueError("need at least one service")
         if self.max_events is not None and self.max_events < 0:
@@ -127,13 +117,7 @@ class OpenLoopWorkload:
         self.vp_names: Tuple[str, ...] = tuple(vp_names)
         self.popularity = ZipfPopularity(
             zipf_universe(spec.seed, spec.keyword_count), spec.alpha)
-        self.process = make_arrivals(
-            spec.arrivals, spec.session_rate,
-            diurnal_amplitude=spec.diurnal_amplitude,
-            diurnal_period=spec.diurnal_period,
-            flash_at=spec.flash_at,
-            flash_duration=spec.flash_duration,
-            flash_multiplier=spec.flash_multiplier)
+        self.process = make_arrivals(spec.arrivals, spec.session_rate)
 
     @property
     def services(self) -> Tuple[str, ...]:
@@ -153,9 +137,9 @@ class OpenLoopWorkload:
             spec.seed, "workload/session/%d" % session_id))
         user = rng.randrange(spec.users)
         service = spec.services[rng.randrange(len(spec.services))]
-        continue_p = 1.0 - 1.0 / spec.queries_per_session
+        continue_p = 1.0 - 1.0 / QUERIES_PER_SESSION
         count = 1
-        while count < spec.max_session_queries \
+        while count < MAX_SESSION_QUERIES \
                 and rng.random() < continue_p:
             count += 1
         vp_name = self.vp_names[user % len(self.vp_names)]
@@ -163,7 +147,7 @@ class OpenLoopWorkload:
         time = start
         for query_index in range(count):
             if query_index > 0:
-                time = time + rng.expovariate(1.0 / spec.think_time)
+                time = time + rng.expovariate(1.0 / THINK_TIME)
                 if time >= spec.duration:
                     break  # sessions truncate at the campaign horizon
             events.append(QueryEvent(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.tcp.connection import Connection, TcpApp
 
@@ -100,9 +100,3 @@ def make_payload(size: int, tag: bytes = b"") -> bytes:
         pattern.extend(b"%s%08d|" % (tag, counter))
         counter += 1
     return bytes(pattern[:size])
-
-
-def is_pure_ack(segment) -> bool:
-    """True for a segment that carries only an acknowledgement."""
-    return (segment.ack_flag and not segment.data and not segment.syn
-            and not segment.fin)

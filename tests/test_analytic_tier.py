@@ -11,7 +11,6 @@ prediction diverges must be demoted back to packet-level simulation.
 import pytest
 
 from repro.content.keywords import Keyword, KeywordCatalog
-from repro.measure import driver as driver_module
 from repro.measure.capture import PacketEvent
 from repro.measure.driver import run_dataset_a, run_dataset_b
 from repro.parallel import run_dataset_a_sharded
@@ -538,3 +537,26 @@ def test_analytic_tier_admits_cubic_infinite_ssthresh():
     assert dataset.tier is not None and dataset.tier.analytic > 0
     assert "congestion-model" not in dataset.tier.bypasses
     assert all(s.complete for s in dataset.sessions)
+
+
+def test_forwarded_request_length_matches_a_full_encode():
+    from repro.http.message import HttpRequest, build_query_path
+    from repro.sim.analytic.predictor import request_lengths
+
+    scenario = Scenario(DET_CONFIG)
+    catalog = KeywordCatalog(11)
+    keywords = (catalog.popular(3) + catalog.mixed(3)
+                + catalog.refined(3) + catalog.complex(3))
+    for service_name in (Scenario.GOOGLE, Scenario.BING):
+        hosts = {frontend.backend_endpoint.host for frontend
+                 in scenario.service(service_name).frontends}
+        for host in sorted(hosts):
+            for index, keyword in enumerate(keywords):
+                path = build_query_path(
+                    "/search", {"q": keyword.text,
+                                "id": "q-%s-%06d" % (host, index)})
+                assert request_lengths(service_name, host, path) == (
+                    len(HttpRequest(path=path, headers={
+                        "Host": service_name}).encode()),
+                    len(HttpRequest(path=path, headers={
+                        "Host": host}).encode()))

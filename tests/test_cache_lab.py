@@ -9,9 +9,7 @@ Three load-bearing properties:
   streaming results are exactly what they were before the subsystem
   existed (the figure-level goldens are checked in CI);
 * **sharding discipline** — Dataset-A/streaming sharding stays
-  bit-identical to serial under a finite per-FE cache, while the
-  configurations that cannot be serial-equivalent (Dataset B's shared
-  FE, a shared regional tier) are rejected loudly, not silently wrong.
+  bit-identical to serial under a finite per-FE cache.
 
 Plus the satellite: ``core.cache_detect`` against known hit rates.
 """
@@ -172,18 +170,6 @@ def test_dataset_a_sharded_bit_identical_with_finite_cache():
     assert len(serial.sessions) == len(sharded.sessions) > 0
     for ours, theirs in zip(serial.sessions, sharded.sessions):
         assert session_fingerprint(ours) == session_fingerprint(theirs)
-
-
-def test_sharding_rejects_shared_regional():
-    config = ScenarioConfig(
-        seed=3, vantage_count=4, keyed_service_draws=True,
-        fe_cache=CacheHierarchySpec(
-            static=CacheSpec("lru", capacity_bytes=4300),
-            regional=CacheSpec("lru", capacity_bytes=43000),
-            regional_scope="shared"))
-    with pytest.raises(ValueError, match="shared regional"):
-        run_dataset_a_sharded(Scenario(config), _keywords(1),
-                              repeats=1, interval=1.0, shards=2)
 
 
 # ---------------------------------------------------------------------------

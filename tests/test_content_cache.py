@@ -1,8 +1,8 @@
 """Unit tests for the finite content-cache subsystem (``repro.cache``).
 
-Covers spec validation, each eviction policy's victim choice, admission
-control, the determinism contract of the keyed draws, and the
-FE -> regional -> origin tier walk with both fill policies.
+Covers spec validation, each eviction policy's victim choice, the
+determinism contract of the keyed draws, and the FE -> regional ->
+origin tier walk with both fill policies.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.cache import (
     ORIGIN,
     aggregate_stats,
 )
+from repro.cache.tier import REGIONAL_FETCH_DELAY
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +27,7 @@ def test_spec_defaults_are_infinite():
     assert not spec.finite
     hierarchy = CacheHierarchySpec()
     assert not hierarchy.static.finite
-    assert not hierarchy.shared_regional
+    assert hierarchy.regional is None
 
 
 def test_spec_rejects_inconsistent_capacity():
@@ -38,14 +39,6 @@ def test_spec_rejects_inconsistent_capacity():
         CacheSpec("lru", capacity_bytes=0)
     with pytest.raises(ValueError):
         CacheSpec("clock", capacity_bytes=100)  # unknown policy
-
-
-def test_spec_rejects_bad_admission():
-    with pytest.raises(ValueError):
-        CacheSpec("lru", capacity_bytes=10, admission="coin")
-    with pytest.raises(ValueError):
-        CacheSpec("lru", capacity_bytes=10, admission="prob",
-                  admit_probability=1.5)
 
 
 def test_hierarchy_regional_requires_finite_static():
@@ -142,33 +135,6 @@ def test_eviction_frees_enough_bytes_for_large_objects():
     assert cache.evictions == 3
 
 
-def test_probabilistic_admission_extremes_and_determinism():
-    never = ContentCache(CacheSpec("lru", capacity_bytes=100,
-                                   admission="prob",
-                                   admit_probability=0.0),
-                         name="t", seed=1)
-    always = ContentCache(CacheSpec("lru", capacity_bytes=100,
-                                    admission="prob",
-                                    admit_probability=1.0),
-                          name="t", seed=1)
-    for index in range(20):
-        never.insert("k%d" % index, 1)
-        always.insert("k%d" % index, 1)
-    assert len(never) == 0 and never.rejections == 20
-    assert len(always) == 20 and always.rejections == 0
-
-    def admitted(seed):
-        cache = ContentCache(CacheSpec("lru", capacity_bytes=100,
-                                       admission="prob",
-                                       admit_probability=0.5),
-                             name="t", seed=seed)
-        return [cache.insert("k%d" % i, 1) for i in range(40)]
-
-    outcomes = admitted(9)
-    assert outcomes == admitted(9)
-    assert any(outcomes) and not all(outcomes)
-
-
 def test_counters_and_stats():
     cache = _cache("lru", 4)
     cache.insert("a", 1)
@@ -221,7 +187,7 @@ def test_two_tier_lce_fills_everywhere_and_promotes():
     assert "page" in tier.levels[1]
     # A regional hit costs the regional delay and re-promotes to FE.
     assert tier.lookup("page") == 1
-    assert tier.fetch_delay(1) == spec.regional_fetch_delay
+    assert tier.fetch_delay(1) == REGIONAL_FETCH_DELAY
     assert "page" in tier.levels[0]
 
 
@@ -239,26 +205,22 @@ def test_two_tier_lcd_climbs_one_tier_per_request():
     assert tier.lookup("page") == 0
 
 
-def test_aggregate_stats_dedups_shared_regional():
-    regional = ContentCache(CacheSpec("lru", capacity_bytes=100),
-                            name="shared", seed=1)
+def test_aggregate_stats_sums_every_tier():
     spec = CacheHierarchySpec(
         static=CacheSpec("lru", capacity_bytes=10),
         regional=CacheSpec("lru", capacity_bytes=100))
-    tiers = [CacheTier(spec, name="fe%d" % i, seed=1,
-                       regional_cache=regional) for i in range(3)]
+    tiers = [CacheTier(spec, name="fe%d" % i, seed=1) for i in range(3)]
     for index, tier in enumerate(tiers):
         key = "page-%d" % index
         assert tier.lookup(key) == ORIGIN
         tier.fill_from_origin(key, 4)
-    # The shared cache now serves another FE's fill at level 1.
-    assert tiers[1].lookup("page-0") == 1
+    # Each front-end owns its regional tier: another FE's fill misses.
+    assert tiers[1].lookup("page-0") == ORIGIN
     totals = aggregate_stats(tiers)
-    assert totals["origin_fetches"] == 3
-    assert totals["fe_misses"] == 4  # 3 cold + tiers[1]'s page-0 miss
-    # One shared regional cache, counted once, not three times.
-    assert totals["regional_misses"] == 3
-    assert totals["regional_hits"] == 1
+    assert totals["origin_fetches"] == 4
+    assert totals["fe_misses"] == 4
+    assert totals["regional_misses"] == 4
+    assert totals["regional_hits"] == 0
     assert totals["regional_used_bytes"] == 12
 
 

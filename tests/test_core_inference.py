@@ -1,11 +1,8 @@
 """Unit tests for the inference components: threshold estimation,
 fetch-time factoring, cache detection, and service comparison."""
 
-import math
-
 import pytest
 
-from repro.analysis.stats import LinearFit
 from repro.core.cache_detect import detect_result_caching
 from repro.core.compare import compare_services, summarize_service
 from repro.core.factoring import (

@@ -4,7 +4,7 @@ against simulator ground truth."""
 import pytest
 
 from repro.analysis.boundary import BoundaryCalibration
-from repro.content.keywords import Keyword, KeywordCatalog
+from repro.content.keywords import Keyword
 from repro.core.bounds import check_bounds
 from repro.core.metrics import (
     MetricsError,

@@ -4,15 +4,14 @@ TCP host guards, topology asymmetry."""
 import pytest
 
 from repro.http.message import HttpError, HttpRequest, HttpResponse
-from repro.http.server import HttpServer, Responder
+from repro.http.server import HttpServer
 from repro.net.address import Endpoint
 from repro.net.topology import Topology
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.tcp.segment import Segment
 
-from .conftest import TwoHostWorld, make_world
-from .helpers import CollectorApp, RespondApp, SinkApp
+from .helpers import CollectorApp, SinkApp
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 from repro import obs
 from repro.content.keywords import Keyword
 from repro.measure.driver import run_dataset_a
-from repro.obs import runtime
 from repro.obs.export import (
     SCHEMA_NAME,
     SCHEMA_VERSION,

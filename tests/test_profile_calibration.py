@@ -9,7 +9,6 @@ from repro.services.deployment import (
     bing_akamai_profile,
     google_like_profile,
 )
-from repro.sim import units
 from repro.testbed import sites
 
 

@@ -15,7 +15,7 @@ from repro.http.message import (
     encode_chunk,
     encode_last_chunk,
 )
-from repro.net.geo import GeoPoint, haversine_miles
+from repro.net.geo import haversine_miles
 
 finite = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 

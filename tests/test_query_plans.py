@@ -1,6 +1,8 @@
 """Tests for query plans (the figure experiments' driver, run_queries)
 and for the one place every session starts, SessionExecutor.submit."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.content.keywords import Keyword
@@ -149,7 +151,7 @@ def _fig4():
 
 
 def _split_tcp():
-    run_split_tcp_ablation(TINY.with_overrides(repeats=3))
+    run_split_tcp_ablation(replace(TINY, repeats=3))
 
 
 def _placement():

@@ -1,7 +1,5 @@
 """Tests for the residential/mobile access-profile extension."""
 
-import pytest
-
 from repro.sim import units
 from repro.testbed.residential import (
     CAMPUS,

@@ -1,9 +1,9 @@
-"""Failure-path tests: 404 routing, back-end outages, DNS variance."""
+"""Failure-path tests: 404 routing and back-end outages."""
 
 import pytest
 
 from repro.content.keywords import Keyword
-from repro.http.client import HttpFetch, RequestHooks
+from repro.http.client import HttpFetch
 from repro.http.message import HttpRequest
 from repro.measure.driver import run_queries
 from repro.net.address import Endpoint
@@ -74,31 +74,3 @@ def test_backend_outage_produces_502(scenario):
     # The fetch fails after retry exhaustion; the FE finishes the
     # response (static-only or 502) rather than hanging forever.
     assert session.completed_at is not None
-
-
-def test_dns_variance_spreads_mappings():
-    deterministic = Scenario(ScenarioConfig(seed=21, vantage_count=30))
-    noisy = Scenario(ScenarioConfig(seed=21, vantage_count=30,
-                                    dns_variance=0.5))
-    changed = 0
-    for det_vp, noisy_vp in zip(deterministic.vantage_points,
-                                noisy.vantage_points):
-        det_fe = deterministic.default_frontend(Scenario.BING, det_vp)
-        noisy_fe = noisy.default_frontend(Scenario.BING, noisy_vp)
-        if det_fe.node.name != noisy_fe.node.name:
-            changed += 1
-    assert changed >= 5  # about half should move off the nearest
-
-
-def test_dns_variance_is_deterministic_per_vp():
-    scenario = Scenario(ScenarioConfig(seed=22, vantage_count=10,
-                                       dns_variance=0.5))
-    vp = scenario.vantage_points[0]
-    first = scenario.default_frontend(Scenario.BING, vp)
-    again = scenario.default_frontend(Scenario.BING, vp)
-    assert first.node.name == again.node.name
-
-
-def test_dns_variance_validation():
-    with pytest.raises(ValueError):
-        ScenarioConfig(dns_variance=1.5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.content.keywords import Keyword, KeywordCatalog
+from repro.content.keywords import Keyword
 from repro.http.client import HttpFetch, RequestHooks
 from repro.http.message import HttpRequest, build_query_path
 from repro.net.address import Endpoint
@@ -14,7 +14,11 @@ from repro.services.deployment import (
     bing_akamai_profile,
     google_like_profile,
 )
-from repro.services.load import FrontEndLoadModel, ProcessingModel
+from repro.services.load import (
+    TPROC_FLOOR,
+    FrontEndLoadModel,
+    ProcessingModel,
+)
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -42,7 +46,7 @@ def test_processing_model_noise_is_centred():
     # Median of lognormal noise is 1.0 -> median draw near mean_for.
     draws.sort()
     assert draws[1000] == pytest.approx(mean, rel=0.1)
-    assert min(draws) >= model.floor
+    assert min(draws) >= TPROC_FLOOR
 
 
 def test_frontend_load_model_variability_ordering():

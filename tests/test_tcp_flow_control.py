@@ -1,14 +1,11 @@
 """TCP flow-control and configuration behaviour tests."""
 
-import pytest
-
 from repro.net.address import Endpoint
 from repro.sim import units
 from repro.tcp.config import TcpConfig
 
 from .conftest import make_world
-from .helpers import (CollectorApp, EchoServerApp, RespondApp, is_pure_ack,
-                      make_payload)
+from .helpers import CollectorApp, RespondApp, make_payload
 
 RTT = units.ms(50)
 
@@ -56,55 +53,6 @@ def test_custom_mss_segments_on_wire():
     assert max(len(d) for d in sizes) <= 500
 
 
-def test_nagle_coalesces_small_writes():
-    """With Nagle on, many tiny writes produce fewer, larger segments."""
-    segment_counts = {}
-    for nagle in (False, True):
-        world = make_world(rtt=RTT,
-                           client_config=TcpConfig(nagle=nagle))
-        world.server.listen(80, EchoServerApp)
-
-        class Dripper(CollectorApp):
-            def on_established(self, conn):
-                super().on_established(conn)
-                for i in range(20):
-                    world.sim.schedule(0.001 * i, conn.send, b"x")
-
-        client = Dripper()
-        data_segments = []
-        world.topology.node("server").add_tap(
-            lambda direction, segment: data_segments.append(segment)
-            if direction == "in" and segment.data else None)
-        world.client.connect(Endpoint("server", 80), client)
-        world.sim.run(until=30.0)
-        segment_counts[nagle] = len(data_segments)
-    assert segment_counts[True] < segment_counts[False]
-
-
-def test_delayed_ack_coalesces_acks():
-    """Delayed ACKs halve the pure-ACK count on a bulk transfer."""
-    ack_counts = {}
-    payload = make_payload(60_000)
-    for delack in (False, True):
-        world = make_world(rtt=RTT,
-                           client_config=TcpConfig(delayed_ack=delack))
-        world.server.listen(80, lambda: RespondApp(payload,
-                                                   close_after=True))
-        client = CollectorApp(request=b"G")
-        acks = []
-        world.topology.node("server").add_tap(
-            lambda direction, segment: acks.append(segment)
-            if direction == "in" and is_pure_ack(segment) else None)
-        world.client.connect(Endpoint("server", 80), client)
-        world.sim.run(until=60.0)
-        assert bytes(client.received) == payload
-        ack_counts[delack] = len(acks)
-    assert ack_counts[True] < ack_counts[False] * 0.75
-    # One pure ACK per two full segments plus the timer-driven ones;
-    # a lost timer handle re-arms extra timers and sends more.
-    assert ack_counts[True] == 23
-
-
 def test_abort_mid_transfer_notifies_app():
     world = make_world(rtt=RTT)
     payload = make_payload(200_000)
@@ -118,10 +66,3 @@ def test_abort_mid_transfer_notifies_app():
     assert len(client.received) < len(payload)
     # The flow is released.
     assert conn.flow not in world.client.connections
-
-
-def test_iw10_config_preset():
-    from repro.tcp.config import IW10, CLASSIC_2011
-    assert IW10.initial_window_segments == 10
-    assert CLASSIC_2011.initial_window_segments == 3
-    assert IW10.initial_cwnd_bytes == 10 * IW10.mss

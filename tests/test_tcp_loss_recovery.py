@@ -9,7 +9,6 @@ import pytest
 
 from repro.net.address import Endpoint
 from repro.sim import units
-from repro.tcp.config import TcpConfig
 
 from .conftest import make_world
 from .helpers import CollectorApp, RespondApp, SinkApp, make_payload

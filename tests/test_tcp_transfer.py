@@ -5,12 +5,11 @@ import pytest
 from repro.net.address import Endpoint
 from repro.sim import units
 from repro.tcp.config import TcpConfig
-from repro.tcp.congestion import FixedWindowController
 from repro.tcp.connection import ConnectionError_, State
 
 from .conftest import make_world
 from .helpers import (CollectorApp, EchoServerApp, RespondApp, SinkApp,
-                      is_pure_ack, make_payload)
+                      make_payload)
 
 RTT = units.ms(40)
 
@@ -190,28 +189,6 @@ def test_rtt_estimate_close_to_actual_rtt(two_hosts):
     conn = world.client.connect(Endpoint("server", 80), client)
     world.run()
     assert conn._srtt == pytest.approx(RTT, rel=0.25)
-
-
-def test_delayed_ack_defers_pure_ack():
-    """With delayed ACK on and a silent app, the pure ACK waits 40 ms."""
-    world = make_world(rtt=units.ms(10),
-                       server_config=TcpConfig(delayed_ack=True))
-    sink = SinkApp()
-    world.server.listen(80, lambda: sink)
-    client = CollectorApp(request=b"q")  # 1 segment, no response
-    acks = []
-    world.topology.node("client").add_tap(
-        lambda direction, segment: acks.append(world.sim.now)
-        if direction == "in" and is_pure_ack(segment) else None)
-    conn = world.client.connect(Endpoint("server", 80), client)
-    world.run(until=5.0)
-    assert sink.byte_count == 1
-    # The segment leaves with the handshake's ACK at 10 ms and lands at
-    # 15 ms; the server holds its ACK for the 40 ms timer, and the ACK
-    # is back at the client at 60 ms, before any client RTO.
-    assert acks == [pytest.approx(units.ms(60.0), abs=units.ms(0.1))]
-    assert conn.stats.timeouts == 0
-    assert conn.send_buffer.unacked_bytes == 0
 
 
 def test_fixed_window_controller_transfers_in_fewer_rtts():

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.geo import GeoPoint
 from repro.sim import units
 from repro.testbed import sites
 from repro.testbed.scenario import Scenario, ScenarioConfig

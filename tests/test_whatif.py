@@ -103,7 +103,6 @@ def test_whatif_on_simulated_campaign():
     """End to end: fit the model on real simulated measurements and
     check the advice against the known service characteristics."""
     from repro.content.keywords import Keyword
-    from repro.analysis.boundary import BoundaryCalibration
     from repro.core.metrics import extract_all_calibrated
     from repro.measure.driver import run_dataset_b
     from repro.experiments.common import calibrate_service

@@ -126,8 +126,7 @@ def test_different_seeds_differ():
 
 
 def test_sessions_stay_on_one_vp_and_one_service():
-    spec = _spec(services=("google-like", "bing-akamai"),
-                 queries_per_session=4.0)
+    spec = _spec(services=("google-like", "bing-akamai"))
     by_session = {}
     for event in OpenLoopWorkload(spec, VPS).events():
         by_session.setdefault(event.session_id, []).append(event)
@@ -157,8 +156,6 @@ def test_spec_validation():
         _spec(users=0)
     with pytest.raises(ValueError):
         _spec(arrivals="bursty")
-    with pytest.raises(ValueError):
-        _spec(queries_per_session=0.5)
     with pytest.raises(ValueError):
         _spec(services=())
     with pytest.raises(ValueError):
