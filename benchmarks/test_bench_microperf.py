@@ -15,6 +15,50 @@ from repro.sim.engine import Simulator
 from repro.testbed.scenario import Scenario, ScenarioConfig
 
 
+class _Item:
+    __slots__ = ("key", "value")
+
+    def __init__(self, key):
+        self.key = key
+        self.value = 0
+
+
+#: Size of the calibration's object pool (about 300 KB) and its rounds.
+CALIBRATION_POOL = 4096
+CALIBRATION_ROUNDS = 400
+
+
+def test_bench_host_calibration(benchmark):
+    """The host's speed, not the program's: a fixed chunk of
+    interpreter-bound work (heap pushes and pops, reads and writes over
+    a pool of objects, dict updates, string formatting) that touches no
+    repro code, the same work as the e2e speed probe
+    (``benchmarks/e2e/profiler.py``).  ``run_microperf.py --check``
+    divides every other median by this one, so entries recorded on
+    different hosts compare."""
+    import heapq
+
+    pool = [_Item(i) for i in range(CALIBRATION_POOL)]
+
+    def chunk():
+        heap = []
+        table = {}
+        x = 12345
+        for i in range(CALIBRATION_ROUNDS):
+            for j in range(20):
+                x = (x * 1103515245 + 12345) & 0x7FFFFFFF
+                slot = x % CALIBRATION_POOL
+                pool[slot].value += j
+                heapq.heappush(heap, ((x % 997 + i) << 32) | slot)
+            while len(heap) > 50:
+                item = pool[heapq.heappop(heap) & 0xFFFFFFFF]
+                key = "k%d" % (item.key & 1023)
+                table[key] = table.get(key, 0) + item.value
+        return len(table)
+
+    assert benchmark(chunk) > 0
+
+
 def test_bench_engine_event_throughput(benchmark):
     """Raw event-queue throughput (schedule + dispatch)."""
 

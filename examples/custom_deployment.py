@@ -68,7 +68,7 @@ def main() -> None:
                                    ("client-east", 40.8, -74.1, "nyc")):
         node = topology.add_node(name, GeoPoint(lat, lon))
         clients[name] = TcpHost(sim, node, TcpConfig(), streams)
-        captures[name] = PacketCapture(sim, node)
+        captures[name] = PacketCapture(sim, clients[name])
         frontend = deployment.frontend_by_name(fe_tag)
         topology.connect(name, frontend.node.name,
                          delay=units.ms(4), bandwidth=units.mbps(50))

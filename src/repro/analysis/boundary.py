@@ -55,15 +55,10 @@ def common_prefix_length(streams: Sequence[bytes]) -> int:
 # ---------------------------------------------------------------------------
 def parse_body(stream: bytes) -> bytes:
     """Extract the HTTP response body from a raw inbound stream."""
-    parser = ResponseParser()
-    body = None
-    for kind, payload in parser.feed(stream):
-        if kind == "end":
-            body = payload.body
-            break
-    if body is None:
+    responses = ResponseParser().feed(stream)
+    if not responses:
         raise BoundaryError("stream does not contain a complete response")
-    return body
+    return responses[0].body
 
 
 def detect_static_size(sessions: Sequence[QuerySession]) -> int:

@@ -98,19 +98,22 @@ class PageGenerator:
         css_rng = random.Random(derive_seed(self.seed,
                                             "css/" + self.service_name))
         css_rules = []
+        css_length = 0  # running total of len(rule) over css_rules
         selectors = ["body", ".result", ".ad", ".nav", "#logo", "#footer",
                      "h1", "h2", "a", "p", ".snippet", ".menubar"]
         properties = ["margin", "padding", "border", "color", "font-size",
                       "line-height", "width", "height", "background"]
         css_budget = (self.profile.static_size - len(head) - len(banner)
                       - len("<style></style>\n"))
-        while sum(len(r) for r in css_rules) < css_budget:
+        while css_length < css_budget:
             selector = css_rng.choice(selectors)
             body = ";".join("%s:%dpx" % (css_rng.choice(properties),
                                          css_rng.randrange(100))
                             for _ in range(6))
-            css_rules.append("%s{%s}" % (selector, body))
-        if css_rules and sum(len(r) for r in css_rules) > css_budget:
+            rule = "%s{%s}" % (selector, body)
+            css_rules.append(rule)
+            css_length += len(rule)
+        if css_rules and css_length > css_budget:
             css_rules.pop()  # keep head+css+banner within the target
         css = "<style>%s</style>\n" % "".join(css_rules)
         page = (head + css + banner).encode("utf-8")

@@ -9,9 +9,11 @@ Two client shapes are provided:
   requests strictly in sequence, the shape of a front-end server's warm
   connection to its back-end data center.
 
-Both expose callback hooks (``on_head``, ``on_body``, ``on_complete``,
-``on_failure``) so callers can observe partial delivery — essential for
-measuring when the first/last static and dynamic bytes arrive.
+Both report each request through two callback hooks, ``on_complete``
+with the whole response and ``on_failure`` with a message.  When the
+static and dynamic bytes arrive is measured from the client's packet
+capture (:mod:`repro.measure.capture`), as the paper measured it from
+tcpdump traces.
 """
 
 from __future__ import annotations
@@ -31,18 +33,8 @@ from repro.tcp.host import TcpHost
 class RequestHooks:
     """Callback bundle for one HTTP request."""
 
-    on_head: Optional[Callable[[HttpResponse], None]] = None
-    on_body: Optional[Callable[[bytes], None]] = None
     on_complete: Optional[Callable[[HttpResponse], None]] = None
     on_failure: Optional[Callable[[str], None]] = None
-
-    def head(self, response: HttpResponse) -> None:
-        if self.on_head:
-            self.on_head(response)
-
-    def body(self, data: bytes) -> None:
-        if self.on_body:
-            self.on_body(data)
 
     def complete(self, response: HttpResponse) -> None:
         if self.on_complete:
@@ -80,22 +72,17 @@ class HttpFetch(TcpApp):
 
     def on_data(self, conn: Connection, data: bytes) -> None:
         try:
-            events = self.parser.feed(data)
+            responses = self.parser.feed(data)
         except HttpError as exc:
             self.failed = str(exc)
             self.hooks.failure(self.failed)
             conn.abort("malformed response")
             return
-        for kind, payload in events:
-            if kind == "head":
-                self.hooks.head(payload)
-            elif kind == "body":
-                self.hooks.body(payload)
-            elif kind == "end":
-                self.response = payload
-                self._complete = True
-                self.hooks.complete(payload)
-                conn.close()
+        for response in responses:
+            self.response = response
+            self._complete = True
+            self.hooks.complete(response)
+            conn.close()
 
     def on_close(self, conn: Connection) -> None:
         if not self._complete and self.failed is None:
@@ -164,24 +151,19 @@ class PersistentHttpClient(TcpApp):
 
     def on_data(self, conn: Connection, data: bytes) -> None:
         try:
-            events = self.parser.feed(data)
+            responses = self.parser.feed(data)
         except HttpError as exc:
             self._fail("malformed response: %s" % exc)
             conn.abort("malformed response")
             return
-        for kind, payload in events:
-            if self._inflight is None:
+        for response in responses:
+            done = self._inflight
+            if done is None:
                 continue  # stray data after failure
-            if kind == "head":
-                self._inflight.hooks.head(payload)
-            elif kind == "body":
-                self._inflight.hooks.body(payload)
-            elif kind == "end":
-                done = self._inflight
-                self._inflight = None
-                self.requests_completed += 1
-                done.hooks.complete(payload)
-                self._pump()
+            self._inflight = None
+            self.requests_completed += 1
+            done.hooks.complete(response)
+            self._pump()
 
     def on_close(self, conn: Connection) -> None:
         self._fail("peer closed persistent connection")

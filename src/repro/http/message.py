@@ -8,7 +8,8 @@ append back-end content whenever it arrives.  This module implements:
 * :class:`HttpRequest` / :class:`HttpResponse` value objects;
 * wire encoding (request line / status line, headers, chunked framing);
 * incremental parsers that accept arbitrary byte-stream fragmentation,
-  because the TCP layer delivers whatever segment boundaries occurred.
+  because the TCP layer delivers whatever segment boundaries occurred,
+  and return whole messages.
 
 Only what the reproduction needs is implemented: GET requests,
 Content-Length and chunked bodies, and persistent connections.
@@ -17,7 +18,7 @@ Content-Length and chunked bodies, and persistent connections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 from urllib.parse import quote_plus, unquote_plus
 
 CRLF = b"\r\n"
@@ -146,67 +147,46 @@ def build_query_path(base: str, params: Dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # incremental parsers
 # ---------------------------------------------------------------------------
-class _HeadParser:
-    """Shared machinery: accumulate bytes until the blank line."""
-
-    MAX_HEAD = 64 * 1024
-
-    def __init__(self):
-        self._buffer = bytearray()
-
-    def feed_until_head(self, data: bytes) -> Optional[Tuple[bytes, bytes]]:
-        """Add data; return (head_block, remainder) once complete."""
-        self._buffer.extend(data)
-        index = self._buffer.find(CRLF + CRLF)
-        if index < 0:
-            if len(self._buffer) > self.MAX_HEAD:
-                raise HttpError("header block too large")
-            return None
-        head = bytes(self._buffer[:index])
-        remainder = bytes(self._buffer[index + 4:])
-        self._buffer.clear()
-        return head, remainder
+#: Largest header block either parser accepts.
+MAX_HEAD = 64 * 1024
 
 
 class RequestParser:
-    """Incremental parser for a stream of requests on one connection."""
+    """Incremental parser for a stream of requests on one connection.
+
+    Bytes of a request that has not fully arrived are held over and
+    parsed again with the next feed; requests are small (a GET fits one
+    segment), so this costs nothing on the simulated paths.
+    """
 
     def __init__(self):
-        self._head = _HeadParser()
+        self._partial = b""
         self._pending: Optional[HttpRequest] = None
         self._body_remaining = 0
-        self._body = bytearray()
-        self._leftover = b""
 
     def feed(self, data: bytes) -> List[HttpRequest]:
         """Consume bytes; return any fully parsed requests."""
         complete: List[HttpRequest] = []
-        data = self._leftover + data
-        self._leftover = b""
-        while data or self._ready_to_finish():
+        data = self._partial + data
+        pos = 0
+        size = len(data)
+        while True:
             if self._pending is None:
-                result = self._head.feed_until_head(data)
-                if result is None:
-                    return complete
-                head, data = result
-                self._start_request(head)
-            if self._body_remaining > 0:
-                take = data[:self._body_remaining]
-                self._body.extend(take)
-                self._body_remaining -= len(take)
-                data = data[len(take):]
-            if self._body_remaining == 0 and self._pending is not None:
-                self._pending.body = bytes(self._body)
-                complete.append(self._pending)
-                self._pending = None
-                self._body.clear()
-            elif not data:
+                end = data.find(CRLF + CRLF, pos)
+                if end < 0:
+                    if size - pos > MAX_HEAD:
+                        raise HttpError("header block too large")
+                    break
+                self._start_request(data[pos:end])
+                pos = end + 4
+            if size - pos < self._body_remaining:
                 break
-        self._leftover = data
+            self._pending.body = data[pos:pos + self._body_remaining]
+            pos += self._body_remaining
+            complete.append(self._pending)
+            self._pending = None
+        self._partial = data[pos:]
         return complete
-
-    def _ready_to_finish(self) -> bool:
-        return self._pending is not None and self._body_remaining == 0
 
     def _start_request(self, head: bytes) -> None:
         lines = head.split(CRLF, 1)
@@ -219,55 +199,99 @@ class RequestParser:
         self._pending = HttpRequest(method=method, path=path,
                                     headers=headers, version=version)
         self._body_remaining = int(headers.get("Content-Length", "0"))
+        if self._body_remaining < 0:
+            raise HttpError("bad Content-Length %r"
+                            % headers["Content-Length"])
 
 
 class ResponseParser:
     """Incremental parser for a stream of responses on one connection.
 
-    Emits *events* rather than only complete messages, because the
-    measurement layer needs to observe body bytes as they arrive (the
-    static prefix of a search response arrives long before the dynamic
-    part).  Events are ``("head", HttpResponse)``, ``("body", bytes)`` and
-    ``("end", HttpResponse)`` — the response object in "end" carries the
-    full body.
+    :meth:`feed` returns the responses its bytes complete, in order, each
+    with its whole body.  The client runs it on every segment's payload,
+    so body bytes inside a Content-Length body or a chunk are kept as
+    the pieces they arrived in and joined once, when the response ends;
+    only framing (the head, chunk-size lines, CRLFs) cut by a segment
+    boundary is held over for the next feed.
     """
 
-    _IDLE, _BODY_LENGTH, _CHUNK_SIZE, _CHUNK_DATA, _CHUNK_TRAILER = range(5)
+    _HEAD, _SPAN, _CHUNK_SIZE, _CHUNK_END, _TRAILER = range(5)
 
     def __init__(self):
-        self._head = _HeadParser()
-        self._state = self._IDLE
+        self._state = self._HEAD
+        self._partial = b""     # framing bytes awaiting the rest
         self._response: Optional[HttpResponse] = None
-        self._body = bytearray()
-        self._remaining = 0
-        self._buffer = bytearray()
+        self._chunked = False
+        self._parts: List[bytes] = []
+        self._remaining = 0     # bytes left in the current body span
 
-    def feed(self, data: bytes) -> List[Tuple[str, object]]:
-        """Consume bytes and return parse events in order."""
-        events: List[Tuple[str, object]] = []
-        self._buffer.extend(data)
-        progress = True
-        while progress:
-            progress = False
-            if self._state == self._IDLE:
-                result = self._head.feed_until_head(bytes(self._buffer))
-                self._buffer.clear()
-                if result is None:
+    def feed(self, data: bytes) -> List[HttpResponse]:
+        """Consume bytes; return the responses they complete, in order."""
+        complete: List[HttpResponse] = []
+        if self._partial:
+            data = self._partial + data
+            self._partial = b""
+        pos = 0
+        size = len(data)
+        while True:
+            state = self._state
+            if state == self._SPAN:
+                if pos == size:
                     break
-                head, remainder = result
-                self._buffer.extend(remainder)
-                self._start_response(head)
-                events.append(("head", self._response))
-                progress = True
-            elif self._state == self._BODY_LENGTH:
-                progress = self._feed_length_body(events)
-            elif self._state == self._CHUNK_SIZE:
-                progress = self._feed_chunk_size()
-            elif self._state == self._CHUNK_DATA:
-                progress = self._feed_chunk_data(events)
-            elif self._state == self._CHUNK_TRAILER:
-                progress = self._feed_chunk_trailer(events)
-        return events
+                end = pos + self._remaining
+                if end > size:
+                    end = size
+                self._parts.append(data if pos == 0 and end == size
+                                   else data[pos:end])
+                self._remaining -= end - pos
+                pos = end
+                if self._remaining:
+                    break
+                if self._chunked:
+                    self._state = self._CHUNK_END
+                else:
+                    complete.append(self._finish())
+            elif state == self._HEAD:
+                end = data.find(CRLF + CRLF, pos)
+                if end < 0:
+                    if size - pos > MAX_HEAD:
+                        raise HttpError("header block too large")
+                    break
+                self._start_response(data[pos:end])
+                pos = end + 4
+                if not self._chunked and not self._remaining:
+                    complete.append(self._finish())
+            elif state == self._CHUNK_SIZE:
+                end = data.find(CRLF, pos)
+                if end < 0:
+                    break
+                line = data[pos:end].split(b";")[0].strip()
+                pos = end + 2
+                try:
+                    self._remaining = int(line, 16)
+                except ValueError:
+                    raise HttpError("bad chunk size %r" % line)
+                if self._remaining < 0:
+                    raise HttpError("bad chunk size %r" % line)
+                self._state = (self._SPAN if self._remaining
+                               else self._TRAILER)
+            else:
+                # After a chunk's payload, and after the last chunk (no
+                # trailer support): a CRLF.
+                if size - pos < 2:
+                    break
+                if data[pos:pos + 2] != CRLF:
+                    raise HttpError("missing CRLF after chunk"
+                                    if state == self._CHUNK_END
+                                    else "unsupported chunked trailer")
+                pos += 2
+                if state == self._CHUNK_END:
+                    self._state = self._CHUNK_SIZE
+                else:
+                    complete.append(self._finish())
+        if pos < size:
+            self._partial = data[pos:]
+        return complete
 
     # ------------------------------------------------------------------
     def _start_response(self, head: bytes) -> None:
@@ -280,76 +304,21 @@ class ResponseParser:
         headers = _parse_headers(lines[1]) if len(lines) > 1 else {}
         self._response = HttpResponse(status=status, headers=headers,
                                       version=version)
-        self._body = bytearray()
-        if headers.get("Transfer-Encoding", "").lower() == "chunked":
+        self._chunked = (headers.get("Transfer-Encoding", "").lower()
+                         == "chunked")
+        if self._chunked:
             self._state = self._CHUNK_SIZE
         else:
             self._remaining = int(headers.get("Content-Length", "0"))
-            self._state = self._BODY_LENGTH
+            if self._remaining < 0:
+                raise HttpError("bad Content-Length %r"
+                                % headers["Content-Length"])
+            self._state = self._SPAN
 
-    def _feed_length_body(self, events) -> bool:
-        if self._remaining == 0:
-            self._finish(events)
-            return True
-        if not self._buffer:
-            return False
-        take = bytes(self._buffer[:self._remaining])
-        del self._buffer[:len(take)]
-        self._remaining -= len(take)
-        self._body.extend(take)
-        events.append(("body", take))
-        if self._remaining == 0:
-            self._finish(events)
-        return True
-
-    def _feed_chunk_size(self) -> bool:
-        index = self._buffer.find(CRLF)
-        if index < 0:
-            return False
-        line = bytes(self._buffer[:index]).split(b";")[0].strip()
-        del self._buffer[:index + 2]
-        try:
-            self._remaining = int(line, 16)
-        except ValueError:
-            raise HttpError("bad chunk size %r" % line)
-        self._state = (self._CHUNK_TRAILER if self._remaining == 0
-                       else self._CHUNK_DATA)
-        return True
-
-    def _feed_chunk_data(self, events) -> bool:
-        if not self._buffer:
-            return False
-        if self._remaining > 0:
-            take = bytes(self._buffer[:self._remaining])
-            del self._buffer[:len(take)]
-            self._remaining -= len(take)
-            self._body.extend(take)
-            events.append(("body", take))
-            if self._remaining > 0:
-                return True
-        # Expect the CRLF after the chunk payload.
-        if len(self._buffer) < 2:
-            return False
-        if bytes(self._buffer[:2]) != CRLF:
-            raise HttpError("missing CRLF after chunk")
-        del self._buffer[:2]
-        self._state = self._CHUNK_SIZE
-        return True
-
-    def _feed_chunk_trailer(self, events) -> bool:
-        # No trailer support: expect the final CRLF.
-        if len(self._buffer) < 2:
-            return False
-        if bytes(self._buffer[:2]) != CRLF:
-            raise HttpError("unsupported chunked trailer")
-        del self._buffer[:2]
-        self._finish(events)
-        return True
-
-    def _finish(self, events) -> None:
+    def _finish(self) -> HttpResponse:
         response = self._response
-        response.body = bytes(self._body)
-        events.append(("end", response))
+        response.body = b"".join(self._parts)
         self._response = None
-        self._state = self._IDLE
-        self._body = bytearray()
+        self._parts = []
+        self._state = self._HEAD
+        return response

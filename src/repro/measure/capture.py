@@ -1,13 +1,14 @@
 """Client-side packet capture (the simulated tcpdump).
 
-A :class:`PacketCapture` attaches to a node as a tap, sees every
-segment the node sends or receives, and records one
+A :class:`PacketCapture` attaches to a client's
+:class:`~repro.tcp.host.TcpHost` as its capture hook: the host hands it
+every segment as it sends or receives it, and the capture records one
 :class:`PacketEvent` per packet of each connection it captures —
 timestamp, direction, addressing, TCP flags/sequence numbers, and
-(optionally) the payload bytes.  Each client node has one capture, made
-with its TCP host by the scenario
-(:meth:`~repro.testbed.scenario.Scenario.client_capture`), so a node
-runs one tap however many emulators query from it.  Capture is per
+(optionally) the payload bytes.  Each client host has one capture, made
+with it by the scenario
+(:meth:`~repro.testbed.scenario.Scenario.client_capture`), however many
+emulators query from it.  Capture is per
 session: the emulator opens its connection's local port before the SYN
 leaves and closes it when the session ends, taking that port's events.
 Packets on other ports are not kept, so no capture grows with the
@@ -24,11 +25,13 @@ temporal classification needs only sequence numbers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.net.node import Node
 from repro.sim.engine import Simulator
 from repro.tcp.segment import Segment
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.tcp.host import TcpHost
 
 
 class PacketEvent:
@@ -37,7 +40,7 @@ class PacketEvent:
     A manual ``__slots__`` class (not a dataclass): one instance is
     appended per captured packet, which makes its constructor a
     measurement-campaign hot path.  Its two per-packet callers (the
-    capture tap and :func:`repro.sim.replay.timeline.materialize_events`)
+    capture hook and :func:`repro.sim.replay.timeline.materialize_events`)
     pass its fields positionally, in ``__slots__`` order, which costs
     well under half of a keyword call.
     """
@@ -68,14 +71,16 @@ class PacketEvent:
 
 
 class PacketCapture:
-    """Tap-based, per-port packet recorder for one host."""
+    """Per-port packet recorder for one host."""
 
-    def __init__(self, sim: Simulator, node: Node):
+    def __init__(self, sim: Simulator, host: "TcpHost"):
+        if host.capture is not None:
+            raise ValueError("host %s already has a capture"
+                             % host.node.name)
         self.sim = sim
-        self.node = node
         #: open local port -> (its events in capture order, keep payload)
         self._open: Dict[int, Tuple[List[PacketEvent], bool]] = {}
-        node.add_tap(self._observe)
+        host.capture = self._observe
 
     def open_port(self, local_port: int, store_payload: bool = False) -> None:
         """Start recording the host's packets on ``local_port``, with
@@ -99,7 +104,7 @@ class PacketCapture:
         # store_payload (measurement campaigns) payload travels the
         # whole simulated path length-only.
         events.append(PacketEvent(
-            self.sim.now, direction, segment.src, segment.dst,
+            self.sim._now, direction, segment.src, segment.dst,
             segment.sport, segment.dport, segment.size_bytes,
             len(segment.data), segment.seq, segment.ack, segment.syn,
             segment.fin, segment.ack_flag, segment.retransmit,

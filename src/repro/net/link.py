@@ -14,10 +14,14 @@ A :class:`Link` models the one-way path between two nodes as:
 What crosses a link is a :class:`~repro.tcp.segment.Segment`, whose
 ``size_bytes`` is its on-wire size.  A path is two independent ``Link``
 objects, one per direction (see :meth:`repro.net.topology.Topology.connect`).
+A link schedules each arrival as a call of its far node's receiver, the
+:class:`~repro.tcp.host.TcpHost` bound there, so a segment crosses a hop
+in one call of :meth:`Link.send` and one engine event.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -26,6 +30,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.node import Node
     from repro.tcp.segment import Segment
 
 #: Signature of a deterministic fault filter: called with the segment and
@@ -35,13 +40,10 @@ FaultFilter = Callable[["Segment", int], bool]
 
 @dataclass
 class LinkStats:
-    """Counters maintained by every link."""
+    """Fault counters maintained by every link."""
 
-    packets_offered: int = 0
-    packets_delivered: int = 0
     packets_lost: int = 0
     packets_dropped_queue: int = 0
-    bytes_delivered: int = 0
 
 
 class Link:
@@ -52,14 +54,15 @@ class Link:
     sim:
         The simulator driving the link.
     name:
-        Human-readable identifier, also used to derive the loss RNG stream.
+        Human-readable identifier, also used to name the loss and jitter
+        RNG streams.
     delay:
         One-way propagation delay in seconds.
     bandwidth:
         Serialization rate in bytes per second.
-    deliver:
-        Callback invoked as ``deliver(segment)`` when a segment arrives
-        at the far end.
+    dst:
+        The node at the far end: each segment that arrives is handed to
+        ``dst.receiver``, read when the segment is sent.
     loss_rate:
         Independent per-packet drop probability in [0, 1].
     jitter:
@@ -71,7 +74,9 @@ class Link:
     queue_limit_bytes:
         Maximum backlog; packets that would exceed it are tail-dropped.
     streams:
-        RNG registry; loss and jitter draw from streams named after the link.
+        RNG registry; loss and jitter draw from the streams
+        ``"loss/<name>"`` and ``"jitter/<name>"``, each taken once, on
+        the first packet that needs it.
     fault_filter:
         Optional deterministic drop rule ``fn(segment, offer_index) ->
         bool`` for failure-injection tests (e.g. "drop the 7th data
@@ -81,7 +86,7 @@ class Link:
     def __init__(self, sim: Simulator, name: str, *,
                  delay: float,
                  bandwidth: float,
-                 deliver: Callable[["Segment"], None],
+                 dst: "Node",
                  loss_rate: float = 0.0,
                  jitter: float = 0.0,
                  queue_limit_bytes: int = 4 * 1024 * 1024,
@@ -104,25 +109,25 @@ class Link:
         self.loss_rate = loss_rate
         self.jitter = jitter
         self.queue_limit_bytes = queue_limit_bytes
-        self.deliver = deliver
+        self.dst = dst
         self.streams = streams or RandomStreams(0)
         self.fault_filter = fault_filter
         self.stats = LinkStats()
         self._busy_until = 0.0
         self._last_delivery_time = 0.0
         self._offer_index = 0
+        self._loss_rng: Optional[random.Random] = None
+        self._jitter_rng: Optional[random.Random] = None
 
     # ------------------------------------------------------------------
     def send(self, segment: "Segment") -> bool:
-        """Offer ``segment`` to the link.
+        """Offer ``segment`` to the link and schedule its arrival.
 
         Returns True if the segment was accepted (it may still be lost in
         flight), False if it was tail-dropped at the queue.
         """
         offer_index = self._offer_index
         self._offer_index = offer_index + 1
-        stats = self.stats
-        stats.packets_offered += 1
 
         # send() runs once per packet, so the queue backlog and the
         # transmission delay are computed inline, and the clock is read
@@ -135,7 +140,7 @@ class Link:
         backlog = busy - now
         backlog = backlog * bandwidth if backlog > 0.0 else 0.0
         if backlog + size > self.queue_limit_bytes:
-            stats.packets_dropped_queue += 1
+            self.stats.packets_dropped_queue += 1
             if _obs.enabled:
                 _obs.metrics.inc("link.packets_dropped_queue")
             return False
@@ -146,36 +151,40 @@ class Link:
 
         if self.fault_filter is not None and \
                 self.fault_filter(segment, offer_index):
-            stats.packets_lost += 1
+            self.stats.packets_lost += 1
             if _obs.enabled:
                 _obs.metrics.inc("link.packets_lost")
             return True
 
-        if self.loss_rate and self.streams.bernoulli(
-                "loss/" + self.name, self.loss_rate):
-            # The packet still occupied the wire (busy_until already
-            # advanced) but never arrives.
-            stats.packets_lost += 1
-            if _obs.enabled:
-                _obs.metrics.inc("link.packets_lost")
-            return True
+        loss_rate = self.loss_rate
+        if loss_rate:
+            rng = self._loss_rng
+            if rng is None:
+                rng = self._loss_rng = self.streams.get("loss/" + self.name)
+            if rng.random() < loss_rate:
+                # The packet still occupied the wire (busy_until already
+                # advanced) but never arrives.
+                self.stats.packets_lost += 1
+                if _obs.enabled:
+                    _obs.metrics.inc("link.packets_lost")
+                return True
 
         arrival = tx_done + self.delay
-        if self.jitter:
-            arrival += self.streams.uniform("jitter/" + self.name,
-                                            0.0, self.jitter)
+        jitter = self.jitter
+        if jitter:
+            rng = self._jitter_rng
+            if rng is None:
+                rng = self._jitter_rng = self.streams.get(
+                    "jitter/" + self.name)
+            # uniform(0, jitter) draws 0.0 + (jitter - 0.0) * random():
+            # the same float as this product.
+            arrival += jitter * rng.random()
         # Clamp to preserve FIFO delivery despite jitter.
         if arrival < self._last_delivery_time:
             arrival = self._last_delivery_time
         self._last_delivery_time = arrival
-        sim.call_at(arrival, self._arrive, segment)
+        sim.call_at(arrival, self.dst.receiver, segment)
         return True
-
-    def _arrive(self, segment: "Segment") -> None:
-        stats = self.stats
-        stats.packets_delivered += 1
-        stats.bytes_delivered += segment.size_bytes
-        self.deliver(segment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<Link %s delay=%.4fs bw=%.0fB/s loss=%.3g>" % (

@@ -92,7 +92,7 @@ class Topology:
 
     def _make_link(self, src: Node, dst: Node, **params) -> Link:
         link = Link(self.sim, "%s->%s" % (src.name, dst.name),
-                    deliver=dst.deliver, streams=self.streams, **params)
+                    dst=dst, streams=self.streams, **params)
         src.attach_link(dst.name, link)
         return link
 

@@ -39,14 +39,14 @@ class RandomStreams:
         self.seed = int(seed)
         self._streams: Dict[str, random.Random] = {}
         #: Count of draw events made through this registry's helpers:
-        #: one per variate drawn from a shared stream (:meth:`uniform`,
-        #: :meth:`lognormal`, a non-short-circuited :meth:`bernoulli`)
-        #: and one per :meth:`keyed` generator created (each keyed
-        #: generator backs exactly one logical draw).  Draws made on a
-        #: generator obtained via :meth:`get` are not counted — the
-        #: counter tracks the registry API, which is what the
-        #: session-replay cache's determinism contract is stated over
-        #: (see ``repro.sim.replay``).
+        #: one per variate drawn from a shared stream with
+        #: :meth:`lognormal`, and one per :meth:`keyed` generator created
+        #: (each keyed generator backs exactly one logical draw).  Draws
+        #: made on a generator obtained via :meth:`get` — a link's loss
+        #: and jitter draws among them — are not counted: the counter
+        #: tracks the registry API, which is what the session-replay
+        #: cache's determinism contract is stated over (see
+        #: ``repro.sim.replay``).
         self.draws_consumed = 0
 
     def get(self, name: str) -> random.Random:
@@ -82,27 +82,7 @@ class RandomStreams:
         """
         return RandomStreams(derive_seed(self.seed, "spawn/" + name))
 
-    def uniform(self, name: str, low: float, high: float) -> float:
-        self.draws_consumed += 1
-        return self.get(name).uniform(low, high)
-
     def lognormal(self, name: str, mu: float, sigma: float) -> float:
         """Draw from a lognormal; ``mu``/``sigma`` are of the underlying normal."""
         self.draws_consumed += 1
         return self.get(name).lognormvariate(mu, sigma)
-
-    def bernoulli(self, name: str, probability: float) -> bool:
-        """Return True with the given probability.
-
-        The 0.0 and 1.0 cases short-circuit without consuming a draw, so
-        adding an impossible *or* certain event to a scenario never
-        perturbs the sequences seen by sibling streams.
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0,1], got %r" % probability)
-        if probability == 0.0:
-            return False
-        if probability == 1.0:
-            return True
-        self.draws_consumed += 1
-        return self.get(name).random() < probability

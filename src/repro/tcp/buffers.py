@@ -18,31 +18,20 @@ class SendBuffer:
     """Outbound stream buffer with sequence-number bookkeeping.
 
     Sequence numbers are absolute stream offsets (the connection layer
-    adds its ISN).  ``una`` is the lowest unacknowledged offset, ``nxt``
-    the next offset to be sent for the first time.
+    adds its ISN).  ``length`` is the number of bytes ever enqueued,
+    ``una`` the lowest unacknowledged offset and ``nxt`` the next offset
+    to be sent for the first time, so ``nxt - una`` bytes are in flight
+    and ``length - nxt`` are unsent.  The connection reads these fields
+    directly and advances ``nxt`` as it transmits.
     """
 
     def __init__(self):
         self._chunks: List[bytes] = []
         self._base = 0          # stream offset of the start of _chunks
-        self._length = 0        # total bytes ever enqueued
+        self.length = 0
         self.una = 0
         self.nxt = 0
         self.fin_enqueued = False
-
-    # ------------------------------------------------------------------
-    @property
-    def stream_length(self) -> int:
-        """Total payload bytes enqueued so far."""
-        return self._length
-
-    @property
-    def unsent_bytes(self) -> int:
-        return self._length - self.nxt
-
-    @property
-    def unacked_bytes(self) -> int:
-        return self.nxt - self.una
 
     # ------------------------------------------------------------------
     def enqueue(self, data: bytes) -> None:
@@ -51,7 +40,7 @@ class SendBuffer:
             raise RuntimeError("cannot enqueue after FIN")
         if data:
             self._chunks.append(bytes(data))
-            self._length += len(data)
+            self.length += len(data)
 
     def mark_fin(self) -> None:
         """Mark end-of-stream; no further enqueues are allowed."""
@@ -66,7 +55,7 @@ class SendBuffer:
         if offset < self._base:
             raise ValueError("offset %d below buffer base %d (already "
                              "released)" % (offset, self._base))
-        if size <= 0 or offset >= self._length:
+        if size <= 0 or offset >= self.length:
             return b""
         out = []
         remaining = size
@@ -100,7 +89,7 @@ class SendBuffer:
         if offset < self._base:
             raise ValueError("offset %d below buffer base %d (already "
                              "released)" % (offset, self._base))
-        if size <= 0 or offset >= self._length:
+        if size <= 0 or offset >= self.length:
             return b""
         position = self._base
         for chunk in self._chunks:
@@ -113,12 +102,6 @@ class SendBuffer:
                 return memoryview(chunk)[start:start + size]
             break
         return self.peek(offset, size)
-
-    def advance_nxt(self, size: int) -> None:
-        """Record that ``size`` new bytes were transmitted."""
-        if self.nxt + size > self._length:
-            raise ValueError("cannot send beyond enqueued data")
-        self.nxt += size
 
     def ack_to(self, offset: int) -> int:
         """Process a cumulative ACK up to stream ``offset``.

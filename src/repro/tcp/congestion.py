@@ -57,10 +57,6 @@ class RenoController(CongestionController):
 
     # ------------------------------------------------------------------
     @property
-    def in_slow_start(self) -> bool:
-        return self.cwnd < self.ssthresh and not self._recovery
-
-    @property
     def in_recovery(self) -> bool:
         return self._recovery
 
@@ -74,7 +70,7 @@ class RenoController(CongestionController):
             # acked, then add back one MSS (NewReno partial-ack rule).
             self.cwnd = max(self.mss, self.cwnd - newly_acked + self.mss)
             return
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # slow start
             self.cwnd += min(newly_acked, self.mss)
         else:
             # Additive increase: one MSS per cwnd of data acked.

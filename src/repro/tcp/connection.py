@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
-from repro.net.address import Endpoint, FlowKey
+from repro.net.address import FlowKey
 from repro.obs import runtime as _obs
 from repro.tcp.buffers import Reassembler, SendBuffer
 from repro.tcp.config import (
@@ -68,12 +68,8 @@ class ConnectionError_(Exception):
 
 @dataclass
 class ConnectionStats:
-    """Diagnostics counters for one connection."""
+    """Loss-recovery counters for one connection."""
 
-    segments_sent: int = 0
-    segments_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
     retransmissions: int = 0
     fast_retransmits: int = 0
     timeouts: int = 0
@@ -105,7 +101,9 @@ class Connection:
 
     Connections are created through :class:`repro.tcp.host.TcpHost`
     (active open via ``connect`` or passive open via ``listen``), never
-    directly.
+    directly.  A connection resolves the link toward its peer when it is
+    made, and sends every segment on it; a host with no link to the peer
+    raises ``ValueError``.
     """
 
     def __init__(self, host: "TcpHost", flow: FlowKey, app: TcpApp,
@@ -120,14 +118,16 @@ class Connection:
         self.state = State.CLOSED
         self.passive = passive
         self.stats = ConnectionStats()
-        # Flow-key fields cached as plain attributes: ``self.local`` /
-        # ``self.remote`` are property hops, and the transmit path reads
-        # these once per segment.
-        self._node = host.node
+        # Flow-key fields cached as plain attributes: every segment built
+        # or stamped reads them.
         self._sport = flow.local.port
         self._dport = flow.remote.port
         self._src_host = flow.local.host
         self._dst_host = flow.remote.host
+        self._link = host.node.links.get(self._dst_host)
+        if self._link is None:
+            raise ValueError("%s has no link to %s"
+                             % (self._src_host, self._dst_host))
 
         if controller is not None:
             self.cc: CongestionController = controller
@@ -194,14 +194,6 @@ class Connection:
         return state is State.ESTABLISHED or state in (
             State.FIN_WAIT_1, State.FIN_WAIT_2, State.CLOSE_WAIT)
 
-    @property
-    def local(self) -> Endpoint:
-        return self.flow.local
-
-    @property
-    def remote(self) -> Endpoint:
-        return self.flow.remote
-
     def send(self, data: bytes) -> None:
         """Queue application ``data`` for transmission."""
         if self._fin_sent:
@@ -239,8 +231,8 @@ class Connection:
         if self.state != State.CLOSED:
             raise ConnectionError_("open_active in state %s" % self.state)
         self.state = State.SYN_SENT
-        self._transmit(Segment(sport=self.local.port, dport=self.remote.port,
-                               seq=self.isn, syn=True))
+        self._transmit(Segment(self._sport, self._dport, self.isn, 0, b"",
+                               True))
         self._arm_rto()
 
     def _open_passive(self, syn: Segment) -> None:
@@ -248,18 +240,14 @@ class Connection:
         self.peer_isn = syn.seq
         self.reassembler.next_expected = 0
         self.state = State.SYN_RCVD
-        self._transmit(Segment(sport=self.local.port, dport=self.remote.port,
-                               seq=self.isn, ack=syn.seq + 1,
-                               syn=True, ack_flag=True))
+        self._transmit(Segment(self._sport, self._dport, self.isn,
+                               syn.seq + 1, b"", True, False, True))
         self._arm_rto()
 
     # ------------------------------------------------------------------
-    # offset helpers: buffers track stream offsets; wire uses absolute seq
+    # buffers track stream offsets; the wire uses absolute sequence
+    # numbers: our stream offset o goes out as isn + 1 + o
     # ------------------------------------------------------------------
-    def _send_seq(self, offset: int) -> int:
-        """Stream offset -> absolute sequence number (our direction)."""
-        return self.isn + 1 + offset
-
     def _rcv_nxt(self) -> int:
         """Next absolute sequence number expected from the peer.
 
@@ -277,37 +265,48 @@ class Connection:
     # segment reception
     # ------------------------------------------------------------------
     def handle_segment(self, segment: Segment) -> None:
-        """Entry point for every segment of this flow delivered to us."""
-        stats = self.stats
-        stats.segments_received += 1
-        stats.bytes_received += len(segment.data)
+        """Entry point for every segment of this flow delivered to us.
 
-        if self.state == State.SYN_SENT:
-            self._handle_in_syn_sent(segment)
-            return
-        if self.state == State.CLOSED:
-            return
-        if segment.syn:
-            # Duplicate SYN (our SYN-ACK was lost): re-ack it.
-            if self.state == State.SYN_RCVD and not segment.ack_flag:
-                self._transmit(Segment(
-                    sport=self.local.port, dport=self.remote.port,
-                    seq=self.isn, ack=segment.seq + 1,
-                    syn=True, ack_flag=True, retransmit=True))
-            return
-
+        In order: the ACK field, then the payload, then one window scan
+        (skipped when the ACK processing already ran it), then a pure
+        ACK if the payload asked for one and no data segment carried it.
+        """
+        state = self.state
         tried_send = False
-        if segment.ack_flag:
-            tried_send = self._process_ack(segment)
-        if segment.data or segment.fin:
-            self._process_payload(segment)
-        self._flush_ack_or_data(tried_send=tried_send)
+        if state is State.SYN_SENT:
+            if not self._handle_in_syn_sent(segment):
+                return
+        elif state is State.CLOSED:
+            return
+        elif segment.syn:
+            # Duplicate SYN (our SYN-ACK was lost): re-ack it.
+            if state is State.SYN_RCVD and not segment.ack_flag:
+                self._transmit(Segment(self._sport, self._dport, self.isn,
+                                       segment.seq + 1, b"", True, False,
+                                       True, True))
+            return
+        else:
+            if segment.ack_flag:
+                tried_send = self._process_ack(segment)
+            if segment.data or segment.fin:
+                self._process_payload(segment)
+        if not tried_send:
+            self._try_send()
+        if self._ack_pending:
+            # Set only once peer_isn is known (payload or handshake).
+            self._ack_pending = False
+            self._transmit(Segment(self._sport, self._dport,
+                                   self.isn + 1 + self.send_buffer.nxt,
+                                   self._rcv_nxt(), b"", False, False,
+                                   True))
 
-    def _handle_in_syn_sent(self, segment: Segment) -> None:
+    def _handle_in_syn_sent(self, segment: Segment) -> bool:
+        """Complete an active open on the SYN-ACK; returns True when the
+        handshake ACK is due (handle_segment sends it)."""
         if not (segment.syn and segment.ack_flag):
-            return
+            return False
         if segment.ack != self.isn + 1:
-            return
+            return False
         self.peer_isn = segment.seq
         self._syn_acked = True
         self._retries = 0
@@ -317,7 +316,7 @@ class Connection:
         # queued some (typical HTTP client behaviour: ACK + GET go
         # back-to-back, which is exactly the paper's t1 cluster).
         self._ack_pending = True
-        self._flush_ack_or_data()
+        return True
 
     def _enter_established(self) -> None:
         self.state = State.ESTABLISHED
@@ -328,34 +327,32 @@ class Connection:
 
     def _process_ack(self, segment: Segment) -> bool:
         """Handle the ACK field; returns True if it ran its _try_send
-        (letting handle_segment skip the redundant one in the flush)."""
-        if self.state == State.SYN_RCVD:
+        (letting handle_segment skip the redundant one)."""
+        if self.state is State.SYN_RCVD:
             if segment.ack == self.isn + 1:
                 self._syn_acked = True
                 self._retries = 0
                 self._enter_established()
             # fall through: the same segment may carry data (rare here).
 
+        sb = self.send_buffer
         ack_offset = segment.ack - (self.isn + 1)
-        fin_offset = (self.send_buffer.stream_length
-                      if self.send_buffer.fin_enqueued else None)
-
-        if fin_offset is not None and ack_offset == fin_offset + 1:
-            ack_offset = fin_offset  # the +1 acknowledges our FIN
+        if sb.fin_enqueued and ack_offset == sb.length + 1:
+            ack_offset = sb.length  # the +1 acknowledges our FIN
             fin_now_acked = self._fin_sent
         else:
             fin_now_acked = False
 
-        if ack_offset > self.send_buffer.nxt:
+        if ack_offset > sb.nxt:
             return False  # acks data we never sent; ignore
 
         newly = 0
-        if ack_offset > self.send_buffer.una:
-            newly = self.send_buffer.ack_to(ack_offset)
+        una = sb.una
+        if ack_offset > una:
+            newly = sb.ack_to(ack_offset)
             self._retries = 0
             self._on_bytes_acked(ack_offset, newly)
-        elif (ack_offset == self.send_buffer.una
-              and self.send_buffer.unacked_bytes > 0
+        elif (ack_offset == una and sb.nxt > una
               and not segment.data and not segment.fin):
             self._on_dup_ack()
 
@@ -365,7 +362,9 @@ class Connection:
             self._advance_close_state_on_fin_ack()
 
         if newly or fin_now_acked:
-            if self._outstanding():
+            # Anything still outstanding?  New data acked or a FIN sent
+            # means the handshake is over, so only data and FIN count.
+            if sb.nxt > sb.una or (self._fin_sent and not self._fin_acked):
                 self._arm_rto(restart=True)
             else:
                 self._cancel_rto()
@@ -374,21 +373,24 @@ class Connection:
 
     def _on_bytes_acked(self, ack_offset: int, newly: int) -> None:
         # RTT sampling (Karn: the probe is only set on fresh sends).
-        if self._rtt_probe is not None and ack_offset >= self._rtt_probe[0]:
-            self._update_rtt(self.sim._now - self._rtt_probe[1])
+        probe = self._rtt_probe
+        if probe is not None and ack_offset >= probe[0]:
+            self._update_rtt(self.sim._now - probe[1])
             self._rtt_probe = None
-        if self.cc.in_recovery:
+        cc = self.cc
+        sb = self.send_buffer
+        if cc.in_recovery:
             if ack_offset >= self._recover_offset:
-                self.cc.on_recovery_exit()
+                cc.on_recovery_exit()
                 self._dupacks = 0
             else:
                 # NewReno partial ACK: retransmit the next hole at once.
-                self.cc.on_ack(newly, self._flight_size())
+                cc.on_ack(newly, sb.nxt - sb.una)
                 self._retransmit_una()
                 return
         else:
             self._dupacks = 0
-            self.cc.on_ack(newly, self._flight_size())
+            cc.on_ack(newly, sb.nxt - sb.una)
 
     def _on_dup_ack(self) -> None:
         self.stats.dup_acks_received += 1
@@ -400,8 +402,9 @@ class Connection:
             self.stats.fast_retransmits += 1
             if _obs.enabled:
                 _obs.metrics.inc("tcp.fast_retransmits")
-            self._recover_offset = self.send_buffer.nxt
-            self.cc.on_fast_retransmit(self._flight_size())
+            sb = self.send_buffer
+            self._recover_offset = sb.nxt
+            self.cc.on_fast_retransmit(sb.nxt - sb.una)
             self._retransmit_una()
 
     def _process_payload(self, segment: Segment) -> None:
@@ -478,25 +481,10 @@ class Connection:
     # ------------------------------------------------------------------
     # transmission
     # ------------------------------------------------------------------
-    def _flight_size(self) -> int:
-        return self.send_buffer.unacked_bytes
-
-    def _outstanding(self) -> bool:
-        if self.send_buffer.unacked_bytes > 0:
-            return True
-        if self._fin_sent and not self._fin_acked:
-            return True
-        if self.state in (State.SYN_SENT, State.SYN_RCVD):
-            return True
-        return False
-
-    def _window_available(self) -> int:
-        window = min(self.cc.cwnd, self.peer_rwnd)
-        return max(0, window - self._flight_size())
-
     def _try_send(self) -> None:
         """Transmit as much new data as the windows allow."""
         sb = self.send_buffer
+        length = sb.length
         # Nothing unsent and no FIN pending: skip the whole window scan.
         # On a one-directional transfer roughly half of all calls land
         # here (the receiving side runs _try_send once per segment), so
@@ -504,8 +492,7 @@ class Connection:
         # The RFC 2861 idle check still runs when enabled: a pure ACK
         # can refresh _last_send_time before the next data send, so the
         # collapse cannot be deferred to the sending call.
-        if sb.nxt == sb.stream_length and (
-                self._fin_sent or not sb.fin_enqueued):
+        if sb.nxt == length and (self._fin_sent or not sb.fin_enqueued):
             if self._idle_reset_enabled and self.established:
                 self._maybe_reset_after_idle()
             return
@@ -523,15 +510,15 @@ class Connection:
         # Also invariant inside the loop: nothing in it enqueues data or
         # receives segments, so stream length and the ACK fields are
         # fixed for the batch.
-        length = sb.stream_length
         sport = self._sport
         dport = self._dport
         has_peer = self.peer_isn is not None
         rcv_nxt = self._rcv_nxt() if has_peer else 0
         seq_base = self.isn + 1
         while True:
-            available = window - (sb.nxt - sb.una)
-            unsent = length - sb.nxt
+            offset = sb.nxt
+            available = window - (offset - sb.una)
+            unsent = length - offset
             if unsent <= 0 or available <= 0:
                 break
             size = mss
@@ -539,35 +526,24 @@ class Connection:
                 size = unsent
             if available < size:
                 size = available
-            offset = sb.nxt
             data = sb.peek_view(offset, size)
-            sb.advance_nxt(len(data))
-            fin = (sb.fin_enqueued
-                   and length == sb.nxt
-                   and not self._fin_sent)
+            sb.nxt = nxt = offset + size
+            fin = sb.fin_enqueued and length == nxt and not self._fin_sent
             if fin:
                 self._fin_sent = True
                 self._note_fin_state()
-            segment = Segment(sport=sport, dport=dport,
-                              seq=seq_base + offset,
-                              ack=rcv_nxt, ack_flag=has_peer,
-                              data=data, fin=fin)
             if self._rtt_probe is None:
-                self._rtt_probe = (offset + len(data), self.sim._now)
-            self._transmit(segment)
+                self._rtt_probe = (nxt, self.sim._now)
+            self._transmit(Segment(sport, dport, seq_base + offset, rcv_nxt,
+                                   data, False, fin, has_peer))
             self._ack_pending = False
             sent_any = True
         # A bare FIN when everything was already sent.
-        if (self.send_buffer.fin_enqueued and not self._fin_sent
-                and self.send_buffer.unsent_bytes == 0
-                and self._window_available() >= 0):
+        if sb.fin_enqueued and not self._fin_sent and sb.nxt == length:
             self._fin_sent = True
             self._note_fin_state()
-            self._transmit(Segment(
-                sport=self.local.port, dport=self.remote.port,
-                seq=self._send_seq(self.send_buffer.stream_length),
-                ack=self._rcv_nxt() if self.peer_isn is not None else 0,
-                ack_flag=self.peer_isn is not None, fin=True))
+            self._transmit(Segment(sport, dport, seq_base + length, rcv_nxt,
+                                   b"", False, True, has_peer))
             self._ack_pending = False
             sent_any = True
         if sent_any:
@@ -577,7 +553,8 @@ class Connection:
         """RFC 2861: collapse cwnd after an idle period (if configured)."""
         if not self._idle_reset_enabled:
             return
-        if self.send_buffer.unacked_bytes > 0:
+        sb = self.send_buffer
+        if sb.nxt > sb.una:
             return  # not idle: data is in flight
         idle = self.sim._now - self._last_send_time
         if idle > max(self._rto, MIN_RTO):
@@ -594,56 +571,39 @@ class Connection:
         self.stats.retransmissions += 1
         if _obs.enabled:
             _obs.metrics.inc("tcp.retransmissions")
-        offset = self.send_buffer.una
-        if offset < self.send_buffer.stream_length:
-            size = min(self.config.mss,
-                       self.send_buffer.nxt - offset) or self.config.mss
-            data = self.send_buffer.peek_view(offset, size)
-            fin = (self._fin_sent
-                   and offset + len(data) >= self.send_buffer.stream_length)
-            segment = Segment(sport=self.local.port, dport=self.remote.port,
-                              seq=self._send_seq(offset),
-                              ack=self._rcv_nxt() if self.peer_isn is not None else 0,
-                              ack_flag=self.peer_isn is not None,
-                              data=data, fin=fin, retransmit=True)
+        sb = self.send_buffer
+        offset = sb.una
+        has_peer = self.peer_isn is not None
+        ack = self._rcv_nxt() if has_peer else 0
+        if offset < sb.length:
+            mss = self.config.mss
+            size = min(mss, sb.nxt - offset) or mss
+            data = sb.peek_view(offset, size)
+            fin = self._fin_sent and offset + len(data) >= sb.length
+            segment = Segment(self._sport, self._dport,
+                              self.isn + 1 + offset, ack, data, False, fin,
+                              has_peer, True)
         elif self._fin_sent and not self._fin_acked:
-            segment = Segment(sport=self.local.port, dport=self.remote.port,
-                              seq=self._send_seq(self.send_buffer.stream_length),
-                              ack=self._rcv_nxt() if self.peer_isn is not None else 0,
-                              ack_flag=self.peer_isn is not None,
-                              fin=True, retransmit=True)
+            segment = Segment(self._sport, self._dport,
+                              self.isn + 1 + sb.length, ack, b"", False,
+                              True, has_peer, True)
         else:
             return
         self._rtt_probe = None  # Karn's algorithm
         self._transmit(segment)
         self._arm_rto(restart=True)
 
-    def _flush_ack_or_data(self, tried_send: bool = False) -> None:
-        """Send queued data (which piggybacks the ACK) or a pure ACK.
-
-        ``tried_send=True`` means _process_ack already ran _try_send for
-        this segment and nothing changed since (app sends trigger their
-        own _try_send), so the redundant window scan is skipped.
-        """
-        if not tried_send:
-            self._try_send()
-        if not self._ack_pending or self.peer_isn is None:
-            return
-        self._ack_pending = False
-        self._transmit(Segment(sport=self._sport, dport=self._dport,
-                               seq=self.isn + 1 + self.send_buffer.nxt,
-                               ack=self._rcv_nxt(), ack_flag=True))
-
     def _transmit(self, segment: Segment) -> None:
-        stats = self.stats
-        stats.segments_sent += 1
-        size = len(segment.data)
-        stats.bytes_sent += size
+        """Stamp ``segment`` for the wire, show it to the host's capture
+        if one is attached, and put it on the link."""
         self._last_send_time = self.sim._now
         segment.src = self._src_host
         segment.dst = self._dst_host
-        segment.size_bytes = HEADER_BYTES + size
-        self._node.send(segment)
+        segment.size_bytes = HEADER_BYTES + len(segment.data)
+        capture = self.host.capture
+        if capture is not None:
+            capture("out", segment)
+        self._link.send(segment)
 
     # ------------------------------------------------------------------
     # timers & RTT estimation (RFC 6298)
@@ -707,30 +667,30 @@ class Connection:
             self._rto_timer = self.sim.call_at(deadline, self._on_rto)
             return
         self._rto_deadline = None
-        if not self._outstanding():
+        state = self.state
+        handshake = state is State.SYN_SENT or state is State.SYN_RCVD
+        sb = self.send_buffer
+        if not (sb.nxt > sb.una or (self._fin_sent and not self._fin_acked)
+                or handshake):
             return
         self.stats.timeouts += 1
         if _obs.enabled:
             _obs.metrics.inc("tcp.timeouts")
         self._retries += 1
-        limit = (MAX_SYN_RETRIES
-                 if self.state in (State.SYN_SENT, State.SYN_RCVD)
-                 else MAX_DATA_RETRIES)
+        limit = MAX_SYN_RETRIES if handshake else MAX_DATA_RETRIES
         if self._retries > limit:
-            self.abort("retry limit exceeded in %s" % self.state.value)
+            self.abort("retry limit exceeded in %s" % state.value)
             return
         self._rto = min(self._rto * 2, MAX_RTO)
-        if self.state == State.SYN_SENT:
-            self._transmit(Segment(sport=self.local.port,
-                                   dport=self.remote.port,
-                                   seq=self.isn, syn=True, retransmit=True))
-        elif self.state == State.SYN_RCVD:
-            self._transmit(Segment(sport=self.local.port,
-                                   dport=self.remote.port,
-                                   seq=self.isn, ack=self.peer_isn + 1,
-                                   syn=True, ack_flag=True, retransmit=True))
+        if state is State.SYN_SENT:
+            self._transmit(Segment(self._sport, self._dport, self.isn, 0,
+                                   b"", True, False, False, True))
+        elif state is State.SYN_RCVD:
+            self._transmit(Segment(self._sport, self._dport, self.isn,
+                                   self.peer_isn + 1, b"", True, False, True,
+                                   True))
         else:
-            self.cc.on_timeout(self._flight_size())
+            self.cc.on_timeout(sb.nxt - sb.una)
             self._dupacks = 0
             self._retransmit_una()
             return  # _retransmit_una re-armed the timer

@@ -3,17 +3,21 @@
 :class:`TcpHost` binds itself as the receiver of one
 :class:`repro.net.node.Node` (TCP is the only transport, so a node has
 one stack, and a second one raises) and demultiplexes incoming segments
-to connections by flow key.  It provides the two socket-style entry
-points used by everything above it:
+to connections by local port, remote host and remote port.  It provides
+the two socket-style entry points used by everything above it:
 
 * :meth:`connect` — active open toward a remote endpoint;
 * :meth:`listen` — passive open; an application factory is invoked for
   every accepted connection.
+
+A host also has one optional :attr:`~TcpHost.capture` hook, which sees
+every segment the host sends or receives; the client's packet capture
+(:class:`repro.measure.capture.PacketCapture`) attaches there.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.address import Endpoint, EphemeralPortAllocator, FlowKey
 from repro.net.node import Node
@@ -25,6 +29,10 @@ from repro.tcp.connection import Connection, TcpApp
 from repro.tcp.segment import Segment
 
 AppFactory = Callable[[], TcpApp]
+
+#: A capture hook is called as ``capture(direction, segment)``: ``"out"``
+#: as the host sends the segment, ``"in"`` as it receives it.
+CaptureFn = Callable[[str, Segment], None]
 
 #: Initial sequence numbers are drawn modulo this space.  Kept well
 #: below 2**32 so tests can do signed arithmetic on raw sequence
@@ -44,14 +52,15 @@ class TcpHost:
         self.node = node
         self.config = config or TcpConfig()
         self.streams = streams or RandomStreams(0)
-        self.connections: Dict[FlowKey, Connection] = {}
-        # Fast demux index: (local_port, remote_host, remote_port) ->
-        # Connection.  Plain int/str tuples hash far cheaper than the
-        # nested frozen-dataclass FlowKey, and _receive runs per packet.
-        self._flows: Dict[tuple, Connection] = {}
+        #: Open connections by (local port, remote host, remote port):
+        #: plain tuples hash far cheaper than the nested frozen-dataclass
+        #: FlowKey, and _receive looks one up per packet.
+        self.connections: Dict[Tuple[int, str, int], Connection] = {}
         self.listeners: Dict[int, AppFactory] = {}
         self.listener_configs: Dict[int, TcpConfig] = {}
         self._ports = EphemeralPortAllocator()
+        #: Sees every segment this host sends or receives, if set.
+        self.capture: Optional[CaptureFn] = None
         node.receiver = self._receive
 
     # ------------------------------------------------------------------
@@ -78,12 +87,12 @@ class TcpHost:
         """
         port = local_port if local_port is not None else self._ports.allocate()
         flow = FlowKey(Endpoint(self.node.name, port), remote)
-        if flow in self.connections:
+        key = self._flow_index(flow)
+        if key in self.connections:
             raise ValueError("flow already exists: %s" % flow)
         conn = Connection(self, flow, app, config or self.config,
                           controller=controller)
-        self.connections[flow] = conn
-        self._flows[self._flow_index(flow)] = conn
+        self.connections[key] = conn
         conn.open_active()
         return conn
 
@@ -110,8 +119,7 @@ class TcpHost:
 
     def forget(self, conn: Connection) -> None:
         """Release a closed connection's flow state and ephemeral port."""
-        self.connections.pop(conn.flow, None)
-        self._flows.pop(self._flow_index(conn.flow), None)
+        self.connections.pop(self._flow_index(conn.flow), None)
         if conn.flow.local.port >= EphemeralPortAllocator.FIRST:
             self._ports.release(conn.flow.local.port)
 
@@ -119,7 +127,11 @@ class TcpHost:
     # demux
     # ------------------------------------------------------------------
     def _receive(self, segment: Segment) -> None:
-        conn = self._flows.get((segment.dport, segment.src, segment.sport))
+        capture = self.capture
+        if capture is not None:
+            capture("in", segment)
+        conn = self.connections.get((segment.dport, segment.src,
+                                     segment.sport))
         if conn is not None:
             conn.handle_segment(segment)
             return
@@ -138,8 +150,7 @@ class TcpHost:
         app = factory()
         config = self.listener_configs.get(flow.local.port, self.config)
         conn = Connection(self, flow, app, config, passive=True)
-        self.connections[flow] = conn
-        self._flows[self._flow_index(flow)] = conn
+        self.connections[self._flow_index(flow)] = conn
         conn._open_passive(syn)
 
     # ------------------------------------------------------------------

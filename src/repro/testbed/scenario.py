@@ -213,17 +213,17 @@ class Scenario:
         from repro.measure.capture import PacketCapture
 
         node = self.topology.add_node(vp.name, vp.location)
-        self._client_hosts[vp.name] = TcpHost(
-            self.sim, node, self.config.client_tcp, self.streams)
-        self._client_captures[vp.name] = PacketCapture(self.sim, node)
+        host = TcpHost(self.sim, node, self.config.client_tcp, self.streams)
+        self._client_hosts[vp.name] = host
+        self._client_captures[vp.name] = PacketCapture(self.sim, host)
 
     def client_host(self, vp: VantagePoint) -> TcpHost:
         """The TCP stack of a vantage point."""
         return self._client_hosts[vp.name]
 
     def client_capture(self, vp: VantagePoint) -> PacketCapture:
-        """The packet capture on a vantage point's node: one per client,
-        shared by every emulator that queries from it."""
+        """The packet capture on a vantage point's TCP host: one per
+        client, shared by every emulator that queries from it."""
         return self._client_captures[vp.name]
 
     def add_vantage_point(self, vp: VantagePoint) -> VantagePoint:

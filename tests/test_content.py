@@ -7,6 +7,7 @@ import pytest
 from repro.content import page as page_module
 from repro.content.keywords import Keyword, KeywordCatalog
 from repro.content.page import PageGenerator, PageProfile
+from repro.services.deployment import bing_akamai_profile, google_like_profile
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,22 @@ def test_static_content_is_constant_and_sized(generator):
     assert len(static1) == 4000
     assert b"Videos" in static1  # the paper's static menu bar
     assert b"News" in static1
+
+
+@pytest.mark.parametrize("profile_factory, seed, size, digest", [
+    (google_like_profile, 0, 4300, "9f41e31acc23d117"),
+    (google_like_profile, 1, 4300, "383cd1362ec3e3bb"),
+    (bing_akamai_profile, 0, 13500, "518bcc8dbc996749"),
+    (bing_akamai_profile, 1, 13500, "57884e2fc2c2a66c"),
+])
+def test_static_pages_keep_their_bytes(profile_factory, seed, size, digest):
+    """Each service's static page, byte for byte as the builder made it
+    before it kept a running CSS total."""
+    profile = profile_factory()
+    page = PageGenerator(profile.name, profile.page_profile,
+                         seed=seed).static_content()
+    assert len(page) == size
+    assert hashlib.sha256(page).hexdigest()[:16] == digest
 
 
 def test_static_differs_between_services():

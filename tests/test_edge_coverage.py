@@ -157,7 +157,7 @@ def test_connect_asymmetric_links():
     for src, dst in (("a", "b"), ("b", "a")):
         segment = Segment(sport=1, dport=2, seq=0)
         segment.src, segment.dst, segment.size_bytes = src, dst, 1250
-        topo.node(src).send(segment)
+        topo.node(src).links[dst].send(segment)
     sim.run()
     assert arrivals["b"] == pytest.approx(
         0.010 + 1250 / units.mbps(100))

@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.analysis.boundary import chunk_spans
+from repro.analysis.stream import (
+    arrival_time_of_offset,
+    inbound_byte_arrivals,
+    reconstruct_inbound_stream,
+)
 from repro.http.client import HttpFetch, PersistentHttpClient, RequestHooks
 from repro.http.message import HttpRequest, HttpResponse
 from repro.http.server import HttpServer
+from repro.measure.capture import PacketCapture
 from repro.net.address import Endpoint
 from repro.sim import units
 
@@ -30,23 +37,40 @@ def test_single_fetch_roundtrip(two_hosts):
     assert fetch.response.status == 200
 
 
+def captured_fetch(world, capture, request, hooks=None):
+    """Fetch ``request`` on a port ``capture`` records, with payloads,
+    as the query emulator does; returns (fetch, port)."""
+    port = world.client.reserve_port()
+    capture.open_port(port, store_payload=True)
+    fetch = HttpFetch(world.client, Endpoint("server", 80), request, hooks,
+                      local_port=port)
+    return fetch, port
+
+
 def test_fetch_hooks_fire_in_order(two_hosts):
     world = two_hosts
+    capture = PacketCapture(world.sim, world.client)
     HttpServer(world.server, 80, simple_handler(b"abc"))
     events = []
     hooks = RequestHooks(
-        on_head=lambda r: events.append("head"),
-        on_body=lambda b: events.append("body"),
-        on_complete=lambda r: events.append("end"))
-    HttpFetch(world.client, Endpoint("server", 80),
-              HttpRequest(path="/"), hooks)
+        on_complete=lambda r: events.append(("complete", world.sim.now,
+                                             r.body)),
+        on_failure=lambda m: events.append(("failure", world.sim.now, m)))
+    fetch, port = captured_fetch(world, capture, HttpRequest(path="/"),
+                                 hooks)
     world.run()
-    assert events == ["head", "body", "end"]
+    packets = capture.close_port(port)
+    last_data = max(e.time for e in packets
+                    if e.direction == "in" and e.payload_len)
+    # One completion, as the last response byte arrives; no failure.
+    assert events == [("complete", last_data, b"abc")]
+    assert fetch.response.body == b"abc"
 
 
 def test_streamed_response_two_parts_timing(two_hosts):
     """Server sends part 1 immediately and part 2 after a delay; the
-    client must see the gap (this is the static/dynamic pattern)."""
+    client's capture must see the gap (this is the static/dynamic
+    pattern)."""
     world = two_hosts
     sim = world.sim
     delay = 0.200
@@ -60,16 +84,19 @@ def test_streamed_response_two_parts_timing(two_hosts):
         sim.schedule(delay, later)
 
     HttpServer(world.server, 80, handler)
-    arrivals = []
-    hooks = RequestHooks(on_body=lambda b: arrivals.append((sim.now, b[:1])))
-    fetch = HttpFetch(world.client, Endpoint("server", 80),
-                      HttpRequest(path="/q"), hooks)
+    capture = PacketCapture(sim, world.client)
+    fetch, port = captured_fetch(world, capture, HttpRequest(path="/q"))
     world.run()
     assert fetch.response.body == b"S" * 1000 + b"D" * 1000
-    static_times = [t for t, tag in arrivals if tag == b"S"]
-    dynamic_times = [t for t, tag in arrivals if tag == b"D"]
-    assert dynamic_times[0] - static_times[-1] == pytest.approx(delay,
-                                                                abs=0.02)
+    events = capture.close_port(port)
+    stream = reconstruct_inbound_stream(events)
+    arrivals = inbound_byte_arrivals(events)
+    static, dynamic = chunk_spans(stream)
+    assert stream[static.payload_start:static.payload_end] == b"S" * 1000
+    assert stream[dynamic.payload_start:dynamic.payload_end] == b"D" * 1000
+    static_done = arrival_time_of_offset(arrivals, static.payload_end - 1)
+    first_dynamic = arrival_time_of_offset(arrivals, dynamic.payload_start)
+    assert first_dynamic - static_done == pytest.approx(delay, abs=0.02)
 
 
 def test_persistent_client_sequential_requests(two_hosts):

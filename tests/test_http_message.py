@@ -125,6 +125,10 @@ def test_request_parser_malformed_line_raises():
     parser = RequestParser()
     with pytest.raises(HttpError):
         parser.feed(b"NONSENSE\r\n\r\n")
+    with pytest.raises(HttpError):
+        RequestParser().feed(b"GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n")
+    with pytest.raises(HttpError, match="header block too large"):
+        RequestParser().feed(b"G" * (64 * 1024 + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -152,52 +156,57 @@ def chunked_response_wire(chunks, status=200, headers=None):
 def test_response_parser_content_length():
     parser = ResponseParser()
     wire = encode_response(HttpResponse(status=200, body=b"hello world"))
-    events = parser.feed(wire)
-    kinds = [k for k, _ in events]
-    assert kinds == ["head", "body", "end"]
-    assert events[-1][1].body == b"hello world"
+    # Nothing completes until the last body byte arrives.
+    assert parser.feed(wire[:-1]) == []
+    (response,) = parser.feed(wire[-1:])
+    assert response.status == 200
+    assert response.headers["Content-Length"] == "11"
+    assert response.body == b"hello world"
 
 
 def test_response_parser_chunked_stream_events():
     parser = ResponseParser()
-    wire = chunked_response_wire([b"static-part", b"dynamic-part"])
-    events = parser.feed(wire)
-    bodies = [p for k, p in events if k == "body"]
-    assert bodies == [b"static-part", b"dynamic-part"]
-    assert events[-1][0] == "end"
-    assert events[-1][1].body == b"static-partdynamic-part"
+    head = HttpResponse(headers={"Transfer-Encoding": "chunked"}
+                        ).encode_head()
+    # Chunks arriving apart (the static part, then the dynamic part)
+    # complete one response, when the last chunk arrives.
+    assert parser.feed(head + encode_chunk(b"static-part")) == []
+    assert parser.feed(encode_chunk(b"dynamic-part")) == []
+    (response,) = parser.feed(encode_last_chunk())
+    assert response.headers["Transfer-Encoding"] == "chunked"
+    assert response.body == b"static-partdynamic-part"
 
 
 def test_response_parser_fragmented_arbitrarily():
-    wire = chunked_response_wire([b"a" * 100, b"b" * 50, b"c" * 7])
+    body = b"a" * 100 + b"b" * 50 + b"c" * 7
+    wire = (chunked_response_wire([b"a" * 100, b"b" * 50, b"c" * 7])
+            + encode_response(HttpResponse(status=404, body=body)))
     for step in (1, 3, 7, 11):
         parser = ResponseParser()
-        collected = bytearray()
-        ends = []
+        responses = []
         for i in range(0, len(wire), step):
-            for kind, payload in parser.feed(wire[i:i + step]):
-                if kind == "body":
-                    collected.extend(payload)
-                elif kind == "end":
-                    ends.append(payload)
-        assert bytes(collected) == b"a" * 100 + b"b" * 50 + b"c" * 7
-        assert len(ends) == 1
+            responses.extend(parser.feed(wire[i:i + step]))
+        assert [(r.status, r.body) for r in responses] == [(200, body),
+                                                           (404, body)]
 
 
 def test_response_parser_sequential_responses():
     parser = ResponseParser()
     wire = (encode_response(HttpResponse(body=b"first"))
             + chunked_response_wire([b"sec", b"ond"]))
-    events = parser.feed(wire)
-    ends = [p for k, p in events if k == "end"]
-    assert [e.body for e in ends] == [b"first", b"second"]
+    responses = parser.feed(wire)
+    assert [r.body for r in responses] == [b"first", b"second"]
 
 
 def test_response_parser_zero_length_body():
     parser = ResponseParser()
-    events = parser.feed(encode_response(HttpResponse(status=204)))
-    assert [k for k, _ in events] == ["head", "end"]
-    assert events[-1][1].body == b""
+    wire = encode_response(HttpResponse(status=204))
+    (response,) = parser.feed(wire)
+    assert response.status == 204
+    assert response.body == b""
+    # The next response on the connection parses from a clean state.
+    (response,) = parser.feed(encode_response(HttpResponse(body=b"x")))
+    assert response.body == b"x"
 
 
 def test_response_parser_bad_chunk_size():
@@ -212,3 +221,15 @@ def test_response_parser_missing_chunk_crlf():
     head = HttpResponse(headers={"Transfer-Encoding": "chunked"}).encode_head()
     with pytest.raises(HttpError):
         parser.feed(head + b"3\r\nabcXX")
+
+
+def test_response_parser_rejects_trailer_and_negative_sizes():
+    head = HttpResponse(headers={"Transfer-Encoding": "chunked"}).encode_head()
+    for wire in (head + b"0\r\nX-Trailer: 1\r\n\r\n",
+                 head + b"-5\r\nabc\r\n",
+                 encode_response(HttpResponse()).replace(
+                     b"Content-Length: 0", b"Content-Length: -2")):
+        with pytest.raises(HttpError):
+            ResponseParser().feed(wire)
+    with pytest.raises(HttpError, match="header block too large"):
+        ResponseParser().feed(b"H" * (64 * 1024 + 1))

@@ -7,9 +7,11 @@ from repro.content.keywords import KeywordCatalog
 from repro.measure.capture import PacketCapture, PacketEvent
 from repro.measure.session import QuerySession
 from repro.content.keywords import Keyword
+from repro.net.address import Endpoint
 from repro.net.topology import Topology
 from repro.sim import units
 from repro.sim.engine import Simulator
+from repro.tcp.connection import TcpApp
 from repro.tcp.host import TcpHost
 from repro.tcp.segment import HEADER_BYTES, Segment
 
@@ -48,55 +50,59 @@ def make_tcp_segment(sport=1234, dport=80, data=b"abc", src="a", dst="b"):
     return segment
 
 
-def two_node_world():
+def two_host_world():
     sim = Simulator()
     topo = Topology(sim)
-    node_a = topo.add_node("a")
-    node_b = topo.add_node("b")
+    topo.add_node("a")
+    topo.add_node("b")
     topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(10))
-    # Hosts with no flows: they drop what arrives, after the taps.
-    TcpHost(sim, node_a)
-    TcpHost(sim, node_b)
-    return sim, node_a, node_b
+    host_a = TcpHost(sim, topo.node("a"))
+    host_b = TcpHost(sim, topo.node("b"))
+    host_b.listen(80, TcpApp)
+    return sim, host_a
 
 
 def test_capture_records_only_open_ports():
-    sim, node_a, _ = two_node_world()
-    capture = PacketCapture(sim, node_a)
-    node_a.send(make_tcp_segment(sport=1111))  # nothing open yet
+    sim, host_a = two_host_world()
+    capture = PacketCapture(sim, host_a)
+    # The host hands every segment to its capture hook.
+    observe = host_a.capture
+    observe("out", make_tcp_segment(sport=1111))  # nothing open yet
     capture.open_port(1111)
-    node_a.send(make_tcp_segment(sport=1111))
-    node_a.send(make_tcp_segment(sport=2222))  # never opened
-    sim.run()
+    observe("out", make_tcp_segment(sport=1111))
+    observe("out", make_tcp_segment(sport=2222))  # never opened
+    observe("in", make_tcp_segment(sport=80, dport=2222))
     events = capture.close_port(1111)
     assert len(events) == 1
     assert events[0].direction == "out" and events[0].sport == 1111
-    node_a.send(make_tcp_segment(sport=1111))  # closed again
-    sim.run()
+    observe("out", make_tcp_segment(sport=1111))  # closed again
     with pytest.raises(KeyError):
         capture.close_port(1111)
     capture.open_port(1111)  # a reopened port starts empty
     assert capture.close_port(1111) == []
+    with pytest.raises(ValueError, match="host a already has a capture"):
+        PacketCapture(sim, host_a)
 
 
 def test_capture_routes_packets_by_local_port():
-    sim, node_a, node_b = two_node_world()
-    capture = PacketCapture(sim, node_a)
+    sim, host_a = two_host_world()
+    capture = PacketCapture(sim, host_a)
     capture.open_port(1111)
     capture.open_port(2222)
-    sim.schedule(1.0, node_a.send, make_tcp_segment(sport=1111))
-    sim.schedule(2.0, node_a.send, make_tcp_segment(sport=2222))
-    inbound = make_tcp_segment(sport=80, dport=1111, src="b", dst="a")
-    sim.schedule(3.0, node_b.send, inbound)
+    for at, port in ((1.0, 1111), (2.0, 2222), (3.0, 3333)):
+        sim.schedule(at, host_a.connect, Endpoint("b", 80), TcpApp(), port)
     sim.run()
-    first = capture.close_port(1111)
-    assert [(e.direction, e.sport, e.dport) for e in first] == \
-        [("out", 1111, 80), ("in", 80, 1111)]
-    assert first[0].time == pytest.approx(1.0)
-    assert first[1].time > 3.0
-    second = capture.close_port(2222)
-    assert [(e.direction, e.sport) for e in second] == [("out", 2222)]
-    assert second[0].time == pytest.approx(2.0)
+    # The handshake as the client's host sent and received it.
+    for port, at in ((1111, 1.0), (2222, 2.0)):
+        events = capture.close_port(port)
+        assert [(e.direction, e.sport, e.dport, e.syn, e.ack_flag)
+                for e in events] == [("out", port, 80, True, False),
+                                     ("in", 80, port, True, True),
+                                     ("out", port, 80, False, True)]
+        assert events[0].time == pytest.approx(at)
+        assert at < events[1].time == pytest.approx(events[2].time)
+    with pytest.raises(KeyError):
+        capture.close_port(3333)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 from repro.net.address import Endpoint, EphemeralPortAllocator
 from repro.net.geo import GeoPoint, haversine_miles, nearest
 from repro.net.link import Link
+from repro.net.node import Node
 from repro.net.topology import Topology
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
+from repro.tcp.connection import TcpApp
 from repro.tcp.host import TcpHost
 from repro.tcp.segment import Segment
 
@@ -18,6 +20,13 @@ def wire_segment(size_bytes, src="a", dst="b"):
     segment = Segment(sport=1, dport=2, seq=0)
     segment.src, segment.dst, segment.size_bytes = src, dst, size_bytes
     return segment
+
+
+def far_node(sim, receiver):
+    """The node at a link's far end, receiving with ``receiver``."""
+    node = Node(sim, "b")
+    node.receiver = receiver
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +101,7 @@ def test_link_delivery_includes_tx_and_prop_delay():
     sim = Simulator()
     arrivals = []
     link = Link(sim, "l", delay=0.010, bandwidth=1000.0,  # 1000 B/s
-                deliver=lambda p: arrivals.append(sim.now))
+                dst=far_node(sim, lambda p: arrivals.append(sim.now)))
     link.send(wire_segment(500))
     sim.run()
     # 500 B at 1000 B/s = 0.5 s tx + 0.01 s prop.
@@ -103,7 +112,7 @@ def test_link_serializes_back_to_back_packets():
     sim = Simulator()
     arrivals = []
     link = Link(sim, "l", delay=0.0, bandwidth=1000.0,
-                deliver=lambda p: arrivals.append(sim.now))
+                dst=far_node(sim, lambda p: arrivals.append(sim.now)))
     link.send(wire_segment(1000))
     link.send(wire_segment(1000))
     sim.run()
@@ -114,22 +123,78 @@ def test_link_loss_rate_statistics():
     sim = Simulator()
     received = []
     link = Link(sim, "lossy", delay=0.0, bandwidth=1e9,
-                deliver=lambda p: received.append(p),
+                dst=far_node(sim, received.append),
                 loss_rate=0.3, streams=RandomStreams(1))
-    for _ in range(2000):
-        link.send(wire_segment(100))
+    sent = 2000
+    accepted = sum(link.send(wire_segment(100)) for _ in range(sent))
     sim.run()
-    loss = link.stats.packets_lost / link.stats.packets_offered
+    assert accepted == sent
+    loss = link.stats.packets_lost / sent
     assert 0.25 < loss < 0.35
-    assert len(received) == link.stats.packets_delivered
-    assert link.stats.packets_offered == 2000
+    assert len(received) + link.stats.packets_lost == sent
+
+
+def test_link_draws_follow_its_named_streams():
+    """Loss and jitter draw from the streams "loss/<name>" and
+    "jitter/<name>", float for float what a Bernoulli draw and
+    ``uniform(0, jitter)`` on those streams give."""
+    sim = Simulator()
+    arrivals = []
+    link = Link(sim, "l", delay=0.001, bandwidth=1e6,
+                dst=far_node(sim, lambda p: arrivals.append((p, sim.now))),
+                loss_rate=0.2, jitter=0.01, streams=RandomStreams(5))
+    segments = [wire_segment(100) for _ in range(300)]
+    for segment in segments:
+        link.send(segment)
+    sim.run()
+
+    reference = RandomStreams(5)
+    loss, jitter = reference.get("loss/l"), reference.get("jitter/l")
+    expected = []
+    busy = last = 0.0
+    for segment in segments:
+        busy = busy + 100 / 1e6
+        if loss.random() < 0.2:
+            continue
+        arrival = busy + 0.001 + jitter.uniform(0.0, 0.01)
+        last = arrival if arrival > last else last
+        expected.append((segment, last))
+    assert 40 < len(segments) - len(expected) < 80
+    assert arrivals == expected
+
+
+def test_clean_link_draws_nothing():
+    """A link with no loss and no jitter never touches its streams, so
+    it cannot perturb a sibling that shares their names; a near-certain
+    loss rate drops every packet."""
+    sim = Simulator()
+    streams = RandomStreams(11)
+    received = []
+    clean = Link(sim, "l", delay=0.0, bandwidth=1e9,
+                 dst=far_node(sim, received.append), streams=streams)
+    for _ in range(20):
+        clean.send(wire_segment(100))
+    sim.run()
+    assert len(received) == 20
+    fresh = RandomStreams(11)
+    for name in ("loss/l", "jitter/l"):
+        assert streams.get(name).random() == fresh.get(name).random()
+
+    lossy = Link(sim, "q", delay=0.0, bandwidth=1e9,
+                 dst=far_node(sim, received.append),
+                 loss_rate=1.0 - 1e-12, streams=streams)
+    for _ in range(20):
+        lossy.send(wire_segment(100))
+    sim.run()
+    assert len(received) == 20
+    assert lossy.stats.packets_lost == 20
 
 
 def test_link_tail_drop_on_queue_overflow():
     sim = Simulator()
     delivered = []
     link = Link(sim, "tiny", delay=0.0, bandwidth=100.0,
-                deliver=lambda p: delivered.append(p),
+                dst=far_node(sim, delivered.append),
                 queue_limit_bytes=250)
     accepted = [link.send(wire_segment(100)) for _ in range(5)]
     sim.run()
@@ -143,7 +208,7 @@ def test_link_jitter_preserves_fifo():
     sim = Simulator()
     order = []
     link = Link(sim, "jit", delay=0.01, bandwidth=1e9,
-                deliver=order.append,
+                dst=far_node(sim, order.append),
                 jitter=0.05, streams=RandomStreams(3))
     segments = [wire_segment(100) for _ in range(50)]
     for segment in segments:
@@ -154,13 +219,14 @@ def test_link_jitter_preserves_fifo():
 
 def test_link_parameter_validation():
     sim = Simulator()
-    deliver = lambda p: None
+    dst = far_node(sim, lambda p: None)
     with pytest.raises(ValueError):
-        Link(sim, "x", delay=-1, bandwidth=1, deliver=deliver)
+        Link(sim, "x", delay=-1, bandwidth=1, dst=dst)
     with pytest.raises(ValueError):
-        Link(sim, "x", delay=0, bandwidth=0, deliver=deliver)
-    with pytest.raises(ValueError):
-        Link(sim, "x", delay=0, bandwidth=1, deliver=deliver, loss_rate=1.0)
+        Link(sim, "x", delay=0, bandwidth=0, dst=dst)
+    for rate in (1.0, 1.5, -0.1):
+        with pytest.raises(ValueError):
+            Link(sim, "x", delay=0, bandwidth=1, dst=dst, loss_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +283,43 @@ def test_node_raises_without_link_or_with_second_host():
     for name in ("a", "b", "c"):
         topo.add_node(name)
     topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(1))
+    host = TcpHost(sim, topo.node("a"))
     TcpHost(sim, topo.node("b"))
-    # a has no link to c, and nothing forwards: every path is one link.
+    # a has no link to c, and nothing forwards: every path is one link,
+    # which a connection resolves when it opens.
     with pytest.raises(ValueError, match="a has no link to c"):
-        topo.node("a").send(wire_segment(10, dst="c"))
+        host.connect(Endpoint("c", 80), TcpApp())
+    assert host.connections == {}
     with pytest.raises(ValueError, match="node b already has a TCP host"):
         TcpHost(sim, topo.node("b"))
 
 
-def test_node_taps_observe_events():
+def test_host_capture_observes_events():
+    """A host's capture hook sees each segment as the host sends it, and
+    the far host's as it arrives there: one call per host per hop."""
     sim = Simulator()
     topo = Topology(sim)
     topo.add_node("a")
     topo.add_node("b")
     topo.connect("a", "b", delay=0.001, bandwidth=units.mbps(1))
-    received = []
-    topo.node("b").receiver = received.append
     events = []
-    topo.node("a").add_tap(lambda d, s: events.append(("a", d, s)))
-    topo.node("b").add_tap(lambda d, s: events.append(("b", d, s)))
-    segment = wire_segment(10)
-    assert topo.node("a").send(segment)
-    assert events == [("a", "out", segment)]
+    hosts = {}
+    for name in ("a", "b"):
+        hosts[name] = TcpHost(sim, topo.node(name))
+        hosts[name].capture = (lambda direction, segment, name=name:
+                               events.append((name, direction, segment,
+                                              sim.now)))
+    hosts["b"].listen(80, TcpApp)
+    hosts["a"].connect(Endpoint("b", 80), TcpApp())
+    # The SYN is seen as it leaves, inside connect.
+    assert [(n, d, s.syn) for n, d, s, _ in events] == [("a", "out", True)]
     sim.run()
-    assert events == [("a", "out", segment), ("b", "in", segment)]
-    assert received == [segment]
+    # SYN, SYN-ACK, ACK: each out at its sender, then in at its receiver.
+    assert [(n, d) for n, d, _, _ in events] == [
+        ("a", "out"), ("b", "in"), ("b", "out"), ("a", "in"),
+        ("a", "out"), ("b", "in")]
+    for sent, received in zip(events[0::2], events[1::2]):
+        assert sent[2] is received[2]
+        assert received[3] > sent[3]
+    assert [(s.syn, s.ack_flag) for _, _, s, _ in events[0::2]] == [
+        (True, False), (True, True), (False, True)]

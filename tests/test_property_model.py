@@ -149,9 +149,10 @@ def test_chunk_spans_reconstruct_payload(chunks):
 def test_parser_and_spans_agree_on_body(chunks):
     stream = build_chunked_stream(chunks)
     parser = ResponseParser()
-    events = parser.feed(stream)
-    assert events[-1][0] == "end"
-    assert events[-1][1].body == b"".join(chunks)
+    (response,) = parser.feed(stream)
+    assert response.body == b"".join(chunks)
+    assert response.body == b"".join(stream[s.payload_start:s.payload_end]
+                                     for s in chunk_spans(stream))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ def test_send_buffer_reconstructs_stream(chunks):
     for chunk in chunks:
         buf.enqueue(chunk)
     stream = b"".join(chunks)
-    assert buf.stream_length == len(stream)
+    assert buf.length == len(stream)
     # Peek the whole stream in arbitrary-sized windows.
     out = bytearray()
     offset = 0

@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.analysis.boundary import chunk_spans
+from repro.analysis.stream import (
+    arrival_time_of_offset,
+    inbound_byte_arrivals,
+    reconstruct_inbound_stream,
+)
 from repro.content.keywords import Keyword
-from repro.http.client import HttpFetch, RequestHooks
+from repro.http.client import HttpFetch
 from repro.http.message import HttpRequest, build_query_path
+from repro.measure.capture import PacketCapture
 from repro.net.address import Endpoint
 from repro.net.geo import GeoPoint
 from repro.net.topology import Topology
@@ -107,17 +114,36 @@ class DeployedWorld:
             cache_static=cache_static)
         client_node = self.topology.add_node("client", GeoPoint(44.9, -93.3))
         self.client = TcpHost(self.sim, client_node, streams=self.streams)
+        self.capture = PacketCapture(self.sim, self.client)
         fe_name = self.deployment.frontends[0].node.name
         self.topology.connect("client", fe_name, delay=client_fe_rtt / 2,
                               bandwidth=units.mbps(100))
         self.fe_endpoint = Endpoint(fe_name, 80)
 
-    def query(self, keyword, query_id="q1"):
+    def query(self, keyword, query_id="q1", local_port=None):
         self.deployment.register_keywords([keyword])
         path = build_query_path("/search", {"q": keyword.text,
                                             "id": query_id})
         return HttpFetch(self.client, self.fe_endpoint,
-                         HttpRequest(path=path))
+                         HttpRequest(path=path), local_port=local_port)
+
+    def captured_query(self, keyword, query_id):
+        """Query on a port the client's capture records with payloads,
+        as the query emulator does; returns (fetch, port)."""
+        port = self.client.reserve_port()
+        self.capture.open_port(port, store_payload=True)
+        return self.query(keyword, query_id, local_port=port), port
+
+    def chunk_arrivals(self, port):
+        """Each response chunk's (payload, first byte time, last byte
+        time), from the packets captured on ``port``."""
+        events = self.capture.close_port(port)
+        stream = reconstruct_inbound_stream(events)
+        arrivals = inbound_byte_arrivals(events)
+        return [(stream[span.payload_start:span.payload_end],
+                 arrival_time_of_offset(arrivals, span.payload_start),
+                 arrival_time_of_offset(arrivals, span.payload_end - 1))
+                for span in chunk_spans(stream)]
 
 
 def kw(text="test query", popularity=0.5, complexity=0.5):
@@ -158,26 +184,16 @@ def test_ground_truth_logs_populated():
 def test_static_arrives_before_dynamic():
     world = DeployedWorld()
     keyword = kw("timing probe")
-    world.deployment.register_keywords([keyword])
-    static = world.deployment.pages.static_content()
-    arrivals = []
-    hooks = RequestHooks(on_body=lambda b: arrivals.append(
-        (world.sim.now, len(b))))
-    path = build_query_path("/search", {"q": keyword.text, "id": "t"})
-    fetch = HttpFetch(world.client, world.fe_endpoint,
-                      HttpRequest(path=path), hooks)
+    fetch, port = world.captured_query(keyword, "t")
     world.sim.run()
     assert fetch.response is not None
-    # Find the time the static prefix finished vs the first dynamic byte.
-    cumulative = 0
-    static_done = first_dynamic = None
-    for time, size in arrivals:
-        if cumulative < len(static) <= cumulative + size:
-            static_done = time
-        if cumulative >= len(static) and first_dynamic is None:
-            first_dynamic = time
-        cumulative += size
-    assert static_done is not None and first_dynamic is not None
+    pages = world.deployment.pages
+    # The FE flushes the cached static prefix as one chunk and the
+    # back-end's dynamic part as the next.
+    (static, _, static_done), (dynamic, first_dynamic, _) = \
+        world.chunk_arrivals(port)
+    assert static == pages.static_content()
+    assert dynamic == pages.dynamic_content(keyword)
     assert first_dynamic >= static_done
     # The gap reflects the FE-BE fetch (tens of ms here).
     assert first_dynamic - static_done > units.ms(5)
@@ -189,18 +205,15 @@ def test_cache_disabled_everything_waits_for_backend():
     first_byte_times = {}
     for name, world in (("cached", cached), ("uncached", uncached)):
         keyword = kw("ablation")
-        world.deployment.register_keywords([keyword])
-        times = []
-        hooks = RequestHooks(on_body=lambda b: times.append(world.sim.now))
-        path = build_query_path("/search", {"q": keyword.text, "id": "a"})
-        fetch = HttpFetch(world.client, world.fe_endpoint,
-                          HttpRequest(path=path), hooks)
+        fetch, port = world.captured_query(keyword, "a")
         world.sim.run()
         assert fetch.response is not None
         pages = world.deployment.pages
         expected = pages.static_content() + pages.dynamic_content(keyword)
         assert fetch.response.body == expected
-        first_byte_times[name] = times[0]
+        chunks = world.chunk_arrivals(port)
+        assert b"".join(chunk for chunk, _, _ in chunks) == expected
+        first_byte_times[name] = chunks[0][1]
     # Without the FE cache the first byte waits for the whole fetch.
     assert first_byte_times["uncached"] > \
         first_byte_times["cached"] + units.ms(20)

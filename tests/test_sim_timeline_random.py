@@ -42,27 +42,6 @@ def test_spawn_creates_distinct_universe():
     assert child1.get("x").random() != child2.get("x").random()
 
 
-def test_bernoulli_edges():
-    streams = RandomStreams(0)
-    assert streams.bernoulli("p", 0.0) is False
-    assert streams.bernoulli("p", 1.0) is True
-    assert all(streams.bernoulli("q", 1.0 - 1e-12) for _ in range(20))
-    with pytest.raises(ValueError):
-        streams.bernoulli("r", 1.5)
-
-
-def test_bernoulli_certain_events_consume_no_draw():
-    """p=0.0 and p=1.0 must be symmetric: neither consumes a draw, so a
-    certain event never perturbs the stream it shares a name with."""
-    baseline = RandomStreams(11)
-    reference = baseline.get("loss").random()
-
-    perturbed = RandomStreams(11)
-    assert perturbed.bernoulli("loss", 1.0) is True
-    assert perturbed.bernoulli("loss", 0.0) is False
-    assert perturbed.get("loss").random() == reference
-
-
 # ---------------------------------------------------------------------------
 # units
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ def test_send_buffer_enqueue_and_peek():
     buf = SendBuffer()
     buf.enqueue(b"hello ")
     buf.enqueue(b"world")
-    assert buf.stream_length == 11
+    assert buf.length == 11
     assert buf.peek(0, 5) == b"hello"
     assert buf.peek(6, 5) == b"world"
     assert buf.peek(3, 6) == b"lo wor"
@@ -20,26 +20,26 @@ def test_send_buffer_enqueue_and_peek():
 
 
 def test_send_buffer_tracking():
+    # The connection advances nxt as it sends: length - nxt bytes are
+    # unsent, nxt - una unacknowledged.
     buf = SendBuffer()
     buf.enqueue(b"x" * 100)
-    assert buf.unsent_bytes == 100
-    buf.advance_nxt(60)
-    assert buf.unsent_bytes == 40
-    assert buf.unacked_bytes == 60
+    assert (buf.length, buf.nxt, buf.una) == (100, 0, 0)
+    buf.nxt = 60
     assert buf.ack_to(30) == 30
-    assert buf.unacked_bytes == 30
+    assert (buf.nxt, buf.una) == (60, 30)
     assert buf.ack_to(30) == 0  # duplicate ack
-    assert buf.unacked_bytes == 30
-    buf.advance_nxt(40)
+    assert buf.una == 30
+    buf.nxt = 100
     assert buf.ack_to(100) == 70
-    assert buf.unacked_bytes == buf.unsent_bytes == 0
+    assert buf.length == buf.nxt == buf.una == 100
 
 
 def test_send_buffer_releases_acked_memory():
     buf = SendBuffer()
     for _ in range(10):
         buf.enqueue(b"a" * 1000)
-    buf.advance_nxt(10000)
+    buf.nxt = 10000
     buf.ack_to(5000)
     with pytest.raises(ValueError):
         buf.peek(0, 10)  # released
@@ -49,11 +49,9 @@ def test_send_buffer_releases_acked_memory():
 def test_send_buffer_invalid_operations():
     buf = SendBuffer()
     buf.enqueue(b"abc")
+    buf.nxt = 3
     with pytest.raises(ValueError):
-        buf.advance_nxt(4)
-    buf.advance_nxt(3)
-    with pytest.raises(ValueError):
-        buf.ack_to(5)
+        buf.ack_to(5)  # beyond what was sent
     buf.mark_fin()
     with pytest.raises(RuntimeError):
         buf.enqueue(b"more")
@@ -62,7 +60,8 @@ def test_send_buffer_invalid_operations():
 def test_send_buffer_empty_enqueue_is_noop():
     buf = SendBuffer()
     buf.enqueue(b"")
-    assert buf.stream_length == 0
+    assert buf.length == 0
+    assert buf.peek_view(0, 10) == b""
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ def make_reno(iw_segments=3, ssthresh=1 << 30):
 
 def test_slow_start_doubles_per_window():
     cc = make_reno(iw_segments=2)
-    assert cc.in_slow_start
+    assert cc.cwnd < cc.ssthresh  # slow start
     # Each full-MSS ack adds one MSS in slow start -> exponential growth.
     cwnd0 = cc.cwnd
     cc.on_ack(MSS, cwnd0)
@@ -21,7 +21,7 @@ def test_slow_start_doubles_per_window():
 
 def test_congestion_avoidance_linear_growth():
     cc = RenoController(MSS, 10 * MSS, 10 * MSS)  # start at ssthresh
-    assert not cc.in_slow_start
+    assert cc.cwnd == cc.ssthresh  # congestion avoidance
     start = cc.cwnd
     # One full window of acks -> +1 MSS.
     for _ in range(10):
@@ -56,7 +56,9 @@ def test_timeout_collapses_to_one_mss():
     cc.on_timeout(10 * MSS)
     assert cc.cwnd == MSS
     assert cc.ssthresh == 5 * MSS
-    assert cc.in_slow_start
+    assert cc.cwnd < cc.ssthresh and not cc.in_recovery  # slow start
+    cc.on_ack(MSS, MSS)
+    assert cc.cwnd == 2 * MSS  # one MSS per ACK again
 
 
 def test_timeout_ssthresh_floor():

@@ -44,7 +44,7 @@ def test_custom_mss_segments_on_wire():
     client = CollectorApp(request=b"G")
 
     sizes = []
-    world.topology.node("client").add_tap(
+    world.client.capture = (
         lambda direction, segment: sizes.append(segment.data)
         if direction == "in" and segment.data else None)
     world.client.connect(Endpoint("server", 80), client)
@@ -65,4 +65,4 @@ def test_abort_mid_transfer_notifies_app():
     assert client.errors == ["operator abort"]
     assert len(client.received) < len(payload)
     # The flow is released.
-    assert conn.flow not in world.client.connections
+    assert conn not in world.client.connections.values()

@@ -157,7 +157,7 @@ def test_clean_close_reaches_closed_state(two_hosts):
     assert conn.state in (State.TIME_WAIT, State.CLOSED)
     # After TIME_WAIT expiry the flow is forgotten.
     world.run(until=200.0)
-    assert conn.flow not in world.client.connections
+    assert conn not in world.client.connections.values()
 
 
 def test_send_after_close_raises(two_hosts):
