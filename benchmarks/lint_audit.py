@@ -148,28 +148,19 @@ MUTATIONS: Tuple[Mutation, ...] = (
        ["UNIT001"], C, "",
        "Tproc scheduled in ms; before its deletion UNIT006 did not "
        "fire, UNIT001 did"),
-    _m("U4", "UNIT009", "experiments/fig9.py",
-       "    points = build_distance_points(metrics_by_fe, distances,\n"
-       "                                   max_client_rtt=units.ms(40))",
-       "    points = build_distance_points(metrics_by_fe, distances,\n"
-       "                                   max_client_rtt=units.ms(units.ms("
-       "40)))",
+    _m("U4", "UNIT009", "core/factoring.py",
+       "LOW_RTT_CUTOFF = units.ms(40)",
+       "LOW_RTT_CUTOFF = units.ms(units.ms(40))",
        ["UNIT001"], C, "",
        "a double conversion; before its deletion UNIT009 fired with "
        "UNIT001"),
-    _m("U9", "UNIT004", "experiments/fig9.py",
-       "    points = build_distance_points(metrics_by_fe, distances,\n"
-       "                                   max_client_rtt=units.ms(40))\n"
-       "    samples = build_sample_pairs(metrics_by_fe, distances,\n"
-       "                                 max_client_rtt=units.ms(40))",
-       "    max_rtt_ms = units.ms(40)\n"
-       "    points = build_distance_points(metrics_by_fe, distances,\n"
-       "                                   max_client_rtt=max_rtt_ms)\n"
-       "    samples = build_sample_pairs(metrics_by_fe, distances,\n"
-       "                                 max_client_rtt=max_rtt_ms)",
+    _m("U9", "UNIT004", "core/factoring.py",
+       "LOW_RTT_CUTOFF = units.ms(40)",
+       "LOW_RTT_CUTOFF_MS = units.ms(40)\n"
+       "LOW_RTT_CUTOFF = LOW_RTT_CUTOFF_MS",
        ["UNIT004"], M, M,
-       "a name that lies: max_rtt_ms holds seconds; behaviour is "
-       "unchanged until someone trusts the suffix"),
+       "a name that lies: LOW_RTT_CUTOFF_MS holds seconds; behaviour "
+       "is unchanged until someone trusts the suffix"),
     _m("U11", "UNIT001", "cache/tier.py",
        "                    self._fill_above(key, cache.size_of(key), level)",
        "                    size_kb = cache.size_of(key)\n"
@@ -208,10 +199,10 @@ MUTATIONS: Tuple[Mutation, ...] = (
        "until someone trusts the suffix"),
     # -- units: deleted UNIT005-UNIT009 ----------------------------------
     _m("U3", "UNIT005", "core/threshold.py",
-       "        threshold = min(threshold, zero_bin_rtt + bin_width)",
-       "        from repro.sim import units\n"
+       "        threshold = min(threshold, zero_bin_rtt + RTT_BIN_WIDTH)",
        "        threshold = min(threshold,\n"
-       "                        zero_bin_rtt + units.seconds_to_ms(bin_width))",
+       "                        zero_bin_rtt + units.seconds_to_ms("
+       "RTT_BIN_WIDTH))",
        [], M, C,
        "s + ms in the Fig. 5 threshold clamp; the figures golden "
        "catches it"),

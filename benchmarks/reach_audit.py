@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Reach audit: which ``src/`` functions does no user-facing run enter,
-and which config fields does none set?
+which config fields does none set, and which parameters does none pass?
 
 The audit runs every surface a user drives, in this one process, under
 :mod:`cProfile`:
@@ -31,9 +31,22 @@ a surface constructs with a value other than its default
 Every field no surface sets must be on :data:`OPTIONS_ALLOWED` with a
 one-line reason; a knob no user run turns is made a constant instead.
 
-The audit exits 1 when the unreached functions or the never-set fields
-and their allow-list differ in either direction, when an allow-listed
-entry has no reason, and when a surface fails.
+The same run audits the parameters by the same rule.  Before the
+surfaces run, every module under ``src/repro`` is imported and each
+function's defaulted parameters are read with their defaults (the
+``figures`` set-up later rewrites ``run_load_sensitivity``'s keyword
+defaults, which then counts as passing them).  A :func:`sys.settrace`
+hook sees every call, those the imports make included, and records each
+parameter whose value on entry differs from its default; it traces no
+lines.  A default forwarded to another function's parameter counts as
+not passed there either.  Every parameter no surface passes must be on
+:data:`PARAMETERS_ALLOWED` with a one-line reason; one no user run sets
+is made a constant instead.
+
+The audit exits 1 when the unreached functions, the never-set fields or
+the never-passed parameters and their allow-list differ in either
+direction, when an allow-listed entry has no reason, and when a surface
+fails.
 
 Run from anywhere, on Python 3.11 or later (older versions take the
 TOML fallback the allow-list names; about 2.5 minutes on a 2-vCPU
@@ -48,18 +61,22 @@ import ast
 import contextlib
 import cProfile
 import dataclasses
+import gc
 import importlib
 import io
 import os
+import pkgutil
 import runpy
 import sys
 import tempfile
 import traceback
+import types
 from typing import Callable, Dict, List, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 E2E = os.path.join(ROOT, "benchmarks", "e2e")
+PACKAGE = os.path.join(SRC, "repro")
 sys.path.insert(0, SRC)
 sys.path.insert(0, E2E)
 
@@ -80,6 +97,8 @@ ALLOWED: Dict[str, str] = {
         "delivers a failed request to its owner",
     "http/server.py::Responder.finished":
         "FrontEndServer._fetch_failed asks whether the reply ended",
+    "http/server.py::Responder.fail":
+        "FrontEndServer._fetch_failed ends a started reply short",
     "measure/emulator.py::QueryEmulator._fail":
         "records a session whose fetch failed",
     "services/frontend.py::FrontEndServer._fetch_failed":
@@ -224,6 +243,72 @@ OPTIONS_ALLOWED: Dict[str, str] = {
         "tests put a non-default client stack on a path (tcp-knobs)",
 }
 
+#: ``path::qualname(parameter=)`` -> why the parameter stays although
+#: no surface passes it a value other than its default.
+PARAMETERS_ALLOWED: Dict[str, str] = {
+    # Interfaces a command line fills in; the audit's runs give the
+    # default.
+    "experiments/common.py::ExperimentScale.small(seed=)":
+        "`python -m repro --scale small --seed N`",
+    "experiments/common.py::ExperimentScale.paper(seed=)":
+        "`python -m repro --scale paper --seed N`",
+    "experiments/interactive.py::run_interactive(phrase=)":
+        "examples/interactive_search.py types the phrase its command "
+        "line gives",
+    "parallel/campaigns.py::run_dataset_a_sharded(shards=)":
+        "`python -m repro --shards N`; tests cut the fleet in 2 and 3",
+    "parallel/campaigns.py::run_streaming_sharded(shards=)":
+        "the workload CLI's --shards",
+    "parallel/campaigns.py::run_streaming_sharded(batch_events=)":
+        "the workload CLI's --batch",
+    "parallel/campaigns.py::run_streaming_sharded(lookahead=)":
+        "the workload CLI's --lookahead",
+    "parallel/campaigns.py::run_streaming_sharded(tier=)":
+        "the workload CLI's --tier",
+    # Kept mechanisms that tests reach through the parameter.
+    "parallel/campaigns.py::run_dataset_a_sharded(processes=)":
+        "serial == sharded: tests run the shards on a pool and inline",
+    "parallel/campaigns.py::run_dataset_a_sharded(services=)":
+        "serial == sharded: tests shard one-service campaigns",
+    "parallel/campaigns.py::run_dataset_a_sharded(tier=)":
+        "serial == sharded: tests shard the analytic tier",
+    "parallel/campaigns.py::run_dataset_a_sharded(replay_cache=)":
+        "serial == sharded: tests shard with the replay cache on",
+    "measure/driver.py::run_dataset_b(tier=)":
+        "packet == analytic: tests run Dataset B on the analytic tier",
+    "measure/driver.py::run_dataset_b(replay_cache=)":
+        "packet == replay: tests replay Dataset B sessions",
+    "sim/analytic/gate.py::DivergenceGate.__init__(tolerance=)":
+        "the gate boundary: tests demote beyond 0 and 1e-6 s",
+    "sim/replay/cache.py::ReplayCache.__init__(capacity=)":
+        "LRU eviction: tests fill one- and two-entry caches",
+    "sim/engine.py::Simulator.__init__(start_time=)":
+        "relative scheduling: a test starts the clock at 100 s",
+    "net/link.py::Link.__init__(queue_limit_bytes=)":
+        "tail drop: a test overflows a 250-byte queue",
+    "tcp/buffers.py::Reassembler.__init__(window_bytes=)":
+        "flow control: TcpConfig.receive_window_bytes, which tests set",
+    "analysis/sketch.py::QuantileSketch.__init__(subbuckets=)":
+        "merge rejects a sketch of another resolution (tested)",
+    "cache/policy.py::ContentCache._evict_until(protect=)":
+        "a resident key re-offered to a finite cache never evicts itself",
+    "workload/arrivals.py::DiurnalArrivals.__init__(amplitude=)":
+        "the diurnal curve's swing, which a test checks",
+    "workload/arrivals.py::DiurnalArrivals.__init__(period=)":
+        "the diurnal curve's period, which a test checks",
+    "workload/arrivals.py::FlashCrowdArrivals.__init__(at=)":
+        "where the burst starts, which a test checks",
+    "workload/arrivals.py::FlashCrowdArrivals.__init__(burst=)":
+        "how long the burst lasts, which a test checks",
+    "workload/arrivals.py::FlashCrowdArrivals.__init__(multiplier=)":
+        "how hard the burst is, which a test checks",
+    # Failure handling and simlint paths that fire only on bad input.
+    "http/server.py::Responder.send_head(status=)":
+        "FrontEndServer._fetch_failed answers 502 before the static part",
+    "lint/framework.py::FileContext.report(line=)":
+        "META001 for a crashed rule or an unknown rule in a suppression",
+}
+
 #: ``python -m repro`` runs; ``{tmp}`` is a scratch directory.
 MAIN_RUNS = (
     ["fig678", "--trace", "{tmp}/trace.jsonl", "--metrics"],
@@ -305,9 +390,8 @@ def src_functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
     The first line is the first decorator's, as a code object's
     ``co_firstlineno`` has it; lines count from the ``def``.
     """
-    package = os.path.join(SRC, "repro")
     found = {}
-    for dirpath, dirnames, filenames in os.walk(package):
+    for dirpath, dirnames, filenames in os.walk(PACKAGE):
         dirnames.sort()
         for filename in sorted(filenames):
             if not filename.endswith(".py"):
@@ -315,7 +399,7 @@ def src_functions() -> Dict[Tuple[str, int], Tuple[str, int]]:
             path = os.path.join(dirpath, filename)
             with open(path, encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), path)
-            rel = os.path.relpath(path, package).replace(os.sep, "/")
+            rel = os.path.relpath(path, PACKAGE).replace(os.sep, "/")
             _collect(tree, path, rel, "", found)
     return found
 
@@ -375,6 +459,81 @@ def _recording_init(init, name, names, defaults, changed):
                 changed.add("%s.%s" % (name, field))
         init(self, *args, **kwargs)
     return recording
+
+
+# ----------------------------------------------------------------------
+# the parameters
+# ----------------------------------------------------------------------
+def trace_imports() -> list:
+    """Install a hook that keeps (code, arguments) of every call into
+    ``src/repro``: the calls the imports make run before the defaults
+    can be read, so :func:`record_parameters` checks them later."""
+    calls = []
+    prefix = PACKAGE + os.sep
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename.startswith(prefix):
+            calls.append((frame.f_code, dict(frame.f_locals)))
+        return None  # trace no lines
+    sys.settrace(trace)
+    return calls
+
+
+def src_parameters() -> Dict[int, tuple]:
+    """``id`` of a code object -> (the code, ((parameter, default,
+    ``path::qualname(parameter=)``), ...)) for every function under
+    ``src/repro`` with defaulted parameters.
+
+    Imports every module first, so that every module-level function and
+    method exists; the defaults are what the functions hold now.  The
+    entry keeps its code object alive, so no other object takes its id.
+    """
+    for module in pkgutil.walk_packages([PACKAGE], "repro."):
+        importlib.import_module(module.name)
+    found = {}
+    for func in gc.get_objects():
+        if not isinstance(func, types.FunctionType):
+            continue
+        code = func.__code__
+        if not code.co_filename.startswith(PACKAGE + os.sep):
+            continue
+        names = code.co_varnames[:code.co_argcount]
+        defaults = func.__defaults__ or ()
+        pairs = list(zip(names[len(names) - len(defaults):], defaults))
+        pairs += sorted((func.__kwdefaults__ or {}).items())
+        if pairs:
+            label = "%s::%s(%%s=)" % (
+                os.path.relpath(code.co_filename, PACKAGE).replace(
+                    os.sep, "/"), func.__qualname__)
+            found[id(code)] = (code, tuple(
+                (name, default, label % name) for name, default in pairs))
+    return found
+
+
+def record_parameters(parameters: Dict[int, tuple], imports: list) -> set:
+    """Install the trace hook; the set it fills with the label of each
+    parameter entered with a value other than its default, starting
+    with the calls ``imports`` kept."""
+    passed = set()
+    for code, values in imports:
+        entry = parameters.get(id(code))
+        if entry is not None:
+            _record_passed(entry[1], values, passed)
+
+    def trace(frame, event, arg):
+        entry = parameters.get(id(frame.f_code))
+        if entry is not None:
+            _record_passed(entry[1], frame.f_locals, passed)
+        return None  # trace no lines
+    sys.settrace(trace)
+    return passed
+
+
+def _record_passed(pairs: tuple, values: dict, passed: set) -> None:
+    for name, default, label in pairs:
+        value = values[name]
+        if value is not default and value != default:
+            passed.add(label)
 
 
 # ----------------------------------------------------------------------
@@ -507,10 +666,19 @@ def main() -> int:
     os.chdir(ROOT)
     profile = cProfile.Profile()
     profile.enable()
-    run_pools_inline()
-    fields, changed = record_options()
+    imports = trace_imports()
+    try:
+        run_pools_inline()
+        fields, changed = record_options()
+        parameters = src_parameters()
+    finally:
+        sys.settrace(None)
     profile.disable()
-    failures = run_surfaces(profile)
+    passed = record_parameters(parameters, imports)
+    try:
+        failures = run_surfaces(profile)
+    finally:
+        sys.settrace(None)
     functions = src_functions()
     reached = reached_code(profile)
     unreached = {name: lines for key, (name, lines) in functions.items()
@@ -535,6 +703,7 @@ def main() -> int:
         print("allow-listed without a reason: " + name)
     problems = len(failures) + len(unlisted) + len(stale) + len(blank)
     problems += options_problems(fields, changed)
+    problems += parameters_problems(parameters, passed)
     print("%d problem(s)" % problems)
     return 1 if problems else 0
 
@@ -556,6 +725,28 @@ def options_problems(fields: set, changed: set) -> int:
         print("allow-listed option, but set or gone: " + name)
     for name in blank:
         print("allow-listed option without a reason: " + name)
+    return len(unlisted) + len(stale) + len(blank)
+
+
+def parameters_problems(parameters: Dict[int, tuple], passed: set) -> int:
+    """Print the parameters section; the number of problems it found."""
+    labels = {label for _, pairs in parameters.values()
+              for _, _, label in pairs}
+    unpassed = labels - passed
+    unlisted = sorted(unpassed - set(PARAMETERS_ALLOWED))
+    stale = sorted(set(PARAMETERS_ALLOWED) - unpassed)
+    blank = sorted(name for name, reason in PARAMETERS_ALLOWED.items()
+                   if not reason.strip())
+    print("%d defaulted parameters in %d functions, %d never passed, "
+          "%d on the allow-list"
+          % (len(labels), len(parameters), len(unpassed),
+             len(PARAMETERS_ALLOWED)))
+    for name in unlisted:
+        print("never passed, not allow-listed: " + name)
+    for name in stale:
+        print("allow-listed parameter, but passed or gone: " + name)
+    for name in blank:
+        print("allow-listed parameter without a reason: " + name)
     return len(unlisted) + len(stale) + len(blank)
 
 

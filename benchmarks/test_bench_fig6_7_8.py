@@ -20,7 +20,9 @@ from repro.testbed.scenario import Scenario
 
 @pytest.fixture(scope="module")
 def campaign(bench_scale, bench_shards):
-    return run_dataset_a_experiment(bench_scale, shards=bench_shards)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CAMPAIGN_SHARDS", str(bench_shards))
+        return run_dataset_a_experiment(bench_scale)
 
 
 def test_bench_fig6(benchmark, campaign):

@@ -18,6 +18,13 @@ from repro.analysis.stats import BoxStats
 #: Marker characters assigned to series, in order.
 SERIES_MARKS = "ox+*#@%&"
 
+#: Columns of a scatter or CDF plot.
+PLOT_WIDTH = 64
+
+#: Columns of a box plot, and of the labels left of it.
+BOX_WIDTH = 56
+BOX_LABEL_WIDTH = 30
+
 
 def _scale(value: float, low: float, high: float, cells: int) -> int:
     """Map value in [low, high] to a cell index in [0, cells-1]."""
@@ -36,15 +43,16 @@ def _bounds(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def scatter(series: Dict[str, Sequence[Tuple[float, float]]], *,
-            width: int = 64, height: int = 16,
+            height: int = 16,
             xlabel: str = "x", ylabel: str = "y",
-            x_format: str = "%.0f", y_format: str = "%.0f") -> str:
-    """Multi-series ASCII scatter plot.
+            y_format: str = "%.0f") -> str:
+    """Multi-series ASCII scatter plot, :data:`PLOT_WIDTH` columns wide.
 
     ``series`` maps a label to its (x, y) points.  Each series gets the
     next marker from :data:`SERIES_MARKS`; overlapping points from
     different series render as ``?``.
     """
+    width = PLOT_WIDTH
     all_points = [p for pts in series.values() for p in pts]
     if not all_points:
         raise ValueError("nothing to plot")
@@ -72,8 +80,8 @@ def scatter(series: Dict[str, Sequence[Tuple[float, float]]], *,
             label = " " * gutter
         lines.append("%s |%s" % (label, "".join(row)))
     lines.append("%s +%s" % (" " * gutter, "-" * width))
-    x_lo_label = x_format % x_low
-    x_hi_label = x_format % x_high
+    x_lo_label = "%.0f" % x_low
+    x_hi_label = "%.0f" % x_high
     lines.append("%s  %s%s%s" % (
         " " * gutter, x_lo_label,
         " " * max(1, width - len(x_lo_label) - len(x_hi_label)),
@@ -87,25 +95,24 @@ def scatter(series: Dict[str, Sequence[Tuple[float, float]]], *,
 
 
 def cdf_plot(series: Dict[str, Sequence[Tuple[float, float]]], *,
-             width: int = 64, height: int = 12,
              xlabel: str = "value") -> str:
     """ASCII CDF plot: y is the cumulative fraction in [0, 1]."""
     converted = {}
     for label, points in series.items():
         converted[label] = [(x, f) for x, f in points]
-    return scatter(converted, width=width, height=height,
+    return scatter(converted, height=12,
                    xlabel=xlabel, ylabel="fraction <= x",
                    y_format="%.1f")
 
 
 def hbox_plot(boxes: Sequence[Tuple[str, BoxStats]], *,
-              width: int = 56, label_width: int = 30,
               value_format: str = "%.0f") -> str:
     """Horizontal box plots, one row per entry (the Figure-8 shape).
 
     Whisker ends render as ``|``, the interquartile box as ``=``, and
-    the median as ``O``.
+    the median as ``O``; labels are cut to :data:`BOX_LABEL_WIDTH`.
     """
+    width, label_width = BOX_WIDTH, BOX_LABEL_WIDTH
     if not boxes:
         raise ValueError("nothing to plot")
     low = min(box.low_whisker for _, box in boxes)

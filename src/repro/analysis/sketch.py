@@ -212,14 +212,11 @@ class QuantileSketch:
                    len(self.counts)))
 
 
-def merge_sketches(sketches: Iterable[QuantileSketch],
-                   subbuckets: Optional[int] = None) -> QuantileSketch:
+def merge_sketches(sketches: Iterable[QuantileSketch]) -> QuantileSketch:
     """Exact merge of any number of sketches (empty input allowed)."""
     sketches = list(sketches)
-    if subbuckets is None:
-        subbuckets = sketches[0].subbuckets if sketches \
-            else DEFAULT_SUBBUCKETS
-    merged = QuantileSketch(subbuckets)
+    merged = QuantileSketch(sketches[0].subbuckets if sketches
+                            else DEFAULT_SUBBUCKETS)
     for sketch in sketches:
         merged.merge(sketch)
     return merged

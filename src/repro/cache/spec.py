@@ -65,7 +65,7 @@ class CacheHierarchySpec:
     ``static`` is the per-keyword static-content cache the paper treats
     as a black box; ``regional`` (optional) is a middle tier consulted
     on FE misses before the back-end origin; ``result`` bounds the
-    counterfactual dynamic-result cache (``cache_results=True``).
+    counterfactual dynamic-result cache (``FrontEndServer.cache_results``).
     """
 
     static: CacheSpec = field(default_factory=CacheSpec)

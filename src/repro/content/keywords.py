@@ -104,15 +104,16 @@ class KeywordCatalog:
                                granularity=1, suggested=True))
         return out
 
-    def refined(self, count: int, depth: int = 4) -> List[Keyword]:
-        """Progressively refined phrases of increasing granularity."""
+    def refined(self, count: int) -> List[Keyword]:
+        """Progressively refined phrases of increasing granularity: two
+        to five words, cycling."""
         rng = self.streams.get("refined")
         out = []
         for i in range(count):
             base_index = rng.randrange(len(words.TOPIC_NOUNS))
             phrase_words = [words.TOPIC_NOUNS[(base_index + j) %
                                               len(words.TOPIC_NOUNS)]
-                            for j in range(2 + (i % depth))]
+                            for j in range(2 + (i % 4))]
             granularity = len(phrase_words) - 1
             out.append(Keyword(text=" ".join(phrase_words),
                                popularity=rng.uniform(0.2, 0.5)
@@ -160,8 +161,7 @@ class KeywordCatalog:
     # ------------------------------------------------------------------
     # large pools for the caching experiments (Section 3)
     # ------------------------------------------------------------------
-    def bulk_pool(self, count: int = 40_000,
-                  suggested_fraction: float = 0.5) -> List[Keyword]:
+    def bulk_pool(self, count: int = 40_000) -> List[Keyword]:
         """The 40,000-keyword pool: half suggested, half obscure."""
         # Shard-safe despite the shared stream: every worker builds the
         # identical pool from a fresh catalog before any shard-variant
@@ -170,7 +170,7 @@ class KeywordCatalog:
         rng = self.streams.get("bulk")
         out = []
         for i in range(count):
-            suggested = (i / max(1, count)) < suggested_fraction
+            suggested = (i / max(1, count)) < 0.5
             noun = words.TOPIC_NOUNS[i % len(words.TOPIC_NOUNS)]
             other = words.UNCORRELATED_NOUNS[i % len(words.UNCORRELATED_NOUNS)]
             text = "%s %s %d" % (noun, other, i)

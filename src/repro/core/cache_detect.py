@@ -22,14 +22,22 @@ from typing import Sequence
 
 from repro.analysis.stats import ks_2samp, median
 
+#: KS significance level.
+KS_ALPHA = 0.01
+
+#: Maximum median(same)/median(distinct) ratio compatible with caching
+#: (a cached response skips the whole FE-BE fetch, so the drop is large
+#: when caching exists).
+RATIO_THRESHOLD = 0.6
+
 
 @dataclass(frozen=True)
 class CacheDetectionResult:
     """Outcome of the same-query vs distinct-query comparison.
 
     ``caching_detected`` is True when repeated queries are both
-    statistically distinguishable (KS p below ``alpha``) *and*
-    substantially faster (median ratio below ``ratio_threshold``).
+    statistically distinguishable (KS p below :data:`KS_ALPHA`) *and*
+    substantially faster (median ratio below :data:`RATIO_THRESHOLD`).
     """
 
     median_same: float
@@ -55,9 +63,7 @@ class CacheDetectionResult:
 
 
 def detect_result_caching(same_query_tdynamic: Sequence[float],
-                          distinct_query_tdynamic: Sequence[float], *,
-                          alpha: float = 0.01,
-                          ratio_threshold: float = 0.6
+                          distinct_query_tdynamic: Sequence[float]
                           ) -> CacheDetectionResult:
     """Compare Tdynamic distributions of repeated vs distinct queries.
 
@@ -67,12 +73,6 @@ def detect_result_caching(same_query_tdynamic: Sequence[float],
         Tdynamic samples when every node issued the same keyword.
     distinct_query_tdynamic:
         Tdynamic samples when every node issued a different keyword.
-    alpha:
-        KS significance level.
-    ratio_threshold:
-        Maximum median(same)/median(distinct) ratio compatible with
-        caching (a cached response skips the whole FE-BE fetch, so the
-        drop is large when caching exists).
     """
     if len(same_query_tdynamic) < 3 or len(distinct_query_tdynamic) < 3:
         raise ValueError("need at least 3 samples per condition")
@@ -82,7 +82,7 @@ def detect_result_caching(same_query_tdynamic: Sequence[float],
     median_distinct = median(distinct_query_tdynamic)
     ratio = (median_same / median_distinct
              if median_distinct > 0 else float("inf"))
-    detected = p_value < alpha and ratio < ratio_threshold
+    detected = p_value < KS_ALPHA and ratio < RATIO_THRESHOLD
     return CacheDetectionResult(
         median_same=median_same,
         median_distinct=median_distinct,

@@ -23,6 +23,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import LinearFit, linear_fit, median
 from repro.core.metrics import QueryMetrics
+from repro.sim import units
+
+#: Clients at or below this RTT count as low-RTT: their Tdynamic
+#: approximates Tfetch.
+LOW_RTT_CUTOFF = units.ms(40)
+
+#: Low-RTT samples an FE needs to contribute a distance point.
+MIN_SAMPLES = 3
 
 
 @dataclass(frozen=True)
@@ -55,23 +63,22 @@ class FetchFactoring:
 
 def build_distance_points(
         metrics_by_fe: Dict[str, Sequence[QueryMetrics]],
-        fe_distances: Dict[str, float], *,
-        max_client_rtt: float = 0.040,
-        min_samples: int = 3) -> List[DistancePoint]:
+        fe_distances: Dict[str, float]) -> List[DistancePoint]:
     """Aggregate per-FE Tdynamic medians from low-RTT clients.
 
     ``metrics_by_fe`` maps FE node name to the metrics of queries served
     by that FE; ``fe_distances`` maps FE node name to its distance from
-    the back-end (miles).  Only clients with RTT below ``max_client_rtt``
-    contribute (the paper's "for smaller values of RTT, Tdynamic can be
-    considered an approximation of Tfetch").
+    the back-end (miles).  Only clients with RTT up to
+    :data:`LOW_RTT_CUTOFF` contribute (the paper's "for smaller values
+    of RTT, Tdynamic can be considered an approximation of Tfetch"), and
+    only FEs with :data:`MIN_SAMPLES` of them.
     """
     points = []
     for fe_name, metrics in metrics_by_fe.items():
         if fe_name not in fe_distances:
             continue
-        low_rtt = [m.tdynamic for m in metrics if m.rtt <= max_client_rtt]
-        if len(low_rtt) < min_samples:
+        low_rtt = [m.tdynamic for m in metrics if m.rtt <= LOW_RTT_CUTOFF]
+        if len(low_rtt) < MIN_SAMPLES:
             continue
         points.append(DistancePoint(
             fe_name=fe_name,
@@ -82,8 +89,7 @@ def build_distance_points(
 
 
 def build_sample_pairs(metrics_by_fe: Dict[str, Sequence[QueryMetrics]],
-                       fe_distances: Dict[str, float], *,
-                       max_client_rtt: float = 0.040
+                       fe_distances: Dict[str, float]
                        ) -> List[Tuple[float, float]]:
     """All low-RTT (distance, Tdynamic) samples, unaggregated.
 
@@ -97,7 +103,7 @@ def build_sample_pairs(metrics_by_fe: Dict[str, Sequence[QueryMetrics]],
         if distance is None:
             continue
         for metric in metrics:
-            if metric.rtt <= max_client_rtt:
+            if metric.rtt <= LOW_RTT_CUTOFF:
                 pairs.append((distance, metric.tdynamic))
     return pairs
 

@@ -159,10 +159,10 @@ def extract_metrics(session: QuerySession, boundary) -> QueryMetrics:
 
 
 def extract_all_calibrated(sessions: Sequence[QuerySession],
-                           calibration,
-                           skip_failed: bool = True) -> List[QueryMetrics]:
+                           calibration) -> List[QueryMetrics]:
     """Extract metrics for a batch with per-front-end boundaries,
-    skipping failed/incomplete sessions unless ``skip_failed`` is False.
+    skipping failed or incomplete sessions and those whose metrics
+    cannot be extracted.
 
     ``calibration`` is a
     :class:`repro.analysis.boundary.BoundaryCalibration`; each session
@@ -170,12 +170,11 @@ def extract_all_calibrated(sessions: Sequence[QuerySession],
     """
     out = []
     for session in sessions:
-        if skip_failed and not session.complete:
+        if not session.complete:
             continue
         try:
             boundary = calibration.boundary_for(session)
             out.append(extract_metrics(session, boundary))
         except MetricsError:
-            if not skip_failed:
-                raise
+            pass
     return out

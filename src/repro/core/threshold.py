@@ -18,6 +18,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import LinearFit, binned_medians, linear_fit
+from repro.sim import units
+
+#: Width of the RTT bins the per-bin medians are taken over.
+RTT_BIN_WIDTH = units.ms(20)
+
+#: Median Tdelta at or below this counts as extinguished.
+ZERO_TOLERANCE = units.ms(5)
 
 
 @dataclass(frozen=True)
@@ -35,8 +42,8 @@ class ThresholdEstimate:
     bin_medians:
         The (rtt_bin_center, median_tdelta) points used.
     zero_bin_rtt:
-        Center of the first RTT bin whose median Tdelta fell below the
-        zero tolerance (None if no bin did).
+        Center of the first RTT bin whose median Tdelta fell to
+        :data:`ZERO_TOLERANCE` (None if no bin did).
     """
 
     threshold_rtt: float
@@ -46,32 +53,26 @@ class ThresholdEstimate:
 
 
 def estimate_tdelta_threshold(rtts: Sequence[float],
-                              tdeltas: Sequence[float], *,
-                              bin_width: float = 0.020,
-                              zero_tolerance: float = 0.005
+                              tdeltas: Sequence[float]
                               ) -> ThresholdEstimate:
-    """Estimate where median Tdelta reaches zero as a function of RTT.
-
-    ``bin_width`` and ``zero_tolerance`` are in seconds (defaults: 20 ms
-    bins, 5 ms tolerance — Tdelta below the tolerance counts as
-    extinguished).
-    """
+    """Estimate where median Tdelta reaches zero as a function of RTT,
+    over :data:`RTT_BIN_WIDTH` bins."""
     if len(rtts) != len(tdeltas):
         raise ValueError("rtts and tdeltas must have equal length")
     if len(rtts) < 2:
         raise ValueError("need at least two samples")
-    points = binned_medians(rtts, tdeltas, bin_width)
+    points = binned_medians(rtts, tdeltas, RTT_BIN_WIDTH)
     if not points:
         raise ValueError("binning produced no points")
 
     zero_bin_rtt = None
     for center, med in points:
-        if med <= zero_tolerance:
+        if med <= ZERO_TOLERANCE:
             zero_bin_rtt = center
             break
 
     # Fit only the decreasing, strictly positive segment.
-    positive = [(x, y) for x, y in points if y > zero_tolerance]
+    positive = [(x, y) for x, y in points if y > ZERO_TOLERANCE]
     fit = None
     threshold = None
     if len(positive) >= 2 and len({x for x, _ in positive}) >= 2:
@@ -87,7 +88,7 @@ def estimate_tdelta_threshold(rtts: Sequence[float],
     elif zero_bin_rtt is not None:
         # The fit can overshoot when the tail is flat; keep it within
         # one bin of the first observed zero.
-        threshold = min(threshold, zero_bin_rtt + bin_width)
+        threshold = min(threshold, zero_bin_rtt + RTT_BIN_WIDTH)
     return ThresholdEstimate(threshold_rtt=float(threshold), fit=fit,
                              bin_medians=points, zero_bin_rtt=zero_bin_rtt)
 
@@ -113,20 +114,16 @@ class RegimeSplit:
 
 
 def split_tdynamic_regimes(rtts: Sequence[float],
-                           tdynamics: Sequence[float], *,
-                           bin_width: float = 0.020,
-                           split_rtt: Optional[float] = None
-                           ) -> RegimeSplit:
+                           tdynamics: Sequence[float]) -> RegimeSplit:
     """Characterise Tdynamic's flat-then-linear shape.
 
-    If ``split_rtt`` is not given, the split is chosen as the bin after
-    which the medians start rising consistently.
+    The split is the bin after which the :data:`RTT_BIN_WIDTH` medians
+    start rising consistently.
     """
-    points = binned_medians(rtts, tdynamics, bin_width)
+    points = binned_medians(rtts, tdynamics, RTT_BIN_WIDTH)
     if not points:
         raise ValueError("no data")
-    if split_rtt is None:
-        split_rtt = _detect_rise(points)
+    split_rtt = _detect_rise(points)
     low = [y for x, y in points if x <= split_rtt]
     high = [(x, y) for x, y in points if x > split_rtt]
     flat_level = (sorted(low)[len(low) // 2] if low

@@ -26,8 +26,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.stats import linear_fit, median
+from repro.core.factoring import LOW_RTT_CUTOFF
 from repro.core.metrics import QueryMetrics
 from repro.core.model import AbstractModel
+from repro.core.threshold import ZERO_TOLERANCE
+
+#: The fraction of Tfetch attributed to back-end processing (from the
+#: Figure-9 factoring: intercept / mean).
+TPROC_SHARE = 0.85
+
+#: Samples a model fit needs.
+MIN_FIT_SAMPLES = 5
+
+#: The share of fetch-bound clients from which the back end, not
+#: placement, is the lever.
+FETCH_BOUND_MAJORITY = 0.5
 
 
 class WhatIfError(Exception):
@@ -56,19 +69,15 @@ class FittedModel:
                    - self.model.predict_tdynamic(rtt_new))
 
     def faster_backend_gain(self, rtt: float,
-                            tproc_speedup: float,
-                            tproc_share: float = 0.85) -> float:
+                            tproc_speedup: float) -> float:
         """Tdynamic improvement if back-end processing sped up.
 
-        ``tproc_speedup`` of 2.0 halves the processing component;
-        ``tproc_share`` is the fraction of Tfetch attributed to
-        processing (from the Figure-9 factoring: intercept / mean).
+        ``tproc_speedup`` of 2.0 halves the processing component, the
+        :data:`TPROC_SHARE` of Tfetch.
         """
         if tproc_speedup <= 0:
             raise ValueError("speedup must be positive")
-        if not 0.0 <= tproc_share <= 1.0:
-            raise ValueError("tproc_share must be in [0,1]")
-        tproc = self.model.tfetch * tproc_share
+        tproc = self.model.tfetch * TPROC_SHARE
         network = self.model.tfetch - tproc
         improved = AbstractModel(
             fe_delay=self.model.fe_delay,
@@ -88,17 +97,16 @@ class FittedModel:
         return "delivery"       # RTT-bound: placement/last mile matters
 
 
-def fit_model(metrics: Sequence[QueryMetrics], *,
-              low_rtt_cutoff: float = 0.040,
-              min_samples: int = 5) -> FittedModel:
+def fit_model(metrics: Sequence[QueryMetrics]) -> FittedModel:
     """Fit the abstract model to measured metrics.
 
     Requires a spread of client RTTs (for the Tstatic slope) and at
-    least a few low-RTT clients (for the Tfetch plateau).
+    least a few clients up to :data:`LOW_RTT_CUTOFF` (for the Tfetch
+    plateau).
     """
-    if len(metrics) < min_samples:
+    if len(metrics) < MIN_FIT_SAMPLES:
         raise WhatIfError("need at least %d samples, got %d"
-                          % (min_samples, len(metrics)))
+                          % (MIN_FIT_SAMPLES, len(metrics)))
     rtts = [m.rtt for m in metrics]
     tstatics = [m.tstatic for m in metrics]
 
@@ -116,7 +124,7 @@ def fit_model(metrics: Sequence[QueryMetrics], *,
         fe_delay = max(0.0, median(tstatics) - k * median(rtts))
         r2 = None
 
-    low_rtt = [m.tdynamic for m in metrics if m.rtt <= low_rtt_cutoff]
+    low_rtt = [m.tdynamic for m in metrics if m.rtt <= LOW_RTT_CUTOFF]
     if len(low_rtt) >= 3:
         tfetch = median(low_rtt)
     else:
@@ -140,8 +148,7 @@ class PlacementAdvice:
     recommendation: str
 
 
-def advise_placement(metrics: Sequence[QueryMetrics], *,
-                     fetch_bound_majority: float = 0.5) -> PlacementAdvice:
+def advise_placement(metrics: Sequence[QueryMetrics]) -> PlacementAdvice:
     """Summarise whether FE placement or the fetch time is the lever.
 
     The paper's conclusion, operationalised: if most measured clients
@@ -149,9 +156,9 @@ def advise_placement(metrics: Sequence[QueryMetrics], *,
     optimize Tproc / the FE-BE path instead.
     """
     fitted = fit_model(metrics)
-    fetch_bound = sum(1 for m in metrics if m.tdelta > 0.005)
+    fetch_bound = sum(1 for m in metrics if m.tdelta > ZERO_TOLERANCE)
     fraction = fetch_bound / len(metrics)
-    if fraction >= fetch_bound_majority:
+    if fraction >= FETCH_BOUND_MAJORITY:
         recommendation = (
             "optimize the back end: %.0f%% of clients are fetch-bound; "
             "placing front-ends closer cannot improve their response "

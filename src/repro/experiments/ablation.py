@@ -16,7 +16,7 @@ need no boundary calibration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.analysis.stats import median
 from repro.content.keywords import Keyword
@@ -35,6 +35,18 @@ from repro.testbed.vantage import VantagePoint
 
 ABLATION_KEYWORD = Keyword(text="ablation probe query", popularity=0.5,
                            complexity=0.5)
+#: The service the split-TCP, idle-reset and loss ablations measure.
+SPLIT_TCP_SERVICE = Scenario.GOOGLE
+#: The service the cache and placement ablations measure: its
+#: Akamai-like deployment has the coverage knob.
+CACHE_SERVICE = Scenario.BING
+#: FE coverage levels of the placement sweep.
+PLACEMENT_COVERAGES = (0.3, 0.6, 0.95)
+#: Seconds between the idle-reset ablation's queries: longer than an
+#: RTO, so the reset (when on) collapses the window before each one.
+IDLE_GAP = 5.0
+#: Last-hop loss rates of the loss sweep.
+LOSS_RATES = (0.0, 0.01, 0.03)
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +70,11 @@ class SplitTcpAblationResult:
 
 
 def run_split_tcp_ablation(scale: Optional[ExperimentScale] = None, *,
-                           service_name: str = Scenario.GOOGLE,
                            loss_rate: float = 0.0
                            ) -> SplitTcpAblationResult:
     """Same queries through the FE versus straight to the back-end."""
     scale = scale or ExperimentScale.small()
+    service_name = SPLIT_TCP_SERVICE
     scenario = build_scenario(scale, client_loss_rate=loss_rate)
     service = scenario.service(service_name)
     vp = _split_friendly_vantage_point(scenario, service_name)
@@ -174,11 +186,11 @@ class CacheAblationResult:
         return self.ttfb_uncached - self.ttfb_cached
 
 
-def run_cache_ablation(scale: Optional[ExperimentScale] = None, *,
-                       service_name: str = Scenario.BING
+def run_cache_ablation(scale: Optional[ExperimentScale] = None
                        ) -> CacheAblationResult:
     """Compare TTFB and overall delay with the FE cache on vs off."""
     scale = scale or ExperimentScale.small()
+    service_name = CACHE_SERVICE
     medians = {}
     for cached in (True, False):
         scenario = build_scenario(scale, cache_static=cached)
@@ -234,14 +246,13 @@ class PlacementAblationResult:
                 - self.points[-1].median_overall)
 
 
-def run_placement_ablation(scale: Optional[ExperimentScale] = None, *,
-                           service_name: str = Scenario.BING,
-                           coverages: Sequence[float] = (0.3, 0.6, 0.95)
+def run_placement_ablation(scale: Optional[ExperimentScale] = None
                            ) -> PlacementAblationResult:
     """Sweep FE density; RTT improves but overall delay saturates."""
     scale = scale or ExperimentScale.small()
+    service_name = CACHE_SERVICE
     result = PlacementAblationResult(service=service_name)
-    for coverage in coverages:
+    for coverage in PLACEMENT_COVERAGES:
         scenario = build_scenario(scale, akamai_coverage=coverage)
         now = scenario.sim.now
         rtts, plan = [], []
@@ -287,30 +298,24 @@ class IdleResetAblationResult:
         return self.cold_tfetch_median - self.warm_tfetch_median
 
 
-def run_idle_reset_ablation(scale: Optional[ExperimentScale] = None, *,
-                            service_name: str = Scenario.GOOGLE,
-                            idle_gap: float = 5.0
+def run_idle_reset_ablation(scale: Optional[ExperimentScale] = None
                             ) -> IdleResetAblationResult:
     """Sparse queries over Reno FE-BE connections, idle reset on/off."""
-    from repro.services.deployment import google_like_profile, \
-        bing_akamai_profile
+    from repro.services.deployment import google_like_profile
     from repro.tcp.config import TcpConfig
 
     scale = scale or ExperimentScale.small()
+    service_name = SPLIT_TCP_SERVICE
     medians = {}
     samples = 0
     for reset in (False, True):
         backend_tcp = TcpConfig(slow_start_after_idle=reset)
-        base = (google_like_profile() if service_name == Scenario.GOOGLE
-                else bing_akamai_profile())
-        profile = replace(base, backend_window_bytes=None,
+        profile = replace(google_like_profile(), backend_window_bytes=None,
                           backend_tcp=backend_tcp)
-        kwargs = ({"google_profile": profile}
-                  if service_name == Scenario.GOOGLE
-                  else {"bing_profile": profile})
         scenario = Scenario(
             ScenarioConfig(seed=scale.seed,
-                           vantage_count=scale.vantage_count), **kwargs)
+                           vantage_count=scale.vantage_count),
+            google_profile=profile)
         service = scenario.service(service_name)
         # The FE farthest from its back-end shows the ramp most clearly.
         frontend = max(service.frontends,
@@ -326,7 +331,7 @@ def run_idle_reset_ablation(scale: Optional[ExperimentScale] = None, *,
         for _ in range(max(6, scale.repeats)):
             plan.append((time, vp, service_name, frontend,
                          ABLATION_KEYWORD))
-            time = time + idle_gap
+            time = time + IDLE_GAP
         run_queries(scenario, plan)
         tfetches = sorted(
             record.tfetch for record in frontend.fetch_log.values()
@@ -370,18 +375,15 @@ class LossAblationResult:
         return advantages[-1] > advantages[0]
 
 
-def run_loss_ablation(scale: Optional[ExperimentScale] = None, *,
-                      service_name: str = Scenario.GOOGLE,
-                      loss_rates: Sequence[float] = (0.0, 0.01, 0.03)
+def run_loss_ablation(scale: Optional[ExperimentScale] = None
                       ) -> LossAblationResult:
     """Sweep last-hop loss; split TCP's advantage should grow."""
     scale = scale or ExperimentScale.small()
     # Loss recovery times are high-variance; triple the samples.
     scale = replace(scale, repeats=max(scale.repeats * 3, 15))
-    result = LossAblationResult(service=service_name)
-    for loss in loss_rates:
-        ablation = run_split_tcp_ablation(scale, service_name=service_name,
-                                          loss_rate=loss)
+    result = LossAblationResult(service=SPLIT_TCP_SERVICE)
+    for loss in LOSS_RATES:
+        ablation = run_split_tcp_ablation(scale, loss_rate=loss)
         result.points.append(LossSweepPoint(
             loss_rate=loss,
             split_median=ablation.split_median,

@@ -173,10 +173,12 @@ def _install_tier(frontend, spec: CacheHierarchySpec,
     return tier
 
 
-def run_cache_lab(scale: Optional[ExperimentScale] = None, *,
-                  service_name: str = Scenario.GOOGLE) -> CacheLabResult:
-    """Run the sweep and the detector-validation cases."""
+def run_cache_lab(scale: Optional[ExperimentScale] = None
+                  ) -> CacheLabResult:
+    """Run the sweep and the detector-validation cases on the
+    Google-like service."""
     scale = scale or ExperimentScale.small()
+    service_name = Scenario.GOOGLE
     scenario = Scenario(ScenarioConfig(
         seed=scale.seed, vantage_count=scale.vantage_count))
     service = scenario.service(service_name)

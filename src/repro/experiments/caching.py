@@ -6,9 +6,10 @@ keyword — compared via the Tdynamic distributions.  The conclusion for
 the real services was "no".
 
 The runner reproduces both conditions, and can also run the
-*counterfactual* (a deployment whose FEs do cache results,
-``cache_results=True``) to show the detector fires when caching exists —
-a positive control the original study could not perform.
+*counterfactual* (a deployment whose FEs do cache results, with
+``FrontEndServer.cache_results`` set) to show the detector fires when
+caching exists — a positive control the original study could not
+perform.
 """
 
 from __future__ import annotations
@@ -46,15 +47,16 @@ class CachingExperimentResult:
 
 
 def run_caching_experiment(scale: Optional[ExperimentScale] = None, *,
-                           service_name: str = Scenario.BING,
                            fe_caches_results: bool = False
                            ) -> CachingExperimentResult:
-    """Run both query conditions and the detector.
+    """Run both query conditions and the detector on the Bing-like
+    service.
 
     ``fe_caches_results=True`` builds the counterfactual deployment in
     which front-end servers *do* cache dynamically generated results.
     """
     scale = scale or ExperimentScale.small()
+    service_name = Scenario.BING
     scenario = _caching_scenario(scale) if fe_caches_results else Scenario(
         ScenarioConfig(seed=scale.seed,
                        vantage_count=scale.vantage_count),

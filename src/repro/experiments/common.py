@@ -96,7 +96,9 @@ def calibrate_service(scenario: Scenario, service_name: str,
     Plans the calibration keywords (payload capture on) from one
     vantage point against each front-end in ``frontends`` (default: the
     vantage point's default FE), all at the current instant, then
-    builds the per-FE boundary table.
+    builds the per-FE boundary table from the complete sessions.  A
+    front-end none of whose sessions completed has no boundary: that
+    raises, naming it.
     """
     vp = vp or scenario.vantage_points[0]
     targets = list(frontends) if frontends else \
@@ -105,23 +107,26 @@ def calibrate_service(scenario: Scenario, service_name: str,
     plan = [(now, vp, service_name, frontend, keyword)
             for frontend in targets for keyword in CALIBRATION_KEYWORDS]
     sessions = run_queries(scenario, plan, store_payload=True)[vp.name]
-    incomplete = [s for s in sessions if not s.complete]
-    if incomplete:
-        raise RuntimeError("calibration queries failed: %s"
-                           % [s.query_id for s in incomplete])
+    calibrated = {s.fe_name for s in sessions if s.complete}
+    for frontend in targets:
+        if frontend.node.name not in calibrated:
+            raise RuntimeError(
+                "every calibration query to %s failed: %s"
+                % (frontend.node.name,
+                   [s.failed for s in sessions
+                    if s.fe_name == frontend.node.name]))
     return BoundaryCalibration.from_sessions(sessions)
 
 
 def calibrate_frontends_used(scenario: Scenario, service_name: str,
-                             sessions: Sequence[QuerySession],
-                             vp: Optional[VantagePoint] = None
+                             sessions: Sequence[QuerySession]
                              ) -> BoundaryCalibration:
     """Calibrate exactly the front-ends a campaign touched."""
     service = scenario.service(service_name)
     fe_names = sorted({s.fe_name for s in sessions
                        if s.service == service_name})
     frontends = [service.frontend_by_name(name) for name in fe_names]
-    return calibrate_service(scenario, service_name, frontends, vp)
+    return calibrate_service(scenario, service_name, frontends)
 
 
 def colocated_vantage_point(scenario: Scenario, metro: Metro,

@@ -77,16 +77,16 @@ class DatasetAExperiment:
         return compare_services(self.metrics)
 
 
-def run_dataset_a_experiment(scale: Optional[ExperimentScale] = None, *,
-                             shards: Optional[int] = None,
-                             processes: int = 0) -> DatasetAExperiment:
+def run_dataset_a_experiment(scale: Optional[ExperimentScale] = None
+                             ) -> DatasetAExperiment:
     """Run the campaign once and wrap it for the three figures.
 
-    ``shards`` > 1 runs the campaign through
-    :func:`repro.parallel.run_dataset_a_sharded`; ``None`` reads the
-    ``REPRO_CAMPAIGN_SHARDS`` environment variable (default 1), which
-    is how ``python -m repro --shards N`` and the benchmark harness
-    plumb the setting through without touching every runner signature.
+    With the ``REPRO_CAMPAIGN_SHARDS`` environment variable above 1
+    (default 1) the campaign runs through
+    :func:`repro.parallel.run_dataset_a_sharded` on that many shards,
+    one process per CPU; that is how ``python -m repro --shards N`` and
+    the benchmark harness plumb the setting through without touching
+    every runner signature.
 
     Sharding requires per-query keyed service draws
     (``ScenarioConfig(keyed_service_draws=True)``), so the sharded run
@@ -99,15 +99,14 @@ def run_dataset_a_experiment(scale: Optional[ExperimentScale] = None, *,
     config, so the boundary table is the same either way.
     """
     scale = scale or ExperimentScale.small()
-    if shards is None:
-        shards = int(os.environ.get("REPRO_CAMPAIGN_SHARDS", "1"))
+    shards = int(os.environ.get("REPRO_CAMPAIGN_SHARDS", "1"))
     keywords = KeywordCatalog(seed=scale.seed).figure3_set()
     if shards > 1:
         from repro.parallel import run_dataset_a_sharded
         scenario = build_scenario(scale, keyed_service_draws=True)
         dataset = run_dataset_a_sharded(
             scenario, keywords, repeats=scale.repeats,
-            interval=scale.interval, shards=shards, processes=processes)
+            interval=scale.interval, shards=shards)
     else:
         scenario = build_scenario(scale)
         dataset = run_dataset_a(scenario, keywords, repeats=scale.repeats,
@@ -143,10 +142,8 @@ class Fig6Result:
     under_20ms: Dict[str, float]
 
 
-def run_fig6(scale: Optional[ExperimentScale] = None,
-             experiment: Optional[DatasetAExperiment] = None) -> Fig6Result:
+def run_fig6(experiment: DatasetAExperiment) -> Fig6Result:
     """Figure 6 view (RTT CDFs) over a Dataset-A campaign."""
-    experiment = experiment or run_dataset_a_experiment(scale)
     services = sorted(experiment.default_rtts)
     return Fig6Result(
         cdfs={s: experiment.rtt_cdf(s) for s in services},
@@ -163,10 +160,8 @@ class Fig7Result:
     comparison: ComparisonReport
 
 
-def run_fig7(scale: Optional[ExperimentScale] = None,
-             experiment: Optional[DatasetAExperiment] = None) -> Fig7Result:
+def run_fig7(experiment: DatasetAExperiment) -> Fig7Result:
     """Figure 7 view (metric scatters + comparison)."""
-    experiment = experiment or run_dataset_a_experiment(scale)
     services = sorted(experiment.metrics)
     return Fig7Result(
         tstatic={s: experiment.scatter(s, "tstatic") for s in services},
@@ -182,10 +177,8 @@ class Fig8Result:
     comparison: ComparisonReport
 
 
-def run_fig8(scale: Optional[ExperimentScale] = None,
-             experiment: Optional[DatasetAExperiment] = None) -> Fig8Result:
+def run_fig8(experiment: DatasetAExperiment) -> Fig8Result:
     """Figure 8 view (per-node overall-delay boxes)."""
-    experiment = experiment or run_dataset_a_experiment(scale)
     services = sorted(experiment.metrics)
     return Fig8Result(
         boxes={s: experiment.overall_delay_boxes(s) for s in services},

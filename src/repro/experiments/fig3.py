@@ -64,10 +64,11 @@ class Fig3Result:
         return dyn_spread / sta_spread
 
 
-def run_fig3(scale: ExperimentScale = None, *,
-             service_name: str = Scenario.BING) -> Fig3Result:
-    """Run the Figure-3 experiment and return its data series."""
+def run_fig3(scale: ExperimentScale = None) -> Fig3Result:
+    """Run the Figure-3 experiment on the Bing-like service and return
+    its data series."""
     scale = scale or ExperimentScale.small()
+    service_name = Scenario.BING
     scenario = build_scenario(scale)
     keywords = KeywordCatalog(seed=scale.seed).figure3_set()
 

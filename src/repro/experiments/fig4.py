@@ -18,7 +18,7 @@ structure (for the dot-array rendering) uses plain temporal clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.boundary import BoundaryCalibration
 from repro.analysis.clustering import EventCluster, cluster_by_gap
@@ -50,6 +50,12 @@ FIG4_KEYWORD = Keyword(text="figure four probe", popularity=0.5,
 #: Tdelta below this counts as "lumped together" (one MSS serialization
 #: plus scheduling noise).
 MERGE_EPSILON = units.ms(3)
+
+#: Queries each controlled-RTT client issues.
+FIG4_REPEATS = 7
+
+#: Columns of the rendered timeline.
+TIMELINE_WIDTH = 78
 
 
 @dataclass
@@ -91,18 +97,17 @@ class Fig4Result:
                    for i in range(len(gaps) - 1))
 
 
-def run_fig4(scale: Optional[ExperimentScale] = None, *,
-             service_name: str = Scenario.BING,
-             rtts: Sequence[float] = PAPER_FIG4_RTTS,
-             repeats: int = 7) -> Fig4Result:
-    """Run the Figure-4 experiment.
+def run_fig4(scale: Optional[ExperimentScale] = None) -> Fig4Result:
+    """Run the Figure-4 experiment on the Bing-like service.
 
-    Each controlled-RTT client issues ``repeats`` queries (spaced so
-    they never contend for the FE's back-end connection pool); the
-    reported gap is the per-client *median* ``t5 - t4``, and the
-    rendered timeline is the client's median-gap session.
+    Each client at one of :data:`PAPER_FIG4_RTTS` issues
+    :data:`FIG4_REPEATS` queries (spaced so they never contend for the
+    FE's back-end connection pool); the reported gap is the per-client
+    *median* ``t5 - t4``, and the rendered timeline is the client's
+    median-gap session.
     """
     scale = scale or ExperimentScale.small()
+    service_name = Scenario.BING
     scenario = build_scenario(scale)
     service = scenario.service(service_name)
     frontend = service.frontends[0]
@@ -110,7 +115,7 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
     plan = []
     spacing = 5.0
     next_slot = 0.0
-    for index, rtt in enumerate(rtts):
+    for index, rtt in enumerate(PAPER_FIG4_RTTS):
         vp = VantagePoint(
             name="fig4-client-%02d" % index,
             metro=nearest_metro(frontend.location),
@@ -118,7 +123,7 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
             access_delay=rtt / 2.0,  # entire one-way delay via access
             peering_penalty=0.0)
         scenario.add_vantage_point(vp)
-        for _ in range(repeats):
+        for _ in range(FIG4_REPEATS):
             plan.append((next_slot, vp, service_name, frontend,
                          FIG4_KEYWORD))
             next_slot += spacing
@@ -130,8 +135,8 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
                              keyword))
                 next_slot += spacing
     played = list(run_queries(scenario, plan, store_payload=True).values())
-    probes = [sessions[:repeats] for sessions in played]
-    calibration_sessions = played[0][repeats:]
+    probes = [sessions[:FIG4_REPEATS] for sessions in played]
+    calibration_sessions = played[0][FIG4_REPEATS:]
 
     for sessions in probes:
         for session in sessions:
@@ -143,7 +148,7 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
     boundary = calibration.boundary_for(probes[0][0])
 
     result = Fig4Result(service=service_name)
-    for index, rtt in enumerate(rtts):
+    for index, rtt in enumerate(PAPER_FIG4_RTTS):
         metrics = [extract_metrics(s, boundary) for s in probes[index]]
         metrics.sort(key=lambda m: m.tdelta)
         representative = metrics[len(metrics) // 2]
@@ -157,8 +162,9 @@ def run_fig4(scale: Optional[ExperimentScale] = None, *,
     return result
 
 
-def render_timelines(result: Fig4Result, width: int = 78) -> str:
+def render_timelines(result: Fig4Result) -> str:
     """ASCII rendering of Figure 4: one row per client, time left-to-right."""
+    width = TIMELINE_WIDTH
     lines = []
     horizon = max(row.event_offsets()[-1][0] for row in result.rows)
     for row in result.rows:

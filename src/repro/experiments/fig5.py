@@ -21,6 +21,7 @@ from repro.analysis.stats import binned_medians, median
 from repro.content.keywords import Keyword
 from repro.core.metrics import QueryMetrics, extract_all_calibrated
 from repro.core.threshold import (
+    RTT_BIN_WIDTH,
     RegimeSplit,
     ThresholdEstimate,
     estimate_tdelta_threshold,
@@ -52,10 +53,10 @@ class ServiceCurves:
     threshold: Optional[ThresholdEstimate] = None
     regimes: Optional[RegimeSplit] = None
 
-    def binned(self, which: str, bin_width: float = 0.020):
+    def binned(self, which: str):
         points = getattr(self, which)
         return binned_medians([p[0] for p in points],
-                              [p[1] for p in points], bin_width)
+                              [p[1] for p in points], RTT_BIN_WIDTH)
 
 
 @dataclass
@@ -70,13 +71,11 @@ class Fig5Result:
                 if curve.threshold is not None}
 
 
-def run_fig5(scale: Optional[ExperimentScale] = None, *,
-             services: Tuple[str, ...] = (Scenario.GOOGLE, Scenario.BING)
-             ) -> Fig5Result:
+def run_fig5(scale: Optional[ExperimentScale] = None) -> Fig5Result:
     """Run the Dataset-B campaign for each service and build the curves."""
     scale = scale or ExperimentScale.small()
     result = Fig5Result(curves={})
-    for service_name in services:
+    for service_name in (Scenario.GOOGLE, Scenario.BING):
         # Independent scenarios keep the campaigns from interfering.
         scenario = build_scenario(scale)
         service = scenario.service(service_name)

@@ -15,7 +15,7 @@ qualifying FE, queries it repeatedly, and fits the regression with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.content.keywords import Keyword
 from repro.core.factoring import (
@@ -44,6 +44,12 @@ PAPER_TARGET_BE = {
 
 FIG9_KEYWORD = Keyword(text="distance regression probe", popularity=0.5,
                        complexity=0.5)
+
+#: Front-ends farther than this from the target back-end are left out.
+MAX_DISTANCE_MILES = 800.0
+
+#: The fractional difference under which the two slopes are "similar".
+SLOPE_TOLERANCE = 0.5
 
 
 @dataclass
@@ -77,32 +83,27 @@ class Fig9Result:
             return float("inf")
         return bing / google
 
-    def slopes_similar(self, tolerance: float = 0.5) -> bool:
-        """Whether the two slopes agree within ``tolerance`` (fractional)."""
+    def slopes_similar(self) -> bool:
+        """Whether the two slopes agree within :data:`SLOPE_TOLERANCE`."""
         slopes = [panel.slope_ms_per_mile for panel in self.panels.values()]
         low, high = min(slopes), max(slopes)
         if low <= 0:
             return False
-        return (high - low) / high <= tolerance
+        return (high - low) / high <= SLOPE_TOLERANCE
 
 
-def run_fig9(scale: Optional[ExperimentScale] = None, *,
-             max_distance_miles: float = 800.0,
-             services: Tuple[str, ...] = (Scenario.GOOGLE, Scenario.BING)
-             ) -> Fig9Result:
+def run_fig9(scale: Optional[ExperimentScale] = None) -> Fig9Result:
     """Run both regressions and return the Figure-9 result."""
     scale = scale or ExperimentScale.small()
     panels = {}
-    for service_name in services:
+    for service_name in (Scenario.GOOGLE, Scenario.BING):
         panels[service_name] = _run_service_panel(
-            scale, service_name, PAPER_TARGET_BE[service_name],
-            max_distance_miles)
+            scale, service_name, PAPER_TARGET_BE[service_name])
     return Fig9Result(panels=panels)
 
 
 def _run_service_panel(scale: ExperimentScale, service_name: str,
-                       backend_site: str,
-                       max_distance_miles: float) -> Fig9ServiceResult:
+                       backend_site: str) -> Fig9ServiceResult:
     scenario = build_scenario(scale)
     service = scenario.service(service_name)
     backend = _backend_by_site(service, backend_site)
@@ -113,12 +114,12 @@ def _run_service_panel(scale: ExperimentScale, service_name: str,
         if service.backend_for_frontend(frontend) is not backend:
             continue
         distance = frontend.location.distance_miles(backend.location)
-        if distance <= max_distance_miles:
+        if distance <= MAX_DISTANCE_MILES:
             frontends.append((frontend, distance))
     if len(frontends) < 2:
         raise RuntimeError(
             "only %d front-ends map to backend %r within %.0f miles"
-            % (len(frontends), backend_site, max_distance_miles))
+            % (len(frontends), backend_site, MAX_DISTANCE_MILES))
 
     calibration = calibrate_service(scenario, service_name,
                                     [fe for fe, _ in frontends])
@@ -142,10 +143,8 @@ def _run_service_panel(scale: ExperimentScale, service_name: str,
                                                     calibration)
         for vp, frontend in probes}
     distances = {fe.node.name: distance for fe, distance in frontends}
-    points = build_distance_points(metrics_by_fe, distances,
-                                   max_client_rtt=units.ms(40))
-    samples = build_sample_pairs(metrics_by_fe, distances,
-                                 max_client_rtt=units.ms(40))
+    points = build_distance_points(metrics_by_fe, distances)
+    samples = build_sample_pairs(metrics_by_fe, distances)
     factoring = factor_fetch_time(points, sample_pairs=samples)
     return Fig9ServiceResult(service=service_name,
                              backend_name=backend.node.name,

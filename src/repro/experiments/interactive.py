@@ -32,9 +32,14 @@ from repro.testbed.scenario import Scenario
 #: Seconds between keystrokes (a fast typist).
 KEYSTROKE_INTERVAL = 0.180
 
+#: Popularity of the first typed prefix.
+BASE_POPULARITY = 0.3
 
-def prefix_keywords(phrase: str, *, base_popularity: float = 0.3,
-                    correlation_discount: float = 0.6) -> List[Keyword]:
+#: Popularity the last prefix gains over the first.
+CORRELATION_DISCOUNT = 0.6
+
+
+def prefix_keywords(phrase: str) -> List[Keyword]:
     """One keyword per typed prefix of ``phrase``.
 
     Later prefixes get higher effective popularity: the back-end has
@@ -48,8 +53,8 @@ def prefix_keywords(phrase: str, *, base_popularity: float = 0.3,
         if char == " ":
             continue
         progress = index / max(1, len(phrase) - 1)
-        popularity = min(1.0, base_popularity
-                         + correlation_discount * progress)
+        popularity = min(1.0, BASE_POPULARITY
+                         + CORRELATION_DISCOUNT * progress)
         prefixes.append(Keyword(text=words_typed,
                                 popularity=popularity,
                                 complexity=0.3,
@@ -84,11 +89,12 @@ class InteractiveResult:
 
 
 def run_interactive(scale: Optional[ExperimentScale] = None, *,
-                    service_name: str = Scenario.GOOGLE,
                     phrase: str = "dynamic content distribution"
                     ) -> InteractiveResult:
-    """Emulate typing ``phrase`` and measure every per-letter query."""
+    """Emulate typing ``phrase`` on the Google-like service and measure
+    every per-letter query."""
     scale = scale or ExperimentScale.small()
+    service_name = Scenario.GOOGLE
     scenario = build_scenario(scale)
     service = scenario.service(service_name)
     vp = scenario.vantage_points[0]

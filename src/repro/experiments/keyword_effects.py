@@ -29,6 +29,12 @@ from repro.experiments.common import (
 from repro.measure.driver import run_queries
 from repro.testbed.scenario import Scenario
 
+#: Keywords drawn from each catalog class.
+KEYWORDS_PER_CLASS = 6
+
+#: Queries per keyword.
+REPEATS = 8
+
 
 @dataclass(frozen=True)
 class KeywordEffect:
@@ -58,21 +64,21 @@ class KeywordEffectsResult:
         return ordered[0], ordered[-1]
 
 
-def run_keyword_effects(scale: Optional[ExperimentScale] = None, *,
-                        service_name: str = Scenario.BING,
-                        keywords_per_class: int = 6,
-                        repeats: int = 8) -> KeywordEffectsResult:
-    """Query a spread of keywords and correlate attributes vs Tdynamic."""
+def run_keyword_effects(scale: Optional[ExperimentScale] = None
+                        ) -> KeywordEffectsResult:
+    """Query a spread of keywords on the Bing-like service and correlate
+    attributes vs Tdynamic."""
     scale = scale or ExperimentScale.small()
+    service_name = Scenario.BING
     scenario = build_scenario(scale)
     service = scenario.service(service_name)
 
     catalog = KeywordCatalog(seed=scale.seed)
     keywords: List[Keyword] = []
-    keywords += catalog.popular(keywords_per_class)
-    keywords += catalog.mixed(keywords_per_class)
-    keywords += catalog.refined(keywords_per_class)
-    keywords += catalog.complex(keywords_per_class)
+    keywords += catalog.popular(KEYWORDS_PER_CLASS)
+    keywords += catalog.mixed(KEYWORDS_PER_CLASS)
+    keywords += catalog.refined(KEYWORDS_PER_CLASS)
+    keywords += catalog.complex(KEYWORDS_PER_CLASS)
     # De-duplicate by text (catalog classes can collide at small sizes).
     unique: Dict[str, Keyword] = {}
     for keyword in keywords:
@@ -92,7 +98,7 @@ def run_keyword_effects(scale: Optional[ExperimentScale] = None, *,
     # Every keyword once per repeat, one query every ``interval / 2``.
     plan = []
     time = scenario.sim.now
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for keyword in keywords:
             plan.append((time, vp, service_name, frontend, keyword))
             time = time + scale.interval / 2

@@ -35,6 +35,10 @@ PROBE_KEYWORD = Keyword(text="load probe query", popularity=0.5,
 BACKGROUND_KEYWORD = Keyword(text="background traffic query",
                              popularity=0.5, complexity=0.5)
 
+#: Seconds between one background client's queries; the probe queries
+#: at twice this interval.
+BACKGROUND_INTERVAL = 0.6
+
 
 @dataclass
 class LoadPoint:
@@ -68,25 +72,23 @@ class LoadSensitivityResult:
 
 
 def run_load_sensitivity(scale: Optional[ExperimentScale] = None, *,
-                         service_name: str = Scenario.BING,
                          background_levels: Sequence[int] = (0, 8, 18),
-                         probe_queries: int = 36,
-                         background_interval: float = 0.6
+                         probe_queries: int = 36
                          ) -> LoadSensitivityResult:
-    """Sweep background load on one FE; measure a co-located probe."""
+    """Sweep background load on one Bing-like FE; measure a co-located
+    probe."""
     scale = scale or ExperimentScale.small()
-    result = LoadSensitivityResult(service=service_name, fe_name="")
+    result = LoadSensitivityResult(service=Scenario.BING, fe_name="")
     for level in background_levels:
-        point, fe_name = _run_level(scale, service_name, level,
-                                    probe_queries, background_interval)
+        point, fe_name = _run_level(scale, level, probe_queries)
         result.points.append(point)
         result.fe_name = fe_name
     return result
 
 
-def _run_level(scale: ExperimentScale, service_name: str,
-               background_clients: int, probe_queries: int,
-               background_interval: float):
+def _run_level(scale: ExperimentScale, background_clients: int,
+               probe_queries: int):
+    service_name = Scenario.BING
     scenario = build_scenario(scale)
     service = scenario.service(service_name)
     frontend = service.frontends[0]
@@ -101,18 +103,18 @@ def _run_level(scale: ExperimentScale, service_name: str,
     def pump(index: int):
         """Background client ``index``: sustained queries at a fixed
         interval, staggered across the crowd."""
-        time = start + index * background_interval / max(
+        time = start + index * BACKGROUND_INTERVAL / max(
             1, background_clients)
         for _ in range(probe_queries * 2):
             yield (time, crowd[index], service_name, frontend,
                    BACKGROUND_KEYWORD)
-            time = time + background_interval
+            time = time + BACKGROUND_INTERVAL
 
     def probe_loop():
-        time = start + background_interval * 2  # let the crowd ramp up
+        time = start + BACKGROUND_INTERVAL * 2  # let the crowd ramp up
         for _ in range(probe_queries):
             yield (time, probe, service_name, frontend, PROBE_KEYWORD)
-            time = time + background_interval * 2
+            time = time + BACKGROUND_INTERVAL * 2
 
     # On a tie the probe goes first: the crowd planned its query later
     # (one background interval before, against the probe's two).

@@ -82,19 +82,19 @@ class ResidentialResult:
         return fractions[0] >= fractions[-1]
 
 
-def run_residential(scale: Optional[ExperimentScale] = None, *,
-                    service_name: str = Scenario.BING
+def run_residential(scale: Optional[ExperimentScale] = None
                     ) -> ResidentialResult:
-    """Run the three-population comparison for one service."""
+    """Run the three-population comparison on the Bing-like service."""
     scale = scale or ExperimentScale.small()
-    result = ResidentialResult(service=service_name)
+    result = ResidentialResult(service=Scenario.BING)
     for profile in (CAMPUS, RESIDENTIAL_DSL, MOBILE_3G):
-        result.rows.append(_run_population(scale, profile, service_name))
+        result.rows.append(_run_population(scale, profile))
     return result
 
 
-def _run_population(scale: ExperimentScale, profile: AccessProfile,
-                    service_name: str) -> AccessProfileRow:
+def _run_population(scale: ExperimentScale,
+                    profile: AccessProfile) -> AccessProfileRow:
+    service_name = Scenario.BING
     scenario = scenario_with_access_profile(
         profile, seed=scale.seed, vantage_count=scale.vantage_count)
     dataset = run_dataset_a(scenario, [PROBE_KEYWORD],

@@ -47,11 +47,12 @@ class ValidationResult:
         return median(errors)
 
 
-def run_validation(scale: Optional[ExperimentScale] = None, *,
-                   service_name: str = Scenario.GOOGLE
+def run_validation(scale: Optional[ExperimentScale] = None
                    ) -> ValidationResult:
-    """Run a Dataset-B campaign and check Eq. 1 plus the proxy error."""
+    """Run a Dataset-B campaign on the Google-like service and check
+    Eq. 1 plus the proxy error."""
     scale = scale or ExperimentScale.small()
+    service_name = Scenario.GOOGLE
     scenario = build_scenario(scale)
     service = scenario.service(service_name)
     frontend = service.frontends[0]

@@ -54,7 +54,6 @@ class HttpFetch(TcpApp):
 
     def __init__(self, tcp_host: TcpHost, remote: Endpoint,
                  request: HttpRequest, hooks: Optional[RequestHooks] = None,
-                 config: Optional[TcpConfig] = None,
                  local_port: Optional[int] = None):
         self.request = request
         self.hooks = hooks or RequestHooks()
@@ -63,8 +62,7 @@ class HttpFetch(TcpApp):
         self.failed: Optional[str] = None
         self._complete = False
         self.conn: Connection = tcp_host.connect(remote, self,
-                                                 local_port=local_port,
-                                                 config=config)
+                                                 local_port=local_port)
 
     # TcpApp interface -------------------------------------------------
     def on_established(self, conn: Connection) -> None:
@@ -88,6 +86,7 @@ class HttpFetch(TcpApp):
         if not self._complete and self.failed is None:
             self.failed = "connection closed before response completed"
             self.hooks.failure(self.failed)
+            conn.close()
 
     def on_error(self, conn: Connection, message: str) -> None:
         if not self._complete and self.failed is None:
@@ -119,6 +118,8 @@ class PersistentHttpClient(TcpApp):
         self._queue: List[_PendingRequest] = []
         self._inflight: Optional[_PendingRequest] = None
         self._established = False
+        #: Why the connection failed; it sends nothing more once set.
+        self.failed: Optional[str] = None
         self.requests_completed = 0
         self.conn: Connection = tcp_host.connect(remote, self, config=config,
                                                  controller=controller)
@@ -173,6 +174,7 @@ class PersistentHttpClient(TcpApp):
 
     def _fail(self, message: str) -> None:
         self._established = False
+        self.failed = message
         failed, self._inflight = self._inflight, None
         if failed is not None:
             failed.hooks.failure(message)

@@ -25,7 +25,6 @@ from repro.http.message import (
     encode_chunk,
     encode_last_chunk,
 )
-from repro.tcp.config import TcpConfig
 from repro.tcp.connection import Connection, TcpApp
 from repro.tcp.host import TcpHost
 
@@ -95,6 +94,12 @@ class Responder:
         if self._chunked:
             self._server_conn.write(encode_last_chunk())
         self._server_conn.response_done(self)
+
+    def fail(self) -> None:
+        """End a started response without its last chunk: close the
+        connection, so the client sees the response fail."""
+        self._finished = True
+        self._server_conn.conn.close()
 
     def respond(self, response: HttpResponse) -> None:
         """One-shot convenience: full response with Content-Length."""
@@ -168,12 +173,10 @@ class _ServerConnection(TcpApp):
 class HttpServer:
     """Binds a handler to a port on a host's TCP stack."""
 
-    def __init__(self, tcp_host: TcpHost, port: int, handler: Handler,
-                 config: Optional[TcpConfig] = None):
+    def __init__(self, tcp_host: TcpHost, port: int, handler: Handler):
         self.handler = handler
         self.port = port
         self.requests_served = 0
         self.connections_accepted = 0
         self.protocol_errors = 0
-        tcp_host.listen(port, lambda: _ServerConnection(self),
-                        config=config)
+        tcp_host.listen(port, lambda: _ServerConnection(self))

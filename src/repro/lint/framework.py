@@ -411,9 +411,8 @@ class Rule:
     def end_file(self) -> None:
         """Hook called after the walk completes."""
 
-    def report(self, node: ast.AST, message: str,
-               line: Optional[int] = None) -> None:
-        self.ctx.report(self, node, message, line=line)
+    def report(self, node: ast.AST, message: str) -> None:
+        self.ctx.report(self, node, message)
 
 
 # ---------------------------------------------------------------------------

@@ -562,12 +562,10 @@ def _callback_expr(node: ast.Call) -> Optional[ast.expr]:
     return callback
 
 
-def extract_module_facts(path: str, tree: ast.Module,
-                         module: Optional[str] = None) -> ModuleFacts:
+def extract_module_facts(path: str, tree: ast.Module) -> ModuleFacts:
     """Extract :class:`ModuleFacts` for one parsed module (purely
     syntactic over the AST)."""
-    name = module or module_name_for_path(path)
-    return _FactsExtractor(name, path, tree).facts
+    return _FactsExtractor(module_name_for_path(path), path, tree).facts
 
 
 # ---------------------------------------------------------------------------
@@ -752,17 +750,18 @@ class ProjectContext:
         return parents
 
     def witness_chain(self, parents: Dict[str, Optional[str]],
-                      qualname: str, limit: int = 4) -> str:
+                      qualname: str) -> str:
         """Human-readable ``a -> b -> c`` chain from a root to
-        ``qualname``."""
+        ``qualname``; past four links, only the first and the last three
+        show."""
         chain: List[str] = []
         current: Optional[str] = qualname
         while current is not None and len(chain) < 32:
             chain.append(current)
             current = parents.get(current)
         chain.reverse()
-        if len(chain) > limit:
-            chain = chain[:1] + ["..."] + chain[-(limit - 1):]
+        if len(chain) > 4:
+            chain = chain[:1] + ["..."] + chain[-3:]
         return " -> ".join(_short_name(item) for item in chain)
 
 
@@ -799,8 +798,8 @@ class ProjectRule:
         raise NotImplementedError
 
     def report(self, path: str, line: int, message: str,
-               col: int = 0, end_line: int = 0) -> None:
+               col: int = 0) -> None:
         from repro.lint.framework import Finding
         self.findings.append(Finding(
             rule=self.id, severity=self.severity, path=path, line=line,
-            col=col, message=message, end_line=end_line or line))
+            col=col, message=message, end_line=line))

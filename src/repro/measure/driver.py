@@ -133,10 +133,10 @@ def run_dataset_b(scenario: Scenario, service_name: str,
                   frontend: FrontEndServer, keyword: Keyword, *,
                   repeats: int = 10,
                   interval: float = 10.0,
-                  vantage_points: Optional[Sequence[VantagePoint]] = None,
                   replay_cache: Optional[bool] = None,
                   tier: Optional[str] = None) -> DatasetB:
-    """Run the fixed-FE campaign for one service and return its sessions.
+    """Run the fixed-FE campaign for one service, from every vantage
+    point, and return its sessions.
 
     ``replay_cache`` and ``tier`` work as in :func:`run_dataset_a`.
     """
@@ -144,7 +144,7 @@ def run_dataset_b(scenario: Scenario, service_name: str,
     dataset = DatasetB(service=service_name, fe_name=frontend.node.name)
     emulators: Dict[str, QueryEmulator] = {}
     frontends: Dict[Tuple[str, str], FrontEndServer] = {}
-    for vp in vantage_points or scenario.vantage_points:
+    for vp in scenario.vantage_points:
         scenario.link_client_to_frontend(vp, frontend, service)
         emulators[vp.name] = QueryEmulator(scenario, vp)
         frontends[(service_name, vp.name)] = frontend

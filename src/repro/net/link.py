@@ -77,10 +77,10 @@ class Link:
         RNG registry; loss and jitter draw from the streams
         ``"loss/<name>"`` and ``"jitter/<name>"``, each taken once, on
         the first packet that needs it.
-    fault_filter:
-        Optional deterministic drop rule ``fn(segment, offer_index) ->
-        bool`` for failure-injection tests (e.g. "drop the 7th data
-        packet").  Faulted packets count as random losses in the stats.
+
+    A failure-injection test sets ``fault_filter``, a deterministic drop
+    rule ``fn(segment, offer_index) -> bool`` (e.g. "drop the 7th data
+    packet").  Faulted packets count as random losses in the stats.
     """
 
     def __init__(self, sim: Simulator, name: str, *,
@@ -90,8 +90,7 @@ class Link:
                  loss_rate: float = 0.0,
                  jitter: float = 0.0,
                  queue_limit_bytes: int = 4 * 1024 * 1024,
-                 streams: Optional[RandomStreams] = None,
-                 fault_filter: Optional[FaultFilter] = None):
+                 streams: Optional[RandomStreams] = None):
         if delay < 0:
             raise ValueError("delay must be >= 0, got %r" % delay)
         if bandwidth <= 0:
@@ -111,7 +110,7 @@ class Link:
         self.queue_limit_bytes = queue_limit_bytes
         self.dst = dst
         self.streams = streams or RandomStreams(0)
-        self.fault_filter = fault_filter
+        self.fault_filter: Optional[FaultFilter] = None
         self.stats = LinkStats()
         self._busy_until = 0.0
         self._last_delivery_time = 0.0

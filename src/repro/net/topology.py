@@ -6,11 +6,9 @@ creates nodes and wires each pair that talks with one bidirectional path
 explicit parameters or from node geography.  Every path is direct, as in
 the paper, so a path's delay is its link's.
 
-A link's one-way propagation delay resolution order:
-
-1. explicit ``delay=`` argument;
-2. explicit ``distance_miles=`` argument (converted via fiber speed);
-3. the great-circle distance between the two nodes' locations.
+A link's one-way propagation delay is the explicit ``delay=`` argument
+or, without one, follows the great-circle distance between the two
+nodes' locations.
 """
 
 from __future__ import annotations
@@ -55,11 +53,9 @@ class Topology:
 
     def connect(self, a: str, b: str, *,
                 delay: Optional[float] = None,
-                distance_miles: Optional[float] = None,
                 bandwidth: float = units.mbps(100),
                 loss_rate: float = 0.0,
                 jitter: float = 0.0,
-                queue_limit_bytes: int = 4 * 1024 * 1024,
                 route_inflation: float = units.DEFAULT_ROUTE_INFLATION
                 ) -> Tuple[Link, Link]:
         """Create a symmetric bidirectional connection between two nodes.
@@ -68,27 +64,23 @@ class Topology:
         """
         node_a, node_b = self.node(a), self.node(b)
         resolved = self._resolve_delay(node_a, node_b, delay,
-                                       distance_miles, route_inflation)
+                                       route_inflation)
         params = dict(delay=resolved, bandwidth=bandwidth,
-                      loss_rate=loss_rate, jitter=jitter,
-                      queue_limit_bytes=queue_limit_bytes)
+                      loss_rate=loss_rate, jitter=jitter)
         return (self._make_link(node_a, node_b, **params),
                 self._make_link(node_b, node_a, **params))
 
     def _resolve_delay(self, node_a: Node, node_b: Node,
                        delay: Optional[float],
-                       distance_miles: Optional[float],
                        route_inflation: float) -> float:
         if delay is not None:
             return delay
-        if distance_miles is not None:
-            return units.propagation_delay(distance_miles, route_inflation)
         if node_a.location is not None and node_b.location is not None:
             return node_a.location.one_way_delay(node_b.location,
                                                  route_inflation)
         raise ValueError(
-            "connect(%s, %s): need delay=, distance_miles=, or node "
-            "locations" % (node_a.name, node_b.name))
+            "connect(%s, %s): need delay= or node locations"
+            % (node_a.name, node_b.name))
 
     def _make_link(self, src: Node, dst: Node, **params) -> Link:
         link = Link(self.sim, "%s->%s" % (src.name, dst.name),

@@ -134,7 +134,7 @@ def export_chrome(path: str) -> None:
     write_chrome_trace(path, runtime.tracer.snapshot())
 
 
-def render_summary(title: str = "observability summary") -> str:
+def render_summary() -> str:
     """Plain-text summary of everything currently recorded."""
     from repro.obs.report import render_summary as render
-    return render(title=title)
+    return render()

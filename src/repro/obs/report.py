@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs import runtime
 from repro.obs.export import read_jsonl
-from repro.obs.metrics import MetricsSnapshot
 
 
 def _span_name_counts(flat_records: List[dict]) -> Dict[str, int]:
@@ -74,21 +73,16 @@ def _render(span_counts: Dict[str, int], session_failures: int,
     return "\n".join(lines)
 
 
-def render_summary(snapshot: Optional[MetricsSnapshot] = None,
-                   span_dicts: Optional[List[dict]] = None,
-                   title: str = "observability summary") -> str:
-    """Summarize the live runtime (or explicit snapshot/spans)."""
+def render_summary() -> str:
+    """Summarize the live runtime's spans and metrics."""
     from repro.obs.export import flatten_spans
-    if snapshot is None:
-        snapshot = runtime.metrics.snapshot()
-    if span_dicts is None:
-        span_dicts = runtime.tracer.snapshot()
-    flat = flatten_spans(span_dicts)
+    flat = flatten_spans(runtime.tracer.snapshot())
     failures = sum(1 for record in flat
                    if record["name"] == "session"
                    and record["attrs"].get("failed"))
     return _render(_span_name_counts(flat), failures,
-                   snapshot.as_records(), title)
+                   runtime.metrics.snapshot().as_records(),
+                   "observability summary")
 
 
 def summarize_export(payload: dict, path: str) -> str:

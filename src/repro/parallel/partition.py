@@ -26,16 +26,16 @@ from repro.testbed.vantage import VantagePoint
 
 
 def fe_sharing_components(scenario: Scenario,
-                          services: Optional[Sequence[str]] = None,
-                          vps: Optional[Sequence[VantagePoint]] = None
+                          services: Optional[Sequence[str]] = None
                           ) -> List[List[VantagePoint]]:
-    """Group ``vps`` into components sharing any default front-end.
+    """Group the scenario's vantage points into components sharing any
+    default front-end.
 
     Components (and the VPs inside them) come back in fleet order, so
     the grouping is deterministic for a fixed scenario config.
     """
     services = list(services or scenario.services)
-    vps = list(vps if vps is not None else scenario.vantage_points)
+    vps = scenario.vantage_points
     parent: Dict[str, str] = {vp.name: vp.name for vp in vps}
 
     def find(name: str) -> str:

@@ -86,7 +86,6 @@ class BackendDataCenter:
                  registry: KeywordRegistry,
                  streams: RandomStreams,
                  tcp_host,
-                 port: int = BACKEND_PORT,
                  keyed_draws: bool = False):
         self.sim = sim
         self.node = node
@@ -96,10 +95,9 @@ class BackendDataCenter:
         self.registry = registry
         self.streams = streams
         self.keyed_draws = keyed_draws
-        self.port = port
         self.query_log: Dict[str, QueryRecord] = {}
         self.queries_served = 0
-        self.server = HttpServer(tcp_host, port, self._handle)
+        self.server = HttpServer(tcp_host, BACKEND_PORT, self._handle)
 
     @property
     def location(self) -> Optional[GeoPoint]:

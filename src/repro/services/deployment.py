@@ -32,11 +32,7 @@ from repro.cache import CacheHierarchySpec
 from repro.content.page import PageGenerator, PageProfile
 from repro.net.geo import GeoPoint, nearest
 from repro.net.topology import Topology
-from repro.services.backend import (
-    BACKEND_PORT,
-    BackendDataCenter,
-    KeywordRegistry,
-)
+from repro.services.backend import BackendDataCenter, KeywordRegistry
 from repro.services.frontend import FrontEndServer
 from repro.services.load import FrontEndLoadModel, ProcessingModel
 from repro.sim import units
@@ -120,8 +116,6 @@ class ServiceDeployment:
                  fe_sites: Sequence[Site],
                  be_sites: Sequence[Site],
                  cache_static: bool = True,
-                 cache_results: bool = False,
-                 registry: Optional[KeywordRegistry] = None,
                  content_seed: int = 0,
                  keyed_draws: bool = False,
                  cache_spec: Optional[CacheHierarchySpec] = None):
@@ -133,7 +127,7 @@ class ServiceDeployment:
         self.topology = topology
         self.streams = streams
         self.profile = profile
-        self.registry = registry or KeywordRegistry()
+        self.registry = KeywordRegistry()
         self.keyed_draws = keyed_draws
         self.cache_spec = cache_spec if cache_spec is not None \
             else CacheHierarchySpec()
@@ -146,7 +140,7 @@ class ServiceDeployment:
         #: FE node name -> the BE it is homed on and linked to.
         self._backend_of: Dict[str, BackendDataCenter] = {}
         self._build_backends(be_sites)
-        self._build_frontends(fe_sites, cache_static, cache_results)
+        self._build_frontends(fe_sites, cache_static)
 
     # ------------------------------------------------------------------
     def _node_name(self, role: str, site_name: str) -> str:
@@ -170,8 +164,7 @@ class ServiceDeployment:
                 keyed_draws=self.keyed_draws))
 
     def _build_frontends(self, fe_sites: Sequence[Site],
-                         cache_static: bool,
-                         cache_results: bool = False) -> None:
+                         cache_static: bool) -> None:
         for site_name, location in fe_sites:
             node = self.topology.add_node(self._node_name("fe", site_name),
                                           location)
@@ -192,10 +185,8 @@ class ServiceDeployment:
                 page_generator=self.pages,
                 load_model=self.profile.fe_load,
                 backend_host=backend.node.name,
-                backend_port=BACKEND_PORT,
                 streams=self.streams,
                 cache_static=cache_static,
-                cache_results=cache_results,
                 pool_size=self.profile.fe_pool_size,
                 backend_tcp_config=self.profile.backend_tcp,
                 backend_window_bytes=self.profile.backend_window_bytes,

@@ -34,6 +34,7 @@ from repro.net.address import Endpoint
 from repro.net.geo import GeoPoint
 from repro.net.node import Node
 from repro.obs import runtime as _obs
+from repro.services.backend import BACKEND_PORT
 from repro.services.load import FrontEndLoadModel
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
@@ -109,13 +110,10 @@ class FrontEndServer:
                  load_model: FrontEndLoadModel,
                  backend_host: str,
                  streams: RandomStreams,
-                 backend_port: int = 8080,
                  cache_static: bool = True,
-                 cache_results: bool = False,
                  pool_size: int = 2,
                  backend_tcp_config: Optional[TcpConfig] = None,
                  backend_window_bytes: Optional[int] = None,
-                 port: int = FRONTEND_PORT,
                  keyed_draws: bool = False,
                  cache_spec: Optional[CacheHierarchySpec] = None,
                  cache_seed: int = 0):
@@ -126,12 +124,13 @@ class FrontEndServer:
         self.service_name = service_name
         self.pages = page_generator
         self.load_model = load_model
-        self.backend_endpoint = Endpoint(backend_host, backend_port)
+        self.backend_endpoint = Endpoint(backend_host, BACKEND_PORT)
         self.streams = streams
         self.keyed_draws = keyed_draws
         self.cache_static = cache_static
-        self.cache_results = cache_results
-        self.port = port
+        #: Counterfactual switch the caching experiment and the cache lab
+        #: set: serve repeated queries' dynamic part from the FE.
+        self.cache_results = False
         self.fetch_log: Dict[str, FetchRecord] = {}
         # The static-content cache the paper treats as a black box.
         # The degenerate (infinite) spec always hits — bit-identical to
@@ -152,24 +151,36 @@ class FrontEndServer:
         self.requests_served = 0
         self.active_requests = 0
         self.peak_concurrency = 0
-        self.server = HttpServer(tcp_host, port, self._handle)
-        self._pool: List[PersistentHttpClient] = []
-        for index in range(pool_size):
-            controller = None
-            if backend_window_bytes is not None:
-                controller = FixedWindowController(backend_window_bytes)
-            self._pool.append(PersistentHttpClient(
-                tcp_host, self.backend_endpoint,
-                config=backend_tcp_config, controller=controller))
+        self.server = HttpServer(tcp_host, FRONTEND_PORT, self._handle)
+        self._tcp_host = tcp_host
+        self._backend_tcp_config = backend_tcp_config
+        self._backend_window_bytes = backend_window_bytes
+        self._pool: List[PersistentHttpClient] = [
+            self._connect_backend() for _ in range(pool_size)]
 
     # ------------------------------------------------------------------
     @property
     def location(self) -> Optional[GeoPoint]:
         return self.node.location
 
+    def _connect_backend(self) -> PersistentHttpClient:
+        """Open one persistent connection of the back-end pool."""
+        controller = None
+        if self._backend_window_bytes is not None:
+            controller = FixedWindowController(self._backend_window_bytes)
+        return PersistentHttpClient(
+            self._tcp_host, self.backend_endpoint,
+            config=self._backend_tcp_config, controller=controller)
+
     def _pick_backend_client(self) -> PersistentHttpClient:
-        """Least-loaded persistent connection in the pool."""
-        return min(self._pool, key=lambda c: c.queue_depth)
+        """Least-loaded persistent connection in the pool, after
+        replacing each one that failed: a failed connection sends
+        nothing more."""
+        pool = self._pool
+        for index, client in enumerate(pool):
+            if client.failed is not None:
+                pool[index] = self._connect_backend()
+        return min(pool, key=lambda c: c.queue_depth)
 
     # ------------------------------------------------------------------
     def _handle(self, request: HttpRequest, responder: Responder) -> None:
@@ -317,7 +328,11 @@ class FrontEndServer:
     def _fetch_failed(self, state: _RequestState, message: str) -> None:
         state.failed = True
         if not state.responder.finished:
-            if not state.static_sent:
+            if state.static_sent:
+                # The 200 is under way: end it short, so the client sees
+                # a failed response rather than a static-only page.
+                state.responder.fail()
+            else:
                 state.responder.send_head(502)
-            state.responder.finish()
+                state.responder.finish()
         state.mark_done()

@@ -231,29 +231,15 @@ class Simulator:
             pop(queue)
             self._cancelled -= 1
 
-    def _next_live_time(self) -> Optional[float]:
-        """Time of the next event that will fire, or None when idle."""
-        self._drain_cancelled_head()
-        if self._queue:
-            return self._queue[0][0]
-        return None
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` additional events have been executed.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run events until the queue drains or ``until`` is reached.
 
         When ``until`` is given, the clock is advanced to exactly
         ``until`` even if the last event fired earlier, mirroring how a
-        wall clock would behave during an idle tail.  This holds for
-        every stop condition: if ``max_events`` exhausts the queue's
-        window the clock still lands on ``until``.  The only exception is
-        an event still pending at or before ``until`` (possible only when
-        ``max_events`` cut execution short) — then the clock stays on the
-        last executed event so that pending work is never skipped over.
+        wall clock would behave during an idle tail.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
@@ -262,7 +248,7 @@ class Simulator:
         queue = self._queue
         pop = _heappop
         try:
-            if until is None and max_events is None:
+            if until is None:
                 # Run-to-drain fast path: no per-event bound checks.
                 # This is the loop almost every campaign sits in.
                 while queue:
@@ -275,17 +261,13 @@ class Simulator:
                     entry[2](*entry[3])
                     executed += 1
             else:
-                # Sentinels instead of per-event ``is not None`` tests:
-                # an unreachable horizon and a count no tally equals.
-                horizon = float("inf") if until is None else until
-                limit = -1 if max_events is None else max_events
-                while queue and executed != limit:
+                while queue:
                     entry = pop(queue)
                     if entry[4]:
                         self._cancelled -= 1
                         continue
                     time = entry[0]
-                    if time > horizon:
+                    if time > until:
                         # Past the window: put the entry back (same seq,
                         # so ordering is preserved).  At most once per
                         # run().
@@ -299,6 +281,6 @@ class Simulator:
             self._running = False
             self._processed += executed
         if until is not None and until > self._now:
-            next_time = self._next_live_time()
-            if next_time is None or next_time > until:
-                self._now = until
+            # Every live event left is later than ``until``.
+            self._drain_cancelled_head()
+            self._now = until

@@ -57,7 +57,6 @@ class TcpHost:
         #: FlowKey, and _receive looks one up per packet.
         self.connections: Dict[Tuple[int, str, int], Connection] = {}
         self.listeners: Dict[int, AppFactory] = {}
-        self.listener_configs: Dict[int, TcpConfig] = {}
         self._ports = EphemeralPortAllocator()
         #: Sees every segment this host sends or receives, if set.
         self.capture: Optional[CaptureFn] = None
@@ -66,15 +65,12 @@ class TcpHost:
     # ------------------------------------------------------------------
     # socket API
     # ------------------------------------------------------------------
-    def listen(self, port: int, factory: AppFactory,
-               config: Optional[TcpConfig] = None) -> None:
+    def listen(self, port: int, factory: AppFactory) -> None:
         """Accept connections on ``port``; each gets ``factory()`` as app."""
         if port in self.listeners:
             raise ValueError("port %d already listening on %s"
                              % (port, self.node.name))
         self.listeners[port] = factory
-        if config is not None:
-            self.listener_configs[port] = config
 
     def connect(self, remote: Endpoint, app: TcpApp,
                 local_port: Optional[int] = None,
@@ -148,8 +144,7 @@ class TcpHost:
     def _accept(self, flow: FlowKey, syn: Segment,
                 factory: AppFactory) -> None:
         app = factory()
-        config = self.listener_configs.get(flow.local.port, self.config)
-        conn = Connection(self, flow, app, config, passive=True)
+        conn = Connection(self, flow, app, self.config, passive=True)
         self.connections[self._flow_index(flow)] = conn
         conn._open_passive(syn)
 

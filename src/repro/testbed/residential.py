@@ -23,12 +23,11 @@ Access loss rates are carried on the vantage point (via the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.sim import units
 from repro.sim.randomness import RandomStreams
 from repro.testbed.scenario import Scenario, ScenarioConfig
-from repro.testbed.sites import METROS, Metro
 from repro.testbed.vantage import VantagePoint, generate_vantage_points
 
 
@@ -65,14 +64,10 @@ MOBILE_3G = AccessProfile(
 
 
 def vantage_points_with_profile(count: int, profile: AccessProfile, *,
-                                seed: int = 0,
-                                metros: Sequence[Metro] = METROS,
-                                streams: Optional[RandomStreams] = None
+                                streams: RandomStreams
                                 ) -> List[VantagePoint]:
     """Generate vantage points whose last mile follows ``profile``."""
-    streams = streams or RandomStreams(seed)
-    base = generate_vantage_points(count, metros=metros,
-                                   streams=streams)
+    base = generate_vantage_points(count, streams=streams)
     rng = streams.get("access-profile/%s" % profile.name)
     out = []
     for vp in base:

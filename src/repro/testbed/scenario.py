@@ -35,9 +35,6 @@ from repro.testbed.vantage import VantagePoint, generate_vantage_points
 if TYPE_CHECKING:
     from repro.measure.capture import PacketCapture
 
-#: Route inflation used on client-FE paths (public Internet).
-CLIENT_ROUTE_INFLATION = 1.6
-
 
 class LazyServiceMap:
     """Mapping of service name -> deployment, constructed on first use.
@@ -260,8 +257,7 @@ class Scenario:
         """
         key = (vp.name, frontend.node.name)
         fe_metro = service.site_of_node.get(frontend.node.name)
-        delay = vp.one_way_delay_to(frontend.location, fe_metro,
-                                    CLIENT_ROUTE_INFLATION)
+        delay = vp.one_way_delay_to(frontend.location, fe_metro)
         if key in self._links_built:
             return delay
         self.topology.connect(vp.name, frontend.node.name,
@@ -276,8 +272,7 @@ class Scenario:
                       service: ServiceDeployment) -> float:
         """Round-trip propagation delay between a client and an FE."""
         fe_metro = service.site_of_node.get(frontend.node.name)
-        return 2.0 * vp.one_way_delay_to(frontend.location, fe_metro,
-                                         CLIENT_ROUTE_INFLATION)
+        return 2.0 * vp.one_way_delay_to(frontend.location, fe_metro)
 
     # ------------------------------------------------------------------
     # DNS-style default FE resolution

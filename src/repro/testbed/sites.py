@@ -17,7 +17,7 @@ Synthetic stand-ins for the geography of the 2011 measurement study:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.net.geo import GeoPoint
 
@@ -131,8 +131,7 @@ BING_LIKE_BE_SITES: Tuple[Tuple[str, GeoPoint], ...] = (
 )
 
 
-def akamai_like_fe_sites(coverage: float = 0.9,
-                         metros: Sequence[Metro] = METROS
+def akamai_like_fe_sites(coverage: float = 0.9
                          ) -> List[Tuple[str, GeoPoint]]:
     """FE sites for the shared-CDN deployment: an FE in (almost) every
     metro.  ``coverage`` is the fraction of metros covered; uncovered
@@ -141,14 +140,13 @@ def akamai_like_fe_sites(coverage: float = 0.9,
         raise ValueError("coverage must be in (0, 1]")
     skip_every = int(round(1.0 / (1.0 - coverage))) if coverage < 1.0 else 0
     sites = []
-    for index, metro in enumerate(metros):
+    for index, metro in enumerate(METROS):
         if skip_every and (index + 1) % skip_every == 0 and not metro.hub:
             continue
         sites.append((metro.name, metro.location))
     return sites
 
 
-def google_like_fe_sites(metros: Sequence[Metro] = METROS
-                         ) -> List[Tuple[str, GeoPoint]]:
+def google_like_fe_sites() -> List[Tuple[str, GeoPoint]]:
     """FE sites for the dedicated deployment: hub metros only."""
-    return [(m.name, m.location) for m in metros if m.hub]
+    return [(m.name, m.location) for m in METROS if m.hub]

@@ -11,12 +11,15 @@ realistic when the FE is one metro over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.net.geo import GeoPoint
 from repro.sim import units
 from repro.sim.randomness import RandomStreams
 from repro.testbed.sites import METROS, REGION_WEIGHTS, Metro
+
+#: Route inflation used on client-FE paths (public Internet).
+CLIENT_ROUTE_INFLATION = 1.6
 
 
 @dataclass(frozen=True)
@@ -45,15 +48,16 @@ class VantagePoint:
     peering_penalty: float
 
     def one_way_delay_to(self, remote_location: GeoPoint,
-                         remote_metro_name: Optional[str] = None,
-                         route_inflation: float = 1.6) -> float:
+                         remote_metro_name: Optional[str] = None) -> float:
         """One-way network delay from this node to a server.
 
-        Propagation from geographic distance, plus access delay, plus the
-        peering penalty when the server is in a different metro.
+        Propagation from geographic distance (over a route
+        :data:`CLIENT_ROUTE_INFLATION` times the great circle), plus
+        access delay, plus the peering penalty when the server is in a
+        different metro.
         """
         delay = self.location.one_way_delay(remote_location,
-                                            route_inflation)
+                                            CLIENT_ROUTE_INFLATION)
         delay += self.access_delay
         if remote_metro_name != self.metro.name:
             delay += self.peering_penalty
@@ -61,10 +65,7 @@ class VantagePoint:
 
 
 def generate_vantage_points(count: int, *,
-                            seed: int = 0,
-                            metros: Sequence[Metro] = METROS,
-                            streams: Optional[RandomStreams] = None
-                            ) -> List[VantagePoint]:
+                            streams: RandomStreams) -> List[VantagePoint]:
     """Generate ``count`` vantage points with PlanetLab-like geography.
 
     Nodes are assigned to metros with the region mixture of
@@ -73,14 +74,13 @@ def generate_vantage_points(count: int, *,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    streams = streams or RandomStreams(seed)
     # Shard-safe despite the shared stream: placement happens once per
     # worker inside Scenario.__init__, before any shard-variant work,
     # so every shard draws the identical sequence (locked in by the
     # serial-vs-sharded fingerprint tests).
     rng = streams.get("vantage-placement")
     by_region = {}
-    for metro in metros:
+    for metro in METROS:
         by_region.setdefault(metro.region, []).append(metro)
     regions = sorted(by_region)
     weights = [REGION_WEIGHTS.get(region, 0.05) for region in regions]

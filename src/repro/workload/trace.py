@@ -119,13 +119,13 @@ def read_events(path: str) -> Iterator[QueryEvent]:
 class TraceWorkload:
     """A recorded trace presented through the workload interface."""
 
-    def __init__(self, path: str, services: Tuple[str, ...] = ()):
+    def __init__(self, path: str):
         self.path = path
-        self._services = tuple(services)
+        self._services: Tuple[str, ...] = ()
 
     @property
     def services(self) -> Tuple[str, ...]:
-        """Service names the trace touches (scanned once if not given)."""
+        """Service names the trace touches (scanned once)."""
         if not self._services:
             seen = []
             for event in read_events(self.path):

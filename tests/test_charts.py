@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.analysis.charts import cdf_plot, hbox_plot, scatter
+from repro.analysis.charts import BOX_LABEL_WIDTH, cdf_plot, hbox_plot, scatter
 from repro.analysis.stats import BoxStats
 
 
 def test_scatter_renders_all_series():
     text = scatter({"alpha": [(0, 0), (10, 10)],
                     "beta": [(5, 5)]},
-                   width=30, height=10, xlabel="rtt", ylabel="ms")
+                   height=10, xlabel="rtt", ylabel="ms")
     assert "o=alpha" in text
     assert "x=beta" in text
     assert "(x: rtt, y: ms)" in text
@@ -20,7 +20,7 @@ def test_scatter_renders_all_series():
 
 
 def test_scatter_marks_collisions():
-    text = scatter({"a": [(1, 1)], "b": [(1, 1)]}, width=10, height=5)
+    text = scatter({"a": [(1, 1)], "b": [(1, 1)]}, height=5)
     assert "?" in text
 
 
@@ -30,7 +30,7 @@ def test_scatter_requires_points():
 
 
 def test_scatter_single_point_degenerate_ranges():
-    text = scatter({"only": [(3.0, 7.0)]}, width=12, height=6)
+    text = scatter({"only": [(3.0, 7.0)]}, height=6)
     assert "o" in text
 
 
@@ -44,7 +44,7 @@ def test_cdf_plot_axis_label():
 def test_hbox_plot_shapes():
     boxes = [("node-a", BoxStats(1, 2, 3, 4, 5)),
              ("node-b", BoxStats(2, 3, 4, 5, 6))]
-    text = hbox_plot(boxes, width=40)
+    text = hbox_plot(boxes)
     lines = text.splitlines()
     assert len(lines) == 3
     for line in lines[:2]:
@@ -57,6 +57,5 @@ def test_hbox_plot_shapes():
 
 def test_hbox_labels_truncated():
     long_label = "x" * 100
-    text = hbox_plot([(long_label, BoxStats(1, 2, 3, 4, 5))],
-                     label_width=10)
-    assert text.splitlines()[0].startswith("x" * 10 + " ")
+    text = hbox_plot([(long_label, BoxStats(1, 2, 3, 4, 5))])
+    assert text.splitlines()[0].startswith("x" * BOX_LABEL_WIDTH + " ")

@@ -132,8 +132,7 @@ def test_build_distance_points_filters_by_rtt_and_count():
     }
     distances = {"fe-near": 50.0, "fe-far-clients": 100.0,
                  "fe-sparse": 200.0}
-    points = build_distance_points(metrics_by_fe, distances,
-                                   max_client_rtt=0.040, min_samples=3)
+    points = build_distance_points(metrics_by_fe, distances)
     names = {p.fe_name for p in points}
     assert names == {"fe-near"}  # others filtered
     assert points[0].tdynamic_median == pytest.approx(0.100)
@@ -144,8 +143,7 @@ def test_build_sample_pairs():
         "fe-a": [make_metric(0.010, 0.01, 0.100),
                  make_metric(0.300, 0.01, 0.500)],  # high-RTT excluded
     }
-    pairs = build_sample_pairs(metrics_by_fe, {"fe-a": 120.0},
-                               max_client_rtt=0.040)
+    pairs = build_sample_pairs(metrics_by_fe, {"fe-a": 120.0})
     assert pairs == [(120.0, pytest.approx(0.100))]
 
 

@@ -115,30 +115,27 @@ def test_map_shards_preserves_submission_order():
     assert map_shards(_square, [], processes=4) == []
 
 
-def test_experiment_level_sharding_is_internally_consistent():
+def test_experiment_level_sharding_is_internally_consistent(monkeypatch):
     from repro.experiments.common import ExperimentScale
     from repro.experiments.dataset_a import run_dataset_a_experiment
 
     # shards>1 switches the scenario into keyed-draw mode, so the
     # metric *values* differ from the serial default (different RNG
-    # realization).  Within that mode the run must not depend on how
-    # many processes host the shards, and build-deterministic outputs
-    # (default-FE RTTs) must match the serial run exactly.
+    # realization).  Build-deterministic outputs (default-FE RTTs) must
+    # match the serial run exactly.  That the sharded run does not
+    # depend on how many processes host the shards is
+    # test_dataset_a_sharded_inline_matches_pool.
     scale = ExperimentScale(vantage_count=8, repeats=1, interval=1.0,
                             seed=5)
-    serial = run_dataset_a_experiment(scale, shards=1)
-    pooled = run_dataset_a_experiment(scale, shards=2, processes=2)
-    inline = run_dataset_a_experiment(scale, shards=2, processes=1)
-    assert serial.default_rtts == pooled.default_rtts
-    assert pooled.default_rtts == inline.default_rtts
-    assert sorted(pooled.metrics) == sorted(serial.metrics)
-    for service in pooled.metrics:
-        ours = [(m.rtt, m.tstatic, m.tdynamic, m.overall_delay)
-                for m in pooled.metrics[service]]
-        theirs = [(m.rtt, m.tstatic, m.tdynamic, m.overall_delay)
-                  for m in inline.metrics[service]]
-        assert ours == theirs
-        assert len(ours) == len(serial.metrics[service])
+    monkeypatch.setenv("REPRO_CAMPAIGN_SHARDS", "1")
+    serial = run_dataset_a_experiment(scale)
+    monkeypatch.setenv("REPRO_CAMPAIGN_SHARDS", "2")
+    sharded = run_dataset_a_experiment(scale)
+    assert serial.default_rtts == sharded.default_rtts
+    assert sorted(sharded.metrics) == sorted(serial.metrics)
+    for service in sharded.metrics:
+        assert len(sharded.metrics[service]) \
+            == len(serial.metrics[service])
 
 
 def test_sharded_campaign_rejects_sequential_draw_scenario():

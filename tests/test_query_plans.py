@@ -7,6 +7,7 @@ import pytest
 
 from repro.content.keywords import Keyword
 from repro.experiments.ablation import (
+    PLACEMENT_COVERAGES,
     run_placement_ablation,
     run_split_tcp_ablation,
 )
@@ -15,7 +16,7 @@ from repro.experiments.common import (
     ExperimentScale,
     calibrate_service,
 )
-from repro.experiments.fig4 import PAPER_FIG4_RTTS, run_fig4
+from repro.experiments.fig4 import FIG4_REPEATS, PAPER_FIG4_RTTS, run_fig4
 from repro.measure.driver import run_queries
 from repro.measure.emulator import QueryEmulator
 from repro.sim.executor import SessionExecutor
@@ -147,7 +148,7 @@ TINY = ExperimentScale.tiny(seed=1)
 
 
 def _fig4():
-    run_fig4(TINY, rtts=PAPER_FIG4_RTTS[:2], repeats=3)
+    run_fig4(TINY)
 
 
 def _split_tcp():
@@ -155,7 +156,7 @@ def _split_tcp():
 
 
 def _placement():
-    run_placement_ablation(TINY, coverages=(0.6,))
+    run_placement_ablation(TINY)
 
 
 def _calibration():
@@ -167,9 +168,11 @@ def _calibration():
 
 
 @pytest.mark.parametrize("experiment,sessions", [
-    (_fig4, 2 * 3 + len(CALIBRATION_KEYWORDS[:2])),
+    (_fig4, len(PAPER_FIG4_RTTS) * FIG4_REPEATS
+     + len(CALIBRATION_KEYWORDS[:2])),
     (_split_tcp, 3),
-    (_placement, max(10, TINY.vantage_count // 3)),
+    (_placement, len(PLACEMENT_COVERAGES)
+     * max(10, TINY.vantage_count // 3)),
     (_calibration, 2 * len(CALIBRATION_KEYWORDS)),
 ], ids=["fig4", "split-tcp", "placement", "calibration"])
 def test_every_session_starts_in_the_executor(entry_counts, experiment,

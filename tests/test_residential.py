@@ -1,6 +1,7 @@
 """Tests for the residential/mobile access-profile extension."""
 
 from repro.sim import units
+from repro.sim.randomness import RandomStreams
 from repro.testbed.residential import (
     CAMPUS,
     MOBILE_3G,
@@ -22,7 +23,7 @@ def test_profiles_are_ordered_by_access_delay():
 
 
 def test_residential_points_have_dsl_delays():
-    vps = vantage_points_with_profile(50, RESIDENTIAL_DSL, seed=2)
+    vps = vantage_points_with_profile(50, RESIDENTIAL_DSL, streams=RandomStreams(2))
     assert len(vps) == 50
     for vp in vps:
         assert units.ms(15) <= vp.access_delay <= units.ms(40)
@@ -30,14 +31,14 @@ def test_residential_points_have_dsl_delays():
 
 
 def test_mobile_points_have_3g_delays():
-    vps = vantage_points_with_profile(30, MOBILE_3G, seed=2)
+    vps = vantage_points_with_profile(30, MOBILE_3G, streams=RandomStreams(2))
     for vp in vps:
         assert units.ms(40) <= vp.access_delay <= units.ms(120)
 
 
 def test_generation_deterministic():
-    a = vantage_points_with_profile(20, RESIDENTIAL_DSL, seed=5)
-    b = vantage_points_with_profile(20, RESIDENTIAL_DSL, seed=5)
+    a = vantage_points_with_profile(20, RESIDENTIAL_DSL, streams=RandomStreams(5))
+    b = vantage_points_with_profile(20, RESIDENTIAL_DSL, streams=RandomStreams(5))
     assert [vp.access_delay for vp in a] == [vp.access_delay for vp in b]
 
 
@@ -69,5 +70,5 @@ def test_dsl_rtt_floor_kills_sub_20ms():
 def test_custom_profile():
     profile = AccessProfile(name="lab", access_delay_range_ms=(0.5, 1.0),
                             peering_penalty_range_ms=(1.0, 2.0))
-    vps = vantage_points_with_profile(5, profile, seed=1)
+    vps = vantage_points_with_profile(5, profile, streams=RandomStreams(1))
     assert all(vp.access_delay <= units.ms(1.0) for vp in vps)

@@ -55,22 +55,63 @@ def test_backend_404_for_unknown_path(scenario):
     assert backend.queries_served == 0
 
 
+def backend_links(scenario, frontend):
+    """The FE's links to and from its back-end."""
+    backend = scenario.service(Scenario.GOOGLE).backend_for_frontend(
+        frontend)
+    return [scenario.topology.node(a).links[b] for a, b in (
+        (frontend.node.name, backend.node.name),
+        (backend.node.name, frontend.node.name))]
+
+
 def test_backend_outage_produces_502(scenario):
-    """Kill the FE-BE path before a query: the user gets a 502-ish
-    response instead of a hang."""
+    """Kill the FE-BE path before a query: the user's session fails,
+    naming the cause, instead of hanging."""
     vp = scenario.vantage_points[0]
-    service = scenario.service(Scenario.GOOGLE)
     frontend = linked_frontend(scenario, vp)
-    backend = service.backend_for_frontend(frontend)
     # Let the FE's pool establish first, then cut the link both ways.
     scenario.sim.run()
-    fe_node = scenario.topology.node(frontend.node.name)
-    be_node = scenario.topology.node(backend.node.name)
-    fe_node.links[backend.node.name].fault_filter = lambda p, i: True
-    be_node.links[frontend.node.name].fault_filter = lambda p, i: True
+    for link in backend_links(scenario, frontend):
+        link.fault_filter = lambda p, i: True
 
     (session,) = run_queries(scenario, [
         (scenario.sim.now, vp, Scenario.GOOGLE, frontend, kw())])[vp.name]
-    # The fetch fails after retry exhaustion; the FE finishes the
-    # response (static-only or 502) rather than hanging forever.
+    # The fetch fails after retry exhaustion, when the static part is
+    # out: the FE ends the response short rather than hanging forever
+    # or passing the static part off as the whole page.
     assert session.completed_at is not None
+    assert session.failed == "connection closed before response completed"
+
+
+def test_backend_failure_after_static_fails_session_and_fe_recovers(
+        scenario):
+    """The back-end link dies after the FE flushed the static part: the
+    session fails instead of completing with the static part alone, and
+    once the link is back the FE's next query completes on a fresh
+    pool connection."""
+    vp = scenario.vantage_points[0]
+    frontend = linked_frontend(scenario, vp)
+    scenario.sim.run()  # the FE's pool connects
+    links = backend_links(scenario, frontend)
+    write_static = frontend._write_static
+
+    def cut_after_static(state):
+        write_static(state)
+        for link in links:
+            link.fault_filter = lambda p, i: True
+
+    frontend._write_static = cut_after_static
+    (session,) = run_queries(scenario, [
+        (scenario.sim.now, vp, Scenario.GOOGLE, frontend, kw())])[vp.name]
+    assert not session.complete
+    assert session.failed == "connection closed before response completed"
+    assert session.response_size == 0
+
+    del frontend._write_static
+    for link in links:
+        link.fault_filter = None
+    (again,) = run_queries(scenario, [
+        (scenario.sim.now, vp, Scenario.GOOGLE, frontend,
+         kw("second probe"))])[vp.name]
+    assert again.complete
+    assert again.failed is None

@@ -101,42 +101,6 @@ def test_run_until_stops_before_later_events():
     assert fired == ["early", "late"]
 
 
-def test_run_max_events_limits_execution():
-    sim = Simulator()
-    fired = []
-    for i in range(5):
-        sim.schedule(float(i + 1), fired.append, i)
-    sim.run(max_events=2)
-    assert fired == [0, 1]
-
-
-def test_run_until_with_max_events_advances_clock():
-    # Regression: the max_events early exit used to skip the final
-    # clock-advance to `until` even when the window was fully drained.
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(2.0, fired.append, "b")
-    sim.run(until=5.0, max_events=2)
-    assert fired == ["a", "b"]
-    assert sim.now == 5.0
-
-
-def test_run_until_with_max_events_keeps_clock_on_pending_work():
-    # The documented exception: an event still pending at or before
-    # `until` pins the clock so the work is not skipped over.
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(2.0, fired.append, "b")
-    sim.run(until=5.0, max_events=1)
-    assert fired == ["a"]
-    assert sim.now == 1.0
-    sim.run(until=5.0)
-    assert fired == ["a", "b"]
-    assert sim.now == 5.0
-
-
 def test_events_processed_counter():
     sim = Simulator()
     for i in range(4):

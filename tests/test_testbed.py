@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import units
+from repro.sim.randomness import RandomStreams
 from repro.testbed import sites
 from repro.testbed.scenario import Scenario, ScenarioConfig
 from repro.testbed.vantage import generate_vantage_points
@@ -52,14 +53,14 @@ def test_backend_site_lists_nonempty_and_distinct():
 # vantage points
 # ---------------------------------------------------------------------------
 def test_vantage_generation_deterministic():
-    a = generate_vantage_points(50, seed=9)
-    b = generate_vantage_points(50, seed=9)
+    a = generate_vantage_points(50, streams=RandomStreams(9))
+    b = generate_vantage_points(50, streams=RandomStreams(9))
     assert [vp.name for vp in a] == [vp.name for vp in b]
     assert [vp.access_delay for vp in a] == [vp.access_delay for vp in b]
 
 
 def test_vantage_region_mixture_roughly_matches_weights():
-    vps = generate_vantage_points(400, seed=1)
+    vps = generate_vantage_points(400, streams=RandomStreams(1))
     us = sum(1 for vp in vps if vp.metro.region == "us")
     eu = sum(1 for vp in vps if vp.metro.region == "eu")
     assert 0.45 < us / 400 < 0.65
@@ -67,7 +68,7 @@ def test_vantage_region_mixture_roughly_matches_weights():
 
 
 def test_vantage_delay_model():
-    vps = generate_vantage_points(10, seed=2)
+    vps = generate_vantage_points(10, streams=RandomStreams(2))
     vp = vps[0]
     # Same metro: no peering penalty.
     same = vp.one_way_delay_to(vp.metro.location, vp.metro.name)
@@ -78,7 +79,7 @@ def test_vantage_delay_model():
 
 def test_vantage_count_validation():
     with pytest.raises(ValueError):
-        generate_vantage_points(0)
+        generate_vantage_points(0, streams=RandomStreams(0))
 
 
 # ---------------------------------------------------------------------------

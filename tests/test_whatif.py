@@ -70,8 +70,6 @@ def test_faster_backend_gain_only_when_fetch_bound():
     assert gain_high == 0.0
     with pytest.raises(ValueError):
         fitted.faster_backend_gain(0.01, tproc_speedup=0)
-    with pytest.raises(ValueError):
-        fitted.faster_backend_gain(0.01, 2.0, tproc_share=2.0)
 
 
 def test_dominant_factor_switches_at_threshold():
